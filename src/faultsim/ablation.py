@@ -1,6 +1,6 @@
 """Ablation and measurement pipeline: run every (mode, worker-count) cell
 on one benchmark, report wall time, speedup over the serial baseline,
-utilization samples, and the task-overhead accounting of the added
+utilization, and the task-overhead accounting of the added
 master/slave and local-sync tasks.
 
 Wall times are taken as the minimum over a few interleaved trials, which
@@ -11,7 +11,7 @@ paused during measured runs.
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import (
     MODE_FULL, MODE_SERIAL, MODE_STRUCTURAL, MODE_STRUCTURAL_FAULT, SimConfig,
@@ -32,8 +32,6 @@ class AblationCell:
     speedup: float
     dispatches: int
     mean_dispatch_ns: float
-    # Per-cycle sampling windows: (cycle, min worker busy fraction, max).
-    windows: list[tuple[int, float, float]] = field(default_factory=list)
 
 
 @dataclass
@@ -64,16 +62,6 @@ class AblationTable:
             + ("yes" if self.verdicts_consistent else "NO")
         )
         return "\n".join(lines) + "\n"
-
-
-def _windows(report) -> list[tuple[int, float, float]]:
-    out = []
-    for c in report.cycles:
-        if c.wall_ns <= 0:
-            continue
-        fracs = [b / c.wall_ns for b in c.busy_ns]
-        out.append((c.cycle, min(fracs), max(fracs)))
-    return out
 
 
 def ablation_run(
@@ -126,7 +114,6 @@ def ablation_run(
         dispatches=serial_report.totals.dispatches or
         (serial_report.totals.executed + serial_report.totals.skipped),
         mean_dispatch_ns=0.0,
-        windows=_windows(serial_report),
     ))
     for mode in ABLATION_MODES:
         for P in workers:
@@ -140,7 +127,6 @@ def ablation_run(
                 speedup=serial_wall / wall if wall else 0.0,
                 dispatches=t.dispatches,
                 mean_dispatch_ns=t.mean_dispatch_ns,
-                windows=_windows(report),
             ))
 
     table = AblationTable(cells, serial_wall, 0.0, consistent)

@@ -50,12 +50,11 @@ class FaultDescriptor:
 
 @dataclass
 class FaultEntry:
-    """Per-node injection record; ``fval`` tracks the last forced value."""
+    """Per-node injection record; ``dropped`` is set once the fault is
+    detected and dropped from simulation."""
 
     fid: int
     rule: FaultDescriptor
-    injected_here: bool = True
-    fval: int = 0
     dropped: bool = False
 
 

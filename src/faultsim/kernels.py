@@ -1,6 +1,7 @@
 """Concurrent-simulation kernels: good-value evaluation, bad-gate set
-evaluation with divergence/convergence pruning, dependence checking, and
-register commit.
+evaluation with divergence/convergence pruning, dependence checking,
+register next-state computation, the state commit every node evaluation and
+register commit goes through, and the drop of detected faults.
 
 A node's state is its fault-free value plus a sorted list of (fid, value)
 pairs, one per fault whose value at this node currently differs from the
@@ -11,7 +12,8 @@ evaluate any node from nothing but its fanin states.
 
 Each kernel writes exactly one node's state and reads only fanin states
 that the schedule has already sealed, so the kernels themselves need no
-locking in any execution discipline.
+locking in any execution discipline.  ``drop_detected`` writes every
+state and so runs only after a cycle's drain.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import rtl
-from .faults import NodeFaults, faulty_val, window_active, window_toggles
+from .faults import FaultTable, NodeFaults, faulty_val, window_active, window_toggles
 from .rtl import RtlGraph, RtlNode
 
 
@@ -33,29 +35,20 @@ class NodeState:
 
     Change flags are cycle-stamped rather than cleared: the node's value or
     bad list changed "for" cycle c exactly when the corresponding stamp
-    equals c.  A stamp is written by whoever commits the state (evaluation
-    during cycle c stamps c; the register commit at the end of cycle c
-    stamps c+1, the cycle its readers run in), so a stale stamp reads as
-    unchanged without any boundary sweep.
+    equals c.  Evaluated nodes and registers are stamped by ``commit_state``
+    (evaluation during cycle c stamps c; the register commit at the end of
+    cycle c stamps c+1, the cycle its readers run in), and inputs by
+    ``apply_stimulus_row``, so a stale stamp reads as unchanged without any
+    boundary sweep.
     """
 
-    __slots__ = ("good", "bads", "good_stamp", "bads_stamp", "last_eval_pass")
+    __slots__ = ("good", "bads", "good_stamp", "bads_stamp")
 
     def __init__(self, good: int = 0, bads: list | None = None):
         self.good = good
         self.bads: list[tuple[int, int]] = bads if bads is not None else []
         self.good_stamp = -1
         self.bads_stamp = -1
-        self.last_eval_pass = -1
-
-    def changed_for(self, cycle: int) -> bool:
-        return self.good_stamp == cycle or self.bads_stamp == cycle
-
-    def bad_value(self, fid: int) -> int | None:
-        i = bisect_left(self.bads, (fid,))
-        if i < len(self.bads) and self.bads[i][0] == fid:
-            return self.bads[i][1]
-        return None
 
     def __repr__(self):
         return f"NodeState(good={self.good:#x}, bads={self.bads})"
@@ -66,7 +59,6 @@ class EvalDelta:
     node: int
     new_good: int
     new_bads: list[tuple[int, int]]
-    changed: bool
 
 
 def eval_good(node: RtlNode, fanin_goods: list[int], stored: int | None = None) -> int:
@@ -90,9 +82,9 @@ def apply_op(node: RtlNode, vals: list[int]) -> int:
     op = node.op
     m = node.mask
     if op == "AND":
-        return vals[0] & vals[1]
+        return (vals[0] & vals[1]) & m
     if op == "OR":
-        return vals[0] | vals[1]
+        return (vals[0] | vals[1]) & m
     if op == "XOR":
         return (vals[0] ^ vals[1]) & m
     if op == "NOT":
@@ -112,7 +104,7 @@ def apply_op(node: RtlNode, vals: list[int]) -> int:
     if op == "SHL":
         return (vals[0] << min(vals[1], 64)) & m
     if op == "SHR":
-        return vals[0] >> min(vals[1], 64)
+        return (vals[0] >> min(vals[1], 64)) & m
     if op == "SLICE":
         return (vals[0] >> node.slice_lo) & m
     if op == "CONCAT":
@@ -196,7 +188,6 @@ def eval_bad_set(
             if entry is not None and not entry.dropped \
                     and window_active(entry.rule, cycle):
                 raw = faulty_val(entry.rule, raw, cycle)
-                entry.fval = raw
         if raw != new_good:
             result.append((fid, raw))
     return result
@@ -223,7 +214,6 @@ def check_dependence_changed(
 
 def sync_register(
     reg: RtlNode,
-    reg_state: NodeState,
     next_state: NodeState,
     nf: NodeFaults,
     serve_cycle: int,
@@ -272,14 +262,12 @@ def sync_register(
         if entry is not None and not entry.dropped \
                 and window_active(entry.rule, serve_cycle):
             value = faulty_val(entry.rule, value, serve_cycle)
-            entry.fval = value
         if value != new_good:
             new_bads.append((fid, value))
     return new_good, new_bads
 
 
 def sync_check_needed(
-    reg: RtlNode,
     reg_state: NodeState,
     next_state: NodeState,
     nf: NodeFaults,
@@ -301,7 +289,33 @@ def sync_check_needed(
     return False
 
 
-def initial_states(graph: RtlGraph, table) -> list[NodeState]:
+def commit_state(st: NodeState, good: int, bads: list[tuple[int, int]],
+                 stamp: int) -> None:
+    """Store a node's new good value and bad list, stamping whichever one
+    changed with ``stamp``."""
+
+    if good != st.good:
+        st.good = good
+        st.good_stamp = stamp
+    if bads != st.bads:
+        st.bads = bads
+        st.bads_stamp = stamp
+
+
+def drop_detected(table: FaultTable, states: list[NodeState], detected) -> None:
+    """Stop simulating detected faults: mark their injected entries dropped
+    and remove their divergences from every node state."""
+
+    fids = set(detected)
+    for _, entry in table.all_entries():
+        if entry.fid in fids:
+            entry.dropped = True
+    for st in states:
+        if st.bads and any(f in fids for f, _ in st.bads):
+            st.bads = [e for e in st.bads if e[0] not in fids]
+
+
+def initial_states(graph: RtlGraph, table: FaultTable) -> list[NodeState]:
     """States before cycle 0: inputs zero, consts fixed, regs at their reset
     value with any reg-injected fault already forced for cycle 0."""
 
@@ -317,7 +331,6 @@ def initial_states(graph: RtlGraph, table) -> list[NodeState]:
                 if entry.dropped or not window_active(entry.rule, 0):
                     continue
                 forced = faulty_val(entry.rule, node.init, 0)
-                entry.fval = forced
                 if forced != node.init:
                     bads.append((entry.fid, forced))
             bads.sort()

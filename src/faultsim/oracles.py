@@ -19,8 +19,9 @@ from .faults import (
     FaultDescriptor, faulty_val, inject, resolve_injection_site, window_active,
 )
 from .kernels import (
-    affected_fids, apply_stimulus_row, check_dependence_changed, eval_bad_set,
-    eval_good, initial_states, scan_outputs, sync_check_needed, sync_register,
+    affected_fids, apply_stimulus_row, check_dependence_changed, commit_state,
+    drop_detected, eval_bad_set, eval_good, initial_states, scan_outputs,
+    sync_check_needed, sync_register,
 )
 from .report import CycleStats, RunTotals, SimulationReport, build_results
 from .rtl import RtlGraph
@@ -188,19 +189,13 @@ def run_serial_concurrent(
             new_bads = eval_bad_set(
                 node, fanin_states, nf, new_good, cycle, affected, 0, len(affected)
             )
-            if new_good != st.good:
-                st.good = new_good
-                st.good_stamp = cycle
-            if new_bads != st.bads:
-                st.bads = new_bads
-                st.bads_stamp = cycle
-            st.last_eval_pass = cycle
+            commit_state(st, new_good, new_bads, cycle)
             executed += 1
 
         for fid, at, out in scan_outputs(graph, states, detections, cycle):
             detections[fid] = (at, out)
         if config.drop_on_detect:
-            _drop(states, table, detections)
+            drop_detected(table, states, detections)
         if config.record_outputs:
             output_trace.append(tuple(states[o].good for o in graph.outputs))
 
@@ -208,26 +203,15 @@ def run_serial_concurrent(
         staged = []
         for rid in graph.regs:
             reg = graph.nodes[rid]
-            st = states[rid]
             next_st = states[reg.next_src]
             nf = nf_of[rid]
-            if not force and not sync_check_needed(reg, st, next_st, nf, cycle + 1):
-                staged.append((rid, None))
+            if force or sync_check_needed(states[rid], next_st, nf, cycle + 1):
+                staged.append((rid, sync_register(reg, next_st, nf, cycle + 1)))
             else:
-                staged.append((rid, sync_register(reg, st, next_st, nf, cycle + 1)))
-        for rid, res in staged:
-            st = states[rid]
-            if res is None:
                 skipped += 1
-                continue
-            new_good, new_bads = res
-            if new_good != st.good:
-                st.good = new_good
-                st.good_stamp = cycle + 1
-            if new_bads != st.bads:
-                st.bads = new_bads
-                st.bads_stamp = cycle + 1
-            executed += 1
+        for rid, (new_good, new_bads) in staged:
+            commit_state(states[rid], new_good, new_bads, cycle + 1)
+        executed += len(staged)
         sync_ns = time.perf_counter_ns() - sync_t0
 
         wall = time.perf_counter_ns() - t0
@@ -248,12 +232,3 @@ def run_serial_concurrent(
         report.output_trace = output_trace
     return report
 
-
-def _drop(states, table, detections) -> None:
-    fids = set(detections)
-    for nid, entry in table.all_entries():
-        if entry.fid in fids:
-            entry.dropped = True
-    for st in states:
-        if st.bads and any(f in fids for f, _ in st.bads):
-            st.bads = [e for e in st.bads if e[0] not in fids]

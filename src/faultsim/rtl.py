@@ -67,9 +67,6 @@ class RtlGraph:
     name_to_id: dict[str, int]
     port_carriers: dict[int, int] = field(default_factory=dict)
 
-    def node(self, nid: int) -> RtlNode:
-        return self.nodes[nid]
-
     def comb_edges(self):
         """Yield every (producer, consumer) edge of the combinational view."""
         for node in self.nodes:

@@ -29,8 +29,8 @@ from .config import MODE_SERIAL, SimConfig
 from .faults import FaultDescriptor, inject
 from .kernels import (
     EvalDelta, NodeState, SimulationError, affected_fids, apply_stimulus_row,
-    check_dependence_changed, eval_bad_set, eval_good, initial_states,
-    scan_outputs, sync_check_needed, sync_register,
+    check_dependence_changed, commit_state, drop_detected, eval_bad_set,
+    eval_good, initial_states, scan_outputs, sync_check_needed, sync_register,
 )
 from .report import CycleStats, RunTotals, SimulationReport, build_results
 from .rtl import RtlGraph
@@ -141,12 +141,10 @@ def flag_overloaded(monitor: LoadMonitor, tg: TaskGraph, threshold: float) -> li
     if total <= 0:
         return []
     floor_ns = total * threshold
-    task_ns = monitor.task_ns
     tasks = tg.tasks
     flagged: list[tuple[int, int]] = []
-    for tid in tg.default_task_ids():
-        ns = task_ns.get(tid, 0)
-        if ns > floor_ns:
+    for tid, ns in monitor.task_ns.items():
+        if ns > floor_ns and tasks[tid].kind == DEFAULT:
             flagged.append((-ns, tasks[tid].node))
     flagged.sort()
     return [nid for _, nid in flagged]
@@ -169,10 +167,7 @@ class SimulationEngine:
         self.nf = [self.table.node_faults(i) for i in range(len(graph.nodes))]
         self.states = initial_states(graph, self.table)
         self.tg = make_task_graph(
-            graph,
-            unified=config.unified_sync,
-            slave_count=config.effective_slaves,
-            group_size=config.sync_group_size,
+            graph, unified=config.unified_sync, group_size=config.sync_group_size
         )
         for node_id in config.pre_expand:
             expand_high_load(self.tg, node_id, config.effective_slaves)
@@ -238,7 +233,8 @@ class SimulationEngine:
         new_bads = eval_bad_set(
             node, fanin_states, nf, new_good, cycle, affected, 0, len(affected)
         )
-        self._commit(task.node, st, new_good, new_bads, cycle)
+        commit_state(st, new_good, new_bads, cycle)
+        self._record_delta(task.node)
         self._executed += 1
 
     def _run_master(self, task) -> None:
@@ -258,10 +254,7 @@ class SimulationEngine:
         board.affected = affected_fids(node, fanin_states, nf, st, cycle)
         board.new_good = new_good
         board.ranges = publish_ranges(len(board.affected), len(board.partials))
-        if new_good != st.good:
-            st.good = new_good
-            st.good_stamp = cycle
-        st.last_eval_pass = cycle
+        commit_state(st, new_good, st.bads, cycle)
         self._executed += 1
 
     def _run_slave(self, task) -> None:
@@ -280,16 +273,9 @@ class SimulationEngine:
         board.remaining -= 1
         if board.remaining == 0:
             st = self.states[task.node]
-            cycle = self._cycle
             new_bads = [pair for part in board.partials for pair in part]
-            if new_bads != st.bads:
-                st.bads = new_bads
-                st.bads_stamp = cycle
-            if self.config.record_deltas:
-                self.deltas[-1].append(
-                    EvalDelta(task.node, st.good, list(new_bads),
-                              st.good_stamp == cycle or st.bads_stamp == cycle)
-                )
+            commit_state(st, st.good, new_bads, self._cycle)
+            self._record_delta(task.node)
 
     def _run_sync(self, task) -> None:
         """Compute and commit a register group.  Group results are fully
@@ -298,55 +284,26 @@ class SimulationEngine:
 
         graph = self.graph
         states = self.states
-        cycle = self._cycle
-        results = []
+        serve = self._cycle + 1
+        force = self.config.force_always_eval
+        staged = []
         for rid in task.regs:
             reg = graph.nodes[rid]
-            st = states[rid]
             next_st = states[reg.next_src]
             nf = self.nf[rid]
-            if not self.config.force_always_eval and not sync_check_needed(
-                reg, st, next_st, nf, cycle + 1
-            ):
-                results.append(None)
+            if force or sync_check_needed(states[rid], next_st, nf, serve):
+                staged.append((rid, sync_register(reg, next_st, nf, serve)))
             else:
-                results.append(sync_register(reg, st, next_st, nf, cycle + 1))
-        self._commit_sync(task, results)
-
-    def _commit_sync(self, task, results) -> None:
-        states = self.states
-        serve = self._cycle + 1
-        for rid, res in zip(task.regs, results):
-            st = states[rid]
-            if res is None:
                 self._skipped += 1
-                continue
-            new_good, new_bads = res
-            if new_good != st.good:
-                st.good = new_good
-                st.good_stamp = serve
-            if new_bads != st.bads:
-                st.bads = new_bads
-                st.bads_stamp = serve
-            self._executed += 1
-            if self.config.record_deltas:
-                self.deltas[-1].append(
-                    EvalDelta(rid, new_good, list(new_bads),
-                              st.good_stamp == serve or st.bads_stamp == serve)
-                )
+        for rid, (new_good, new_bads) in staged:
+            commit_state(states[rid], new_good, new_bads, serve)
+            self._record_delta(rid)
+        self._executed += len(staged)
 
-    def _commit(self, nid: int, st: NodeState, new_good: int, new_bads, cycle: int) -> None:
-        if new_good != st.good:
-            st.good = new_good
-            st.good_stamp = cycle
-        if new_bads != st.bads:
-            st.bads = new_bads
-            st.bads_stamp = cycle
-        st.last_eval_pass = cycle
+    def _record_delta(self, nid: int) -> None:
         if self.config.record_deltas:
-            self.deltas[-1].append(EvalDelta(
-                nid, new_good, list(new_bads),
-                st.good_stamp == cycle or st.bads_stamp == cycle))
+            st = self.states[nid]
+            self.deltas[-1].append(EvalDelta(nid, st.good, list(st.bads)))
 
     # -- cycle loop ----------------------------------------------------------
 
@@ -428,7 +385,7 @@ class SimulationEngine:
 
         b3 = time.perf_counter_ns()
         if cfg.drop_on_detect:
-            self._drop_detected()
+            drop_detected(self.table, self.states, self.detections)
         expansions: tuple[int, ...] = ()
         if cfg.expansion_enabled and cfg.max_expansions_per_cycle > 0:
             flagged = flag_overloaded(self.monitor, tg, cfg.threshold)
@@ -481,15 +438,6 @@ class SimulationEngine:
             f"cycle {self._cycle}: pool drained with {len(stuck)} unexecuted "
             f"tasks; (id, kind, pending preds): {stuck[:20]}"
         )
-
-    def _drop_detected(self) -> None:
-        fids = set(self.detections)
-        for _, entry in self.table.all_entries():
-            if entry.fid in fids:
-                entry.dropped = True
-        for st in self.states:
-            if st.bads and any(f in fids for f, _ in st.bads):
-                st.bads = [e for e in st.bads if e[0] not in fids]
 
     def _assert_steady(self, cycle: int) -> None:
         """Debug re-sweep: re-evaluating any node must change nothing."""

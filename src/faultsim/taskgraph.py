@@ -59,25 +59,11 @@ class TaskGraph:
     node_task: dict[int, int]           # rtl node id -> default/master task id
     sync_tasks: list[int]
     unified: bool
-    slave_count: int
     expanded: set[int] = field(default_factory=set)
     boards: dict[int, RangeBoard] = field(default_factory=dict)
     pred_reset: list[int] = field(default_factory=list)
     sync_pred_reset: dict[int, int] = field(default_factory=dict)
     entry_tasks: list[int] = field(default_factory=list)
-
-    def task(self, tid: int) -> Task:
-        return self.tasks[tid]
-
-    def default_task_ids(self) -> list[int]:
-        """Compute tasks still eligible for overload expansion; cached and
-        invalidated by expansion (which happens only at cycle boundaries)."""
-
-        cached = getattr(self, "_default_ids", None)
-        if cached is None:
-            cached = [t.id for t in self.tasks if t.kind == DEFAULT]
-            self._default_ids = cached
-        return cached
 
     def rebuild_reset_image(self) -> None:
         self.pred_reset = [len(t.preds) for t in self.tasks]
@@ -117,7 +103,7 @@ def build_task_graph(graph: RtlGraph) -> TaskGraph:
             if src_tid is not None and src_tid not in task.preds:
                 task.preds.add(src_tid)
                 tasks[src_tid].succs.append(tid)
-    tg = TaskGraph(tasks, node_task, [], unified=True, slave_count=1)
+    tg = TaskGraph(tasks, node_task, [], unified=True)
     tg.rebuild_reset_image()
     return tg
 
@@ -204,6 +190,9 @@ def insert_local_sync(tg: TaskGraph, graph: RtlGraph, group_size: int = 1) -> Ta
         for i in range(0, len(graph.regs), group_size)
     ]
     groups = _merge_mutual_commit_groups(graph, groups)
+    fed_by: dict[int, list[int]] = {}  # reg -> regs whose next value it is
+    for other in graph.regs:
+        fed_by.setdefault(graph.nodes[other].next_src, []).append(other)
     group_of: dict[int, int] = {}
     sync_ids: list[int] = []
     for group in groups:
@@ -227,11 +216,8 @@ def insert_local_sync(tg: TaskGraph, graph: RtlGraph, group_size: int = 1) -> Ta
                 reader = tg.node_task.get(consumer)
                 if reader is not None:
                     preds.add(reader)
-            for other in graph.regs:
-                if graph.nodes[other].next_src == reg:
-                    other_sync = group_of[other]
-                    if other_sync != tid:
-                        preds.add(other_sync)
+            for other in fed_by.get(reg, ()):
+                preds.add(group_of[other])
         preds.discard(tid)
         task.preds = preds
         for p in preds:
@@ -242,16 +228,10 @@ def insert_local_sync(tg: TaskGraph, graph: RtlGraph, group_size: int = 1) -> Ta
     return tg
 
 
-def make_task_graph(
-    graph: RtlGraph,
-    unified: bool,
-    slave_count: int,
-    group_size: int = 1,
-) -> TaskGraph:
+def make_task_graph(graph: RtlGraph, unified: bool, group_size: int = 1) -> TaskGraph:
     tg = build_task_graph(graph)
     tg = insert_local_sync(tg, graph, group_size)
     tg.unified = unified
-    tg.slave_count = max(1, slave_count)
     tg.rebuild_reset_image()
     return tg
 
@@ -286,7 +266,6 @@ def expand_high_load(tg: TaskGraph, node_id: int, k: int) -> TaskGraph:
     master.succs = slave_ids + original_succs
     tg.expanded.add(node_id)
     tg.boards[node_id] = RangeBoard(k)
-    tg._default_ids = None
     tg.rebuild_reset_image()
     return tg
 

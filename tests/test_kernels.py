@@ -234,13 +234,13 @@ def reg_node(width=1, init=0):
 class TestSyncRegister:
     def test_plain_copy(self):
         reg = reg_node(4)
-        good, bads = sync_register(reg, NodeState(0), NodeState(5, []), NO_FAULTS, 1)
+        good, bads = sync_register(reg, NodeState(5, []), NO_FAULTS, 1)
         assert (good, bads) == (5, [])
 
     def test_incoming_bads_filtered_against_new_good(self):
         reg = reg_node(4)
         nxt = NodeState(5, [(2, 5), (7, 9)])
-        good, bads = sync_register(reg, NodeState(0), nxt, NO_FAULTS, 1)
+        good, bads = sync_register(reg, nxt, NO_FAULTS, 1)
         assert (good, bads) == (5, [(7, 9)])
 
     def test_one_bit_brute_force_against_enumeration(self):
@@ -255,7 +255,7 @@ class TestSyncRegister:
                     nxt = NodeState(incoming_good)
                     if incoming_bad is not None:
                         nxt.bads = [(9, incoming_bad)] if incoming_bad != incoming_good else []
-                    good, bads = sync_register(reg, NodeState(0), nxt, faults, 1)
+                    good, bads = sync_register(reg, nxt, faults, 1)
                     base = incoming_bad if incoming_bad is not None else incoming_good
                     forced = 0 if kind == "sa0" else 1
                     expect = [(9, forced)] if forced != incoming_good else []
@@ -290,9 +290,8 @@ end
         assert oracle.output_trace[4] != good[4]
 
     def test_sync_skip_check_cold_start(self):
-        reg = reg_node(4)
-        assert sync_check_needed(reg, NodeState(), NodeState(), NO_FAULTS, 1)
-        assert not sync_check_needed(reg, NodeState(), NodeState(), NO_FAULTS, 3)
+        assert sync_check_needed(NodeState(), NodeState(), NO_FAULTS, 1)
+        assert not sync_check_needed(NodeState(), NodeState(), NO_FAULTS, 3)
 
 
 def test_initial_states_apply_reg_rules():

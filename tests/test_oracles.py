@@ -1,9 +1,11 @@
 import random
 
+import pytest
+
 from faultsim.config import SimConfig
-from faultsim.faults import FaultDescriptor
+from faultsim.faults import FaultDescriptor, generate_fault_list
 from faultsim.genbench import gen_bench
-from faultsim.oracles import run_serial_concurrent, run_single_fault
+from faultsim.oracles import run_good_trace, run_serial_concurrent, run_single_fault
 from faultsim.scheduler import run_simulation
 
 from conftest import AND2, build
@@ -67,3 +69,34 @@ def test_serial_handles_empty_fault_list():
     report = run_serial_concurrent(g, [], stim)
     assert report.results == [] and report.coverage == 0.0
     assert len(report.cycles) == 4
+
+
+@pytest.mark.parametrize("op", ["AND", "OR", "SHR"])
+def test_narrow_result_of_wide_operands_is_masked(op):
+    # y keeps only the low 4 bits of its 8-bit operands, so EQ y #f0 must
+    # read 0 in every row; it reads 1 wherever the high bits leak through.
+    text = f"""
+module m
+input a 8
+input b 8
+assign y 4 = {op} a b
+assign hit 1 = EQ y #f0:8
+output o 1 = hit
+output w 4 = y
+end
+"""
+    rows = [[0xF0, 0xF0], [0xF0, 0x00], [0x3C, 0x01]]
+    g = build(text)
+    faults = generate_fault_list(g, ["sa0", "sa1"])
+    serial = run_serial_concurrent(g, faults, rows,
+                                   SimConfig(mode="serial", record_outputs=True))
+    full = run_simulation(build(text), faults, rows,
+                          SimConfig(workers=4, mode="full", record_outputs=True))
+    good = run_good_trace(build(text), rows)
+    assert all(o == 0 for o, _ in good)
+    assert serial.output_trace == full.output_trace == good
+    single = []
+    for f in faults:
+        r = run_single_fault(build(text), f, rows)
+        single.append((f.fid, r.detected, r.detect_cycle, r.observing_output))
+    assert serial.verdicts() == full.verdicts() == single

@@ -63,7 +63,7 @@ end
 
 def test_sync_task_waits_for_readers_and_producer():
     g = build(SYNCED)
-    tg = make_task_graph(g, unified=True, slave_count=1)
+    tg = make_task_graph(g, unified=True)
     sync = tg.tasks[tg.sync_tasks[0]]
     d = task_of(tg, g, "d")   # reads r
     e = task_of(tg, g, "e")   # produces next r
@@ -83,7 +83,7 @@ next r = e
 end
 """
     g = build(text)
-    tg = make_task_graph(g, unified=True, slave_count=1)
+    tg = make_task_graph(g, unified=True)
     sync = tg.tasks[tg.sync_tasks[0]]
     assert sync.preds == {task_of(tg, g, "e").id}
 
@@ -102,7 +102,7 @@ next r2 = x
 end
 """
     g = build(text)
-    tg = make_task_graph(g, unified=True, slave_count=1, group_size=2)
+    tg = make_task_graph(g, unified=True, group_size=2)
     assert len(tg.sync_tasks) == 1
     sync = tg.tasks[tg.sync_tasks[0]]
     a, b = task_of(tg, g, "a"), task_of(tg, g, "b")
@@ -121,7 +121,7 @@ next r2 = r1
 end
 """
     g = build(text)
-    tg = make_task_graph(g, unified=True, slave_count=1)
+    tg = make_task_graph(g, unified=True)
     sync_r1 = tg.tasks[tg.sync_tasks[0]]
     sync_r2 = tg.tasks[tg.sync_tasks[1]]
     # r2 captures r1's current value, so r1 commits only after r2 did.
@@ -164,9 +164,9 @@ def test_double_expansion_rejected():
 
 def test_expansions_commute():
     g1 = build(DIAMOND)
-    tg1 = make_task_graph(g1, unified=True, slave_count=2)
+    tg1 = make_task_graph(g1, unified=True)
     g2 = build(DIAMOND)
-    tg2 = make_task_graph(g2, unified=True, slave_count=2)
+    tg2 = make_task_graph(g2, unified=True)
     nb, nc = g1.name_to_id["b"], g1.name_to_id["c"]
     expand_high_load(tg1, nb, 2)
     expand_high_load(tg1, nc, 2)
@@ -207,7 +207,7 @@ def test_reset_after_expansion_master_entry_unchanged():
 
 def test_barrier_wiring_excludes_sync_from_entry():
     g = build(SYNCED)
-    tg = make_task_graph(g, unified=False, slave_count=1)
+    tg = make_task_graph(g, unified=False)
     counts, ready = reset_for_cycle(tg)
     assert set(ready).isdisjoint(set(tg.sync_tasks))
     for tid in tg.sync_tasks:
@@ -216,7 +216,7 @@ def test_barrier_wiring_excludes_sync_from_entry():
 
 def test_dump_dot_golden():
     g = build(SYNCED)
-    tg = make_task_graph(g, unified=True, slave_count=1)
+    tg = make_task_graph(g, unified=True)
     expected = (
         "digraph tasks {\n"
         '  t0 [label="default(n2)"];\n'
@@ -245,7 +245,7 @@ next r2 = r1
 end
 """
     g = build(text)
-    tg = make_task_graph(g, unified=True, slave_count=1)
+    tg = make_task_graph(g, unified=True)
     assert len(tg.sync_tasks) == 1
     merged = tg.tasks[tg.sync_tasks[0]]
     assert merged.regs == tuple(sorted(g.regs))
@@ -265,6 +265,6 @@ next c = a
 end
 """
     g = build(text)
-    tg = make_task_graph(g, unified=True, slave_count=1)
+    tg = make_task_graph(g, unified=True)
     assert len(tg.sync_tasks) == 1
     assert tg.tasks[tg.sync_tasks[0]].regs == tuple(sorted(g.regs))
