@@ -3,7 +3,7 @@ and the CLI."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 MODE_SERIAL = "serial"
 MODE_STRUCTURAL = "structural"
@@ -14,6 +14,17 @@ MODES = (MODE_SERIAL, MODE_STRUCTURAL, MODE_STRUCTURAL_FAULT, MODE_FULL)
 
 @dataclass
 class SimConfig:
+    """Run settings, plus three measurement hooks that only tests set.
+
+    ``workers`` to ``sync_group_size`` are run settings; ``steady_state_check``
+    is the CLI's ``--steady-check`` re-sweep.  The three hooks stay because
+    no seam outside the engine can replace them:
+    ``record_outputs`` is filled by both engines and read by every
+    engine-vs-oracle output test; ``record_costs`` logs per-task costs and
+    ``cost_table`` replays them, and the replayed cost must reach
+    ``LoadMonitor.record`` so that the replay expands the same nodes as the
+    calibration run, which a wrapper around the pool would not do."""
+
     workers: int = 1
     mode: str = MODE_FULL
     threshold: float = 1e-4
@@ -22,13 +33,9 @@ class SimConfig:
     drop_on_detect: bool = False
     steady_state_check: bool = False
     sync_group_size: int = 1
-    record_trace: bool = False
-    record_deltas: bool = False
     record_outputs: bool = False
     record_costs: bool = False
     cost_table: list | None = None
-    force_always_eval: bool = False
-    pre_expand: tuple = field(default_factory=tuple)
 
     def validate(self) -> None:
         if self.workers < 1:

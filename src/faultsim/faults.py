@@ -70,9 +70,6 @@ class NodeFaults:
         self.fid_map = {e.fid: e for e in entries}
         self.fids = [e.fid for e in entries]
 
-    def __bool__(self) -> bool:
-        return bool(self.entries)
-
 
 NO_FAULTS = NodeFaults([])
 
@@ -84,9 +81,6 @@ class FaultTable:
         self._by_node: dict[int, list[FaultEntry]] = {}
         self._node_faults: dict[int, NodeFaults] = {}
         self.site_of: dict[int, int] = {}
-
-    def entries(self, nid: int) -> list[FaultEntry]:
-        return self._by_node.get(nid, [])
 
     def node_faults(self, nid: int) -> NodeFaults:
         return self._node_faults.get(nid, NO_FAULTS)
@@ -101,11 +95,6 @@ class FaultTable:
         for nid, entries in self._by_node.items():
             entries.sort(key=lambda e: e.fid)
             self._node_faults[nid] = NodeFaults(entries)
-
-    def all_entries(self):
-        for nid, entries in self._by_node.items():
-            for entry in entries:
-                yield nid, entry
 
 
 def window_active(rule: FaultDescriptor, cycle: int) -> bool:

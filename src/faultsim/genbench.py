@@ -19,7 +19,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .faults import FaultDescriptor, TRANSIENT, generate_fault_list
+from .faults import (
+    FaultDescriptor, TRANSIENT, emit_fault_csv, generate_fault_list,
+)
 from .rtl import elaborate_text
 from .stimulus import StimulusFile, emit_stimulus, parse_stimulus
 
@@ -84,45 +86,27 @@ def gen_bench(
     if profile == "uniform":
         reg_fraction = 0.0 if quiescent else 0.1
         netlist, input_widths = _uniform_netlist(rng, size, reg_fraction)
-        cycles = cycles or 12
         default_faults = max(8, size // 2)
         # Transient windows toggle activity by design, so a benchmark meant
         # to go quiet holds stuck-at faults only.
         transient_frac = 0.0 if quiescent else 0.15
+        sample_faults = _sample_faults
     elif profile == "skewed":
         netlist, input_widths = _skewed_netlist(rng, size)
-        cycles = cycles or 12
         default_faults = None  # decided inside the fault sampler
         transient_frac = 0.05
+        sample_faults = _skewed_faults
     else:
         netlist, input_widths = _pipeline_netlist(rng, size)
-        cycles = cycles or 12
         default_faults = max(8, size)
         transient_frac = 0.05
-        graph = elaborate_text(netlist)
-        stimulus = _gen_stimulus(rng, input_widths, cycles, quiescent)
-        faults = _pipeline_faults(
-            rng, graph, fault_count or default_faults, cycles, transient_frac
-        )
-        from .faults import emit_fault_csv
-
-        return GeneratedBench(
-            name=f"{profile}_{size}_{seed}",
-            netlist=netlist,
-            stimulus=stimulus,
-            faults_csv=emit_fault_csv(faults),
-        )
+        sample_faults = _pipeline_faults
+    cycles = cycles or 12
 
     stimulus = _gen_stimulus(rng, input_widths, cycles, quiescent)
     graph = elaborate_text(netlist)
-    if profile == "skewed":
-        faults = _skewed_faults(rng, graph, fault_count, cycles, transient_frac)
-    else:
-        faults = _sample_faults(
-            rng, graph, fault_count or default_faults, cycles, transient_frac
-        )
-    from .faults import emit_fault_csv
-
+    faults = sample_faults(rng, graph, fault_count or default_faults,
+                           cycles, transient_frac)
     return GeneratedBench(
         name=f"{profile}_{size}_{seed}",
         netlist=netlist,

@@ -19,7 +19,6 @@ state and so runs only after a cycle's drain.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 
 from . import rtl
 from .faults import FaultTable, NodeFaults, faulty_val, window_active, window_toggles
@@ -52,13 +51,6 @@ class NodeState:
 
     def __repr__(self):
         return f"NodeState(good={self.good:#x}, bads={self.bads})"
-
-
-@dataclass
-class EvalDelta:
-    node: int
-    new_good: int
-    new_bads: list[tuple[int, int]]
 
 
 def eval_good(node: RtlNode, fanin_goods: list[int], stored: int | None = None) -> int:
@@ -302,14 +294,17 @@ def commit_state(st: NodeState, good: int, bads: list[tuple[int, int]],
         st.bads_stamp = stamp
 
 
-def drop_detected(table: FaultTable, states: list[NodeState], detected) -> None:
-    """Stop simulating detected faults: mark their injected entries dropped
-    and remove their divergences from every node state."""
+def drop_detected(table: FaultTable, states: list[NodeState], new_fids) -> None:
+    """Stop simulating a cycle's newly detected faults: mark their injected
+    entries dropped and remove their divergences from every node state.  A
+    fault dropped earlier is not injected and diverges nowhere, so it cannot
+    reappear and needs no second visit."""
 
-    fids = set(detected)
-    for _, entry in table.all_entries():
-        if entry.fid in fids:
-            entry.dropped = True
+    if not new_fids:
+        return
+    for fid in new_fids:
+        table.node_faults(table.site_of[fid]).fid_map[fid].dropped = True
+    fids = set(new_fids)
     for st in states:
         if st.bads and any(f in fids for f, _ in st.bads):
             st.bads = [e for e in st.bads if e[0] not in fids]

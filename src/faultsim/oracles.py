@@ -169,7 +169,6 @@ def run_serial_concurrent(
     cycles: list[CycleStats] = []
     output_trace: list[tuple[int, ...]] = []
     totals = RunTotals()
-    force = config.force_always_eval
 
     for cycle, row in enumerate(rows):
         t0 = time.perf_counter_ns()
@@ -181,7 +180,7 @@ def run_serial_concurrent(
             st = states[nid]
             fanin_states = [states[f] for f in node.fanin]
             nf = nf_of[nid]
-            if not force and not check_dependence_changed(node, fanin_states, nf, cycle):
+            if not check_dependence_changed(node, fanin_states, nf, cycle):
                 skipped += 1
                 continue
             new_good = eval_good(node, [fs.good for fs in fanin_states])
@@ -192,10 +191,11 @@ def run_serial_concurrent(
             commit_state(st, new_good, new_bads, cycle)
             executed += 1
 
-        for fid, at, out in scan_outputs(graph, states, detections, cycle):
+        hits = scan_outputs(graph, states, detections, cycle)
+        for fid, at, out in hits:
             detections[fid] = (at, out)
         if config.drop_on_detect:
-            drop_detected(table, states, detections)
+            drop_detected(table, states, [hit[0] for hit in hits])
         if config.record_outputs:
             output_trace.append(tuple(states[o].good for o in graph.outputs))
 
@@ -205,7 +205,7 @@ def run_serial_concurrent(
             reg = graph.nodes[rid]
             next_st = states[reg.next_src]
             nf = nf_of[rid]
-            if force or sync_check_needed(states[rid], next_st, nf, cycle + 1):
+            if sync_check_needed(states[rid], next_st, nf, cycle + 1):
                 staged.append((rid, sync_register(reg, next_st, nf, cycle + 1)))
             else:
                 skipped += 1

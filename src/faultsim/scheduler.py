@@ -28,7 +28,7 @@ from . import rtl, taskgraph
 from .config import MODE_SERIAL, SimConfig
 from .faults import FaultDescriptor, inject
 from .kernels import (
-    EvalDelta, NodeState, SimulationError, affected_fids, apply_stimulus_row,
+    NodeState, SimulationError, affected_fids, apply_stimulus_row,
     check_dependence_changed, commit_state, drop_detected, eval_bad_set,
     eval_good, initial_states, scan_outputs, sync_check_needed, sync_register,
 )
@@ -169,15 +169,11 @@ class SimulationEngine:
         self.tg = make_task_graph(
             graph, unified=config.unified_sync, group_size=config.sync_group_size
         )
-        for node_id in config.pre_expand:
-            expand_high_load(self.tg, node_id, config.effective_slaves)
         self.pool = WorkerPool(config.workers)
         self.monitor = LoadMonitor()
         self.detections: dict[int, tuple[int, str]] = {}
         self.cycle_stats: list[CycleStats] = []
         self.totals = RunTotals()
-        self.traces: list[list[tuple[int, int, int, int]]] = []
-        self.deltas: list[list[EvalDelta]] = []
         self.cost_log: list[dict[int, int]] = []
         self._cost_replay: dict[int, int] | None = None
         self._cost_log: dict[int, int] | None = None
@@ -223,9 +219,7 @@ class SimulationEngine:
         fanin_states = self._node_inputs(node)
         nf = self.nf[task.node]
         cycle = self._cycle
-        if not self.config.force_always_eval and not check_dependence_changed(
-            node, fanin_states, nf, cycle
-        ):
+        if not check_dependence_changed(node, fanin_states, nf, cycle):
             self._skipped += 1
             return
         new_good = eval_good(node, [fs.good for fs in fanin_states])
@@ -234,7 +228,6 @@ class SimulationEngine:
             node, fanin_states, nf, new_good, cycle, affected, 0, len(affected)
         )
         commit_state(st, new_good, new_bads, cycle)
-        self._record_delta(task.node)
         self._executed += 1
 
     def _run_master(self, task) -> None:
@@ -244,9 +237,7 @@ class SimulationEngine:
         fanin_states = self._node_inputs(node)
         nf = self.nf[task.node]
         cycle = self._cycle
-        if not self.config.force_always_eval and not check_dependence_changed(
-            node, fanin_states, nf, cycle
-        ):
+        if not check_dependence_changed(node, fanin_states, nf, cycle):
             board.skip = True
             self._skipped += 1
             return
@@ -275,7 +266,6 @@ class SimulationEngine:
             st = self.states[task.node]
             new_bads = [pair for part in board.partials for pair in part]
             commit_state(st, st.good, new_bads, self._cycle)
-            self._record_delta(task.node)
 
     def _run_sync(self, task) -> None:
         """Compute and commit a register group.  Group results are fully
@@ -285,25 +275,18 @@ class SimulationEngine:
         graph = self.graph
         states = self.states
         serve = self._cycle + 1
-        force = self.config.force_always_eval
         staged = []
         for rid in task.regs:
             reg = graph.nodes[rid]
             next_st = states[reg.next_src]
             nf = self.nf[rid]
-            if force or sync_check_needed(states[rid], next_st, nf, serve):
+            if sync_check_needed(states[rid], next_st, nf, serve):
                 staged.append((rid, sync_register(reg, next_st, nf, serve)))
             else:
                 self._skipped += 1
         for rid, (new_good, new_bads) in staged:
             commit_state(states[rid], new_good, new_bads, serve)
-            self._record_delta(rid)
         self._executed += len(staged)
-
-    def _record_delta(self, nid: int) -> None:
-        if self.config.record_deltas:
-            st = self.states[nid]
-            self.deltas[-1].append(EvalDelta(nid, st.good, list(st.bads)))
 
     # -- cycle loop ----------------------------------------------------------
 
@@ -346,22 +329,20 @@ class SimulationEngine:
         if cfg.record_costs:
             self._cost_log = {}
             self.cost_log.append(self._cost_log)
-        if cfg.record_deltas:
-            self.deltas.append([])
-        trace: list | None = [] if cfg.record_trace else None
         expected = len(tg.tasks) if tg.unified else len(tg.tasks) - len(tg.sync_tasks)
         boundary_ns = time.perf_counter_ns() - boundary0
 
         pool0 = time.perf_counter_ns()
-        phase1 = self.pool.run_phase(counts, ready, tg.tasks, self._execute, trace)
+        phase1 = self.pool.run_phase(counts, ready, tg.tasks, self._execute)
         pool_host_ns = time.perf_counter_ns() - pool0
         self._check_drained(phase1, counts, expected)
         wall = phase1.makespan_ns
         busy = phase1.busy_ns
 
         b1 = time.perf_counter_ns()
-        for hit in scan_outputs(self.graph, self.states, self.detections, cycle):
-            self.detections[hit[0]] = (hit[1], hit[2])
+        hits = scan_outputs(self.graph, self.states, self.detections, cycle)
+        for fid, at, out in hits:
+            self.detections[fid] = (at, out)
         boundary_ns += time.perf_counter_ns() - b1
 
         if not tg.unified:
@@ -372,7 +353,7 @@ class SimulationEngine:
                     ready2.append(tid)
             pool0 = time.perf_counter_ns()
             phase2 = self.pool.run_phase(
-                counts, ready2, tg.tasks, self._execute, trace, time_base=wall
+                counts, ready2, tg.tasks, self._execute, time_base=wall
             )
             pool_host_ns += time.perf_counter_ns() - pool0
             if len(phase2.executed) != len(tg.sync_tasks):
@@ -385,7 +366,7 @@ class SimulationEngine:
 
         b3 = time.perf_counter_ns()
         if cfg.drop_on_detect:
-            drop_detected(self.table, self.states, self.detections)
+            drop_detected(self.table, self.states, [hit[0] for hit in hits])
         expansions: tuple[int, ...] = ()
         if cfg.expansion_enabled and cfg.max_expansions_per_cycle > 0:
             flagged = flag_overloaded(self.monitor, tg, cfg.threshold)
@@ -397,8 +378,6 @@ class SimulationEngine:
             self._assert_steady(cycle)
         boundary_ns += time.perf_counter_ns() - b3
 
-        if cfg.record_trace:
-            self.traces.append(trace)
         dispatched = self._executed + self._skipped
         kernel_ns = sum(busy)
         stats = CycleStats(

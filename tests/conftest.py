@@ -3,6 +3,7 @@ import random
 import pytest
 
 from faultsim.rtl import elaborate_text
+from faultsim.taskgraph import SLAVE
 
 
 def build(text):
@@ -44,3 +45,53 @@ def regloop_graph():
 def rand_rows(rng: random.Random, graph, cycles: int):
     widths = [graph.nodes[i].width for i in graph.inputs]
     return [[rng.randrange(1 << w) for w in widths] for _ in range(cycles)]
+
+
+def record_traces(eng):
+    """Make every ``run_phase`` call of this engine's pool fill a fresh
+    schedule trace, and return the list those traces are appended to."""
+
+    traces = []
+    run_phase = eng.pool.run_phase
+
+    def recording(*args, **kwargs):
+        traces.append([])
+        return run_phase(*args, trace=traces[-1], **kwargs)
+
+    eng.pool.run_phase = recording
+    return traces
+
+
+def check_schedule_invariants(eng, traces):
+    """Masters finish before their slaves start; every reader of a register
+    completes before that register's sync task starts.  Returns the number
+    of ordered pairs checked."""
+
+    tg = eng.tg
+    reader_map = {tid: set(tg.tasks[tid].preds) for tid in tg.sync_tasks}
+    slaves_of = {}
+    for t in tg.tasks:
+        if t.kind == SLAVE:
+            slaves_of.setdefault(tg.node_task[t.node], []).append(t.id)
+
+    checked_ms = checked_sync = 0
+    for trace in traces:
+        times = {tid: (start, fin) for tid, _, start, fin in trace}
+        # Tasks born from later expansions are absent from earlier cycles.
+        for master, slaves in slaves_of.items():
+            if master not in times:
+                continue
+            for s in slaves:
+                if s in times:
+                    assert times[master][1] <= times[s][0], \
+                        f"slave {s} started before master {master} finished"
+                    checked_ms += 1
+        for sync_tid, readers in reader_map.items():
+            if sync_tid not in times:
+                continue
+            for r in readers:
+                if r in times:
+                    assert times[r][1] <= times[sync_tid][0], \
+                        f"sync {sync_tid} started before reader {r} finished"
+                    checked_sync += 1
+    return checked_ms, checked_sync

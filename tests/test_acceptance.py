@@ -23,8 +23,9 @@ from faultsim.genbench import gen_bench
 from faultsim.oracles import run_serial_concurrent, run_single_fault
 from faultsim.report import emit_report_csv
 from faultsim.scheduler import SimulationEngine, run_simulation
+from faultsim.taskgraph import build_task_graph, expand_high_load
 
-from test_scheduler import check_schedule_invariants
+from conftest import check_schedule_invariants, record_traces
 
 WORKER_GRID = (1, 2, 4, 8)
 PARALLEL_MODES = ("structural", "structural+fault", "full")
@@ -228,22 +229,24 @@ def test_structural_invariants_over_many_cycles():
                           cycles=rng.randint(60, 120),
                           fault_count=rng.randint(4, 24))
         graph, stim, faults = bench.build()
-        from faultsim.taskgraph import build_task_graph
-
         probe = build_task_graph(graph)
         nodes = list(probe.node_task.keys())
+        workers = rng.choice((2, 4, 8))
+        group = rng.choice((1, 1, 2, 3))
+        pre = rng.sample(nodes, min(len(nodes), 3))
         cfg = SimConfig(
-            workers=rng.choice((2, 4, 8)),
+            workers=workers,
             mode="full",
             threshold=0.02,
-            record_trace=True,
-            sync_group_size=rng.choice((1, 1, 2, 3)),
-            pre_expand=tuple(rng.sample(nodes, min(len(nodes), 3))),
+            sync_group_size=group,
             slaves=rng.choice((0, 2)),
         )
         eng = SimulationEngine(graph, faults, stim, cfg)
+        for nid in pre:
+            expand_high_load(eng.tg, nid, cfg.effective_slaves)
+        traces = record_traces(eng)
         eng.run()
-        ms, sync = check_schedule_invariants(eng)
+        ms, sync = check_schedule_invariants(eng, traces)
         pairs_ms += ms
         pairs_sync += sync
         total_cycles += len(stim.rows)

@@ -122,13 +122,13 @@ def test_dangling_location():
 
 def test_inject_empty_list(and2_graph):
     table = inject(and2_graph, [])
-    assert list(table.all_entries()) == []
+    assert table.site_of == {}
 
 
 def test_inject_sorts_entries_by_fid(and2_graph):
     g = and2_graph
     table = inject(g, [fd(7, "wire", "y", 0, "sa1"), fd(2, "wire", "y", 0, "sa0")])
-    entries = table.entries(g.name_to_id["y"])
+    entries = table.node_faults(g.name_to_id["y"]).entries
     assert [e.fid for e in entries] == [2, 7]
 
 

@@ -76,20 +76,22 @@ wide_vals = st.integers(0, 2**64 - 1)
 @given(op=st.sampled_from(["AND", "OR", "XOR", "NOT", "ADD", "SUB", "MUL",
                            "EQ", "LT", "MUX", "SHL", "SHR"]),
        a=wide_vals, b=wide_vals, s=st.integers(0, 1),
-       width=st.integers(1, 64))
-def test_kernel_and_reference_operator_semantics_agree(op, a, b, s, width):
+       width=st.integers(1, 64), wa=st.integers(1, 64), wb=st.integers(1, 64))
+def test_kernel_and_reference_operator_semantics_agree(op, a, b, s, width, wa, wb):
     """The engine kernel and the independently written reference evaluator
-    must implement identical operator semantics."""
+    must implement identical operator semantics, also for operands wider or
+    narrower than the result, which the elaborator accepts."""
 
-    mask = (1 << width) - 1
+    a &= (1 << wa) - 1
+    b &= (1 << wb) - 1
     if op == "NOT":
-        node, vals = comb(op, width, 1), [a & mask]
+        node, vals = comb(op, width, 1), [a]
     elif op == "MUX":
-        node, vals = comb(op, width, 3), [s, a & mask, b & mask]
+        node, vals = comb(op, width, 3), [s, a, b]
     elif op in ("SHL", "SHR"):
-        node, vals = comb(op, width, 2), [a & mask, b & 0x7F]
+        node, vals = comb(op, width, 2), [a, b & 0x7F]
     else:
-        node, vals = comb(op, width, 2), [a & mask, b & mask]
+        node, vals = comb(op, width, 2), [a, b]
     assert apply_op(node, vals) == _ref_op(node, vals)
 
 

@@ -10,9 +10,9 @@ from faultsim.oracles import run_good_trace, run_serial_concurrent
 from faultsim.scheduler import (
     LoadMonitor, SimulationEngine, WorkerPool, flag_overloaded, run_simulation,
 )
-from faultsim.taskgraph import SLAVE, Task
+from faultsim.taskgraph import Task, build_task_graph, expand_high_load
 
-from conftest import build
+from conftest import build, check_schedule_invariants, record_traces
 
 
 def small_bench(seed, profile="uniform", size=40, cycles=8, faults=12):
@@ -27,19 +27,28 @@ def test_no_faults_single_worker_matches_plain_interpreter():
     assert report.output_trace == run_good_trace(g2, stim)
 
 
-def test_eval_deltas_identical_across_worker_counts():
+def test_eval_deltas_identical_across_worker_counts(monkeypatch):
+    # Every node evaluation and register commit ends in the engine's
+    # commit_state; the state each one leaves must not depend on P.
+    import faultsim.scheduler as scheduler
+
     b = small_bench(17, size=60, faults=20)
     _, stim, faults = b.build()
+    commit = scheduler.commit_state
     captured = {}
     for P in (1, 2, 4, 8):
         g, _, _ = b.build()
-        eng = SimulationEngine(g, faults, stim,
-                               SimConfig(workers=P, record_deltas=True))
+        eng = SimulationEngine(g, faults, stim, SimConfig(workers=P))
+        node_of = {id(st): nid for nid, st in enumerate(eng.states)}
+        commits = captured[P] = {}
+
+        def record(st, good, bads, stamp, commits=commits, node_of=node_of):
+            commit(st, good, bads, stamp)
+            commits[stamp, node_of[id(st)]] = (st.good, tuple(st.bads))
+
+        monkeypatch.setattr(scheduler, "commit_state", record)
         eng.run()
-        normalized = [sorted((d.node, d.new_good, tuple(d.new_bads))
-                             for d in per_cycle)
-                      for per_cycle in eng.deltas]
-        captured[P] = normalized
+    assert captured[1], "commit_state was never called"
     assert captured[1] == captured[2] == captured[4] == captured[8]
 
 
@@ -130,13 +139,18 @@ def test_mode_lattice_reports_identical():
                 assert rep.verdicts() == baseline, (mode, P)
 
 
-def test_force_always_eval_equivalence():
+def test_always_eval_equivalence(monkeypatch):
+    # The dependence and sync checks only skip work: forcing both to say
+    # "evaluate" must leave the verdicts unchanged.
+    import faultsim.scheduler as scheduler
+
     b = small_bench(23, profile="pipeline", size=80, cycles=8, faults=40)
     g, stim, faults = b.build()
     base = run_simulation(g, faults, stim, SimConfig(workers=4))
+    monkeypatch.setattr(scheduler, "check_dependence_changed", lambda *a: True)
+    monkeypatch.setattr(scheduler, "sync_check_needed", lambda *a: True)
     g2, _, _ = b.build()
-    forced = run_simulation(g2, faults, stim,
-                            SimConfig(workers=4, force_always_eval=True))
+    forced = run_simulation(g2, faults, stim, SimConfig(workers=4))
     assert base.verdicts() == forced.verdicts()
     assert sum(c.skipped for c in forced.cycles) == 0
 
@@ -147,8 +161,17 @@ def test_drop_on_detect_keeps_verdicts():
         g, stim, faults = b.build()
         keep = run_simulation(g, faults, stim, SimConfig(workers=2, mode=mode))
         g2, _, _ = b.build()
-        drop = run_simulation(g2, faults, stim,
-                              SimConfig(workers=2, mode=mode, drop_on_detect=True))
+        cfg = SimConfig(workers=2, mode=mode, drop_on_detect=True)
+        if mode == "serial":
+            drop = run_simulation(g2, faults, stim, cfg)
+        else:
+            eng = SimulationEngine(g2, faults, stim, cfg)
+            drop = eng.run()
+            table = eng.table
+            dropped = {fid for fid, nid in table.site_of.items()
+                       if table.node_faults(nid).fid_map[fid].dropped}
+            detected = {r.fid for r in drop.results if r.detected}
+            assert detected and dropped == detected
         assert keep.verdicts() == drop.verdicts(), mode
         # Dropping detected faults removes their bad gates from later cycles;
         # both modes keep task counts deterministic for the comparison.
@@ -199,20 +222,20 @@ def test_liveness_random_graphs_with_random_expansions():
         b = gen_bench(profile, rng.randint(20, 60), rng.randint(0, 9999),
                       cycles=rng.randint(2, 8), fault_count=rng.randint(1, 16))
         g, stim, faults = b.build()
-        from faultsim.taskgraph import build_task_graph
-
         probe = build_task_graph(g)
         nodes = list(probe.node_task.keys())
-        pre = tuple(rng.sample(nodes, min(len(nodes), rng.randint(0, 4))))
+        pre = rng.sample(nodes, min(len(nodes), rng.randint(0, 4)))
         cfg = SimConfig(
             workers=rng.choice((1, 2, 3, 8)),
             mode=rng.choice(("structural", "structural+fault", "full")),
             threshold=0.05,
             sync_group_size=rng.choice((1, 2, 3)),
-            pre_expand=pre,
             slaves=rng.choice((0, 1, 3)),
         )
-        report = run_simulation(g, faults, stim, cfg)
+        eng = SimulationEngine(g, faults, stim, cfg)
+        for nid in pre:
+            expand_high_load(eng.tg, nid, cfg.effective_slaves)
+        report = eng.run()
         for c in report.cycles:
             assert sum(b for b in c.busy_ns) <= c.wall_ns * cfg.workers
         # Expansions, groupings and worker counts are pure performance
@@ -276,47 +299,13 @@ def test_pool_executes_each_task_exactly_once():
 def test_good_before_bad_and_sync_safety_on_traces():
     b = gen_bench("skewed", 200, 8, cycles=5)
     g, stim, faults = b.build()
-    cfg = SimConfig(workers=4, mode="full", threshold=0.02, record_trace=True)
+    cfg = SimConfig(workers=4, mode="full", threshold=0.02)
     eng = SimulationEngine(g, faults, stim, cfg)
+    traces = record_traces(eng)
     eng.run()
     assert eng.tg.expanded, "expansion never triggered"
-    checked_ms, checked_sync = check_schedule_invariants(eng)
+    checked_ms, checked_sync = check_schedule_invariants(eng, traces)
     assert checked_ms > 0 and checked_sync > 0
-
-
-def check_schedule_invariants(eng):
-    """Masters finish before their slaves start; every reader of a register
-    completes before that register's sync task starts.  Returns the number
-    of ordered pairs checked."""
-
-    tg = eng.tg
-    reader_map = {tid: set(tg.tasks[tid].preds) for tid in tg.sync_tasks}
-    slaves_of = {}
-    for t in tg.tasks:
-        if t.kind == SLAVE:
-            slaves_of.setdefault(tg.node_task[t.node], []).append(t.id)
-
-    checked_ms = checked_sync = 0
-    for trace in eng.traces:
-        times = {tid: (start, fin) for tid, _, start, fin in trace}
-        # Tasks born from later expansions are absent from earlier cycles.
-        for master, slaves in slaves_of.items():
-            if master not in times:
-                continue
-            for s in slaves:
-                if s in times:
-                    assert times[master][1] <= times[s][0], \
-                        f"slave {s} started before master {master} finished"
-                    checked_ms += 1
-        for sync_tid, readers in reader_map.items():
-            if sync_tid not in times:
-                continue
-            for r in readers:
-                if r in times:
-                    assert times[r][1] <= times[sync_tid][0], \
-                        f"sync {sync_tid} started before reader {r} finished"
-                    checked_sync += 1
-    return checked_ms, checked_sync
 
 
 def test_steady_state_check_passes_on_normal_runs():
