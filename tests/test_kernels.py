@@ -194,7 +194,8 @@ end
         affected = affected_fids(node, fan, faults, own, 0)
         whole = eval_bad_set(node, fan, faults, new_good, 0,
                              affected, 0, len(affected))
-        cuts = sorted(rng.sample(range(len(affected) + 1), rng.randint(0, 3)))
+        n_cuts = rng.randint(0, min(3, len(affected) + 1))
+        cuts = sorted(rng.sample(range(len(affected) + 1), n_cuts))
         bounds = [0] + cuts + [len(affected)]
         pieces = []
         for b, e in zip(bounds, bounds[1:]):
