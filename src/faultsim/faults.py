@@ -48,7 +48,7 @@ class FaultDescriptor:
     end: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class FaultEntry:
     """Per-node injection record; ``dropped`` is set once the fault is
     detected and dropped from simulation."""
@@ -60,15 +60,18 @@ class FaultEntry:
 
 class NodeFaults:
     """Immutable per-node view of injected entries: the sorted entry list
-    plus lookup structures the evaluation kernels index every cycle."""
+    plus lookup structures the evaluation kernels index every cycle.
+    ``transients`` holds the entries whose window can open or close; a
+    stuck-at window never toggles."""
 
-    __slots__ = ("entries", "fid_map", "fids")
+    __slots__ = ("entries", "fid_map", "fids", "transients")
 
     def __init__(self, entries: list[FaultEntry]):
         entries = sorted(entries, key=lambda e: e.fid)
         self.entries = entries
         self.fid_map = {e.fid: e for e in entries}
         self.fids = [e.fid for e in entries]
+        self.transients = [e for e in entries if e.rule.kind == TRANSIENT]
 
 
 NO_FAULTS = NodeFaults([])

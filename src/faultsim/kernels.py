@@ -18,6 +18,7 @@ state and so runs only after a cycle's drain.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 
 from . import rtl
@@ -53,55 +54,77 @@ class NodeState:
         return f"NodeState(good={self.good:#x}, bads={self.bads})"
 
 
+def _shl(a: int, b: int) -> int:
+    return a << min(b, 64)
+
+
+def _shr(a: int, b: int) -> int:
+    return a >> min(b, 64)
+
+
+def _mux(sel: int, a: int, b: int) -> int:
+    return a if sel else b
+
+
+def _copy(a: int) -> int:
+    return a
+
+
+_fid = operator.itemgetter(0)
+
+
+# Operator name -> function of the operand values.  Results are unmasked;
+# every caller masks them to the node width.  SLICE and CONCAT take their
+# bit offsets from the node and are bound per node in ``operator_of``.
+OPS = {
+    "AND": operator.and_, "OR": operator.or_, "XOR": operator.xor,
+    "NOT": operator.invert, "ADD": operator.add, "SUB": operator.sub,
+    "MUL": operator.mul, "EQ": operator.eq, "LT": operator.lt,
+    "MUX": _mux, "SHL": _shl, "SHR": _shr,
+}
+
+
+def operator_of(node: RtlNode):
+    """The node's operator as a function of its fanin values, resolved on
+    first use and kept on the node; output and virtual nodes copy their
+    single fanin."""
+
+    fn = node.fn
+    if fn is not None:
+        return fn
+    kind, op = node.kind, node.op
+    if kind in (rtl.OUTPUT, rtl.VIRTUAL):
+        fn = _copy
+    elif kind != rtl.COMB:
+        raise SimulationError(f"cannot evaluate node kind '{kind}'")
+    elif op == "SLICE":
+        lo = node.slice_lo
+        fn = lambda a: a >> lo  # noqa: E731
+    elif op == "CONCAT":
+        shift = node.concat_lo_width
+        fn = lambda a, b: (a << shift) | b  # noqa: E731
+    elif op in OPS:
+        fn = OPS[op]
+    else:
+        raise SimulationError(f"unknown operator '{op}'")
+    node.fn = fn
+    return fn
+
+
 def eval_good(node: RtlNode, fanin_goods: list[int], stored: int | None = None) -> int:
     """Fault-free value of a node given its fanin values (already masked)."""
 
-    kind = node.kind
-    if kind == rtl.COMB:
-        return apply_op(node, fanin_goods)
-    if kind in (rtl.OUTPUT, rtl.VIRTUAL):
-        return fanin_goods[0] & node.mask
-    if kind == rtl.CONST:
-        return node.init
-    if kind in (rtl.REG, rtl.INPUT):
-        if stored is None:
-            raise SimulationError(f"no stored value for source node '{node.name}'")
-        return stored
-    raise SimulationError(f"cannot evaluate node kind '{kind}'")
-
-
-def apply_op(node: RtlNode, vals: list[int]) -> int:
-    op = node.op
-    m = node.mask
-    if op == "AND":
-        return (vals[0] & vals[1]) & m
-    if op == "OR":
-        return (vals[0] | vals[1]) & m
-    if op == "XOR":
-        return (vals[0] ^ vals[1]) & m
-    if op == "NOT":
-        return ~vals[0] & m
-    if op == "ADD":
-        return (vals[0] + vals[1]) & m
-    if op == "SUB":
-        return (vals[0] - vals[1]) & m
-    if op == "MUL":
-        return (vals[0] * vals[1]) & m
-    if op == "EQ":
-        return 1 if vals[0] == vals[1] else 0
-    if op == "LT":
-        return 1 if vals[0] < vals[1] else 0
-    if op == "MUX":
-        return (vals[1] if vals[0] else vals[2]) & m
-    if op == "SHL":
-        return (vals[0] << min(vals[1], 64)) & m
-    if op == "SHR":
-        return (vals[0] >> min(vals[1], 64)) & m
-    if op == "SLICE":
-        return (vals[0] >> node.slice_lo) & m
-    if op == "CONCAT":
-        return ((vals[0] << node.concat_lo_width) | vals[1]) & m
-    raise SimulationError(f"unknown operator '{op}'")
+    fn = node.fn
+    if fn is None:
+        kind = node.kind
+        if kind == rtl.CONST:
+            return node.init
+        if kind in (rtl.REG, rtl.INPUT):
+            if stored is None:
+                raise SimulationError(f"no stored value for source node '{node.name}'")
+            return stored
+        fn = operator_of(node)
+    return fn(*fanin_goods) & node.mask
 
 
 def affected_fids(
@@ -110,21 +133,38 @@ def affected_fids(
     nf: NodeFaults,
     own_state: NodeState,
     cycle: int,
+    lo: int = 0,
+    hi: int | None = None,
 ) -> list[int]:
-    """Candidate fault ids for this node's bad-gate evaluation: every fault
-    divergent at a fanin, every fault injected here with an active window,
-    and every fault currently divergent here (so convergence is observed)."""
+    """Candidate fault ids in [lo, hi) (``hi`` None: no upper end) for this
+    node's bad-gate evaluation: every fault divergent at a fanin, every
+    fault injected here with an active window, and every fault currently
+    divergent here (so convergence is observed)."""
 
-    fids: set[int] = {fid for fid, _ in own_state.bads}
-    for st in fanin_states:
-        bads = st.bads
-        if bads:
-            fids.update(fid for fid, _ in bads)
-    if nf.entries:
-        for entry in nf.entries:
-            if not entry.dropped and window_active(entry.rule, cycle):
-                fids.add(entry.fid)
+    if lo == 0 and hi is None:
+        fids = set(map(_fid, own_state.bads))
+        for st in fanin_states:
+            if st.bads:
+                fids.update(map(_fid, st.bads))
+        entries = nf.entries
+    else:
+        fids = set()
+        for st in (own_state, *fanin_states):
+            bads = st.bads
+            if bads:
+                a = bisect_left(bads, (lo,))
+                b = len(bads) if hi is None else bisect_left(bads, (hi,), a)
+                fids.update(map(_fid, bads[a:b]))
+        inj = nf.fids
+        a = bisect_left(inj, lo)
+        entries = nf.entries[a:len(inj) if hi is None else bisect_left(inj, hi, a)]
+    for entry in entries:
+        if not entry.dropped and window_active(entry.rule, cycle):
+            fids.add(entry.fid)
     return sorted(fids)
+
+
+_NO_BADS: dict[int, int] = {}
 
 
 def eval_bad_set(
@@ -144,44 +184,64 @@ def eval_bad_set(
     its forcing rule applied on top of the computed value.  Only values
     that differ from the good value are kept, ascending by fid; the result
     over any partition of the affected list concatenates to the result
-    over the full list, which is what makes range-split evaluation exact.
+    over the full list, which is what makes split evaluation exact.
     """
 
     if begin >= end:
         return []
-    result: list[tuple[int, int]] = []
-    fanin_bads = [st.bads for st in fanin_states]
-    fanin_goods = [st.good for st in fanin_states]
-    first_fid = affected[begin]
-    ptrs = [bisect_left(bads, (first_fid,)) for bads in fanin_bads]
-    fid_map = nf.fid_map if nf.entries else None
-    vals = [0] * len(fanin_states)
-    passthrough = node.kind != rtl.COMB
-    mask = node.mask
-
-    for idx in range(begin, end):
-        fid = affected[idx]
-        for i, bads in enumerate(fanin_bads):
-            p = ptrs[i]
-            n = len(bads)
-            while p < n and bads[p][0] < fid:
-                p += 1
-            ptrs[i] = p
-            if p < n and bads[p][0] == fid:
-                vals[i] = bads[p][1]
-            else:
-                vals[i] = fanin_goods[i]
-        if passthrough:  # output / virtual
-            raw = vals[0] & mask
+    fids = affected[begin:end]
+    first, last = fids[0], fids[-1]
+    # Each fanin's divergences within [first, last], looked up by fid.
+    gets = []
+    goods = []
+    for st in fanin_states:
+        bads = st.bads
+        if not bads or bads[0][0] > last or bads[-1][0] < first:
+            gets.append(_NO_BADS.get)
+        elif bads[0][0] >= first and bads[-1][0] <= last:
+            gets.append(dict(bads).get)
         else:
-            raw = apply_op(node, vals)
-        if fid_map is not None:
-            entry = fid_map.get(fid)
-            if entry is not None and not entry.dropped \
-                    and window_active(entry.rule, cycle):
-                raw = faulty_val(entry.rule, raw, cycle)
-        if raw != new_good:
-            result.append((fid, raw))
+            a = bisect_left(bads, (first,))
+            gets.append(dict(bads[a:bisect_left(bads, (last + 1,), a)]).get)
+        goods.append(st.good)
+    # Forcing rules of the faults injected here whose window is open.
+    force = {}
+    if nf.entries:
+        inj = nf.fids
+        a = bisect_left(inj, first)
+        for entry in nf.entries[a:bisect_left(inj, last + 1, a)]:
+            if not entry.dropped and window_active(entry.rule, cycle):
+                force[entry.fid] = entry.rule
+    fn = node.fn or operator_of(node)
+    mask = node.mask
+    result = []
+    if len(gets) == 2:
+        get0, get1 = gets
+        g0, g1 = goods
+        for f in fids:
+            raw = fn(get0(f, g0), get1(f, g1)) & mask
+            if force and f in force:
+                raw = faulty_val(force[f], raw, cycle)
+            if raw != new_good:
+                result.append((f, raw))
+    elif len(gets) == 1:
+        get0, = gets
+        g0, = goods
+        for f in fids:
+            raw = fn(get0(f, g0)) & mask
+            if force and f in force:
+                raw = faulty_val(force[f], raw, cycle)
+            if raw != new_good:
+                result.append((f, raw))
+    else:
+        get0, get1, get2 = gets
+        g0, g1, g2 = goods
+        for f in fids:
+            raw = fn(get0(f, g0), get1(f, g1), get2(f, g2)) & mask
+            if force and f in force:
+                raw = faulty_val(force[f], raw, cycle)
+            if raw != new_good:
+                result.append((f, raw))
     return result
 
 
@@ -198,7 +258,7 @@ def check_dependence_changed(
     for st in fanin_states:
         if st.good_stamp == cycle or st.bads_stamp == cycle:
             return True
-    for entry in nf.entries:
+    for entry in nf.transients:
         if not entry.dropped and window_toggles(entry.rule, cycle):
             return True
     return False
@@ -275,7 +335,7 @@ def sync_check_needed(
         return True
     if reg_state.good_stamp == cycle or reg_state.bads_stamp == cycle:
         return True
-    for entry in nf.entries:
+    for entry in nf.transients:
         if not entry.dropped and window_toggles(entry.rule, serve_cycle):
             return True
     return False
@@ -289,7 +349,7 @@ def commit_state(st: NodeState, good: int, bads: list[tuple[int, int]],
     if good != st.good:
         st.good = good
         st.good_stamp = stamp
-    if bads != st.bads:
+    if bads is not st.bads and bads != st.bads:
         st.bads = bads
         st.bads_stamp = stamp
 
@@ -304,10 +364,18 @@ def drop_detected(table: FaultTable, states: list[NodeState], new_fids) -> None:
         return
     for fid in new_fids:
         table.node_faults(table.site_of[fid]).fid_map[fid].dropped = True
-    fids = set(new_fids)
+    new = sorted(new_fids)
+    fids = set(new)
     for st in states:
-        if st.bads and any(f in fids for f, _ in st.bads):
-            st.bads = [e for e in st.bads if e[0] not in fids]
+        bads = st.bads
+        if not bads:
+            continue
+        # Skip lists whose [first, last] fid span holds no new fid (found
+        # by bisection) or that share none with the new fids.
+        a = bisect_left(new, bads[0][0])
+        if a == len(new) or new[a] > bads[-1][0] or fids.isdisjoint(map(_fid, bads)):
+            continue
+        st.bads = [e for e in bads if e[0] not in fids]
 
 
 def initial_states(graph: RtlGraph, table: FaultTable) -> list[NodeState]:
@@ -354,13 +422,19 @@ def scan_outputs(
     cycle: int,
 ) -> list[tuple[int, int, str]]:
     """Detection strobe: report (fid, cycle, output name) for every fault
-    newly observable at an output, lowest output id first."""
+    newly observable at an output, lowest output id first.  Only outputs
+    whose bad list changed this cycle can hold a new fid."""
 
     found: list[tuple[int, int, str]] = []
     seen: set[int] = set()
     for out_id in graph.outputs:
+        st = states[out_id]
+        if st.bads_stamp != cycle:
+            # Unchanged since a strobe that already reported all its fids
+            # (a drop only removes fids and leaves the stamp alone).
+            continue
         name = graph.nodes[out_id].name
-        for fid, _ in states[out_id].bads:
+        for fid, _ in st.bads:
             if fid in already_detected or fid in seen:
                 continue
             seen.add(fid)

@@ -164,6 +164,7 @@ def run_serial_concurrent(
     nf_of = [table.node_faults(i) for i in range(len(graph.nodes))]
     states = initial_states(graph, table)
     order = [nid for nid in graph.topo if graph.nodes[nid].kind in rtl.TASK_KINDS]
+    inputs = [[states[f] for f in node.fanin] for node in graph.nodes]
 
     detections: dict[int, tuple[int, str]] = {}
     cycles: list[CycleStats] = []
@@ -178,16 +179,26 @@ def run_serial_concurrent(
         for nid in order:
             node = graph.nodes[nid]
             st = states[nid]
-            fanin_states = [states[f] for f in node.fanin]
+            fanin_states = inputs[nid]
             nf = nf_of[nid]
             if not check_dependence_changed(node, fanin_states, nf, cycle):
                 skipped += 1
                 continue
-            new_good = eval_good(node, [fs.good for fs in fanin_states])
-            affected = affected_fids(node, fanin_states, nf, st, cycle)
-            new_bads = eval_bad_set(
-                node, fanin_states, nf, new_good, cycle, affected, 0, len(affected)
-            )
+            # No divergence here or at a fanin and nothing injected: no bad gates.
+            diverged = st.bads or nf.entries
+            goods = []
+            for fs in fanin_states:
+                goods.append(fs.good)
+                if fs.bads:
+                    diverged = True
+            new_good = eval_good(node, goods)
+            if diverged:
+                affected = affected_fids(node, fanin_states, nf, st, cycle)
+                new_bads = eval_bad_set(
+                    node, fanin_states, nf, new_good, cycle, affected, 0, len(affected)
+                )
+            else:
+                new_bads = st.bads
             commit_state(st, new_good, new_bads, cycle)
             executed += 1
 

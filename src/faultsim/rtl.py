@@ -36,7 +36,7 @@ class ElaborationError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class RtlNode:
     id: int
     kind: str
@@ -50,10 +50,13 @@ class RtlNode:
     slice_hi: int = 0
     slice_lo: int = 0
     concat_lo_width: int = 0
+    mask: int = field(init=False, repr=False)
+    # Operator as a function of the operand values, filled in by the
+    # kernels on the node's first evaluation.
+    fn: object = field(default=None, init=False, repr=False, compare=False)
 
-    @property
-    def mask(self) -> int:
-        return (1 << self.width) - 1
+    def __post_init__(self):
+        self.mask = (1 << self.width) - 1
 
 
 @dataclass

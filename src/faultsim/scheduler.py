@@ -10,11 +10,14 @@ threads, so scheduling quality is accounted on the schedule itself rather
 than on OS threads; the drain contract (exactly-once execution, no busy
 waiting, stuck-task detection) is unchanged.
 
-Workers keep a local LIFO deque and steal FIFO from the next non-empty
-victim in index order; cycle-entry tasks start in a shared injection
-queue.  Completion events release successor tasks by decrementing their
-predecessor countdowns; a task is claimed exactly once, when its countdown
-reaches zero.
+Workers keep a local LIFO deque; cycle-entry tasks start in a shared
+injection queue.  An idle worker pops its own deque, then steals FIFO from
+the next non-empty victim in index order, and only then takes an entry
+task, so released successors (above all the slaves of an expanded node)
+run ahead of fresh entry tasks.  Completion events release successor
+tasks by decrementing their predecessor countdowns onto the finishing
+worker's deque; a task is claimed exactly once, when its countdown reaches
+zero.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .rtl import RtlGraph
 from .stimulus import as_rows
 from .taskgraph import (
     DEFAULT, MASTER, SLAVE, SYNC, TaskGraph, expand_high_load, make_task_graph,
-    publish_ranges, reset_for_cycle,
+    reset_for_cycle,
 )
 
 
@@ -68,12 +71,12 @@ class WorkerPool:
             q = queues[w]
             if q:
                 return q.pop()
-            if injection:
-                return injection.popleft()
             for off in range(1, P):
                 victim = queues[(w + off) % P]
                 if victim:
                     return victim.popleft()
+            if injection:
+                return injection.popleft()
             return None
 
         def dispatch(w: int, now: int) -> bool:
@@ -141,12 +144,14 @@ def flag_overloaded(monitor: LoadMonitor, tg: TaskGraph, threshold: float) -> li
     if total <= 0:
         return []
     floor_ns = total * threshold
+    task_ns = monitor.task_ns
+    if max(task_ns.values()) <= floor_ns:
+        return []
     tasks = tg.tasks
-    flagged: list[tuple[int, int]] = []
-    for tid, ns in monitor.task_ns.items():
-        if ns > floor_ns and tasks[tid].kind == DEFAULT:
-            flagged.append((-ns, tasks[tid].node))
-    flagged.sort()
+    flagged = sorted(
+        (-ns, tasks[tid].node) for tid, ns in task_ns.items()
+        if ns > floor_ns and tasks[tid].kind == DEFAULT
+    )
     return [nid for _, nid in flagged]
 
 
@@ -166,6 +171,8 @@ class SimulationEngine:
         self.table = inject(graph, faults)
         self.nf = [self.table.node_faults(i) for i in range(len(graph.nodes))]
         self.states = initial_states(graph, self.table)
+        # Fanin states per node id; a node's state object lives for the run.
+        self.inputs = [[self.states[f] for f in node.fanin] for node in graph.nodes]
         self.tg = make_task_graph(
             graph, unified=config.unified_sync, group_size=config.sync_group_size
         )
@@ -209,42 +216,55 @@ class SimulationEngine:
             self._sync_ns += cost
         return cost
 
-    def _node_inputs(self, node):
-        states = self.states
-        return [states[f] for f in node.fanin]
-
     def _run_default(self, task) -> None:
-        node = self.graph.nodes[task.node]
-        st = self.states[task.node]
-        fanin_states = self._node_inputs(node)
-        nf = self.nf[task.node]
+        nid = task.node
+        node = self.graph.nodes[nid]
+        st = self.states[nid]
+        fanin_states = self.inputs[nid]
+        nf = self.nf[nid]
         cycle = self._cycle
         if not check_dependence_changed(node, fanin_states, nf, cycle):
             self._skipped += 1
             return
-        new_good = eval_good(node, [fs.good for fs in fanin_states])
-        affected = affected_fids(node, fanin_states, nf, st, cycle)
-        new_bads = eval_bad_set(
-            node, fanin_states, nf, new_good, cycle, affected, 0, len(affected)
-        )
+        # No divergence here or at a fanin and nothing injected: no bad gates.
+        diverged = st.bads or nf.entries
+        goods = []
+        for fs in fanin_states:
+            goods.append(fs.good)
+            if fs.bads:
+                diverged = True
+        new_good = eval_good(node, goods)
+        if diverged:
+            affected = affected_fids(node, fanin_states, nf, st, cycle)
+            new_bads = eval_bad_set(
+                node, fanin_states, nf, new_good, cycle, affected, 0, len(affected)
+            )
+        else:
+            new_bads = st.bads
         commit_state(st, new_good, new_bads, cycle)
         self._executed += 1
 
     def _run_master(self, task) -> None:
-        node = self.graph.nodes[task.node]
-        st = self.states[task.node]
-        board = self.tg.boards[task.node]
-        fanin_states = self._node_inputs(node)
-        nf = self.nf[task.node]
+        nid = task.node
+        node = self.graph.nodes[nid]
+        st = self.states[nid]
+        board = self.tg.boards[nid]
+        fanin_states = self.inputs[nid]
+        nf = self.nf[nid]
         cycle = self._cycle
         if not check_dependence_changed(node, fanin_states, nf, cycle):
             board.skip = True
             self._skipped += 1
             return
         new_good = eval_good(node, [fs.good for fs in fanin_states])
-        board.affected = affected_fids(node, fanin_states, nf, st, cycle)
         board.new_good = new_good
-        board.ranges = publish_ranges(len(board.affected), len(board.partials))
+        # Cut at the quantiles of the longest bad list the slaves will read.
+        longest = max((fs.bads for fs in fanin_states), key=len)
+        if len(st.bads) > len(longest):
+            longest = st.bads
+        n = len(longest)
+        k = len(board.partials)
+        board.bounds[1:k] = [longest[i * n // k][0] if n else 0 for i in range(1, k)]
         commit_state(st, new_good, st.bads, cycle)
         self._executed += 1
 
@@ -253,17 +273,22 @@ class SimulationEngine:
         if board.skip:
             self._skipped += 1
             return
-        node = self.graph.nodes[task.node]
-        fanin_states = self._node_inputs(node)
-        begin, end = board.ranges[task.slave_index]
-        board.partials[task.slave_index] = eval_bad_set(
-            node, fanin_states, self.nf[task.node], board.new_good, self._cycle,
-            board.affected, begin, end,
-        )
+        nid = task.node
+        node = self.graph.nodes[nid]
+        st = self.states[nid]
+        fanin_states = self.inputs[nid]
+        nf = self.nf[nid]
+        i = task.slave_index
+        lo, hi = board.bounds[i], board.bounds[i + 1]
+        if hi is None or lo < hi:
+            affected = affected_fids(node, fanin_states, nf, st, self._cycle, lo, hi)
+            board.partials[i] = eval_bad_set(
+                node, fanin_states, nf, board.new_good, self._cycle,
+                affected, 0, len(affected),
+            )
         self._executed += 1
         board.remaining -= 1
         if board.remaining == 0:
-            st = self.states[task.node]
             new_bads = [pair for part in board.partials for pair in part]
             commit_state(st, st.good, new_bads, self._cycle)
 

@@ -6,7 +6,8 @@ producer of the register's next value and on every task that reads the
 register, so it becomes runnable as soon as the current-cycle readers are
 done, mid-cycle, instead of waiting for a global barrier.  High-load nodes
 can be expanded between cycles into a master plus a fixed set of slaves
-that split the node's bad-gate list by index ranges.
+that split the node's bad-gate work at fid cut points the master
+publishes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ SLAVE = "slave"
 SYNC = "sync"
 
 
-@dataclass
+@dataclass(slots=True)
 class Task:
     id: int
     kind: str
@@ -34,14 +35,15 @@ class Task:
 
 
 class RangeBoard:
-    """Per-expanded-node scratch published by the master for its slaves."""
+    """Per-expanded-node scratch published by the master for its slaves:
+    slave i covers the fids in [bounds[i], bounds[i + 1]); the last bound
+    is None, no upper end."""
 
-    __slots__ = ("affected", "new_good", "ranges", "skip", "remaining", "partials")
+    __slots__ = ("new_good", "bounds", "skip", "remaining", "partials")
 
     def __init__(self, k: int):
-        self.affected: list[int] = []
         self.new_good = 0
-        self.ranges: list[tuple[int, int]] = [(0, 0)] * k
+        self.bounds: list[int | None] = [0] * k + [None]
         self.skip = False
         self.remaining = k
         self.partials: list[list[tuple[int, int]]] = [[] for _ in range(k)]
@@ -240,9 +242,12 @@ def expand_high_load(tg: TaskGraph, node_id: int, k: int) -> TaskGraph:
     """Replace a node's default task with a master and k slaves.
 
     The master inherits the default task's predecessors and only evaluates
-    the good gate and publishes bad-gate index ranges; each slave depends
-    on the master alone and evaluates its range; the node's original
-    successors wait for the master and every slave.
+    the good gate and publishes k - 1 fid cut points; each slave depends
+    on the master alone and evaluates the bad gates of the fids between
+    its two cuts; the node's original successors wait for the master and
+    every slave.  The reset image is updated in place: each slave starts
+    at one pending predecessor and each original successor gains k, except
+    sync tasks of a barrier graph, which the compute drain never releases.
     """
 
     if k < 1:
@@ -266,22 +271,12 @@ def expand_high_load(tg: TaskGraph, node_id: int, k: int) -> TaskGraph:
     master.succs = slave_ids + original_succs
     tg.expanded.add(node_id)
     tg.boards[node_id] = RangeBoard(k)
-    tg.rebuild_reset_image()
+    reset = tg.pred_reset
+    reset.extend([1] * k)
+    for succ in original_succs:
+        if tg.unified or tg.tasks[succ].kind != SYNC:
+            reset[succ] += k
     return tg
-
-
-def publish_ranges(affected_len: int, k: int) -> list[tuple[int, int]]:
-    """Partition [0, affected_len) into k ranges whose sizes differ by at
-    most one, larger ranges first."""
-
-    base, extra = divmod(affected_len, k)
-    ranges = []
-    begin = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        ranges.append((begin, begin + size))
-        begin += size
-    return ranges
 
 
 def reset_for_cycle(tg: TaskGraph) -> tuple[list[int], list[int]]:

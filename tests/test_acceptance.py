@@ -160,6 +160,7 @@ def skewed_bench():
     return bench, faults, stim
 
 
+@pytest.mark.gate
 def test_two_dimensional_parallelism_benefit(skewed_bench):
     bench, faults, stim = skewed_bench
     walls = _min_wall(bench, faults, stim, [("structural", 8), ("full", 8)])
@@ -168,6 +169,7 @@ def test_two_dimensional_parallelism_benefit(skewed_bench):
                ratio <= 0.67, f"ratio {ratio:.3f}")
 
 
+@pytest.mark.gate
 def test_scalability_trend(skewed_bench):
     bench, faults, stim = skewed_bench
     table = _calibrate(bench, faults, stim, "full")
@@ -184,6 +186,7 @@ def test_scalability_trend(skewed_bench):
                                            for p in WORKER_GRID))
 
 
+@pytest.mark.gate
 def test_unified_schedule_benefit():
     bench = gen_bench("pipeline", 1500, 42, cycles=10, fault_count=15000)
     graph, stim, faults = bench.build()
@@ -196,6 +199,7 @@ def test_unified_schedule_benefit():
                ratio <= 0.9, f"ratio {ratio:.3f}")
 
 
+@pytest.mark.gate
 def test_overhead_bound_on_bundled_benchmarks():
     benches = [
         gen_bench("uniform", 600, 11, cycles=10),

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from faultsim.faults import NO_FAULTS, FaultDescriptor, FaultEntry, NodeFaults, inject
 from faultsim.kernels import (
-    NodeState, affected_fids, apply_op, check_dependence_changed, eval_bad_set,
+    NodeState, affected_fids, check_dependence_changed, eval_bad_set,
     eval_good, initial_states, sync_check_needed, sync_register,
 )
 from faultsim.oracles import _ref_op, run_single_fault
@@ -92,7 +92,7 @@ def test_kernel_and_reference_operator_semantics_agree(op, a, b, s, width, wa, w
         node, vals = comb(op, width, 2), [a, b & 0x7F]
     else:
         node, vals = comb(op, width, 2), [a, b]
-    assert apply_op(node, vals) == _ref_op(node, vals)
+    assert eval_good(node, vals) == _ref_op(node, vals)
 
 
 @settings(max_examples=120, deadline=None)
@@ -102,10 +102,10 @@ def test_slice_concat_semantics_agree(a, hi, lo, wlo, whi):
     hi, lo = max(hi, lo), min(hi, lo)
     node = comb("SLICE", hi - lo + 1, 1, slice_hi=hi, slice_lo=lo)
     vals = [a]
-    assert apply_op(node, vals) == _ref_op(node, vals)
+    assert eval_good(node, vals) == _ref_op(node, vals)
     node2 = comb("CONCAT", min(64, wlo + whi), 2, concat_lo_width=wlo)
     vals2 = [a & ((1 << whi) - 1), a & ((1 << wlo) - 1)]
-    assert apply_op(node2, vals2) == _ref_op(node2, vals2)
+    assert eval_good(node2, vals2) == _ref_op(node2, vals2)
 
 
 class TestAffectedFids:
@@ -190,7 +190,7 @@ end
             entry(f, rng.randrange(width), rng.choice(["sa0", "sa1"]))
             for f in rng.sample(range(40), rng.randint(0, 4))
         ])
-        new_good = apply_op(node, [fan[0].good, fan[1].good])
+        new_good = eval_good(node, [fan[0].good, fan[1].good])
         affected = affected_fids(node, fan, faults, own, 0)
         whole = eval_bad_set(node, fan, faults, new_good, 0,
                              affected, 0, len(affected))
@@ -201,6 +201,49 @@ end
         for b, e in zip(bounds, bounds[1:]):
             pieces.extend(eval_bad_set(node, fan, faults, new_good, 0,
                                        affected, b, e))
+        assert pieces == whole
+
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_fid_cut_partials_concatenate(self, data):
+        """A slave computes affected_fids within its [lo, hi) fid range and
+        evaluates those; over any fid cut points the slaves' partials
+        concatenate to the unsplit result, for every operator arity."""
+
+        rng = random.Random(data.draw(st.integers(0, 10**6)))
+        width = rng.randint(1, 8)
+        op, arity = rng.choice([("AND", 2), ("SUB", 2), ("LT", 2), ("NOT", 1),
+                                ("MUX", 3)])
+        node = comb(op, width, arity)
+        cycle = rng.randint(0, 4)
+
+        def rand_bads(w):
+            fids = sorted(rng.sample(range(40), rng.randint(0, 10)))
+            return [(f, v) for f in fids if (v := rng.randrange(1 << w))]
+
+        fan = []
+        for i in range(arity):
+            w = 1 if op == "MUX" and i == 0 else width
+            good = rng.randrange(1 << w)
+            fan.append(NodeState(good, [(f, v) for f, v in rand_bads(w) if v != good]))
+        own = NodeState(rng.randrange(1 << width), rand_bads(width))
+        faults = NodeFaults([
+            entry(f, rng.randrange(width), rng.choice(["sa0", "sa1", "transient"]),
+                  *sorted(rng.sample(range(5), 2)))
+            for f in rng.sample(range(40), rng.randint(0, 4))
+        ])
+        new_good = eval_good(node, [fs.good for fs in fan])
+        affected = affected_fids(node, fan, faults, own, cycle)
+        whole = eval_bad_set(node, fan, faults, new_good, cycle,
+                             affected, 0, len(affected))
+        cuts = sorted(data.draw(st.lists(st.integers(0, 41), max_size=7)))
+        pieces = []
+        for lo, hi in zip([0] + cuts, cuts + [None]):
+            part = affected_fids(node, fan, faults, own, cycle, lo, hi)
+            assert part == [f for f in affected if lo <= f and (hi is None or f < hi)]
+            pieces.extend(eval_bad_set(node, fan, faults, new_good, cycle,
+                                       part, 0, len(part)))
         assert pieces == whole
 
 

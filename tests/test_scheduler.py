@@ -296,6 +296,24 @@ def test_pool_executes_each_task_exactly_once():
                 assert order[t.id] < order[s]
 
 
+def test_idle_worker_steals_released_successor_before_entry_task():
+    """Task a releases s1 and s2 onto worker 0's deque; worker 0 pops s2
+    (LIFO).  Worker 1, finishing b while s1 and the entry tasks x1, x2 all
+    wait, steals s1 (FIFO) before it takes an entry task."""
+
+    a, b, x1, x2, s1, s2 = range(6)
+    tasks = [Task(i, "default", node=i) for i in range(6)]
+    tasks[a].succs = [s1, s2]
+    counts = [0, 0, 0, 0, 1, 1]
+    cost = {a: 1, b: 2, x1: 3, x2: 3, s1: 4, s2: 5}
+    trace = []
+    WorkerPool(2).run_phase(counts, [a, b, x1, x2], tasks, cost.__getitem__, trace)
+    started = {tid: (worker, start) for tid, worker, start, _ in trace}
+    assert started[s2] == (0, 1)
+    assert started[s1] == (1, 2)
+    assert started[x1] == (0, 6) and started[x2] == (1, 6)
+
+
 def test_good_before_bad_and_sync_safety_on_traces():
     b = gen_bench("skewed", 200, 8, cycles=5)
     g, stim, faults = b.build()

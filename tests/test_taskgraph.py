@@ -1,9 +1,12 @@
-import pytest
-from hypothesis import given, strategies as st
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from faultsim.genbench import gen_bench
 from faultsim.taskgraph import (
     MASTER, SLAVE, SYNC, build_task_graph, canonical_form, dump_dot,
-    expand_high_load, make_task_graph, publish_ranges, reset_for_cycle,
+    expand_high_load, make_task_graph, reset_for_cycle,
 )
 
 from conftest import build
@@ -175,22 +178,23 @@ def test_expansions_commute():
     assert canonical_form(tg1) == canonical_form(tg2)
 
 
-def test_publish_ranges_examples():
-    assert publish_ranges(10, 3) == [(0, 4), (4, 7), (7, 10)]
-    assert publish_ranges(0, 4) == [(0, 0)] * 4
-    assert publish_ranges(7, 7) == [(i, i + 1) for i in range(7)]
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), unified=st.booleans(),
+       group=st.integers(1, 3), picks=st.integers(1, 6), k=st.integers(1, 5))
+def test_incremental_reset_image_matches_rebuild(seed, unified, group, picks, k):
+    """expand_high_load updates the reset image in place; after any sequence
+    of expansions it equals a fresh rebuild in unified and barrier graphs."""
 
-
-@given(n=st.integers(0, 500), k=st.integers(1, 16))
-def test_publish_ranges_partition_property(n, k):
-    ranges = publish_ranges(n, k)
-    assert len(ranges) == k
-    assert ranges[0][0] == 0 and ranges[-1][1] == n
-    sizes = [e - b for b, e in ranges]
-    assert all(b <= e for b, e in ranges)
-    assert all(ranges[i][1] == ranges[i + 1][0] for i in range(k - 1))
-    assert max(sizes) - min(sizes) <= 1
-    assert sizes == sorted(sizes, reverse=True)
+    bench = gen_bench(("uniform", "skewed", "pipeline")[seed % 3], 30, seed,
+                      cycles=2, fault_count=4)
+    graph, _, _ = bench.build()
+    tg = make_task_graph(graph, unified=unified, group_size=group)
+    rng = random.Random(seed)
+    for nid in rng.sample(sorted(tg.node_task), min(picks, len(tg.node_task))):
+        expand_high_load(tg, nid, k)
+    image = (list(tg.pred_reset), dict(tg.sync_pred_reset), list(tg.entry_tasks))
+    tg.rebuild_reset_image()
+    assert image == (tg.pred_reset, tg.sync_pred_reset, tg.entry_tasks)
 
 
 def test_reset_after_expansion_master_entry_unchanged():
