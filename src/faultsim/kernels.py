@@ -66,10 +66,6 @@ def _mux(sel: int, a: int, b: int) -> int:
     return a if sel else b
 
 
-def _copy(a: int) -> int:
-    return a
-
-
 _fid = operator.itemgetter(0)
 
 
@@ -87,14 +83,14 @@ OPS = {
 def operator_of(node: RtlNode):
     """The node's operator as a function of its fanin values, resolved on
     first use and kept on the node; output and virtual nodes copy their
-    single fanin."""
+    single fanin (``operator.pos`` is the identity on ints)."""
 
     fn = node.fn
     if fn is not None:
         return fn
     kind, op = node.kind, node.op
     if kind in (rtl.OUTPUT, rtl.VIRTUAL):
-        fn = _copy
+        fn = operator.pos
     elif kind != rtl.COMB:
         raise SimulationError(f"cannot evaluate node kind '{kind}'")
     elif op == "SLICE":
@@ -109,6 +105,16 @@ def operator_of(node: RtlNode):
         raise SimulationError(f"unknown operator '{op}'")
     node.fn = fn
     return fn
+
+
+def bind_operators(graph: RtlGraph) -> None:
+    """Resolve every evaluated node's operator before the first cycle, so
+    that no task pays for the lookup (nor inflates its measured load with
+    it)."""
+
+    for node in graph.nodes:
+        if node.kind in rtl.TASK_KINDS:
+            operator_of(node)
 
 
 def eval_good(node: RtlNode, fanin_goods: list[int], stored: int | None = None) -> int:
@@ -141,23 +147,20 @@ def affected_fids(
     fault injected here with an active window, and every fault currently
     divergent here (so convergence is observed)."""
 
-    if lo == 0 and hi is None:
-        fids = set(map(_fid, own_state.bads))
-        for st in fanin_states:
-            if st.bads:
-                fids.update(map(_fid, st.bads))
-        entries = nf.entries
-    else:
-        fids = set()
-        for st in (own_state, *fanin_states):
-            bads = st.bads
-            if bads:
-                a = bisect_left(bads, (lo,))
-                b = len(bads) if hi is None else bisect_left(bads, (hi,), a)
-                fids.update(map(_fid, bads[a:b]))
+    bounded = lo or hi is not None
+    fids = set()
+    for st in (own_state, *fanin_states):
+        bads = st.bads
+        if bads:
+            if bounded:
+                a = bisect_left(bads, (lo,)) if lo else 0
+                bads = bads[a:len(bads) if hi is None else bisect_left(bads, (hi,), a)]
+            fids.update(map(_fid, bads))
+    entries = nf.entries
+    if entries and bounded:
         inj = nf.fids
-        a = bisect_left(inj, lo)
-        entries = nf.entries[a:len(inj) if hi is None else bisect_left(inj, hi, a)]
+        a = bisect_left(inj, lo) if lo else 0
+        entries = entries[a:len(inj) if hi is None else bisect_left(inj, hi, a)]
     for entry in entries:
         if not entry.dropped and window_active(entry.rule, cycle):
             fids.add(entry.fid)
@@ -189,39 +192,38 @@ def eval_bad_set(
 
     if begin >= end:
         return []
-    fids = affected[begin:end]
+    fids = affected if begin == 0 and end == len(affected) else affected[begin:end]
     first, last = fids[0], fids[-1]
     # Each fanin's divergences within [first, last], looked up by fid.
     gets = []
     goods = []
     for st in fanin_states:
         bads = st.bads
-        if not bads or bads[0][0] > last or bads[-1][0] < first:
+        goods.append(st.good)
+        if not bads:
             gets.append(_NO_BADS.get)
-        elif bads[0][0] >= first and bads[-1][0] <= last:
+            continue
+        lo, hi = bads[0][0], bads[-1][0]
+        if lo > last or hi < first:
+            gets.append(_NO_BADS.get)
+        elif lo >= first and hi <= last:
             gets.append(dict(bads).get)
         else:
             a = bisect_left(bads, (first,))
             gets.append(dict(bads[a:bisect_left(bads, (last + 1,), a)]).get)
-        goods.append(st.good)
-    # Forcing rules of the faults injected here whose window is open.
-    force = {}
-    if nf.entries:
-        inj = nf.fids
-        a = bisect_left(inj, first)
-        for entry in nf.entries[a:bisect_left(inj, last + 1, a)]:
-            if not entry.dropped and window_active(entry.rule, cycle):
-                force[entry.fid] = entry.rule
+    injected = nf.fid_map
     fn = node.fn or operator_of(node)
     mask = node.mask
     result = []
+    # One loop per operand count: a generic loop that gathers the operands
+    # per fid runs about twice as long on the wide links.
     if len(gets) == 2:
         get0, get1 = gets
         g0, g1 = goods
         for f in fids:
             raw = fn(get0(f, g0), get1(f, g1)) & mask
-            if force and f in force:
-                raw = faulty_val(force[f], raw, cycle)
+            if injected and f in injected:
+                raw = _forced(injected[f], raw, cycle)
             if raw != new_good:
                 result.append((f, raw))
     elif len(gets) == 1:
@@ -229,8 +231,8 @@ def eval_bad_set(
         g0, = goods
         for f in fids:
             raw = fn(get0(f, g0)) & mask
-            if force and f in force:
-                raw = faulty_val(force[f], raw, cycle)
+            if injected and f in injected:
+                raw = _forced(injected[f], raw, cycle)
             if raw != new_good:
                 result.append((f, raw))
     else:
@@ -238,11 +240,20 @@ def eval_bad_set(
         g0, g1, g2 = goods
         for f in fids:
             raw = fn(get0(f, g0), get1(f, g1), get2(f, g2)) & mask
-            if force and f in force:
-                raw = faulty_val(force[f], raw, cycle)
+            if injected and f in injected:
+                raw = _forced(injected[f], raw, cycle)
             if raw != new_good:
                 result.append((f, raw))
     return result
+
+
+def _forced(entry, raw: int, cycle: int) -> int:
+    """A computed value after the forcing rule of a fault injected at the
+    node, if the fault is live and its window is open."""
+
+    if entry.dropped or not window_active(entry.rule, cycle):
+        return raw
+    return faulty_val(entry.rule, raw, cycle)
 
 
 def check_dependence_changed(

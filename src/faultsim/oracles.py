@@ -19,9 +19,9 @@ from .faults import (
     FaultDescriptor, faulty_val, inject, resolve_injection_site, window_active,
 )
 from .kernels import (
-    affected_fids, apply_stimulus_row, check_dependence_changed, commit_state,
-    drop_detected, eval_bad_set, eval_good, initial_states, scan_outputs,
-    sync_check_needed, sync_register,
+    affected_fids, apply_stimulus_row, bind_operators, check_dependence_changed,
+    commit_state, drop_detected, eval_bad_set, eval_good, initial_states,
+    scan_outputs, sync_check_needed, sync_register,
 )
 from .report import CycleStats, RunTotals, SimulationReport, build_results
 from .rtl import RtlGraph
@@ -161,6 +161,7 @@ def run_serial_concurrent(
     config = config or SimConfig(mode="serial")
     rows = as_rows(graph, stimulus)
     table = inject(graph, faults)
+    bind_operators(graph)
     nf_of = [table.node_faults(i) for i in range(len(graph.nodes))]
     states = initial_states(graph, table)
     order = [nid for nid in graph.topo if graph.nodes[nid].kind in rtl.TASK_KINDS]

@@ -26,14 +26,16 @@ import heapq
 import time
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 from . import rtl, taskgraph
 from .config import MODE_SERIAL, SimConfig
 from .faults import FaultDescriptor, inject
 from .kernels import (
     NodeState, SimulationError, affected_fids, apply_stimulus_row,
-    check_dependence_changed, commit_state, drop_detected, eval_bad_set,
-    eval_good, initial_states, scan_outputs, sync_check_needed, sync_register,
+    bind_operators, check_dependence_changed, commit_state, drop_detected,
+    eval_bad_set, eval_good, initial_states, scan_outputs, sync_check_needed,
+    sync_register,
 )
 from .report import CycleStats, RunTotals, SimulationReport, build_results
 from .rtl import RtlGraph
@@ -116,19 +118,26 @@ class WorkerPool:
 
 
 class LoadMonitor:
-    """Per-task execution time for one cycle, as shares of the cycle total."""
+    """Per-task execution time for one cycle, as shares of the cycle total,
+    and the largest of them, so that a cycle without an overloaded task is
+    recognised without a scan."""
 
     def __init__(self):
         self.task_ns: dict[int, int] = {}
         self.total_ns = 0
+        self.peak_ns = 0
 
     def reset(self) -> None:
         self.task_ns.clear()
         self.total_ns = 0
+        self.peak_ns = 0
 
     def record(self, tid: int, cost: int) -> None:
-        self.task_ns[tid] = self.task_ns.get(tid, 0) + cost
+        ns = self.task_ns.get(tid, 0) + cost
+        self.task_ns[tid] = ns
         self.total_ns += cost
+        if ns > self.peak_ns:
+            self.peak_ns = ns
 
     def shares(self) -> dict[int, float]:
         if self.total_ns <= 0:
@@ -144,12 +153,11 @@ def flag_overloaded(monitor: LoadMonitor, tg: TaskGraph, threshold: float) -> li
     if total <= 0:
         return []
     floor_ns = total * threshold
-    task_ns = monitor.task_ns
-    if max(task_ns.values()) <= floor_ns:
+    if monitor.peak_ns <= floor_ns:
         return []
     tasks = tg.tasks
     flagged = sorted(
-        (-ns, tasks[tid].node) for tid, ns in task_ns.items()
+        (-ns, tasks[tid].node) for tid, ns in monitor.task_ns.items()
         if ns > floor_ns and tasks[tid].kind == DEFAULT
     )
     return [nid for _, nid in flagged]
@@ -169,10 +177,17 @@ class SimulationEngine:
         self.rows = as_rows(graph, stimulus)
         self.config = config
         self.table = inject(graph, faults)
+        bind_operators(graph)
         self.nf = [self.table.node_faults(i) for i in range(len(graph.nodes))]
         self.states = initial_states(graph, self.table)
-        # Fanin states per node id; a node's state object lives for the run.
-        self.inputs = [[self.states[f] for f in node.fanin] for node in graph.nodes]
+        # What a task reads and writes, per node id: the node, its state,
+        # its fanin states and its injected faults.  A node's state object
+        # lives for the run.
+        self.bound = [
+            (node, self.states[node.id], [self.states[f] for f in node.fanin],
+             self.nf[node.id])
+            for node in graph.nodes
+        ]
         self.tg = make_task_graph(
             graph, unified=config.unified_sync, group_size=config.sync_group_size
         )
@@ -217,11 +232,7 @@ class SimulationEngine:
         return cost
 
     def _run_default(self, task) -> None:
-        nid = task.node
-        node = self.graph.nodes[nid]
-        st = self.states[nid]
-        fanin_states = self.inputs[nid]
-        nf = self.nf[nid]
+        node, st, fanin_states, nf = self.bound[task.node]
         cycle = self._cycle
         if not check_dependence_changed(node, fanin_states, nf, cycle):
             self._skipped += 1
@@ -245,12 +256,8 @@ class SimulationEngine:
         self._executed += 1
 
     def _run_master(self, task) -> None:
-        nid = task.node
-        node = self.graph.nodes[nid]
-        st = self.states[nid]
-        board = self.tg.boards[nid]
-        fanin_states = self.inputs[nid]
-        nf = self.nf[nid]
+        node, st, fanin_states, nf = self.bound[task.node]
+        board = self.tg.boards[task.node]
         cycle = self._cycle
         if not check_dependence_changed(node, fanin_states, nf, cycle):
             board.skip = True
@@ -258,13 +265,19 @@ class SimulationEngine:
             return
         new_good = eval_good(node, [fs.good for fs in fanin_states])
         board.new_good = new_good
-        # Cut at the quantiles of the longest bad list the slaves will read.
+        # Cut at the quantiles of the longest fid list the slaves will read:
+        # its own or a fanin's bad list, or the fids injected here.
         longest = max((fs.bads for fs in fanin_states), key=len)
         if len(st.bads) > len(longest):
             longest = st.bads
-        n = len(longest)
         k = len(board.partials)
-        board.bounds[1:k] = [longest[i * n // k][0] if n else 0 for i in range(1, k)]
+        if len(nf.fids) > len(longest):
+            cuts = nf.fids
+            n = len(cuts)
+            board.bounds[1:k] = [cuts[i * n // k] for i in range(1, k)]
+        else:
+            n = len(longest)
+            board.bounds[1:k] = [longest[i * n // k][0] if n else 0 for i in range(1, k)]
         commit_state(st, new_good, st.bads, cycle)
         self._executed += 1
 
@@ -273,23 +286,21 @@ class SimulationEngine:
         if board.skip:
             self._skipped += 1
             return
-        nid = task.node
-        node = self.graph.nodes[nid]
-        st = self.states[nid]
-        fanin_states = self.inputs[nid]
-        nf = self.nf[nid]
+        node, st, fanin_states, nf = self.bound[task.node]
         i = task.slave_index
         lo, hi = board.bounds[i], board.bounds[i + 1]
+        partial = []
         if hi is None or lo < hi:
             affected = affected_fids(node, fanin_states, nf, st, self._cycle, lo, hi)
-            board.partials[i] = eval_bad_set(
+            partial = eval_bad_set(
                 node, fanin_states, nf, board.new_good, self._cycle,
                 affected, 0, len(affected),
             )
+        board.partials[i] = partial
         self._executed += 1
         board.remaining -= 1
         if board.remaining == 0:
-            new_bads = [pair for part in board.partials for pair in part]
+            new_bads = list(chain.from_iterable(board.partials))
             commit_state(st, st.good, new_bads, self._cycle)
 
     def _run_sync(self, task) -> None:

@@ -48,11 +48,11 @@ class RangeBoard:
         self.remaining = k
         self.partials: list[list[tuple[int, int]]] = [[] for _ in range(k)]
 
-    def reset(self, k: int) -> None:
+    def reset(self) -> None:
+        # In a cycle that commits, every slave overwrites its partial, so
+        # stale partials need no clearing here.
         self.skip = False
-        self.remaining = k
-        for part in self.partials:
-            part.clear()
+        self.remaining = len(self.partials)
 
 
 @dataclass
@@ -282,8 +282,8 @@ def expand_high_load(tg: TaskGraph, node_id: int, k: int) -> TaskGraph:
 def reset_for_cycle(tg: TaskGraph) -> tuple[list[int], list[int]]:
     """Fresh predecessor countdowns and the entry task list for one cycle."""
 
-    for node_id, board in tg.boards.items():
-        board.reset(len(board.partials))
+    for board in tg.boards.values():
+        board.reset()
     return tg.pred_reset.copy(), tg.entry_tasks
 
 

@@ -296,6 +296,36 @@ def test_pool_executes_each_task_exactly_once():
                 assert order[t.id] < order[s]
 
 
+def test_master_cuts_at_injected_fids_when_only_injection_diverges():
+    """At cycle 0 nothing diverges anywhere yet, so every difference at n
+    comes from the faults injected there; the master cuts the injected
+    fids into equal shares instead of handing them all to the last slave."""
+
+    from faultsim.faults import FaultDescriptor
+
+    text = """
+module inj
+input a 8
+input b 8
+assign n 8 = AND a b
+output o 8 = n
+end
+"""
+    faults = [FaultDescriptor(2 * bit + k, "wire", "n", bit, kind)
+              for bit in range(8) for k, kind in enumerate(("sa0", "sa1"))]
+    rows = [[0xF0, 0xFF]]
+    g = build(text)
+    eng = SimulationEngine(g, faults, rows, SimConfig(workers=4, mode="full"))
+    nid = g.name_to_id["n"]
+    expand_high_load(eng.tg, nid, 4)
+    report = eng.run()
+    board = eng.tg.boards[nid]
+    assert board.bounds == [0, 4, 8, 12, None]
+    # n is 0xF0: sa1 diverges on bits 0-3, sa0 on bits 4-7, two per slave.
+    assert [len(part) for part in board.partials] == [2, 2, 2, 2]
+    assert report.verdicts() == run_serial_concurrent(build(text), faults, rows).verdicts()
+
+
 def test_idle_worker_steals_released_successor_before_entry_task():
     """Task a releases s1 and s2 onto worker 0's deque; worker 0 pops s2
     (LIFO).  Worker 1, finishing b while s1 and the entry tasks x1, x2 all
