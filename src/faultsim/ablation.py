@@ -111,8 +111,7 @@ def ablation_run(
     cells.append(AblationCell(
         mode=MODE_SERIAL, workers=1, wall_ns=serial_wall,
         utilization=1.0, speedup=1.0,
-        dispatches=serial_report.totals.dispatches or
-        (serial_report.totals.executed + serial_report.totals.skipped),
+        dispatches=serial_report.totals.executed + serial_report.totals.skipped,
         mean_dispatch_ns=0.0,
     ))
     for mode in ABLATION_MODES:

@@ -1,5 +1,11 @@
-"""Run configuration shared by the parallel engine, the serial baseline,
-and the CLI."""
+"""Run configuration shared by the simulation engine and the CLI.
+
+The mode picks the engine's executor.  ``serial`` evaluates nodes in
+topological order and commits registers after the strobe; it has no task
+graph or worker pool, so the pool, expansion, grouping and cost settings
+do not apply to it.  The other modes drain the task graph on the
+discrete-event pool.
+"""
 
 from __future__ import annotations
 
@@ -19,7 +25,7 @@ class SimConfig:
     ``workers`` to ``sync_group_size`` are run settings; ``steady_state_check``
     is the CLI's ``--steady-check`` re-sweep.  The three hooks stay because
     no seam outside the engine can replace them:
-    ``record_outputs`` is filled by both engines and read by every
+    ``record_outputs`` is filled in every mode and read by every
     engine-vs-oracle output test; ``record_costs`` logs per-task costs and
     ``cost_table`` replays them, and the replayed cost must reach
     ``LoadMonitor.record`` so that the replay expands the same nodes as the

@@ -117,20 +117,11 @@ def bind_operators(graph: RtlGraph) -> None:
             operator_of(node)
 
 
-def eval_good(node: RtlNode, fanin_goods: list[int], stored: int | None = None) -> int:
-    """Fault-free value of a node given its fanin values (already masked)."""
+def eval_good(node: RtlNode, fanin_goods: list[int]) -> int:
+    """Fault-free value of an evaluated node given its fanin values
+    (already masked)."""
 
-    fn = node.fn
-    if fn is None:
-        kind = node.kind
-        if kind == rtl.CONST:
-            return node.init
-        if kind in (rtl.REG, rtl.INPUT):
-            if stored is None:
-                raise SimulationError(f"no stored value for source node '{node.name}'")
-            return stored
-        fn = operator_of(node)
-    return fn(*fanin_goods) & node.mask
+    return (node.fn or operator_of(node))(*fanin_goods) & node.mask
 
 
 def affected_fids(

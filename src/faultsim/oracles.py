@@ -3,28 +3,21 @@
 ``run_single_fault`` resimulates one fault at a time with a plain
 topological interpreter and its own operator evaluation code, sharing
 nothing with the concurrent kernels, so the two cannot inherit a common
-bug.  ``run_serial_concurrent`` runs the concurrent kernels single
-threaded in topological order; the parallel engine must reproduce its
-report bit for bit.
+bug.  ``run_serial_concurrent`` runs the concurrent engine in ``serial``
+mode (single threaded, topological order); the parallel modes must
+reproduce its report bit for bit.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import rtl
-from .config import SimConfig
-from .faults import (
-    FaultDescriptor, faulty_val, inject, resolve_injection_site, window_active,
-)
-from .kernels import (
-    affected_fids, apply_stimulus_row, bind_operators, check_dependence_changed,
-    commit_state, drop_detected, eval_bad_set, eval_good, initial_states,
-    scan_outputs, sync_check_needed, sync_register,
-)
-from .report import CycleStats, RunTotals, SimulationReport, build_results
+from .config import MODE_SERIAL, SimConfig
+from .faults import FaultDescriptor, faulty_val, resolve_injection_site, window_active
+from .report import SimulationReport
 from .rtl import RtlGraph
+from .scheduler import SimulationEngine
 from .stimulus import as_rows
 
 
@@ -155,92 +148,8 @@ def run_serial_concurrent(
     stimulus,
     config: SimConfig | None = None,
 ) -> SimulationReport:
-    """Single-threaded concurrent fault simulation in topological order,
-    with the end-of-cycle register commit done as snapshot-then-commit."""
+    """The concurrent engine in serial mode: nodes in topological order,
+    registers committed snapshot-then-commit after the strobe."""
 
-    config = config or SimConfig(mode="serial")
-    rows = as_rows(graph, stimulus)
-    table = inject(graph, faults)
-    bind_operators(graph)
-    nf_of = [table.node_faults(i) for i in range(len(graph.nodes))]
-    states = initial_states(graph, table)
-    order = [nid for nid in graph.topo if graph.nodes[nid].kind in rtl.TASK_KINDS]
-    inputs = [[states[f] for f in node.fanin] for node in graph.nodes]
-
-    detections: dict[int, tuple[int, str]] = {}
-    cycles: list[CycleStats] = []
-    output_trace: list[tuple[int, ...]] = []
-    totals = RunTotals()
-
-    for cycle, row in enumerate(rows):
-        t0 = time.perf_counter_ns()
-        apply_stimulus_row(graph, states, row, cycle)
-        executed = skipped = 0
-
-        for nid in order:
-            node = graph.nodes[nid]
-            st = states[nid]
-            fanin_states = inputs[nid]
-            nf = nf_of[nid]
-            if not check_dependence_changed(node, fanin_states, nf, cycle):
-                skipped += 1
-                continue
-            # No divergence here or at a fanin and nothing injected: no bad gates.
-            diverged = st.bads or nf.entries
-            goods = []
-            for fs in fanin_states:
-                goods.append(fs.good)
-                if fs.bads:
-                    diverged = True
-            new_good = eval_good(node, goods)
-            if diverged:
-                affected = affected_fids(node, fanin_states, nf, st, cycle)
-                new_bads = eval_bad_set(
-                    node, fanin_states, nf, new_good, cycle, affected, 0, len(affected)
-                )
-            else:
-                new_bads = st.bads
-            commit_state(st, new_good, new_bads, cycle)
-            executed += 1
-
-        hits = scan_outputs(graph, states, detections, cycle)
-        for fid, at, out in hits:
-            detections[fid] = (at, out)
-        if config.drop_on_detect:
-            drop_detected(table, states, [hit[0] for hit in hits])
-        if config.record_outputs:
-            output_trace.append(tuple(states[o].good for o in graph.outputs))
-
-        sync_t0 = time.perf_counter_ns()
-        staged = []
-        for rid in graph.regs:
-            reg = graph.nodes[rid]
-            next_st = states[reg.next_src]
-            nf = nf_of[rid]
-            if sync_check_needed(states[rid], next_st, nf, cycle + 1):
-                staged.append((rid, sync_register(reg, next_st, nf, cycle + 1)))
-            else:
-                skipped += 1
-        for rid, (new_good, new_bads) in staged:
-            commit_state(states[rid], new_good, new_bads, cycle + 1)
-        executed += len(staged)
-        sync_ns = time.perf_counter_ns() - sync_t0
-
-        wall = time.perf_counter_ns() - t0
-        cycles.append(CycleStats(cycle, wall, (wall,), executed, skipped, (), sync_ns))
-        totals.wall_ns += wall
-        totals.executed += executed
-        totals.skipped += skipped
-
-    totals.host_ns = totals.wall_ns
-    totals.busy_ns = (totals.wall_ns,)
-    report = SimulationReport(
-        results=build_results(faults, detections),
-        config=config.echo(),
-        cycles=cycles,
-        totals=totals,
-    )
-    if config.record_outputs:
-        report.output_trace = output_trace
-    return report
-
+    config = replace(config, mode=MODE_SERIAL) if config else SimConfig(mode=MODE_SERIAL)
+    return SimulationEngine(graph, faults, stimulus, config).run()

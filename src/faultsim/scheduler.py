@@ -1,5 +1,15 @@
-"""Per-cycle execution of the task graph on a fixed pool of workers with
-work stealing, plus load monitoring, overload expansion, and the cycle loop.
+"""The simulation engine: the cycle loop and its two executors, plus the
+worker pool, load monitoring and overload expansion.
+
+Mode ``serial`` is a plain loop: each cycle evaluates the nodes in
+topological order, strobes the outputs, and commits every register as one
+group, staging all of them before committing any.  It builds no task graph
+and times no task; its cycle times are host time.  It is the reference the
+parallel modes must reproduce bit for bit, and the baseline the ablation
+grid divides by.
+
+The other modes execute the task graph on a fixed pool of workers with
+work stealing, through the same per-node and register-group bodies.
 
 The pool is a deterministic discrete-event executor: every task's kernel
 runs exactly once on the host, in an order consistent with the dependency
@@ -28,7 +38,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 
-from . import rtl, taskgraph
+from . import rtl
 from .config import MODE_SERIAL, SimConfig
 from .faults import FaultDescriptor, inject
 from .kernels import (
@@ -164,14 +174,18 @@ def flag_overloaded(monitor: LoadMonitor, tg: TaskGraph, threshold: float) -> li
 
 
 class SimulationEngine:
-    """Drives the cycle loop: stimulus, task-graph drain, detection strobe,
-    overload expansion at cycle boundaries, and statistics."""
+    """Drives the cycle loop: stimulus, node evaluation, detection strobe,
+    register commit, overload expansion at cycle boundaries, and statistics.
+
+    Two executors run the same per-node and register-group bodies.  Mode
+    ``serial`` evaluates every node in topological order, strobes, and then
+    commits all registers as one group; it builds no task graph, pool or
+    load monitor, and its cycle times are host time.  Every other mode
+    drains the task graph on the discrete-event pool."""
 
     def __init__(self, graph: RtlGraph, faults: list[FaultDescriptor],
                  stimulus, config: SimConfig):
         config.validate()
-        if config.mode == MODE_SERIAL:
-            raise ValueError("serial mode runs through oracles.run_serial_concurrent")
         self.graph = graph
         self.faults = faults
         self.rows = as_rows(graph, stimulus)
@@ -180,19 +194,24 @@ class SimulationEngine:
         bind_operators(graph)
         self.nf = [self.table.node_faults(i) for i in range(len(graph.nodes))]
         self.states = initial_states(graph, self.table)
-        # What a task reads and writes, per node id: the node, its state,
-        # its fanin states and its injected faults.  A node's state object
-        # lives for the run.
+        # What a node evaluation reads and writes, per node id: the node,
+        # its state, its fanin states and its injected faults.  A node's
+        # state object lives for the run.
         self.bound = [
             (node, self.states[node.id], [self.states[f] for f in node.fanin],
              self.nf[node.id])
             for node in graph.nodes
         ]
-        self.tg = make_task_graph(
-            graph, unified=config.unified_sync, group_size=config.sync_group_size
-        )
-        self.pool = WorkerPool(config.workers)
-        self.monitor = LoadMonitor()
+        self.serial = config.mode == MODE_SERIAL
+        if self.serial:
+            self.order = [nid for nid in graph.topo
+                          if graph.nodes[nid].kind in rtl.TASK_KINDS]
+        else:
+            self.tg = make_task_graph(
+                graph, unified=config.unified_sync, group_size=config.sync_group_size
+            )
+            self.pool = WorkerPool(config.workers)
+            self.monitor = LoadMonitor()
         self.detections: dict[int, tuple[int, str]] = {}
         self.cycle_stats: list[CycleStats] = []
         self.totals = RunTotals()
@@ -212,13 +231,13 @@ class SimulationEngine:
         task = self.tg.tasks[tid]
         kind = task.kind
         if kind == DEFAULT:
-            self._run_default(task)
+            self._run_default(task.node)
         elif kind == MASTER:
             self._run_master(task)
         elif kind == SLAVE:
             self._run_slave(task)
         else:
-            self._run_sync(task)
+            self._run_sync(task.regs)
         cost = time.perf_counter_ns() - t0
         if self._cost_replay is not None:
             # Charge the calibrated cost for this task; fresh tasks that the
@@ -231,8 +250,8 @@ class SimulationEngine:
             self._sync_ns += cost
         return cost
 
-    def _run_default(self, task) -> None:
-        node, st, fanin_states, nf = self.bound[task.node]
+    def _run_default(self, nid: int) -> None:
+        node, st, fanin_states, nf = self.bound[nid]
         cycle = self._cycle
         if not check_dependence_changed(node, fanin_states, nf, cycle):
             self._skipped += 1
@@ -303,16 +322,17 @@ class SimulationEngine:
             new_bads = list(chain.from_iterable(board.partials))
             commit_state(st, st.good, new_bads, self._cycle)
 
-    def _run_sync(self, task) -> None:
-        """Compute and commit a register group.  Group results are fully
-        computed before any commit so intra-group reads see current-cycle
-        values; cross-task ordering comes from the dependency edges."""
+    def _run_sync(self, regs) -> None:
+        """Compute and commit a register group (a sync task's registers, or
+        all of them in serial mode).  Group results are fully computed
+        before any commit so intra-group reads see current-cycle values;
+        cross-task ordering comes from the dependency edges."""
 
         graph = self.graph
         states = self.states
         serve = self._cycle + 1
         staged = []
-        for rid in task.regs:
+        for rid in regs:
             reg = graph.nodes[rid]
             next_st = states[reg.next_src]
             nf = self.nf[rid]
@@ -328,10 +348,11 @@ class SimulationEngine:
 
     def run(self) -> SimulationReport:
         cfg = self.config
+        run_cycle = self._run_serial_cycle if self.serial else self._run_pool_cycle
         host_start = time.perf_counter_ns()
         for cycle, row in enumerate(self.rows):
             self._cycle = cycle
-            self._run_one_cycle(cycle, row)
+            run_cycle(cycle, row)
         self.totals.host_ns = time.perf_counter_ns() - host_start
         report = SimulationReport(
             results=build_results(self.faults, self.detections),
@@ -343,23 +364,69 @@ class SimulationEngine:
             report.output_trace = self.output_trace
         return report
 
-    def _run_one_cycle(self, cycle: int, row) -> None:
-        cfg = self.config
-        tg = self.tg
-        boundary0 = time.perf_counter_ns()
+    def _begin_cycle(self, cycle: int, row) -> None:
         apply_stimulus_row(self.graph, self.states, row, cycle)
-        if cfg.steady_state_check:
+        if self.config.steady_state_check:
             # Registers commit mid-drain under the unified schedule; the
             # re-sweep must judge settlement against the values this cycle read.
             self._reg_snapshot = {
                 rid: (self.states[rid].good, list(self.states[rid].bads))
                 for rid in self.graph.regs
             }
-        counts, ready = reset_for_cycle(tg)
-        self.monitor.reset()
         self._executed = 0
         self._skipped = 0
         self._sync_ns = 0
+
+    def _strobe(self, cycle: int) -> list[tuple[int, int, str]]:
+        """Detection strobe, then the steady-state re-sweep.  The re-sweep
+        runs before any drop: a drop removes divergences from every state
+        but the register snapshot the re-sweep reads."""
+
+        hits = scan_outputs(self.graph, self.states, self.detections, cycle)
+        for fid, at, out in hits:
+            self.detections[fid] = (at, out)
+        if self.config.steady_state_check:
+            self._assert_steady(cycle)
+        return hits
+
+    def _end_cycle(self, stats: CycleStats) -> None:
+        self.cycle_stats.append(stats)
+        t = self.totals
+        t.wall_ns += stats.wall_ns
+        t.executed += stats.executed
+        t.skipped += stats.skipped
+        t.busy_ns = tuple(
+            a + b for a, b in zip(t.busy_ns or (0,) * len(stats.busy_ns), stats.busy_ns)
+        )
+        if self.config.record_outputs:
+            self.output_trace.append(
+                tuple(self.states[o].good for o in self.graph.outputs)
+            )
+
+    def _run_serial_cycle(self, cycle: int, row) -> None:
+        t0 = time.perf_counter_ns()
+        self._begin_cycle(cycle, row)
+        run_default = self._run_default
+        for nid in self.order:
+            run_default(nid)
+        hits = self._strobe(cycle)
+        if self.config.drop_on_detect:
+            drop_detected(self.table, self.states, [hit[0] for hit in hits])
+        sync0 = time.perf_counter_ns()
+        self._run_sync(self.graph.regs)
+        self._sync_ns = time.perf_counter_ns() - sync0
+        wall = time.perf_counter_ns() - t0
+        self._end_cycle(CycleStats(
+            cycle, wall, (wall,), self._executed, self._skipped, (), self._sync_ns
+        ))
+
+    def _run_pool_cycle(self, cycle: int, row) -> None:
+        cfg = self.config
+        tg = self.tg
+        boundary0 = time.perf_counter_ns()
+        self._begin_cycle(cycle, row)
+        counts, ready = reset_for_cycle(tg)
+        self.monitor.reset()
         if cfg.cost_table is not None:
             self._cost_replay = cfg.cost_table[cycle] if cycle < len(cfg.cost_table) else {}
         if cfg.record_costs:
@@ -376,9 +443,7 @@ class SimulationEngine:
         busy = phase1.busy_ns
 
         b1 = time.perf_counter_ns()
-        hits = scan_outputs(self.graph, self.states, self.detections, cycle)
-        for fid, at, out in hits:
-            self.detections[fid] = (at, out)
+        hits = self._strobe(cycle)
         boundary_ns += time.perf_counter_ns() - b1
 
         if not tg.unified:
@@ -410,13 +475,9 @@ class SimulationEngine:
             for nid in chosen:
                 expand_high_load(tg, nid, cfg.effective_slaves)
             expansions = tuple(chosen)
-        if cfg.steady_state_check:
-            self._assert_steady(cycle)
         boundary_ns += time.perf_counter_ns() - b3
 
-        dispatched = self._executed + self._skipped
-        kernel_ns = sum(busy)
-        stats = CycleStats(
+        self._end_cycle(CycleStats(
             cycle=cycle,
             wall_ns=wall + boundary_ns,
             busy_ns=tuple(busy),
@@ -424,21 +485,9 @@ class SimulationEngine:
             skipped=self._skipped,
             expansions=expansions,
             sync_ns=self._sync_ns,
-        )
-        self.cycle_stats.append(stats)
-        t = self.totals
-        t.wall_ns += stats.wall_ns
-        t.executed += self._executed
-        t.skipped += self._skipped
-        t.dispatches += dispatched
-        t.dispatch_overhead_ns += max(0, pool_host_ns - kernel_ns)
-        t.busy_ns = tuple(
-            a + b for a, b in zip(t.busy_ns or (0,) * len(busy), busy)
-        )
-        if cfg.record_outputs:
-            self.output_trace.append(
-                tuple(self.states[o].good for o in self.graph.outputs)
-            )
+        ))
+        self.totals.dispatches += self._executed + self._skipped
+        self.totals.dispatch_overhead_ns += max(0, pool_host_ns - sum(busy))
 
     def _check_drained(self, phase: PhaseResult, counts, expected: int) -> None:
         if len(phase.executed) == expected:
@@ -488,13 +537,7 @@ def run_simulation(
     stimulus,
     config: SimConfig | None = None,
 ) -> SimulationReport:
-    """Inject, build the task graph for the configured mode, and simulate
+    """Inject, build the executor for the configured mode, and simulate
     the whole stimulus."""
 
-    config = config or SimConfig()
-    config.validate()
-    if config.mode == MODE_SERIAL:
-        from .oracles import run_serial_concurrent
-
-        return run_serial_concurrent(graph, faults, stimulus, config)
-    return SimulationEngine(graph, faults, stimulus, config).run()
+    return SimulationEngine(graph, faults, stimulus, config or SimConfig()).run()

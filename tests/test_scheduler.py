@@ -145,14 +145,18 @@ def test_always_eval_equivalence(monkeypatch):
     import faultsim.scheduler as scheduler
 
     b = small_bench(23, profile="pipeline", size=80, cycles=8, faults=40)
-    g, stim, faults = b.build()
-    base = run_simulation(g, faults, stim, SimConfig(workers=4))
-    monkeypatch.setattr(scheduler, "check_dependence_changed", lambda *a: True)
-    monkeypatch.setattr(scheduler, "sync_check_needed", lambda *a: True)
-    g2, _, _ = b.build()
-    forced = run_simulation(g2, faults, stim, SimConfig(workers=4))
-    assert base.verdicts() == forced.verdicts()
-    assert sum(c.skipped for c in forced.cycles) == 0
+    _, stim, faults = b.build()
+    for mode in ("full", "serial"):
+        g, _, _ = b.build()
+        base = run_simulation(g, faults, stim, SimConfig(workers=4, mode=mode))
+        with monkeypatch.context() as m:
+            m.setattr(scheduler, "check_dependence_changed", lambda *a: True)
+            m.setattr(scheduler, "sync_check_needed", lambda *a: True)
+            g2, _, _ = b.build()
+            forced = run_simulation(g2, faults, stim, SimConfig(workers=4, mode=mode))
+        assert base.verdicts() == forced.verdicts(), mode
+        assert sum(c.skipped for c in base.cycles) > 0, mode
+        assert sum(c.skipped for c in forced.cycles) == 0, mode
 
 
 def test_drop_on_detect_keeps_verdicts():
@@ -161,17 +165,15 @@ def test_drop_on_detect_keeps_verdicts():
         g, stim, faults = b.build()
         keep = run_simulation(g, faults, stim, SimConfig(workers=2, mode=mode))
         g2, _, _ = b.build()
-        cfg = SimConfig(workers=2, mode=mode, drop_on_detect=True)
-        if mode == "serial":
-            drop = run_simulation(g2, faults, stim, cfg)
-        else:
-            eng = SimulationEngine(g2, faults, stim, cfg)
-            drop = eng.run()
-            table = eng.table
-            dropped = {fid for fid, nid in table.site_of.items()
-                       if table.node_faults(nid).fid_map[fid].dropped}
-            detected = {r.fid for r in drop.results if r.detected}
-            assert detected and dropped == detected
+        eng = SimulationEngine(
+            g2, faults, stim, SimConfig(workers=2, mode=mode, drop_on_detect=True)
+        )
+        drop = eng.run()
+        table = eng.table
+        dropped = {fid for fid, nid in table.site_of.items()
+                   if table.node_faults(nid).fid_map[fid].dropped}
+        detected = {r.fid for r in drop.results if r.detected}
+        assert detected and dropped == detected, mode
         assert keep.verdicts() == drop.verdicts(), mode
         # Dropping detected faults removes their bad gates from later cycles;
         # both modes keep task counts deterministic for the comparison.
@@ -181,38 +183,36 @@ def test_drop_on_detect_keeps_verdicts():
 
 def test_layer_kernels_are_called_from_engine_modules(monkeypatch):
     # The benchmark's per-layer tracing wraps the kernel names that
-    # scheduler and oracles import; a call routed through a helper in
-    # kernels would bypass those names and silently count nothing.
-    import faultsim.oracles as oracles
+    # scheduler imports; a call routed through a helper in kernels would
+    # bypass those names and silently count nothing, in either executor.
     import faultsim.scheduler as scheduler
 
     calls = {}
 
-    def count(owner, name):
-        key = f"{owner.__name__}.{name}"
-        fn = getattr(owner, name)
-        calls[key] = 0
+    def count(name):
+        fn = getattr(scheduler, name)
+        calls[name] = 0
 
         def wrapper(*args, **kwargs):
-            calls[key] += 1
+            calls[name] += 1
             return fn(*args, **kwargs)
 
-        monkeypatch.setattr(owner, name, wrapper)
+        monkeypatch.setattr(scheduler, name, wrapper)
 
-    for owner, name in ((oracles, "eval_good"), (oracles, "sync_register"),
-                        (scheduler, "eval_bad_set"), (scheduler, "sync_register")):
-        count(owner, name)
+    for name in ("eval_good", "eval_bad_set", "sync_register"):
+        count(name)
     b = small_bench(7, profile="pipeline", size=60, cycles=6, faults=20)
-    serial_runs = []
-    for _ in range(2):
+    runs = []
+    for mode in ("serial", "serial", "full"):
         g, stim, faults = b.build()
         before = dict(calls)
-        run_serial_concurrent(g, faults, stim)
-        serial_runs.append({k: calls[k] - before[k] for k in calls})
-    g, stim, faults = b.build()
-    run_simulation(g, faults, stim, SimConfig(workers=4, mode="full"))
-    assert all(n > 0 for n in calls.values()), calls
-    assert serial_runs[0] == serial_runs[1]
+        if mode == "serial":
+            run_serial_concurrent(g, faults, stim)
+        else:
+            run_simulation(g, faults, stim, SimConfig(workers=4, mode=mode))
+        runs.append({k: calls[k] - before[k] for k in calls})
+    assert all(n > 0 for run in runs for n in run.values()), runs
+    assert runs[0] == runs[1]
 
 
 def test_liveness_random_graphs_with_random_expansions():
@@ -357,11 +357,36 @@ def test_good_before_bad_and_sync_safety_on_traces():
 
 
 def test_steady_state_check_passes_on_normal_runs():
-    for profile in ("uniform", "pipeline"):
+    # With drop_on_detect the re-sweep must run before the drop: it reads
+    # registers from a cycle-start snapshot, which the drop does not touch.
+    for profile in ("uniform", "pipeline", "skewed"):
         b = small_bench(6, profile=profile, size=50, cycles=6, faults=20)
-        g, stim, faults = b.build()
-        run_simulation(g, faults, stim,
-                       SimConfig(workers=3, steady_state_check=True))
+        for mode in ("serial", "structural", "full"):
+            for drop in (False, True):
+                g, stim, faults = b.build()
+                run_simulation(g, faults, stim, SimConfig(
+                    workers=3, mode=mode, drop_on_detect=drop,
+                    steady_state_check=True))
+
+
+def test_serial_mode_runs_the_steady_state_check(monkeypatch):
+    # Serial mode runs the re-sweep too, and builds no task graph or pool.
+    import faultsim.scheduler as scheduler
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("serial mode built a task graph")
+
+    sweeps = []
+    monkeypatch.setattr(scheduler, "make_task_graph", refuse)
+    monkeypatch.setattr(SimulationEngine, "_assert_steady",
+                        lambda self, cycle: sweeps.append(cycle))
+    b = small_bench(6, size=50, cycles=6, faults=20)
+    g, stim, faults = b.build()
+    report = run_simulation(g, faults, stim,
+                            SimConfig(mode="serial", steady_state_check=True))
+    assert sweeps == list(range(6))
+    assert report.totals.dispatches == 0
+    assert all(c.busy_ns == (c.wall_ns,) for c in report.cycles)
 
 
 def test_config_validation():
