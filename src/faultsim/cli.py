@@ -25,7 +25,7 @@ from .faults import (
 )
 from .kernels import SimulationError
 from .netlist import NetlistError
-from .oracles import run_serial_concurrent, run_single_fault
+from .oracles import run_good_trace, run_serial_concurrent, run_single_fault
 from .report import ReportFormatError, emit_report_csv, emit_stats
 from .rtl import ElaborationError, elaborate_text
 from .scheduler import run_simulation
@@ -37,9 +37,25 @@ EXIT_PARSE = 2
 EXIT_SIMULATION = 3
 EXIT_ORACLE = 4
 
+
+class InputEncodingError(ValueError):
+    pass
+
+
+def _read_text(path: str) -> str:
+    """An input file's text; every input format is UTF-8."""
+
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputEncodingError(
+            f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from None
+
+
 _PARSE_ERRORS = (
     NetlistError, ElaborationError, StimulusError, FaultModelError,
-    ReportFormatError, OSError,
+    ReportFormatError, OSError, InputEncodingError,
 )
 
 
@@ -135,11 +151,11 @@ def _parse_gen_kinds(spec: str, seed: int, limit: int, graph):
 
 
 def _cmd_run(args) -> int:
-    netlist_text = Path(args.netlist).read_text()
+    netlist_text = _read_text(args.netlist)
     graph = elaborate_text(netlist_text)
-    stim = parse_stimulus(Path(args.stimulus).read_text())
+    stim = parse_stimulus(_read_text(args.stimulus))
     if args.faults:
-        faults = parse_fault_csv(Path(args.faults).read_text())
+        faults = parse_fault_csv(_read_text(args.faults))
     else:
         faults = _parse_gen_kinds(args.gen_faults, args.seed, args.fault_limit, graph)
 
@@ -192,8 +208,9 @@ def _oracle_check(netlist_text, faults, stim, report) -> str | None:
             if a != b:
                 return f"serial {a} vs parallel {b}"
     oracle_graph = elaborate_text(netlist_text)
+    good = run_good_trace(oracle_graph, stim)
     for fault, row in zip(faults, report.results):
-        single = run_single_fault(oracle_graph, fault, stim)
+        single = run_single_fault(oracle_graph, fault, stim, good=good)
         got = (row.detected, row.detect_cycle, row.observing_output)
         want = (single.detected, single.detect_cycle, single.observing_output)
         if got != want:
@@ -217,9 +234,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    netlist_text = Path(args.netlist).read_text()
-    stim = parse_stimulus(Path(args.stimulus).read_text())
-    faults = parse_fault_csv(Path(args.faults).read_text())
+    netlist_text = _read_text(args.netlist)
+    stim = parse_stimulus(_read_text(args.stimulus))
+    faults = parse_fault_csv(_read_text(args.faults))
     workers = [int(tok) for tok in args.workers.split(",") if tok.strip()]
     if not workers or any(w < 1 for w in workers):
         print("error: --workers needs positive integers", file=sys.stderr)

@@ -168,7 +168,8 @@ def generate_fault_list(
 
 
 def _insert_port_carrier(graph: RtlGraph, port_id: int) -> int:
-    """Splice a virtual node between an input/const and all its consumers."""
+    """Splice a virtual node between an input/const and all its consumers;
+    the caller re-sorts ``graph.topo``."""
 
     existing = graph.port_carriers.get(port_id)
     if existing is not None:
@@ -188,19 +189,30 @@ def _insert_port_carrier(graph: RtlGraph, port_id: int) -> int:
         if reg.next_src == port_id:
             reg.next_src = carrier.id
     graph.port_carriers[port_id] = carrier.id
-    graph.recompute_topo()
     return carrier.id
 
 
 def resolve_injection_site(graph: RtlGraph, fault: FaultDescriptor) -> int:
     """Return the node id holding this fault's entry, inserting a virtual
-    carrier for port faults on first use."""
+    carrier for port faults on first use (and re-sorting ``graph.topo``
+    when it does)."""
+
+    count = len(graph.nodes)
+    site = _resolve_site(graph, fault)
+    if len(graph.nodes) != count:
+        graph.recompute_topo()
+    return site
+
+
+def _resolve_site(graph: RtlGraph, fault: FaultDescriptor) -> int:
+    """``resolve_injection_site`` without the sort: a spliced carrier
+    leaves ``graph.topo`` stale until the caller re-sorts it."""
 
     nid = graph.name_to_id.get(fault.location_name)
     if nid is None:
         raise FaultModelError(f"fault {fault.fid}: unknown location '{fault.location_name}'")
     node = graph.nodes[nid]
-    if fault.bit >= node.width:
+    if not 0 <= fault.bit < node.width:
         raise FaultModelError(
             f"fault {fault.fid}: bit {fault.bit} out of range for "
             f"{node.width}-bit '{node.name}'"
@@ -238,12 +250,18 @@ def _resolve_wire_site(graph: RtlGraph, fault: FaultDescriptor, nid: int) -> int
 
 
 def inject(graph: RtlGraph, faults: list[FaultDescriptor]) -> FaultTable:
-    """Resolve and record every fault; the graph gains any needed carriers."""
+    """Resolve and record every fault; the graph gains any needed carriers.
+    ``graph.topo`` is sorted once, after the last carrier is spliced (also
+    when a fault is rejected), rather than once per carrier."""
 
     table = FaultTable()
-    for fault in faults:
-        site = resolve_injection_site(graph, fault)
-        table.add(site, FaultEntry(fault.fid, fault))
+    count = len(graph.nodes)
+    try:
+        for fault in faults:
+            table.add(_resolve_site(graph, fault), FaultEntry(fault.fid, fault))
+    finally:
+        if len(graph.nodes) != count:
+            graph.recompute_topo()
     table.finalize()
     return table
 

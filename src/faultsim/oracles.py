@@ -119,14 +119,18 @@ def run_single_fault(
     fault: FaultDescriptor,
     stimulus,
     site: int | None = None,
+    good: list[tuple[int, ...]] | None = None,
 ) -> SingleFaultResult:
     """Resimulate one fault from scratch and compare against the fault-free
-    trace; detection is the first cycle any output differs."""
+    trace; detection is the first cycle any output differs.  ``good`` is
+    that trace from ``run_good_trace``, computed here when not given, so a
+    caller checking many faults on one stimulus computes it once."""
 
     rows = as_rows(graph, stimulus)
     if site is None:
         site = resolve_injection_site(graph, fault)
-    good = _plain_sim(graph, rows)
+    if good is None:
+        good = _plain_sim(graph, rows)
     bad = _plain_sim(graph, rows, site, fault)
     for cycle, (g, b) in enumerate(zip(good, bad)):
         if g != b:

@@ -256,8 +256,7 @@ class SimulationEngine:
         if not check_dependence_changed(node, fanin_states, nf, cycle):
             self._skipped += 1
             return
-        # No divergence here or at a fanin and nothing injected: no bad gates.
-        diverged = st.bads or nf.entries
+        diverged = nf.entries
         goods = []
         for fs in fanin_states:
             goods.append(fs.good)
@@ -270,7 +269,9 @@ class SimulationEngine:
                 node, fanin_states, nf, new_good, cycle, affected, 0, len(affected)
             )
         else:
-            new_bads = st.bads
+            # No divergence at a fanin and nothing injected here: every bad
+            # gate, including any still divergent here, takes the good value.
+            new_bads = []
         commit_state(st, new_good, new_bads, cycle)
         self._executed += 1
 

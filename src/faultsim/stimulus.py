@@ -48,6 +48,8 @@ def parse_stimulus(text: str) -> StimulusFile:
             raise StimulusError(f"row {len(rows)}: {exc}") from None
         if t != len(rows):
             raise StimulusError(f"row {len(rows)}: cycle column reads {t}")
+        if any(v < 0 for v in values):
+            raise StimulusError(f"row {t}: negative value; values are unsigned hex")
         rows.append(values)
     return StimulusFile(inputs, rows)
 

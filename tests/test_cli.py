@@ -1,8 +1,12 @@
 from pathlib import Path
 
+from faultsim import oracles
 from faultsim.cli import main
+from faultsim.faults import parse_fault_csv
 from faultsim.genbench import gen_bench
 from faultsim.report import parse_report_csv
+from faultsim.rtl import elaborate_text
+from faultsim.stimulus import parse_stimulus
 
 ROOT = Path(__file__).resolve().parent.parent
 AND2_NL = ROOT / "benchmarks" / "and2.nl"
@@ -139,3 +143,74 @@ def test_ablate_bad_workers(capsys, tmp_path):
     code = run_cli("ablate", "--netlist", paths[0], "--stimulus", paths[1],
                    "--faults", paths[2], "--workers", "0,4")
     assert code == 1
+
+
+AND2_FAULTS = "fid,location_kind,location_name,bit,kind\n0,wire,y,0,sa0\n1,port,a,0,sa1\n"
+
+
+def one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    return err
+
+
+def test_negative_fault_bit_exits_2(tmp_path, capsys):
+    flt = tmp_path / "f.csv"
+    flt.write_text("0,wire,y,-1,sa0\n")
+    code = run_cli("run", "--netlist", AND2_NL, "--stimulus", AND2_STIM,
+                   "--faults", flt)
+    assert code == 2
+    assert "bit -1 out of range" in one_line_error(capsys)
+
+
+def test_negative_stimulus_value_exits_2(tmp_path, capsys):
+    stim = tmp_path / "s.stim"
+    stim.write_text("cycle a b\n0 1 -1\n")
+    code = run_cli("run", "--netlist", AND2_NL, "--stimulus", stim,
+                   "--gen-faults", "sa0")
+    assert code == 2
+    assert "negative value" in one_line_error(capsys)
+
+
+def test_non_utf8_inputs_exit_2(tmp_path, capsys):
+    files = {
+        "netlist": AND2_NL.read_bytes(),
+        "stimulus": AND2_STIM.read_bytes(),
+        "faults": AND2_FAULTS.encode(),
+    }
+    for which in files:
+        args = []
+        for name, data in files.items():
+            path = tmp_path / f"{name}.in"
+            path.write_bytes(b"\xff\xfe" + data if name == which else data)
+            args += [f"--{name}", path]
+        assert run_cli("run", *args) == 2, which
+        assert "not UTF-8" in one_line_error(capsys)
+    (tmp_path / "faults.in").write_bytes(files["faults"])
+    assert run_cli("run", *args) == 0
+
+
+def test_oracle_check_computes_good_trace_once(monkeypatch, tmp_path, capsys):
+    """--oracle-check resimulates the fault-free trace once for all faults,
+    not once per fault, and its verdict is unchanged."""
+
+    calls = []
+    plain_sim = oracles._plain_sim
+    monkeypatch.setattr(oracles, "_plain_sim",
+                        lambda *a: calls.append(len(a)) or plain_sim(*a))
+    bench = gen_bench("uniform", 40, 3, cycles=4, fault_count=12)
+    paths = bench.write(tmp_path, "u")
+    code = run_cli("run", "--netlist", paths[0], "--stimulus", paths[1],
+                   "--faults", paths[2], "--oracle-check")
+    assert code == 0
+    assert "oracle-check: ok" in capsys.readouterr().out
+    assert len(calls) == 12 + 1
+    assert calls.count(2) == 1  # the one fault-free run: (graph, rows)
+
+    # The shared trace gives every fault the verdict it gets on its own.
+    stim = parse_stimulus(bench.stimulus)
+    g_shared, g_alone = elaborate_text(bench.netlist), elaborate_text(bench.netlist)
+    good = oracles.run_good_trace(g_shared, stim)
+    for fault in parse_fault_csv(bench.faults_csv):
+        assert (oracles.run_single_fault(g_shared, fault, stim, good=good)
+                == oracles.run_single_fault(g_alone, fault, stim))

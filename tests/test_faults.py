@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from faultsim import rtl
 from faultsim.config import SimConfig
 from faultsim.faults import (
     FaultDescriptor, FaultModelError, emit_fault_csv, faulty_val,
@@ -118,6 +119,74 @@ def test_dangling_location():
         resolve_injection_site(g, fd(0, "wire", "nope", 0, "sa0"))
     with pytest.raises(FaultModelError, match="bit 3 out of range"):
         resolve_injection_site(g, fd(0, "wire", "y", 3, "sa0"))
+
+
+def test_negative_bit_rejected():
+    g = build(AND2)
+    for kind in ("wire", "port"):
+        with pytest.raises(FaultModelError, match="bit -1 out of range"):
+            resolve_injection_site(g, fd(0, kind, "y" if kind == "wire" else "a", -1, "sa0"))
+    with pytest.raises(FaultModelError, match="bit -1 out of range"):
+        inject(g, [fd(0, "wire", "y", -1, "sa0")])
+
+
+MULTI_PORT = """
+module m
+input a 2
+input b 2
+input c 1
+reg r 2 = 1
+assign x 2 = AND a b
+assign y 2 = MUX c x r
+assign z 2 = XOR y #3:2
+output o 2 = z
+output p 2 = x
+next r = a
+end
+"""
+
+
+def test_inject_sorts_topo_once(monkeypatch):
+    """inject splices every carrier (port faults and a wire fault on an
+    input) and then sorts once; the order equals the one that
+    sorting after each splice, fault by fault, leaves behind."""
+
+    faults = [
+        fd(0, "port", "a", 1, "sa0"), fd(1, "wire", "y", 0, "sa1"),
+        fd(2, "port", "b", 0, "sa1"), fd(3, "wire", "c", 0, "sa0"),
+        fd(4, "port", "a", 0, "sa1"), fd(5, "reg", "r", 0, "sa0"),
+    ]
+    sorts = []
+    topo_sort = rtl._topo_sort
+    monkeypatch.setattr(rtl, "_topo_sort", lambda nodes: sorts.append(1) or topo_sort(nodes))
+    stepwise = build(MULTI_PORT)
+    sorts.clear()
+    for f in faults:
+        resolve_injection_site(stepwise, f)
+    assert len(sorts) == 3  # the public resolver sorts once per new carrier
+
+    g = build(MULTI_PORT)
+    sorts.clear()
+    table = inject(g, faults)
+    assert len(sorts) == 1
+    assert len(g.port_carriers) == 3
+    assert g.topo == stepwise.topo
+    assert [table.site_of[f.fid] for f in faults] == [
+        resolve_injection_site(stepwise, f) for f in faults
+    ]
+    g = build(MULTI_PORT)
+    sorts.clear()
+    inject(g, [fd(0, "wire", "y", 0, "sa1")])
+    assert sorts == []
+
+
+def test_inject_rejection_leaves_topo_sorted():
+    g = build(MULTI_PORT)
+    with pytest.raises(FaultModelError):
+        inject(g, [fd(0, "port", "a", 0, "sa0"), fd(1, "wire", "nope", 0, "sa0")])
+    carrier = g.port_carriers[g.name_to_id["a"]]
+    assert carrier in g.topo
+    assert g.topo.index(g.name_to_id["a"]) < g.topo.index(carrier)
 
 
 def test_inject_empty_list(and2_graph):

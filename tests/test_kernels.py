@@ -2,7 +2,10 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from faultsim.faults import NO_FAULTS, FaultDescriptor, FaultEntry, NodeFaults, inject
+from faultsim.faults import (
+    NO_FAULTS, FaultDescriptor, FaultEntry, NodeFaults, faulty_val, inject,
+    window_active,
+)
 from faultsim.kernels import (
     NodeState, affected_fids, check_dependence_changed, eval_bad_set,
     eval_good, initial_states, sync_check_needed, sync_register,
@@ -125,8 +128,10 @@ class TestAffectedFids:
         node = comb("AND", 1, 2)
         faults = nf(entry(4, 0, "transient", 3, 5))
         fan = [NodeState(1), NodeState(1)]
-        assert affected_fids(node, fan, faults, NodeState(1), 0) == []
-        assert affected_fids(node, fan, faults, NodeState(1), 4) == [4]
+        for cycle, want in [(0, []), (2, []), (3, [4]), (4, [4]), (5, [4]), (6, [])]:
+            assert affected_fids(node, fan, faults, NodeState(1), cycle) == want
+        faults.entries[0].dropped = True
+        assert affected_fids(node, fan, faults, NodeState(1), 4) == []
 
 
 class TestEvalBadSet:
@@ -209,7 +214,9 @@ end
     def test_fid_cut_partials_concatenate(self, data):
         """A slave computes affected_fids within its [lo, hi) fid range and
         evaluates those; over any fid cut points the slaves' partials
-        concatenate to the unsplit result, for every operator arity."""
+        concatenate to the unsplit result, for every operator arity.  So do
+        one-fid pieces, which take eval_bad_set's single-fid path, and each
+        fid's value is the operator applied to its own fanin values."""
 
         rng = random.Random(data.draw(st.integers(0, 10**6)))
         width = rng.randint(1, 8)
@@ -233,6 +240,8 @@ end
                   *sorted(rng.sample(range(5), 2)))
             for f in rng.sample(range(40), rng.randint(0, 4))
         ])
+        for e in faults.entries:
+            e.dropped = rng.random() < 0.25
         new_good = eval_good(node, [fs.good for fs in fan])
         affected = affected_fids(node, fan, faults, own, cycle)
         whole = eval_bad_set(node, fan, faults, new_good, cycle,
@@ -245,6 +254,18 @@ end
             pieces.extend(eval_bad_set(node, fan, faults, new_good, cycle,
                                        part, 0, len(part)))
         assert pieces == whole
+        singles = []
+        for i in range(len(affected)):
+            singles.extend(eval_bad_set(node, fan, faults, new_good, cycle,
+                                        affected, i, i + 1))
+        assert singles == whole
+        for f, value in whole:
+            vals = [dict(fs.bads).get(f, fs.good) for fs in fan]
+            raw = eval_good(node, vals)
+            e = faults.fid_map.get(f)
+            if e is not None and not e.dropped and window_active(e.rule, cycle):
+                raw = faulty_val(e.rule, raw, cycle)
+            assert value == raw != new_good
 
 
 class TestDependenceCheck:
