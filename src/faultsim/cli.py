@@ -84,7 +84,6 @@ def build_parser() -> _Parser:
     run_p.add_argument("--threshold", type=float, default=1e-4)
     run_p.add_argument("--slaves", type=int, default=0)
     run_p.add_argument("--max-expansions", type=int, default=8)
-    run_p.add_argument("--sync-group", type=int, default=1)
     run_p.add_argument("--report", help="write per-fault verdict CSV here")
     run_p.add_argument("--stats", help="write per-cycle statistics here")
     run_p.add_argument("--drop-on-detect", action="store_true")
@@ -167,7 +166,6 @@ def _cmd_run(args) -> int:
         max_expansions_per_cycle=args.max_expansions,
         drop_on_detect=args.drop_on_detect,
         steady_state_check=args.steady_check,
-        sync_group_size=args.sync_group,
     )
     try:
         config.validate()

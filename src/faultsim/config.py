@@ -2,9 +2,9 @@
 
 The mode picks the engine's executor.  ``serial`` evaluates nodes in
 topological order and commits registers after the strobe; it has no task
-graph or worker pool, so the pool, expansion, grouping and cost settings
-do not apply to it.  The other modes drain the task graph on the
-discrete-event pool.
+graph or worker pool, so the pool, expansion and cost settings do not
+apply to it.  The other modes drain the task graph on the discrete-event
+pool.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ MODES = (MODE_SERIAL, MODE_STRUCTURAL, MODE_STRUCTURAL_FAULT, MODE_FULL)
 class SimConfig:
     """Run settings, plus three measurement hooks that only tests set.
 
-    ``workers`` to ``sync_group_size`` are run settings; ``steady_state_check``
+    ``workers`` to ``drop_on_detect`` are run settings; ``steady_state_check``
     is the CLI's ``--steady-check`` re-sweep.  The three hooks stay because
     no seam outside the engine can replace them:
     ``record_outputs`` is filled in every mode and read by every
@@ -38,7 +38,6 @@ class SimConfig:
     max_expansions_per_cycle: int = 8
     drop_on_detect: bool = False
     steady_state_check: bool = False
-    sync_group_size: int = 1
     record_outputs: bool = False
     record_costs: bool = False
     cost_table: list | None = None
@@ -54,8 +53,6 @@ class SimConfig:
             raise ValueError("slave count must be >= 0")
         if self.max_expansions_per_cycle < 0:
             raise ValueError("max_expansions_per_cycle must be >= 0")
-        if self.sync_group_size < 1:
-            raise ValueError("sync group size must be >= 1")
 
     @property
     def unified_sync(self) -> bool:
@@ -77,5 +74,4 @@ class SimConfig:
             "slaves": self.effective_slaves,
             "max_expansions_per_cycle": self.max_expansions_per_cycle,
             "drop_on_detect": int(self.drop_on_detect),
-            "sync_group_size": self.sync_group_size,
         }

@@ -96,7 +96,6 @@ class FaultTable:
 
     def finalize(self) -> None:
         for nid, entries in self._by_node.items():
-            entries.sort(key=lambda e: e.fid)
             self._node_faults[nid] = NodeFaults(entries)
 
 
@@ -212,6 +211,10 @@ def _resolve_site(graph: RtlGraph, fault: FaultDescriptor) -> int:
     if nid is None:
         raise FaultModelError(f"fault {fault.fid}: unknown location '{fault.location_name}'")
     node = graph.nodes[nid]
+    if fault.fid < 0:
+        # Fids are cut points of the fault-level split, whose lowest
+        # bound is 0.
+        raise FaultModelError(f"fault {fault.fid}: fid must be >= 0")
     if not 0 <= fault.bit < node.width:
         raise FaultModelError(
             f"fault {fault.fid}: bit {fault.bit} out of range for "

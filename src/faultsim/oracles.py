@@ -153,7 +153,7 @@ def run_serial_concurrent(
     config: SimConfig | None = None,
 ) -> SimulationReport:
     """The concurrent engine in serial mode: nodes in topological order,
-    registers committed snapshot-then-commit after the strobe."""
+    registers committed one by one after the strobe."""
 
     config = replace(config, mode=MODE_SERIAL) if config else SimConfig(mode=MODE_SERIAL)
     return SimulationEngine(graph, faults, stimulus, config).run()

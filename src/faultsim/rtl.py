@@ -225,6 +225,31 @@ def elaborate_text(text: str) -> RtlGraph:
     return elaborate(decls, name)
 
 
+def split_register_reads(graph: RtlGraph) -> None:
+    """Route every register-to-register ``next`` edge through a virtual
+    copy of the source register, one copy per source, shared by every
+    register it feeds.  The copy is an ordinary reader of the source, so
+    the source's commit waits for it and no register commit reads another
+    register.  Its only fanin is a register and it feeds no evaluated
+    node, so it is appended to ``graph.topo`` without a re-sort."""
+
+    copies: dict[int, int] = {}
+    for rid in graph.regs:
+        reg = graph.nodes[rid]
+        src = graph.nodes[reg.next_src]
+        if src.kind != REG:
+            continue
+        cid = copies.get(src.id)
+        if cid is None:
+            cid = copies[src.id] = len(graph.nodes)
+            graph.nodes.append(
+                RtlNode(cid, VIRTUAL, f"{src.name}$cpy", src.width, fanin=[src.id])
+            )
+            src.fanout.append(cid)
+            graph.topo.append(cid)
+        reg.next_src = cid
+
+
 def topo_positions(graph: RtlGraph) -> list[int]:
     """Position of each node id within graph.topo (id-indexed)."""
 

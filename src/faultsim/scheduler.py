@@ -2,14 +2,13 @@
 worker pool, load monitoring and overload expansion.
 
 Mode ``serial`` is a plain loop: each cycle evaluates the nodes in
-topological order, strobes the outputs, and commits every register as one
-group, staging all of them before committing any.  It builds no task graph
-and times no task; its cycle times are host time.  It is the reference the
-parallel modes must reproduce bit for bit, and the baseline the ablation
-grid divides by.
+topological order, strobes the outputs, and commits the registers.  It
+builds no task graph and times no task; its cycle times are host time.  It
+is the reference the parallel modes must reproduce bit for bit, and the
+baseline the ablation grid divides by.
 
 The other modes execute the task graph on a fixed pool of workers with
-work stealing, through the same per-node and register-group bodies.
+work stealing, through the same per-node and register-commit bodies.
 
 The pool is a deterministic discrete-event executor: every task's kernel
 runs exactly once on the host, in an order consistent with the dependency
@@ -177,10 +176,10 @@ class SimulationEngine:
     """Drives the cycle loop: stimulus, node evaluation, detection strobe,
     register commit, overload expansion at cycle boundaries, and statistics.
 
-    Two executors run the same per-node and register-group bodies.  Mode
+    Two executors run the same per-node and register-commit bodies.  Mode
     ``serial`` evaluates every node in topological order, strobes, and then
-    commits all registers as one group; it builds no task graph, pool or
-    load monitor, and its cycle times are host time.  Every other mode
+    commits the registers; it builds no task graph, pool or load monitor,
+    and its cycle times are host time.  Every other mode
     drains the task graph on the discrete-event pool."""
 
     def __init__(self, graph: RtlGraph, faults: list[FaultDescriptor],
@@ -191,6 +190,7 @@ class SimulationEngine:
         self.rows = as_rows(graph, stimulus)
         self.config = config
         self.table = inject(graph, faults)
+        rtl.split_register_reads(graph)
         bind_operators(graph)
         self.nf = [self.table.node_faults(i) for i in range(len(graph.nodes))]
         self.states = initial_states(graph, self.table)
@@ -207,9 +207,7 @@ class SimulationEngine:
             self.order = [nid for nid in graph.topo
                           if graph.nodes[nid].kind in rtl.TASK_KINDS]
         else:
-            self.tg = make_task_graph(
-                graph, unified=config.unified_sync, group_size=config.sync_group_size
-            )
+            self.tg = make_task_graph(graph, unified=config.unified_sync)
             self.pool = WorkerPool(config.workers)
             self.monitor = LoadMonitor()
         self.detections: dict[int, tuple[int, str]] = {}
@@ -324,26 +322,25 @@ class SimulationEngine:
             commit_state(st, st.good, new_bads, self._cycle)
 
     def _run_sync(self, regs) -> None:
-        """Compute and commit a register group (a sync task's registers, or
-        all of them in serial mode).  Group results are fully computed
-        before any commit so intra-group reads see current-cycle values;
-        cross-task ordering comes from the dependency edges."""
+        """Compute and commit registers one at a time (a sync task's one
+        register, or all of them in serial mode).  No register's next
+        source is a register (see ``rtl.split_register_reads``), so no
+        commit reads another's state."""
 
         graph = self.graph
         states = self.states
         serve = self._cycle + 1
-        staged = []
         for rid in regs:
             reg = graph.nodes[rid]
+            st = states[rid]
             next_st = states[reg.next_src]
             nf = self.nf[rid]
-            if sync_check_needed(states[rid], next_st, nf, serve):
-                staged.append((rid, sync_register(reg, next_st, nf, serve)))
+            if sync_check_needed(st, next_st, nf, serve):
+                new_good, new_bads = sync_register(reg, next_st, nf, serve)
+                commit_state(st, new_good, new_bads, serve)
+                self._executed += 1
             else:
                 self._skipped += 1
-        for rid, (new_good, new_bads) in staged:
-            commit_state(states[rid], new_good, new_bads, serve)
-        self._executed += len(staged)
 
     # -- cycle loop ----------------------------------------------------------
 
@@ -448,14 +445,10 @@ class SimulationEngine:
         boundary_ns += time.perf_counter_ns() - b1
 
         if not tg.unified:
-            ready2 = []
-            for tid in tg.sync_tasks:
-                counts[tid] = tg.sync_pred_reset[tid]
-                if counts[tid] == 0:
-                    ready2.append(tid)
+            # Sync tasks are sinks: the commit phase starts with all of them.
             pool0 = time.perf_counter_ns()
             phase2 = self.pool.run_phase(
-                counts, ready2, tg.tasks, self._execute, time_base=wall
+                counts, tg.sync_tasks, tg.tasks, self._execute, time_base=wall
             )
             pool_host_ns += time.perf_counter_ns() - pool0
             if len(phase2.executed) != len(tg.sync_tasks):

@@ -1,13 +1,14 @@
 """Executable task graph built from the RTL graph.
 
-Evaluated nodes map one-to-one onto compute tasks; register commits become
-local-sync tasks.  Under the unified schedule a sync task depends on the
-producer of the register's next value and on every task that reads the
-register, so it becomes runnable as soon as the current-cycle readers are
-done, mid-cycle, instead of waiting for a global barrier.  High-load nodes
-can be expanded between cycles into a master plus a fixed set of slaves
-that split the node's bad-gate work at fid cut points the master
-publishes.
+Evaluated nodes map one-to-one onto compute tasks; each register commit
+becomes a local-sync task that depends on the producer of the register's
+next value and on every task reading the register, and nothing depends on
+it (a register-to-register read goes through a copy node, see
+``rtl.split_register_reads``).  Under the unified schedule a sync task is
+runnable once the current-cycle readers are done, mid-cycle, instead of
+waiting for a global barrier.  High-load nodes can be expanded between
+cycles into a master plus a fixed set of slaves that split the node's
+bad-gate work at fid cut points the master publishes.
 """
 
 from __future__ import annotations
@@ -61,21 +62,12 @@ class TaskGraph:
     node_task: dict[int, int]           # rtl node id -> default/master task id
     sync_tasks: list[int]
     unified: bool
-    expanded: set[int] = field(default_factory=set)
-    boards: dict[int, RangeBoard] = field(default_factory=dict)
+    boards: dict[int, RangeBoard] = field(default_factory=dict)  # expanded nodes
     pred_reset: list[int] = field(default_factory=list)
-    sync_pred_reset: dict[int, int] = field(default_factory=dict)
     entry_tasks: list[int] = field(default_factory=list)
 
     def rebuild_reset_image(self) -> None:
         self.pred_reset = [len(t.preds) for t in self.tasks]
-        # Within the commit phase only sync-to-sync hazard edges matter;
-        # barrier execution seeds its second phase from this image.
-        self.sync_pred_reset = {
-            tid: sum(1 for p in self.tasks[tid].preds
-                     if self.tasks[p].kind == SYNC)
-            for tid in self.sync_tasks
-        }
         if not self.unified:
             # Barrier discipline: sync tasks run as a separate phase and
             # must not be released by the compute drain.
@@ -110,132 +102,41 @@ def build_task_graph(graph: RtlGraph) -> TaskGraph:
     return tg
 
 
-def _merge_mutual_commit_groups(graph: RtlGraph, groups: list[tuple[int, ...]]):
-    """Collapse strongly connected components of the commits-read-commits
-    relation.  A register whose next value is another register makes its
-    commit a reader of that register, so register swaps and rotation rings
-    force the involved commits into one snapshot-and-commit task."""
+def insert_local_sync(tg: TaskGraph, graph: RtlGraph) -> TaskGraph:
+    """Add one local-sync task per register, depending on the producer of
+    the register's next value and on every compute task that reads the
+    register.  No register's next source may be a register
+    (``rtl.split_register_reads`` routes such an edge through a copy
+    node), so no sync task reads another register and sync tasks are
+    sinks."""
 
-    index_of = {reg: i for i, group in enumerate(groups) for reg in group}
-    succs: list[set[int]] = [set() for _ in groups]
-    for reg in graph.regs:
-        src = graph.nodes[reg].next_src
-        if graph.nodes[src].kind == rtl.REG:
-            a, b = index_of[reg], index_of[src]
-            if a != b:
-                succs[a].add(b)  # group a reads group b's current value
-
-    # Iterative Tarjan SCC over the group graph.
-    n = len(groups)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comp_of = [-1] * n
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, iter(succs[root]))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if index[w] == -1:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(succs[w])))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp_of[w] = len(comps)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-
-    merged: list[tuple[int, ...]] = []
-    for comp in sorted(comps, key=min):
-        regs: list[int] = []
-        for gi in sorted(comp):
-            regs.extend(groups[gi])
-        merged.append(tuple(sorted(regs)))
-    return merged
-
-
-def insert_local_sync(tg: TaskGraph, graph: RtlGraph, group_size: int = 1) -> TaskGraph:
-    """Add one local-sync task per register group with reader-dependency
-    edges; a group commits only after all its registers' current-cycle
-    readers and next-value producers have finished."""
-
-    groups = [
-        tuple(graph.regs[i:i + group_size])
-        for i in range(0, len(graph.regs), group_size)
-    ]
-    groups = _merge_mutual_commit_groups(graph, groups)
-    fed_by: dict[int, list[int]] = {}  # reg -> regs whose next value it is
-    for other in graph.regs:
-        fed_by.setdefault(graph.nodes[other].next_src, []).append(other)
-    group_of: dict[int, int] = {}
-    sync_ids: list[int] = []
-    for group in groups:
-        task = Task(len(tg.tasks), SYNC, regs=group)
+    for rid in graph.regs:
+        reg = graph.nodes[rid]
+        if graph.nodes[reg.next_src].kind == rtl.REG:
+            raise ValueError(
+                f"reg '{reg.name}' reads reg '{graph.nodes[reg.next_src].name}' "
+                f"directly; split register reads first"
+            )
+        task = Task(len(tg.tasks), SYNC, regs=(rid,))
         tg.tasks.append(task)
-        sync_ids.append(task.id)
-        for reg in group:
-            group_of[reg] = task.id
-
-    for group, tid in zip(groups, sync_ids):
-        task = tg.tasks[tid]
-        preds: set[int] = set()
-        for reg in group:
-            next_src = graph.nodes[reg].next_src
-            producer = tg.node_task.get(next_src)
-            if producer is not None:
-                preds.add(producer)
-            # Readers: compute tasks with the reg in their fanin, plus sync
-            # tasks whose next value is the reg itself (reg-to-reg chains).
-            for consumer in graph.nodes[reg].fanout:
-                reader = tg.node_task.get(consumer)
-                if reader is not None:
-                    preds.add(reader)
-            for other in fed_by.get(reg, ()):
-                preds.add(group_of[other])
-        preds.discard(tid)
-        task.preds = preds
-        for p in preds:
-            tg.tasks[p].succs.append(tid)
-
-    tg.sync_tasks = sync_ids
+        tg.sync_tasks.append(task.id)
+        producer = tg.node_task.get(reg.next_src)
+        if producer is not None:
+            task.preds.add(producer)
+        for consumer in reg.fanout:
+            reader = tg.node_task.get(consumer)
+            if reader is not None:
+                task.preds.add(reader)
+        for p in task.preds:
+            tg.tasks[p].succs.append(task.id)
     tg.rebuild_reset_image()
     return tg
 
 
-def make_task_graph(graph: RtlGraph, unified: bool, group_size: int = 1) -> TaskGraph:
+def make_task_graph(graph: RtlGraph, unified: bool) -> TaskGraph:
     tg = build_task_graph(graph)
-    tg = insert_local_sync(tg, graph, group_size)
     tg.unified = unified
-    tg.rebuild_reset_image()
-    return tg
+    return insert_local_sync(tg, graph)
 
 
 def expand_high_load(tg: TaskGraph, node_id: int, k: int) -> TaskGraph:
@@ -252,7 +153,7 @@ def expand_high_load(tg: TaskGraph, node_id: int, k: int) -> TaskGraph:
 
     if k < 1:
         raise ValueError("slave count must be >= 1")
-    if node_id in tg.expanded:
+    if node_id in tg.boards:
         raise ValueError(f"node {node_id} already expanded")
     tid = tg.node_task.get(node_id)
     if tid is None:
@@ -269,7 +170,6 @@ def expand_high_load(tg: TaskGraph, node_id: int, k: int) -> TaskGraph:
         for succ in original_succs:
             tg.tasks[succ].preds.add(slave.id)
     master.succs = slave_ids + original_succs
-    tg.expanded.add(node_id)
     tg.boards[node_id] = RangeBoard(k)
     reset = tg.pred_reset
     reset.extend([1] * k)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from faultsim.rtl import elaborate_text
-from faultsim.taskgraph import SLAVE
+from faultsim.taskgraph import SLAVE, SYNC
 
 
 def build(text):
@@ -63,12 +63,16 @@ def record_traces(eng):
 
 
 def check_schedule_invariants(eng, traces):
-    """Masters finish before their slaves start; every reader of a register
-    completes before that register's sync task starts.  Returns the number
-    of ordered pairs checked."""
+    """Sync tasks have no sync predecessor; masters finish before their
+    slaves start; every reader of a register completes before that
+    register's sync task starts.  Returns the number of ordered pairs
+    checked."""
 
     tg = eng.tg
     reader_map = {tid: set(tg.tasks[tid].preds) for tid in tg.sync_tasks}
+    for tid, preds in reader_map.items():
+        assert all(tg.tasks[p].kind != SYNC for p in preds), \
+            f"sync {tid} waits for another sync task"
     slaves_of = {}
     for t in tg.tasks:
         if t.kind == SLAVE:

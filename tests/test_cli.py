@@ -163,6 +163,16 @@ def test_negative_fault_bit_exits_2(tmp_path, capsys):
     assert "bit -1 out of range" in one_line_error(capsys)
 
 
+def test_negative_fid_exits_2(tmp_path, capsys):
+    flt = tmp_path / "f.csv"
+    flt.write_text("fid,location_kind,location_name,bit,kind\n-3,wire,y,0,sa0\n")
+    for mode in ("serial", "full"):
+        code = run_cli("run", "--netlist", AND2_NL, "--stimulus", AND2_STIM,
+                       "--faults", flt, "--mode", mode, "--workers", "4")
+        assert code == 2
+        assert "fault -3: fid must be >= 0" in one_line_error(capsys)
+
+
 def test_negative_stimulus_value_exits_2(tmp_path, capsys):
     stim = tmp_path / "s.stim"
     stim.write_text("cycle a b\n0 1 -1\n")

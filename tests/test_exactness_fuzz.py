@@ -2,8 +2,10 @@
 all 14 operators, with result and operand widths 1..64 drawn independently,
 must give the fault-free output trace of the reference interpreter and the
 same verdicts in the serial concurrent engine, in single-fault
-resimulation, and in ``full`` mode at P=1 and P=4 with one node forced into
-master/slave expansion (so the fid-cut slave path runs)."""
+resimulation, in ``full`` mode at P=1 and P=4 and in ``structural+fault``
+at P=4 (the barrier commit phase), each with one node forced into
+master/slave expansion (so the fid-cut slave path runs).  Up to three
+registers whose next values may be registers give swaps and 3-rings."""
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -34,7 +36,7 @@ def netlists(draw):
         lines.append(f"input i{i} {w}")
         signals.append((f"i{i}", w))
     regs = []
-    for r in range(draw(st.integers(0, 2))):
+    for r in range(draw(st.integers(0, 3))):
         w = draw(widths)
         lines.append(f"reg r{r} {w} = {draw(st.integers(0, (1 << w) - 1)):x}")
         signals.append((f"r{r}", w))
@@ -109,9 +111,9 @@ def test_concurrent_engines_match_single_fault_resimulation(case, data):
         truth.append((fault.fid, r.detected, r.detect_cycle, r.observing_output))
     assert serial == truth, text
 
-    for workers in (1, 4):
-        cfg = SimConfig(workers=workers, mode="full", threshold=0.02)
+    for workers, mode in ((1, "full"), (4, "full"), (4, "structural+fault")):
+        cfg = SimConfig(workers=workers, mode=mode, threshold=0.02)
         eng = SimulationEngine(elaborate_text(text), faults, rows, cfg)
         nid = data.draw(st.sampled_from(sorted(eng.tg.node_task)))
         expand_high_load(eng.tg, nid, data.draw(st.integers(1, 4)))
-        assert eng.run().verdicts() == truth, (text, workers, nid)
+        assert eng.run().verdicts() == truth, (text, workers, mode, nid)

@@ -130,6 +130,22 @@ def test_negative_bit_rejected():
         inject(g, [fd(0, "wire", "y", -1, "sa0")])
 
 
+def test_negative_fid_rejected():
+    g = build(AND2)
+    with pytest.raises(FaultModelError, match="fid must be >= 0"):
+        resolve_injection_site(g, fd(-3, "wire", "y", 0, "sa0"))
+    with pytest.raises(FaultModelError, match="fid must be >= 0"):
+        inject(g, [fd(0, "wire", "y", 0, "sa0"), fd(-1, "port", "a", 0, "sa1")])
+    # Negative fids would be cut points below the first slave's bound of 0,
+    # and that slave would drop every fid under the first cut.
+    text = "module m\ninput a 8\ninput b 8\nassign n 8 = AND a b\noutput o 8 = n\nend"
+    faults = [fd(-100 + 2 * bit + k, "wire", "n", bit, kind)
+              for bit in range(8) for k, kind in enumerate(("sa0", "sa1"))]
+    with pytest.raises(FaultModelError, match="fault -100: fid must be >= 0"):
+        run_simulation(build(text), faults, [[0xF0, 0xFF]],
+                       SimConfig(workers=4, mode="full", slaves=4))
+
+
 MULTI_PORT = """
 module m
 input a 2

@@ -225,35 +225,21 @@ def test_liveness_random_graphs_with_random_expansions():
         probe = build_task_graph(g)
         nodes = list(probe.node_task.keys())
         pre = rng.sample(nodes, min(len(nodes), rng.randint(0, 4)))
-        cfg = SimConfig(
-            workers=rng.choice((1, 2, 3, 8)),
-            mode=rng.choice(("structural", "structural+fault", "full")),
-            threshold=0.05,
-            sync_group_size=rng.choice((1, 2, 3)),
-            slaves=rng.choice((0, 1, 3)),
-        )
+        workers = rng.choice((1, 2, 3, 8))
+        mode = rng.choice(("structural", "structural+fault", "full"))
+        rng.choice((1, 2, 3))  # the retired sync-group draw; keeps later draws
+        cfg = SimConfig(workers=workers, mode=mode, threshold=0.05,
+                        slaves=rng.choice((0, 1, 3)))
         eng = SimulationEngine(g, faults, stim, cfg)
         for nid in pre:
             expand_high_load(eng.tg, nid, cfg.effective_slaves)
         report = eng.run()
         for c in report.cycles:
             assert sum(b for b in c.busy_ns) <= c.wall_ns * cfg.workers
-        # Expansions, groupings and worker counts are pure performance
+        # Expansions and worker counts are pure performance
         # transforms: the report must match the scheduler-free baseline.
         g2, _, _ = b.build()
         assert report.verdicts() == run_serial_concurrent(g2, faults, stim).verdicts()
-
-
-def test_grouped_sync_keeps_verdicts():
-    b = small_bench(41, profile="pipeline", size=90, cycles=8, faults=50)
-    baseline = None
-    for group in (1, 2, 5):
-        g, stim, faults = b.build()
-        rep = run_simulation(g, faults, stim,
-                             SimConfig(workers=4, sync_group_size=group))
-        if baseline is None:
-            baseline = rep.verdicts()
-        assert rep.verdicts() == baseline
 
 
 def test_deadlock_detector_reports_stuck_tasks():
@@ -311,19 +297,23 @@ assign n 8 = AND a b
 output o 8 = n
 end
 """
-    faults = [FaultDescriptor(2 * bit + k, "wire", "n", bit, kind)
-              for bit in range(8) for k, kind in enumerate(("sa0", "sa1"))]
     rows = [[0xF0, 0xFF]]
-    g = build(text)
-    eng = SimulationEngine(g, faults, rows, SimConfig(workers=4, mode="full"))
-    nid = g.name_to_id["n"]
-    expand_high_load(eng.tg, nid, 4)
-    report = eng.run()
-    board = eng.tg.boards[nid]
-    assert board.bounds == [0, 4, 8, 12, None]
-    # n is 0xF0: sa1 diverges on bits 0-3, sa0 on bits 4-7, two per slave.
-    assert [len(part) for part in board.partials] == [2, 2, 2, 2]
-    assert report.verdicts() == run_serial_concurrent(build(text), faults, rows).verdicts()
+    # Fids are non-negative integers of any size; 30-digit ones cut alike.
+    for base in (0, 10 ** 30):
+        faults = [FaultDescriptor(base + 2 * bit + k, "wire", "n", bit, kind)
+                  for bit in range(8) for k, kind in enumerate(("sa0", "sa1"))]
+        g = build(text)
+        eng = SimulationEngine(g, faults, rows, SimConfig(workers=4, mode="full"))
+        nid = g.name_to_id["n"]
+        expand_high_load(eng.tg, nid, 4)
+        report = eng.run()
+        board = eng.tg.boards[nid]
+        assert board.bounds == [0, base + 4, base + 8, base + 12, None]
+        # n is 0xF0: sa1 diverges on bits 0-3, sa0 on bits 4-7, two per slave.
+        assert [len(part) for part in board.partials] == [2, 2, 2, 2]
+        serial = run_serial_concurrent(build(text), faults, rows).verdicts()
+        assert report.verdicts() == serial
+        assert sum(v[1] for v in serial) == 8
 
 
 def test_idle_worker_steals_released_successor_before_entry_task():
@@ -351,7 +341,7 @@ def test_good_before_bad_and_sync_safety_on_traces():
     eng = SimulationEngine(g, faults, stim, cfg)
     traces = record_traces(eng)
     eng.run()
-    assert eng.tg.expanded, "expansion never triggered"
+    assert eng.tg.boards, "expansion never triggered"
     checked_ms, checked_sync = check_schedule_invariants(eng, traces)
     assert checked_ms > 0 and checked_sync > 0
 
@@ -396,8 +386,6 @@ def test_config_validation():
         SimConfig(mode="turbo").validate()
     with pytest.raises(ValueError, match="threshold"):
         SimConfig(threshold=1.5).validate()
-    with pytest.raises(ValueError, match="group"):
-        SimConfig(sync_group_size=0).validate()
 
 
 def test_stimulus_width_mismatch_raises():
@@ -409,7 +397,14 @@ def test_stimulus_width_mismatch_raises():
 
 
 def test_register_swap_simulates_correctly():
-    text = """
+    """Register-to-register next values (a swap, a 3-register ring, a
+    register holding itself) give the oracle's outputs and verdicts in
+    every mode, where each commit reads its source through a copy node."""
+
+    from faultsim.faults import FaultDescriptor
+    from faultsim.oracles import run_good_trace, run_single_fault
+
+    swap = """
 module m
 input x 1
 reg r1 4 = 3
@@ -420,19 +415,42 @@ next r1 = r2
 next r2 = r1
 end
 """
-    from faultsim.faults import FaultDescriptor
-    from faultsim.oracles import run_single_fault
-
+    ring = """
+module m
+input x 1
+reg a 4 = 1
+reg b 4 = 2
+reg c 4 = 4
+reg h 4 = 9
+assign ab 8 = CONCAT a b
+output o 8 = ab
+output p 4 = c
+output q 4 = h
+next a = b
+next b = c
+next c = a
+next h = h
+end
+"""
+    cases = [
+        (swap, [(3, 0xC), (0xC, 3)], ["r1", "r2"]),
+        (ring, [(0x12, 4, 9), (0x24, 1, 9), (0x41, 2, 9)], ["a", "b", "c", "h"]),
+    ]
     rows = [[0]] * 5
-    fault = FaultDescriptor(0, "reg", "r1", 0, "sa1")
-    for mode in ("structural", "full"):
-        g = build(text)
-        rep = run_simulation(g, [fault], rows,
-                             SimConfig(workers=3, mode=mode, record_outputs=True))
-        # Values swap every cycle in the fault-free machine.
-        assert rep.output_trace[0] == (3, 0xC)
-        assert rep.output_trace[1] == (0xC, 3)
-        oracle = run_single_fault(build(text), fault, rows)
-        got = rep.results[0]
-        assert (got.detected, got.detect_cycle, got.observing_output) == (
-            oracle.detected, oracle.detect_cycle, oracle.observing_output)
+    for text, expected, regs in cases:
+        faults = [FaultDescriptor(2 * i + k, "reg", r, k, kind)
+                  for i, r in enumerate(regs)
+                  for k, kind in enumerate(("sa1", "sa0"))]
+        truth = []
+        for fault in faults:
+            oracle = run_single_fault(build(text), fault, rows)
+            truth.append((fault.fid, oracle.detected, oracle.detect_cycle,
+                          oracle.observing_output))
+        good = run_good_trace(build(text), rows)
+        assert good[:len(expected)] == expected
+        for mode in ("serial", "structural", "structural+fault", "full"):
+            rep = run_simulation(build(text), faults, rows, SimConfig(
+                workers=3, mode=mode, threshold=0.02, record_outputs=True,
+                steady_state_check=True))
+            assert rep.output_trace == good, (mode, text)
+            assert rep.verdicts() == truth, (mode, text)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from faultsim.genbench import gen_bench
+from faultsim.rtl import REG, VIRTUAL, split_register_reads
 from faultsim.taskgraph import (
     MASTER, SLAVE, SYNC, build_task_graph, canonical_form, dump_dot,
     expand_high_load, make_task_graph, reset_for_cycle,
@@ -91,27 +92,6 @@ end
     assert sync.preds == {task_of(tg, g, "e").id}
 
 
-def test_grouped_regs_union_dependencies():
-    text = """
-module m
-input x 1
-reg r1 1 = 0
-reg r2 1 = 0
-assign a 1 = NOT r1
-assign b 1 = NOT r2
-output o 1 = a
-next r1 = b
-next r2 = x
-end
-"""
-    g = build(text)
-    tg = make_task_graph(g, unified=True, group_size=2)
-    assert len(tg.sync_tasks) == 1
-    sync = tg.tasks[tg.sync_tasks[0]]
-    a, b = task_of(tg, g, "a"), task_of(tg, g, "b")
-    assert sync.preds == {a.id, b.id}
-
-
 def test_reg_to_reg_chain_orders_syncs():
     text = """
 module m
@@ -124,12 +104,17 @@ next r2 = r1
 end
 """
     g = build(text)
+    split_register_reads(g)
     tg = make_task_graph(g, unified=True)
     sync_r1 = tg.tasks[tg.sync_tasks[0]]
     sync_r2 = tg.tasks[tg.sync_tasks[1]]
-    # r2 captures r1's current value, so r1 commits only after r2 did.
-    assert sync_r2.id in sync_r1.preds
-    assert sync_r2.preds == {task_of(tg, g, "o").id}
+    # r2 captures r1's current value through r1's copy, which reads r1, so
+    # r1 commits only after the copy ran and r2 commits after it too.
+    copy = tg.tasks[tg.node_task[g.nodes[g.name_to_id["r2"]].next_src]]
+    assert g.nodes[copy.node].fanin == [g.name_to_id["r1"]]
+    assert sync_r1.preds == {copy.id}
+    assert sync_r2.preds == {task_of(tg, g, "o").id, copy.id}
+    assert copy.succs == [sync_r1.id, sync_r2.id]
 
 
 def test_expansion_topology():
@@ -180,21 +165,22 @@ def test_expansions_commute():
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10**6), unified=st.booleans(),
-       group=st.integers(1, 3), picks=st.integers(1, 6), k=st.integers(1, 5))
-def test_incremental_reset_image_matches_rebuild(seed, unified, group, picks, k):
+       picks=st.integers(1, 6), k=st.integers(1, 5))
+def test_incremental_reset_image_matches_rebuild(seed, unified, picks, k):
     """expand_high_load updates the reset image in place; after any sequence
     of expansions it equals a fresh rebuild in unified and barrier graphs."""
 
     bench = gen_bench(("uniform", "skewed", "pipeline")[seed % 3], 30, seed,
                       cycles=2, fault_count=4)
     graph, _, _ = bench.build()
-    tg = make_task_graph(graph, unified=unified, group_size=group)
+    split_register_reads(graph)
+    tg = make_task_graph(graph, unified=unified)
     rng = random.Random(seed)
     for nid in rng.sample(sorted(tg.node_task), min(picks, len(tg.node_task))):
         expand_high_load(tg, nid, k)
-    image = (list(tg.pred_reset), dict(tg.sync_pred_reset), list(tg.entry_tasks))
+    image = (list(tg.pred_reset), list(tg.entry_tasks))
     tg.rebuild_reset_image()
-    assert image == (tg.pred_reset, tg.sync_pred_reset, tg.entry_tasks)
+    assert image == (tg.pred_reset, tg.entry_tasks)
 
 
 def test_reset_after_expansion_master_entry_unchanged():
@@ -236,8 +222,7 @@ def test_dump_dot_golden():
     assert dump_dot(tg) == expected
 
 
-def test_register_swap_merges_commit_tasks():
-    text = """
+SWAP = """
 module m
 input x 1
 reg r1 4 = 3
@@ -248,15 +233,8 @@ next r1 = r2
 next r2 = r1
 end
 """
-    g = build(text)
-    tg = make_task_graph(g, unified=True)
-    assert len(tg.sync_tasks) == 1
-    merged = tg.tasks[tg.sync_tasks[0]]
-    assert merged.regs == tuple(sorted(g.regs))
 
-
-def test_register_rotation_ring_merges():
-    text = """
+ROTATION = """
 module m
 input x 1
 reg a 2 = 0
@@ -268,7 +246,63 @@ next b = c
 next c = a
 end
 """
+
+
+def check_ring_syncs(text):
+    """A register ring gives one sync task per register, with no sync
+    predecessor and no successor, in unified and barrier graphs."""
+
+    for unified in (True, False):
+        g = build(text)
+        split_register_reads(g)
+        tg = make_task_graph(g, unified=unified)
+        assert [tg.tasks[tid].regs for tid in tg.sync_tasks] == [(r,) for r in g.regs]
+        for tid in tg.sync_tasks:
+            task = tg.tasks[tid]
+            assert task.succs == []
+            assert all(tg.tasks[p].kind != SYNC for p in task.preds)
+            # The register's next value comes from the copy of its source,
+            # which reads that source and nothing else.
+            (rid,) = task.regs
+            copy = g.nodes[g.nodes[rid].next_src]
+            assert copy.kind == VIRTUAL and g.nodes[copy.fanin[0]].kind == REG
+            assert tg.node_task[copy.id] in task.preds
+
+
+def test_register_swap_gives_one_sync_per_register():
+    check_ring_syncs(SWAP)
+
+
+def test_register_rotation_ring_gives_one_sync_per_register():
+    check_ring_syncs(ROTATION)
+
+
+def test_split_shares_one_copy_per_source_and_is_idempotent():
+    text = """
+module m
+input x 1
+reg r 2 = 1
+reg s 2 = 0
+reg t 2 = 0
+output o 2 = t
+next r = r
+next s = r
+next t = r
+end
+"""
     g = build(text)
-    tg = make_task_graph(g, unified=True)
-    assert len(tg.sync_tasks) == 1
-    assert tg.tasks[tg.sync_tasks[0]].regs == tuple(sorted(g.regs))
+    topo = list(g.topo)
+    split_register_reads(g)
+    r = g.name_to_id["r"]
+    (copy,) = {g.nodes[rid].next_src for rid in g.regs}
+    assert g.nodes[copy].fanin == [r] and copy in g.nodes[r].fanout
+    assert g.topo == topo + [copy]
+    nodes = len(g.nodes)
+    split_register_reads(g)
+    assert len(g.nodes) == nodes
+
+
+@pytest.mark.parametrize("text", [SWAP, ROTATION])
+def test_unsplit_register_read_rejected(text):
+    with pytest.raises(ValueError, match="split register reads"):
+        make_task_graph(build(text), unified=True)
