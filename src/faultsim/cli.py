@@ -23,6 +23,7 @@ from .faults import (
     FaultModelError, TRANSIENT, FaultDescriptor, generate_fault_list,
     parse_fault_csv,
 )
+from .genbench import MIN_SIZE, gen_bench
 from .kernels import SimulationError
 from .netlist import NetlistError
 from .oracles import run_good_trace, run_serial_concurrent, run_single_fault
@@ -101,10 +102,13 @@ def build_parser() -> _Parser:
     gen_p = sub.add_parser("gen", help="generate a synthetic benchmark")
     gen_p.add_argument("--profile", choices=("uniform", "skewed", "pipeline"),
                        required=True)
-    gen_p.add_argument("--size", type=int, required=True)
+    gen_p.add_argument("--size", type=int, required=True,
+                       help=f"node budget, at least {MIN_SIZE}")
     gen_p.add_argument("--seed", type=int, default=0)
-    gen_p.add_argument("--cycles", type=int, default=0)
-    gen_p.add_argument("--fault-count", type=int, default=0)
+    gen_p.add_argument("--cycles", type=int, default=0,
+                       help="stimulus cycles; 0 means the default, 12")
+    gen_p.add_argument("--fault-count", type=int, default=0,
+                       help="faults to sample; 0 means the profile default")
     gen_p.add_argument("--quiescent", action="store_true",
                        help="hold inputs constant after the first cycle")
     gen_p.add_argument("--out", required=True, help="output directory")
@@ -116,7 +120,8 @@ def build_parser() -> _Parser:
     abl_p.add_argument("--workers", default="1,2,4,8",
                        help="comma-separated worker counts")
     abl_p.add_argument("--threshold", type=float, default=0.02)
-    abl_p.add_argument("--trials", type=int, default=3)
+    abl_p.add_argument("--trials", type=int, default=3,
+                       help="runs per cell; each cell keeps its fastest")
     abl_p.add_argument("--out", help="write the table here instead of stdout")
     return parser
 
@@ -170,8 +175,7 @@ def _cmd_run(args) -> int:
     try:
         config.validate()
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(str(exc))
 
     report = run_simulation(graph, faults, stim, config)
 
@@ -217,8 +221,6 @@ def _oracle_check(netlist_text, faults, stim, report) -> str | None:
 
 
 def _cmd_gen(args) -> int:
-    from .genbench import gen_bench
-
     bench = gen_bench(
         args.profile, args.size, args.seed,
         cycles=args.cycles or None,
@@ -237,8 +239,11 @@ def _cmd_ablate(args) -> int:
     faults = parse_fault_csv(_read_text(args.faults))
     workers = [int(tok) for tok in args.workers.split(",") if tok.strip()]
     if not workers or any(w < 1 for w in workers):
-        print("error: --workers needs positive integers", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error("--workers needs positive integers")
+    try:
+        SimConfig(threshold=args.threshold).validate()
+    except ValueError as exc:
+        return _usage_error(str(exc))
     table = ablation_run(
         netlist_text, stim, faults, workers,
         threshold=args.threshold, trials=args.trials,
@@ -254,12 +259,28 @@ def _cmd_ablate(args) -> int:
     return EXIT_OK
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
+# Lower bounds of the integer options argparse cannot check by type.
+_MINIMUMS = {
+    "run": (("--fault-limit", 0),),
+    "gen": (("--size", MIN_SIZE), ("--cycles", 0), ("--fault-count", 0)),
+    "ablate": (("--trials", 1),),
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    for flag, low in _MINIMUMS[args.command]:
+        if getattr(args, flag[2:].replace("-", "_")) < low:
+            return _usage_error(f"{flag} must be >= {low}")
     try:
         if args.command == "run":
             return _cmd_run(args)

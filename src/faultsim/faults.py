@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from operator import attrgetter
 
 from . import rtl
 from .rtl import RtlGraph
@@ -31,12 +32,17 @@ class FaultModelError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FaultDescriptor:
     """One fault: a location, a bit lane, and a forcing rule.
 
     ``start``/``end`` bound the active cycle window of a transient fault
     (inclusive); stuck-at faults are active on every cycle.
+
+    Slotted rather than frozen: a frozen dataclass sets every field through
+    ``object.__setattr__``, which made building one about five times as
+    slow, and a fault list holds one record per fault.  Nothing mutates a
+    descriptor after it is built, and it is not hashable.
     """
 
     fid: int
@@ -67,7 +73,7 @@ class NodeFaults:
     __slots__ = ("entries", "fid_map", "fids", "transients")
 
     def __init__(self, entries: list[FaultEntry]):
-        entries = sorted(entries, key=lambda e: e.fid)
+        entries = sorted(entries, key=attrgetter("fid"))
         self.entries = entries
         self.fid_map = {e.fid: e for e in entries}
         self.fids = [e.fid for e in entries]
@@ -80,23 +86,12 @@ NO_FAULTS = NodeFaults([])
 class FaultTable:
     """Sorted per-node fault entries plus a fid -> site map."""
 
-    def __init__(self):
-        self._by_node: dict[int, list[FaultEntry]] = {}
-        self._node_faults: dict[int, NodeFaults] = {}
-        self.site_of: dict[int, int] = {}
+    def __init__(self, by_node: dict[int, list[FaultEntry]], site_of: dict[int, int]):
+        self._node_faults = {nid: NodeFaults(entries) for nid, entries in by_node.items()}
+        self.site_of = site_of
 
     def node_faults(self, nid: int) -> NodeFaults:
         return self._node_faults.get(nid, NO_FAULTS)
-
-    def add(self, nid: int, entry: FaultEntry) -> None:
-        if entry.fid in self.site_of:
-            raise FaultModelError(f"duplicate fid {entry.fid}")
-        self._by_node.setdefault(nid, []).append(entry)
-        self.site_of[entry.fid] = nid
-
-    def finalize(self) -> None:
-        for nid, entries in self._by_node.items():
-            self._node_faults[nid] = NodeFaults(entries)
 
 
 def window_active(rule: FaultDescriptor, cycle: int) -> bool:
@@ -211,15 +206,7 @@ def _resolve_site(graph: RtlGraph, fault: FaultDescriptor) -> int:
     if nid is None:
         raise FaultModelError(f"fault {fault.fid}: unknown location '{fault.location_name}'")
     node = graph.nodes[nid]
-    if fault.fid < 0:
-        # Fids are cut points of the fault-level split, whose lowest
-        # bound is 0.
-        raise FaultModelError(f"fault {fault.fid}: fid must be >= 0")
-    if not 0 <= fault.bit < node.width:
-        raise FaultModelError(
-            f"fault {fault.fid}: bit {fault.bit} out of range for "
-            f"{node.width}-bit '{node.name}'"
-        )
+    _check_fid_and_bit(fault, node.width)
 
     if fault.location_kind == REG:
         if node.kind != rtl.REG:
@@ -240,6 +227,21 @@ def _resolve_site(graph: RtlGraph, fault: FaultDescriptor) -> int:
     )
 
 
+def _check_fid_and_bit(fault: FaultDescriptor, width: int) -> None:
+    """The checks that depend on the fault and not only on its location;
+    ``width`` is that of the node the fault names."""
+
+    if fault.fid < 0:
+        # Fids are cut points of the fault-level split, whose lowest
+        # bound is 0.
+        raise FaultModelError(f"fault {fault.fid}: fid must be >= 0")
+    if not 0 <= fault.bit < width:
+        raise FaultModelError(
+            f"fault {fault.fid}: bit {fault.bit} out of range for "
+            f"{width}-bit '{fault.location_name}'"
+        )
+
+
 def _resolve_wire_site(graph: RtlGraph, fault: FaultDescriptor, nid: int) -> int:
     node = graph.nodes[nid]
     if node.kind in (rtl.COMB, rtl.VIRTUAL, rtl.REG):
@@ -254,23 +256,43 @@ def _resolve_wire_site(graph: RtlGraph, fault: FaultDescriptor, nid: int) -> int
 
 def inject(graph: RtlGraph, faults: list[FaultDescriptor]) -> FaultTable:
     """Resolve and record every fault; the graph gains any needed carriers.
-    ``graph.topo`` is sorted once, after the last carrier is spliced (also
-    when a fault is rejected), rather than once per carrier."""
+    Each distinct location is resolved once; later faults there only pay
+    their fid and bit checks.  ``graph.topo`` is sorted once, after the
+    last carrier is spliced (also when a fault is rejected), rather than
+    once per carrier."""
 
-    table = FaultTable()
+    by_node: dict[int, list[FaultEntry]] = {}
+    site_of: dict[int, int] = {}
+    # (location_kind, location_name) -> (site, its entries, named width)
+    sites: dict[tuple[str, str], tuple[int, list[FaultEntry], int]] = {}
     count = len(graph.nodes)
     try:
         for fault in faults:
-            table.add(_resolve_site(graph, fault), FaultEntry(fault.fid, fault))
+            key = (fault.location_kind, fault.location_name)
+            hit = sites.get(key)
+            if hit is None:
+                site = _resolve_site(graph, fault)
+                width = graph.nodes[graph.name_to_id[fault.location_name]].width
+                hit = sites[key] = (site, by_node.setdefault(site, []), width)
+            elif fault.fid < 0 or not 0 <= fault.bit < hit[2]:
+                _check_fid_and_bit(fault, hit[2])  # raises
+            fid = fault.fid
+            if fid in site_of:
+                raise FaultModelError(f"duplicate fid {fid}")
+            site_of[fid] = hit[0]
+            hit[1].append(FaultEntry(fid, fault))
     finally:
         if len(graph.nodes) != count:
             graph.recompute_topo()
-    table.finalize()
-    return table
+    return FaultTable(by_node, site_of)
 
 
 # ---------------------------------------------------------------------------
 # Fault list files: fid,location_kind,location_name,bit,kind[,start,end]
+
+_LOCATION_KINDS = frozenset((WIRE, REG, PORT))
+_FAULT_KINDS = frozenset(KIND_ORDER)
+
 
 def emit_fault_csv(faults: list[FaultDescriptor]) -> str:
     buf = io.StringIO()
@@ -285,6 +307,10 @@ def emit_fault_csv(faults: list[FaultDescriptor]) -> str:
 
 
 def parse_fault_csv(text: str) -> list[FaultDescriptor]:
+    """Fault records in fid order.  ``location_kind`` and ``kind`` are
+    case-insensitive and may carry spaces; a canonical token costs one
+    set lookup."""
+
     faults: list[FaultDescriptor] = []
     seen: set[int] = set()
     for row in csv.reader(io.StringIO(text)):
@@ -292,22 +318,26 @@ def parse_fault_csv(text: str) -> list[FaultDescriptor]:
             continue
         try:
             fid = int(row[0])
-            location_kind = row[1].strip().lower()
+            location_kind = row[1]
             location_name = row[2].strip()
             bit = int(row[3])
-            kind = row[4].strip().lower()
+            kind = row[4]
             start, end = (int(row[5]), int(row[6])) if len(row) > 5 else (0, 0)
         except (ValueError, IndexError) as exc:
             raise FaultModelError(f"bad fault row {row!r}: {exc}") from None
-        if location_kind not in (WIRE, REG, PORT):
-            raise FaultModelError(f"bad location kind '{location_kind}'")
-        if kind not in KIND_ORDER:
-            raise FaultModelError(f"bad fault kind '{kind}'")
+        if location_kind not in _LOCATION_KINDS:
+            location_kind = location_kind.strip().lower()
+            if location_kind not in _LOCATION_KINDS:
+                raise FaultModelError(f"bad location kind '{location_kind}'")
+        if kind not in _FAULT_KINDS:
+            kind = kind.strip().lower()
+            if kind not in _FAULT_KINDS:
+                raise FaultModelError(f"bad fault kind '{kind}'")
         if kind == TRANSIENT and start > end:
             raise FaultModelError(f"fault {fid}: window {start}..{end} is empty")
         if fid in seen:
             raise FaultModelError(f"duplicate fid {fid}")
         seen.add(fid)
         faults.append(FaultDescriptor(fid, location_kind, location_name, bit, kind, start, end))
-    faults.sort(key=lambda f: f.fid)
+    faults.sort(key=attrgetter("fid"))
     return faults

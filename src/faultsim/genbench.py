@@ -26,6 +26,7 @@ from .rtl import elaborate_text
 from .stimulus import StimulusFile, emit_stimulus, parse_stimulus
 
 PROFILES = ("uniform", "skewed", "pipeline")
+MIN_SIZE = 10
 
 _LIGHT_OPS = ("AND", "OR", "XOR", "ADD", "SUB")
 
@@ -78,8 +79,8 @@ def gen_bench(
     fault_count: int | None = None,
     quiescent: bool = False,
 ) -> GeneratedBench:
-    if size < 10:
-        raise ValueError("benchmark size must be >= 10")
+    if size < MIN_SIZE:
+        raise ValueError(f"benchmark size must be >= {MIN_SIZE}")
     if profile not in PROFILES:
         raise ValueError(f"unknown profile '{profile}' (want one of {PROFILES})")
     rng = random.Random(f"{profile}:{size}:{seed}")

@@ -132,7 +132,9 @@ def parse_module(text: str) -> tuple[str, list[NetlistDecl]]:
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         last_line = line_no
-        tokens = _strip_comment(raw.split())
+        tokens = raw.split()
+        if "#" in raw:
+            tokens = _strip_comment(tokens)
         if not tokens:
             continue
         if ended:

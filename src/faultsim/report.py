@@ -18,8 +18,16 @@ class ReportFormatError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FaultResult:
+    """One report row: the fault's record and its verdict.
+
+    Slotted rather than frozen, like ``FaultDescriptor``: a report holds one
+    row per fault, and a frozen dataclass builds each one about five times
+    as slowly.  Rows are not mutated after they are built, and they are not
+    hashable.
+    """
+
     fid: int
     location_kind: str
     location_name: str

@@ -185,41 +185,3 @@ def reset_for_cycle(tg: TaskGraph) -> tuple[list[int], list[int]]:
     for board in tg.boards.values():
         board.reset()
     return tg.pred_reset.copy(), tg.entry_tasks
-
-
-def dump_dot(tg: TaskGraph) -> str:
-    """Deterministic graphviz text of the task graph, for golden files."""
-
-    lines = ["digraph tasks {"]
-    for t in tg.tasks:
-        if t.kind == SYNC:
-            label = f"sync({','.join(str(r) for r in t.regs)})"
-        elif t.kind == SLAVE:
-            label = f"slave(n{t.node}.{t.slave_index})"
-        else:
-            label = f"{t.kind}(n{t.node})"
-        lines.append(f'  t{t.id} [label="{label}"];')
-    for t in tg.tasks:
-        for s in sorted(set(t.succs)):
-            lines.append(f"  t{t.id} -> t{s};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def canonical_form(tg: TaskGraph):
-    """Structure of the graph with ids replaced by stable task keys, for
-    isomorphism comparisons (expansion order must not matter)."""
-
-    def key(t: Task):
-        if t.kind == SLAVE:
-            return (SLAVE, t.node, t.slave_index)
-        if t.kind == SYNC:
-            return (SYNC, t.regs)
-        return (t.kind, t.node)
-
-    keys = {t.id: key(t) for t in tg.tasks}
-    nodes = sorted(keys.values())
-    edges = sorted(
-        (keys[t.id], keys[s]) for t in tg.tasks for s in set(t.succs)
-    )
-    return nodes, edges

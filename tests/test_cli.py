@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 from faultsim import oracles
 from faultsim.cli import main
 from faultsim.faults import parse_fault_csv
@@ -224,3 +226,41 @@ def test_oracle_check_computes_good_trace_once(monkeypatch, tmp_path, capsys):
     for fault in parse_fault_csv(bench.faults_csv):
         assert (oracles.run_single_fault(g_shared, fault, stim, good=good)
                 == oracles.run_single_fault(g_alone, fault, stim))
+
+
+def _bench_args(tmp_path):
+    paths = gen_bench("uniform", 20, 1, cycles=2, fault_count=4).write(tmp_path, "u")
+    return ["--netlist", paths[0], "--stimulus", paths[1], "--faults", paths[2]]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["run", "--netlist", AND2_NL, "--stimulus", AND2_STIM,
+      "--gen-faults", "sa0,sa1", "--fault-limit", "-1"], "--fault-limit must be >= 0"),
+    (["gen", "--profile", "uniform", "--size", "40", "--fault-count", "-3"],
+     "--fault-count must be >= 0"),
+    (["gen", "--profile", "pipeline", "--size", "-5"], "--size must be >= 10"),
+    (["gen", "--profile", "skewed", "--size", "9"], "--size must be >= 10"),
+    (["gen", "--profile", "uniform", "--size", "40", "--cycles", "-1"],
+     "--cycles must be >= 0"),
+    (["ablate", "--trials", "0"], "--trials must be >= 1"),
+    (["ablate", "--threshold", "-1"], "threshold must lie in (0, 1)"),
+])
+def test_out_of_range_numeric_option_exits_1(tmp_path, capsys, args, message):
+    if args[0] == "gen":
+        args = args + ["--out", tmp_path / "out"]
+    elif args[0] == "ablate":
+        args = [args[0], *_bench_args(tmp_path), *args[1:]]
+    capsys.readouterr()
+    assert run_cli(*args) == 1
+    assert one_line_error(capsys) == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_zero_counts_mean_defaults(tmp_path, capsys):
+    assert run_cli("gen", "--help") == 0
+    assert "0 means the profile default" in capsys.readouterr().out
+    defaults = gen_bench("uniform", 40, 2)
+    run_cli("gen", "--profile", "uniform", "--size", "40", "--seed", "2",
+            "--cycles", "0", "--fault-count", "0", "--out", tmp_path)
+    assert (tmp_path / "uniform_40_2.flt").read_text() == defaults.faults_csv
+    assert (tmp_path / "uniform_40_2.stim").read_text() == defaults.stimulus

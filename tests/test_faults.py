@@ -1,13 +1,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from faultsim import rtl
+from faultsim import faults as faults_module, rtl
 from faultsim.config import SimConfig
 from faultsim.faults import (
     FaultDescriptor, FaultModelError, emit_fault_csv, faulty_val,
     generate_fault_list, inject, parse_fault_csv, resolve_injection_site,
 )
+from faultsim.genbench import gen_bench
 from faultsim.oracles import run_good_trace
+from faultsim.report import FaultResult
 from faultsim.scheduler import run_simulation
 
 from conftest import AND2, REG_LOOP, build
@@ -293,14 +295,105 @@ def test_fault_csv_round_trip():
         fd(2, "port", "a", 1, "transient", 2, 5),
     ]
     assert parse_fault_csv(emit_fault_csv(faults)) == faults
+    bench = gen_bench("pipeline", 1500, 42, cycles=10, fault_count=15000)
+    faults = parse_fault_csv(bench.faults_csv)
+    assert len(faults) == 15000
+    assert emit_fault_csv(faults) == bench.faults_csv
+    assert parse_fault_csv(emit_fault_csv(faults)) == faults
+
+
+FAULT_CSV_ERRORS = [
+    ("0,net,y,0,sa0\n", "bad location kind 'net'"),
+    ("0, NET ,y,0,sa0\n", "bad location kind 'net'"),
+    ("0,wire,y,0,stuck\n", "bad fault kind 'stuck'"),
+    ("0,wire,y,0, Stuck\n", "bad fault kind 'stuck'"),
+    ("0,wire,y,0,sa0\n0,wire,y,0,sa1\n", "duplicate fid 0"),
+    ("0,wire,y,0,transient,5,2\n", "fault 0: window 5..2 is empty"),
+    ("0,Wire,y,0,TRANSIENT,5,2\n", "fault 0: window 5..2 is empty"),
+    ("x,wire,y,0,sa0\n", "bad fault row"),
+    ("0,wire,y\n", "bad fault row"),
+    ("0,wire,y,z,sa0\n", "bad fault row"),
+    ("0,net,y,z,sa0\n", "bad fault row"),
+    ("0,wire,y,0,transient,5\n", "bad fault row"),
+]
 
 
 def test_fault_csv_errors():
-    with pytest.raises(FaultModelError, match="bad location kind"):
-        parse_fault_csv("0,net,y,0,sa0\n")
-    with pytest.raises(FaultModelError, match="bad fault kind"):
-        parse_fault_csv("0,wire,y,0,stuck\n")
-    with pytest.raises(FaultModelError, match="duplicate fid"):
-        parse_fault_csv("0,wire,y,0,sa0\n0,wire,y,0,sa1\n")
-    with pytest.raises(FaultModelError, match="window"):
-        parse_fault_csv("0,wire,y,0,transient,5,2\n")
+    for text, message in FAULT_CSV_ERRORS:
+        with pytest.raises(FaultModelError) as info:
+            parse_fault_csv(text)
+        assert str(info.value).startswith(message), text
+
+
+def test_fault_csv_tokens_are_case_insensitive_and_trimmed():
+    canonical = parse_fault_csv(
+        "0,wire,y,0,sa1\n1,reg,r,2,transient,1,3\n2,port,a,1,sa0\n"
+    )
+    # Any spelling, any fid order: the records come back canonical, by fid.
+    spelled = parse_fault_csv(
+        "fid,location_kind,location_name,bit,kind\n"
+        "2,PORT , a ,1,Sa0\n0, WIRE ,y,0,SA1\n1,Reg,r,2, Transient ,1,3\n"
+    )
+    assert spelled == canonical
+    assert [f.location_kind for f in spelled] == ["wire", "reg", "port"]
+    assert [f.kind for f in spelled] == ["sa1", "transient", "sa0"]
+
+
+@pytest.mark.parametrize("record", [
+    FaultDescriptor(3, "wire", "y", 0, "transient", 1, 2),
+    FaultResult(3, "wire", "y", 0, "sa0", True, 4, "o"),
+])
+def test_records_are_slotted(record):
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+def test_records_compare_by_fields():
+    assert fd(3, "wire", "y", 0, "sa1") == FaultDescriptor(3, "wire", "y", 0, "sa1", 0, 0)
+    assert fd(3, "wire", "y", 0, "sa1") != fd(3, "wire", "y", 1, "sa1")
+    assert fd(3, "wire", "y", 0, "sa1") != fd(4, "wire", "y", 0, "sa1")
+    row = ("y", 0, "sa0", True, 4, "o")
+    assert FaultResult(1, "wire", *row) == FaultResult(1, "wire", *row)
+    assert FaultResult(1, "wire", *row) != FaultResult(1, "port", *row)
+
+
+AND8 = "module m\ninput a 8\ninput b 8\nassign n 8 = AND a b\noutput o 8 = n\nend"
+GOOD_AT_N_AND_A = [fd(i, ("wire", "port")[i % 2], ("n", "a")[i % 2], i % 8, "sa0")
+                   for i in range(200)]
+
+
+@pytest.mark.parametrize("bad, message", [
+    (fd(500, "wire", "n", 8, "sa0"), "fault 500: bit 8 out of range for 8-bit 'n'"),
+    (fd(500, "wire", "n", -1, "sa0"), "fault 500: bit -1 out of range for 8-bit 'n'"),
+    (fd(-5, "wire", "n", 0, "sa0"), "fault -5: fid must be >= 0"),
+    (fd(500, "port", "a", 8, "sa1"), "fault 500: bit 8 out of range for 8-bit 'a'"),
+    (fd(7, "wire", "n", 0, "sa0"), "duplicate fid 7"),
+])
+def test_inject_checks_each_fault_at_a_resolved_location(bad, message):
+    """A location is resolved once; a bad fault behind many good ones there
+    still fails with its own fid and message."""
+
+    with pytest.raises(FaultModelError) as info:
+        inject(build(AND8), GOOD_AT_N_AND_A + [bad])
+    assert str(info.value) == message
+
+
+def test_inject_resolves_each_location_once(monkeypatch):
+    """208 faults at three locations: three resolutions; the wire and the
+    output port land at one site and share its sorted entry list."""
+
+    resolved = []
+    resolve = faults_module._resolve_site
+    monkeypatch.setattr(faults_module, "_resolve_site",
+                        lambda g, f: resolved.append(f.location_name) or resolve(g, f))
+    g = build(AND8)
+    good = GOOD_AT_N_AND_A
+    on_output = [fd(1000 - i, "port", "o", i, "sa1") for i in range(8)]
+    table = inject(g, good + on_output)
+    assert resolved == ["n", "a", "o"]
+    n = g.name_to_id["n"]
+    assert table.node_faults(n).fids == sorted(
+        [f.fid for f in good if f.location_name == "n"] + [f.fid for f in on_output]
+    )
+    assert {table.site_of[f.fid] for f in on_output} == {n}

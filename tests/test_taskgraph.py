@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from faultsim.genbench import gen_bench
 from faultsim.rtl import REG, VIRTUAL, split_register_reads
 from faultsim.taskgraph import (
-    MASTER, SLAVE, SYNC, build_task_graph, canonical_form, dump_dot,
-    expand_high_load, make_task_graph, reset_for_cycle,
+    MASTER, SLAVE, SYNC, Task, TaskGraph, build_task_graph, expand_high_load,
+    make_task_graph, reset_for_cycle,
 )
 
 from conftest import build
@@ -28,6 +28,44 @@ assign c 1 = NOT a
 assign d 1 = AND b c
 end
 """
+
+
+def dump_dot(tg: TaskGraph) -> str:
+    """Deterministic graphviz text of the task graph, for golden files."""
+
+    lines = ["digraph tasks {"]
+    for t in tg.tasks:
+        if t.kind == SYNC:
+            label = f"sync({','.join(str(r) for r in t.regs)})"
+        elif t.kind == SLAVE:
+            label = f"slave(n{t.node}.{t.slave_index})"
+        else:
+            label = f"{t.kind}(n{t.node})"
+        lines.append(f'  t{t.id} [label="{label}"];')
+    for t in tg.tasks:
+        for s in sorted(set(t.succs)):
+            lines.append(f"  t{t.id} -> t{s};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def canonical_form(tg: TaskGraph):
+    """Structure of the graph with ids replaced by stable task keys, for
+    isomorphism comparisons (expansion order must not matter)."""
+
+    def key(t: Task):
+        if t.kind == SLAVE:
+            return (SLAVE, t.node, t.slave_index)
+        if t.kind == SYNC:
+            return (SYNC, t.regs)
+        return (t.kind, t.node)
+
+    keys = {t.id: key(t) for t in tg.tasks}
+    nodes = sorted(keys.values())
+    edges = sorted(
+        (keys[t.id], keys[s]) for t in tg.tasks for s in set(t.succs)
+    )
+    return nodes, edges
 
 
 def task_of(tg, g, name):
