@@ -133,15 +133,15 @@ def _parse_gen_kinds(spec: str, seed: int, limit: int, graph):
         item = item.strip().lower()
         if not item:
             continue
-        if item.startswith(TRANSIENT):
-            parts = item.split(":")
-            if len(parts) == 3:
-                window = (int(parts[1]), int(parts[2]))
-            elif len(parts) != 1:
-                raise FaultModelError(f"bad transient spec '{item}'")
-            kinds.append(TRANSIENT)
-        else:
-            kinds.append(item)
+        kind, _, bounds = item.partition(":")
+        if kind == TRANSIENT and bounds:
+            try:
+                start, end = map(int, bounds.split(":"))
+            except ValueError:
+                raise FaultModelError(f"bad transient spec '{item}'") from None
+            window = (start, end)
+            item = kind
+        kinds.append(item)
     faults = generate_fault_list(graph, kinds, transient_window=window)
     if limit and limit < len(faults):
         rng = random.Random(seed)

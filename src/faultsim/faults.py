@@ -5,7 +5,8 @@ of exactly one evaluated node: a fault on a wire lands at the node driving
 the wire, a fault on a reg lands at the reg itself (applied when the reg
 commits), and a fault on an input port lands at a virtual pass-through
 node spliced between the port and its consumers.  Faults on output ports
-fall back to the wire rule on the output's driver.
+fall back to the wire rule on the output's driver, and a fault on an output
+bit the driver does not reach is rejected.
 """
 
 from __future__ import annotations
@@ -139,6 +140,10 @@ def generate_fault_list(
         if k not in KIND_ORDER:
             raise FaultModelError(f"unknown fault kind '{k}'")
     ordered_kinds = [k for k in KIND_ORDER if k in kinds]
+    if TRANSIENT in kinds and transient_window[0] > transient_window[1]:
+        raise FaultModelError(
+            f"transient window {transient_window[0]}..{transient_window[1]} is empty"
+        )
 
     faults: list[FaultDescriptor] = []
     for node in graph.nodes:
@@ -192,15 +197,16 @@ def resolve_injection_site(graph: RtlGraph, fault: FaultDescriptor) -> int:
     when it does)."""
 
     count = len(graph.nodes)
-    site = _resolve_site(graph, fault)
+    site = _resolve_site(graph, fault)[0]
     if len(graph.nodes) != count:
         graph.recompute_topo()
     return site
 
 
-def _resolve_site(graph: RtlGraph, fault: FaultDescriptor) -> int:
-    """``resolve_injection_site`` without the sort: a spliced carrier
-    leaves ``graph.topo`` stale until the caller re-sorts it."""
+def _resolve_site(graph: RtlGraph, fault: FaultDescriptor) -> tuple[int, int]:
+    """``resolve_injection_site`` without the sort (a spliced carrier
+    leaves ``graph.topo`` stale until the caller re-sorts it), plus how
+    many low bits of the named node the site carries."""
 
     nid = graph.name_to_id.get(fault.location_name)
     if nid is None:
@@ -213,18 +219,17 @@ def _resolve_site(graph: RtlGraph, fault: FaultDescriptor) -> int:
             raise FaultModelError(
                 f"fault {fault.fid}: '{node.name}' is not a reg"
             )
-        return nid
+        return nid, node.width
     if fault.location_kind == PORT:
         if node.kind == rtl.INPUT:
-            return _insert_port_carrier(graph, nid)
-        if node.kind == rtl.OUTPUT:
-            return _resolve_wire_site(graph, fault, node.fanin[0])
-        raise FaultModelError(f"fault {fault.fid}: '{node.name}' is not a port")
-    if fault.location_kind == WIRE:
-        return _resolve_wire_site(graph, fault, nid)
-    raise FaultModelError(
-        f"fault {fault.fid}: unknown location kind '{fault.location_kind}'"
-    )
+            return _insert_port_carrier(graph, nid), node.width
+        if node.kind != rtl.OUTPUT:
+            raise FaultModelError(f"fault {fault.fid}: '{node.name}' is not a port")
+    elif fault.location_kind != WIRE:
+        raise FaultModelError(
+            f"fault {fault.fid}: unknown location kind '{fault.location_kind}'"
+        )
+    return _resolve_wire_site(graph, fault, nid)
 
 
 def _check_fid_and_bit(fault: FaultDescriptor, width: int) -> None:
@@ -242,15 +247,27 @@ def _check_fid_and_bit(fault: FaultDescriptor, width: int) -> None:
         )
 
 
-def _resolve_wire_site(graph: RtlGraph, fault: FaultDescriptor, nid: int) -> int:
+def _resolve_wire_site(graph: RtlGraph, fault: FaultDescriptor, nid: int) -> tuple[int, int]:
+    """An output passes a wire fault on to its driver, and so does a
+    carrier or copy spliced in front of that driver.  A bit of the named
+    node that the driver does not reach (an output wider than its driver)
+    carries no value, so a fault there is rejected."""
+
     node = graph.nodes[nid]
-    if node.kind in (rtl.COMB, rtl.VIRTUAL, rtl.REG):
-        return nid
-    if node.kind == rtl.OUTPUT:
-        return _resolve_wire_site(graph, fault, node.fanin[0])
+    lanes = node.width
+    while node.kind in (rtl.OUTPUT, rtl.VIRTUAL):
+        node = graph.nodes[node.fanin[0]]
+        lanes = min(lanes, node.width)
+    if fault.bit >= lanes:
+        raise FaultModelError(
+            f"fault {fault.fid}: bit {fault.bit} of '{fault.location_name}' is "
+            f"undriven: only its low {lanes} bits come from '{node.name}'"
+        )
+    if node.kind in (rtl.COMB, rtl.REG):
+        return node.id, lanes
     if node.kind in (rtl.INPUT, rtl.CONST):
         # Source nodes are never evaluated; give the fault a carrier.
-        return _insert_port_carrier(graph, nid)
+        return _insert_port_carrier(graph, node.id), lanes
     raise FaultModelError(f"fault {fault.fid}: cannot inject at '{node.name}'")
 
 
@@ -263,7 +280,7 @@ def inject(graph: RtlGraph, faults: list[FaultDescriptor]) -> FaultTable:
 
     by_node: dict[int, list[FaultEntry]] = {}
     site_of: dict[int, int] = {}
-    # (location_kind, location_name) -> (site, its entries, named width)
+    # (location_kind, location_name) -> (site, its entries, bits it carries)
     sites: dict[tuple[str, str], tuple[int, list[FaultEntry], int]] = {}
     count = len(graph.nodes)
     try:
@@ -271,11 +288,10 @@ def inject(graph: RtlGraph, faults: list[FaultDescriptor]) -> FaultTable:
             key = (fault.location_kind, fault.location_name)
             hit = sites.get(key)
             if hit is None:
-                site = _resolve_site(graph, fault)
-                width = graph.nodes[graph.name_to_id[fault.location_name]].width
-                hit = sites[key] = (site, by_node.setdefault(site, []), width)
+                site, lanes = _resolve_site(graph, fault)
+                hit = sites[key] = (site, by_node.setdefault(site, []), lanes)
             elif fault.fid < 0 or not 0 <= fault.bit < hit[2]:
-                _check_fid_and_bit(fault, hit[2])  # raises
+                _resolve_site(graph, fault)  # raises
             fid = fault.fid
             if fid in site_of:
                 raise FaultModelError(f"duplicate fid {fid}")

@@ -22,6 +22,10 @@ Each kernel writes exactly one node's state and reads only fanin states
 that the schedule has already sealed, so the kernels themselves need no
 locking in any execution discipline.  ``drop_detected`` writes every
 state and so runs only after a cycle's drain.
+
+Outputs are not evaluated: no fault lands on one, so an output only
+observes its driver, and ``initial_states`` gives it the driver's state
+object.  The detection strobe and the output trace read that object.
 """
 
 from __future__ import annotations
@@ -92,14 +96,14 @@ OPS = {
 
 def operator_of(node: RtlNode):
     """The node's operator as a function of its fanin values, resolved on
-    first use and kept on the node; output and virtual nodes copy their
-    single fanin (``operator.pos`` is the identity on ints)."""
+    first use and kept on the node; a virtual node copies its single fanin
+    (``operator.pos`` is the identity on ints)."""
 
     fn = node.fn
     if fn is not None:
         return fn
     kind, op = node.kind, node.op
-    if kind in (rtl.OUTPUT, rtl.VIRTUAL):
+    if kind == rtl.VIRTUAL:
         fn = operator.pos
     elif kind != rtl.COMB:
         raise SimulationError(f"cannot evaluate node kind '{kind}'")
@@ -386,9 +390,10 @@ def commit_state(st: NodeState, good: int, bads: list[tuple[int, int]],
 
 def drop_detected(table: FaultTable, states: list[NodeState], new_fids) -> None:
     """Stop simulating a cycle's newly detected faults: mark their injected
-    entries dropped and remove their divergences from every node state.  A
-    fault dropped earlier is not injected and diverges nowhere, so it cannot
-    reappear and needs no second visit."""
+    entries dropped and remove their divergences from every state in
+    ``states``, which lists each distinct state object once (an output
+    shares its driver's).  A fault dropped earlier is not injected and
+    diverges nowhere, so it cannot reappear and needs no second visit."""
 
     if not new_fids:
         return
@@ -410,7 +415,10 @@ def drop_detected(table: FaultTable, states: list[NodeState], new_fids) -> None:
 
 def initial_states(graph: RtlGraph, table: FaultTable) -> list[NodeState]:
     """States before cycle 0: inputs zero, consts fixed, regs at their reset
-    value with any reg-injected fault already forced for cycle 0."""
+    value with any reg-injected fault already forced for cycle 0.  An output
+    gets its driver's state object itself (``rtl.observe_outputs`` has made
+    the driver a node that is not a register and is no wider than the
+    output), so the strobe reads the driver's value, bad list and stamps."""
 
     states = [NodeState() for _ in graph.nodes]
     for node in graph.nodes:
@@ -428,6 +436,8 @@ def initial_states(graph: RtlGraph, table: FaultTable) -> list[NodeState]:
                     bads.append((entry.fid, forced))
             bads.sort()
             st.bads = bads
+    for oid in graph.outputs:
+        states[oid] = states[graph.nodes[oid].fanin[0]]
     return states
 
 

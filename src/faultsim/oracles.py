@@ -62,6 +62,12 @@ def _ref_op(node, ins: list[int]) -> int:
     return raw & full
 
 
+# Every node kind with a fanin.  The engine shares an output's state with
+# its driver instead of evaluating it; this interpreter keeps evaluating
+# outputs, so it does not depend on that rule.
+_EVALUATED = (rtl.COMB, rtl.OUTPUT, rtl.VIRTUAL)
+
+
 def _plain_sim(
     graph: RtlGraph,
     rows: list[list[int]],
@@ -80,7 +86,7 @@ def _plain_sim(
                 v = _force(rule, v, 0)
             vals[node.id] = v
 
-    order = [nid for nid in graph.topo if graph.nodes[nid].kind in rtl.TASK_KINDS]
+    order = [nid for nid in graph.topo if graph.nodes[nid].kind in _EVALUATED]
     out_trace: list[tuple[int, ...]] = []
     for cycle, row in enumerate(rows):
         for nid, v in zip(graph.inputs, row):

@@ -6,6 +6,13 @@ value and point at the node producing their next value (``next_src``); the
 combinational view therefore treats registers, inputs and constants as
 sources, which is what makes per-cycle evaluation a DAG traversal.
 
+Two passes run after fault injection.  ``split_register_reads`` routes
+every register-to-register ``next`` edge through a virtual copy node, and
+``observe_outputs`` turns every output into an observation point: a sink
+reading a node that is not a register and is no wider than the output,
+whose state the output shares.  Only comb and virtual nodes are evaluated
+(``TASK_KINDS``).
+
 Value semantics are two-state and unsigned.  Every node value is kept
 masked to the node's width; operands narrower than the computation are
 zero-extended (which is a no-op on masked ints) and results are truncated
@@ -28,8 +35,10 @@ OUTPUT = "output"
 VIRTUAL = "virtual"
 
 # Node kinds that are evaluated during a cycle (and therefore carry a
-# compute task); the rest are value sources sealed at cycle start.
-TASK_KINDS = (COMB, OUTPUT, VIRTUAL)
+# compute task).  Inputs, consts and regs are value sources sealed at cycle
+# start, and outputs are observation points that share their driver's
+# state (see ``observe_outputs``).
+TASK_KINDS = (COMB, VIRTUAL)
 
 
 class ElaborationError(ValueError):
@@ -69,23 +78,22 @@ class RtlGraph:
     regs: list[int]
     name_to_id: dict[str, int]
     port_carriers: dict[int, int] = field(default_factory=dict)
+    # (source id, width) -> the virtual copy of the source cut to that width
+    copies: dict[tuple[int, int], int] = field(default_factory=dict)
 
     def comb_edges(self):
-        """Yield every (producer, consumer) edge of the combinational view."""
+        """Yield every (producer, consumer) edge of the combinational view;
+        sources have no fanin."""
         for node in self.nodes:
-            if node.kind in TASK_KINDS:
-                for src in node.fanin:
-                    yield src, node.id
+            for src in node.fanin:
+                yield src, node.id
 
     def recompute_topo(self) -> None:
         self.topo = _topo_sort(self.nodes)
 
 
 def _topo_sort(nodes: list[RtlNode]) -> list[int]:
-    indeg = [0] * len(nodes)
-    for node in nodes:
-        if node.kind in TASK_KINDS:
-            indeg[node.id] = len(node.fanin)
+    indeg = [len(node.fanin) for node in nodes]
     ready = [n.id for n in nodes if indeg[n.id] == 0]
     heapq.heapify(ready)
     order: list[int] = []
@@ -225,29 +233,81 @@ def elaborate_text(text: str) -> RtlGraph:
     return elaborate(decls, name)
 
 
+def _copy_of(graph: RtlGraph, src_id: int, width: int) -> int:
+    """The virtual copy of a node cut to ``width`` bits, made on first use
+    and appended to ``graph.topo``, which stays sorted as long as the copy
+    has no evaluated reader."""
+
+    key = (src_id, width)
+    cid = graph.copies.get(key)
+    if cid is None:
+        src = graph.nodes[src_id]
+        name = f"{src.name}$cpy" if width == src.width else f"{src.name}$cpy{width}"
+        cid = graph.copies[key] = len(graph.nodes)
+        graph.nodes.append(RtlNode(cid, VIRTUAL, name, width, fanin=[src_id]))
+        src.fanout.append(cid)
+        graph.topo.append(cid)
+    return cid
+
+
 def split_register_reads(graph: RtlGraph) -> None:
     """Route every register-to-register ``next`` edge through a virtual
     copy of the source register, one copy per source, shared by every
     register it feeds.  The copy is an ordinary reader of the source, so
     the source's commit waits for it and no register commit reads another
-    register.  Its only fanin is a register and it feeds no evaluated
-    node, so it is appended to ``graph.topo`` without a re-sort."""
+    register."""
 
-    copies: dict[int, int] = {}
     for rid in graph.regs:
         reg = graph.nodes[rid]
         src = graph.nodes[reg.next_src]
-        if src.kind != REG:
-            continue
-        cid = copies.get(src.id)
-        if cid is None:
-            cid = copies[src.id] = len(graph.nodes)
-            graph.nodes.append(
-                RtlNode(cid, VIRTUAL, f"{src.name}$cpy", src.width, fanin=[src.id])
-            )
-            src.fanout.append(cid)
-            graph.topo.append(cid)
-        reg.next_src = cid
+        if src.kind == REG:
+            reg.next_src = _copy_of(graph, src.id, src.width)
+
+
+def observe_outputs(graph: RtlGraph) -> None:
+    """Make every output an observation point: a sink whose one fanin is a
+    non-register node no wider than the output, so that the output can
+    share that node's state and is never evaluated.
+
+    A chain of outputs resolves to the first node that is not an output.
+    An output driven by a register, or narrower than its driver, reads a
+    virtual copy of the driver cut to the output's width (a register's
+    full-width copy is the one ``split_register_reads`` shares).  Every
+    reader of an output (an evaluated node, another output, a register's
+    ``next``) is then re-pointed to the output's new driver, which holds
+    the value it read before."""
+
+    nodes = graph.nodes
+    driver: dict[int, int] = {}
+    copies: set[int] = set()
+    for oid in graph.outputs:
+        src, width = nodes[oid].fanin[0], nodes[oid].width
+        while nodes[src].kind == OUTPUT:
+            width = min(width, nodes[src].width)
+            src = nodes[src].fanin[0]
+        if nodes[src].kind == REG or width < nodes[src].width:
+            src = _copy_of(graph, src, min(width, nodes[src].width))
+            copies.add(src)
+        driver[oid] = src
+    for oid, new in driver.items():
+        out = nodes[oid]
+        for rid in out.fanout:  # an evaluated node or another output
+            reader = nodes[rid]
+            reader.fanin = [new if f == oid else f for f in reader.fanin]
+            nodes[new].fanout.append(rid)
+        out.fanout = []
+        if out.fanin[0] != new:
+            nodes[out.fanin[0]].fanout.remove(oid)
+            out.fanin = [new]
+            nodes[new].fanout.append(oid)
+    for rid in graph.regs:
+        reg = nodes[rid]
+        reg.next_src = driver.get(reg.next_src, reg.next_src)
+    if any(nodes[r].kind in TASK_KINDS for c in copies for r in nodes[c].fanout):
+        graph.recompute_topo()
+    elif copies:
+        # The copies sit at the end of the order; their outputs follow.
+        graph.topo = [n for n in graph.topo if nodes[n].kind != OUTPUT] + graph.outputs
 
 
 def topo_positions(graph: RtlGraph) -> list[int]:

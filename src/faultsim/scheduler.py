@@ -2,7 +2,10 @@
 worker pool, load monitoring and overload expansion.
 
 Mode ``serial`` is a plain loop: each cycle evaluates the nodes in
-topological order, strobes the outputs, and commits the registers.  It
+topological order, strobes the outputs, and commits the registers.
+Outputs are never evaluated in any mode: after ``rtl.observe_outputs`` an
+output shares its driver's state, so it is in neither the serial order
+nor the task graph.  It
 builds no task graph and times no task; its cycle times are host time.  It
 is the reference the parallel modes must reproduce bit for bit, and the
 baseline the ablation grid divides by.
@@ -191,9 +194,13 @@ class SimulationEngine:
         self.config = config
         self.table = inject(graph, faults)
         rtl.split_register_reads(graph)
+        rtl.observe_outputs(graph)
         bind_operators(graph)
         self.nf = [self.table.node_faults(i) for i in range(len(graph.nodes))]
         self.states = initial_states(graph, self.table)
+        # Each state object once: an output's is its driver's.
+        self.distinct_states = [self.states[n.id] for n in graph.nodes
+                                if n.kind != rtl.OUTPUT]
         # What a node evaluation reads and writes, per node id: the node,
         # its state, its fanin states and its injected faults.  A node's
         # state object lives for the run.
@@ -409,7 +416,7 @@ class SimulationEngine:
             run_default(nid)
         hits = self._strobe(cycle)
         if self.config.drop_on_detect:
-            drop_detected(self.table, self.states, [hit[0] for hit in hits])
+            drop_detected(self.table, self.distinct_states, [hit[0] for hit in hits])
         sync0 = time.perf_counter_ns()
         self._run_sync(self.graph.regs)
         self._sync_ns = time.perf_counter_ns() - sync0
@@ -461,7 +468,7 @@ class SimulationEngine:
 
         b3 = time.perf_counter_ns()
         if cfg.drop_on_detect:
-            drop_detected(self.table, self.states, [hit[0] for hit in hits])
+            drop_detected(self.table, self.distinct_states, [hit[0] for hit in hits])
         expansions: tuple[int, ...] = ()
         if cfg.expansion_enabled and cfg.max_expansions_per_cycle > 0:
             flagged = flag_overloaded(self.monitor, tg, cfg.threshold)

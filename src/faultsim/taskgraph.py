@@ -1,9 +1,11 @@
 """Executable task graph built from the RTL graph.
 
-Evaluated nodes map one-to-one onto compute tasks; each register commit
-becomes a local-sync task that depends on the producer of the register's
-next value and on every task reading the register, and nothing depends on
-it (a register-to-register read goes through a copy node, see
+Evaluated nodes (comb and virtual, ``rtl.TASK_KINDS``) map one-to-one
+onto compute tasks.  An output is no task: it shares its driver's state
+(see ``rtl.observe_outputs``).  Each register commit becomes a local-sync
+task that depends on the producer of the register's next value and on
+every task reading the register, and nothing depends on it (a
+register-to-register read goes through a copy node, see
 ``rtl.split_register_reads``).  Under the unified schedule a sync task is
 runnable once the current-cycle readers are done, mid-cycle, instead of
 waiting for a global barrier.  High-load nodes can be expanded between

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from faultsim.rtl import elaborate_text
+from faultsim.faults import FaultDescriptor
+from faultsim.rtl import OUTPUT, elaborate_text
 from faultsim.taskgraph import SLAVE, SYNC
 
 
@@ -40,6 +41,24 @@ def and2_graph():
 @pytest.fixture
 def regloop_graph():
     return build(REG_LOOP)
+
+
+def output_faults(graph, first_fid: int) -> list[FaultDescriptor]:
+    """Stuck-at faults named on every output bit that the output's driver
+    reaches, alternately as wire and port faults, fids from ``first_fid``."""
+
+    faults = []
+    for oid in graph.outputs:
+        node, lanes = graph.nodes[oid], graph.nodes[oid].width
+        while node.kind == OUTPUT:
+            node = graph.nodes[node.fanin[0]]
+            lanes = min(lanes, node.width)
+        for bit in range(lanes):
+            for kind in ("sa0", "sa1"):
+                faults.append(FaultDescriptor(
+                    first_fid + len(faults), ("wire", "port")[bit % 2],
+                    graph.nodes[oid].name, bit, kind))
+    return faults
 
 
 def rand_rows(rng: random.Random, graph, cycles: int):

@@ -264,3 +264,28 @@ def test_zero_counts_mean_defaults(tmp_path, capsys):
             "--cycles", "0", "--fault-count", "0", "--out", tmp_path)
     assert (tmp_path / "uniform_40_2.flt").read_text() == defaults.faults_csv
     assert (tmp_path / "uniform_40_2.stim").read_text() == defaults.stimulus
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("transient:5:2", "error: transient window 5..2 is empty"),
+    ("transient:x:2", "error: bad transient spec 'transient:x:2'"),
+    ("sa0,transient:1", "error: bad transient spec 'transient:1'"),
+])
+def test_bad_transient_gen_spec_exits_2(capsys, spec, message):
+    code = run_cli("run", "--netlist", AND2_NL, "--stimulus", AND2_STIM,
+                   "--gen-faults", spec)
+    assert code == 2
+    assert one_line_error(capsys) == message + "\n"
+
+
+def test_fault_on_undriven_output_bit_exits_2(tmp_path, capsys):
+    nl = tmp_path / "m.nl"
+    nl.write_text("module m\ninput a 8\nassign n 8 = NOT a\noutput o 16 = n\n"
+                  "assign x 8 = SHR n #8:8\noutput ox 8 = x\nend\n")
+    stim = tmp_path / "m.stim"
+    stim.write_text("cycle a\n0 5\n")
+    flt = tmp_path / "f.csv"
+    flt.write_text("0,wire,o,10,sa1\n")
+    code = run_cli("run", "--netlist", nl, "--stimulus", stim, "--faults", flt)
+    assert code == 2
+    assert "bit 10 of 'o' is undriven" in one_line_error(capsys)

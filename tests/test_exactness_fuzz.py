@@ -4,8 +4,12 @@ must give the fault-free output trace of the reference interpreter and the
 same verdicts in the serial concurrent engine, in single-fault
 resimulation, in ``full`` mode at P=1 and P=4 and in ``structural+fault``
 at P=4 (the barrier commit phase), each with one node forced into
-master/slave expansion (so the fid-cut slave path runs).  Up to three
-registers whose next values may be registers give swaps and 3-rings."""
+master/slave expansion (so the fid-cut slave path runs) and the
+steady-state re-sweep on.  Up to three registers whose next values may be
+registers give swaps and 3-rings.  Outputs may be driven by any earlier
+signal or a literal, at the driver's width or another one, and later
+nodes and register ``next`` values may read them; faults are also named
+on output bits."""
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -16,6 +20,8 @@ from faultsim.oracles import run_good_trace, run_serial_concurrent, run_single_f
 from faultsim.rtl import elaborate_text
 from faultsim.scheduler import SimulationEngine
 from faultsim.taskgraph import expand_high_load
+
+from conftest import output_faults
 
 OPS = sorted(OPERATOR_ARITY)
 # Any width 1..64, with the word boundaries drawn often.
@@ -78,7 +84,13 @@ def netlists(draw):
         lines.append(f"assign {name} {width} = {op} {args}")
         signals.append((name, width))
         if n == 0 or draw(st.booleans()):
-            lines.append(f"output o{n} {width} = {name}")
+            # Half the time the new node, else any earlier signal (an input, a
+            # register, another output) or a literal.
+            src, w = (name, width) if draw(st.booleans()) else operand()
+            if draw(st.booleans()):
+                w = draw(widths)
+            lines.append(f"output o{n} {w} = {src}")
+            signals.append((f"o{n}", w))
     for r in regs:
         lines.append(f"next {r} = {draw(st.sampled_from(signals))[0]}")
     lines.append("end")
@@ -93,27 +105,33 @@ def netlists(draw):
 @given(case=netlists(), data=st.data())
 def test_concurrent_engines_match_single_fault_resimulation(case, data):
     text, rows = case
+    graph = elaborate_text(text)
     universe = generate_fault_list(
-        elaborate_text(text), ("sa0", "sa1", "transient"),
+        graph, ("sa0", "sa1", "transient"),
         transient_window=(0, max(0, len(rows) - 2)))
+    universe += output_faults(graph, len(universe))
     picks = data.draw(st.lists(st.integers(0, len(universe) - 1),
                                min_size=1, max_size=40, unique=True))
     faults = [universe[i] for i in sorted(picks)]
 
+    good = run_good_trace(graph, rows)
     report = run_serial_concurrent(elaborate_text(text), faults, rows,
-                                   SimConfig(mode="serial", record_outputs=True))
-    assert report.output_trace == run_good_trace(elaborate_text(text), rows), text
+                                   SimConfig(mode="serial", record_outputs=True,
+                                             steady_state_check=True))
+    assert report.output_trace == good, text
     serial = report.verdicts()
-    graph = elaborate_text(text)
     truth = []
     for fault in faults:
-        r = run_single_fault(graph, fault, rows)
+        r = run_single_fault(graph, fault, rows, good=good)
         truth.append((fault.fid, r.detected, r.detect_cycle, r.observing_output))
     assert serial == truth, text
 
     for workers, mode in ((1, "full"), (4, "full"), (4, "structural+fault")):
-        cfg = SimConfig(workers=workers, mode=mode, threshold=0.02)
+        cfg = SimConfig(workers=workers, mode=mode, threshold=0.02,
+                        record_outputs=True, steady_state_check=True)
         eng = SimulationEngine(elaborate_text(text), faults, rows, cfg)
         nid = data.draw(st.sampled_from(sorted(eng.tg.node_task)))
         expand_high_load(eng.tg, nid, data.draw(st.integers(1, 4)))
-        assert eng.run().verdicts() == truth, (text, workers, mode, nid)
+        report = eng.run()
+        assert report.output_trace == good, (text, workers, mode, nid)
+        assert report.verdicts() == truth, (text, workers, mode, nid)

@@ -397,3 +397,36 @@ def test_inject_resolves_each_location_once(monkeypatch):
         [f.fid for f in good if f.location_name == "n"] + [f.fid for f in on_output]
     )
     assert {table.site_of[f.fid] for f in on_output} == {n}
+
+
+WIDE_OUT = """
+module m
+input a 8
+assign n 8 = NOT a
+output o 16 = n
+output o4 4 = n
+output oo 16 = o4
+assign x 8 = SHR n #8:8
+output ox 8 = x
+end
+"""
+
+
+@pytest.mark.parametrize("kind", ["wire", "port"])
+def test_fault_on_an_output_bit_its_driver_does_not_reach_is_rejected(kind):
+    """Bits 8..15 of a 16-bit output of an 8-bit node carry no value.  A
+    stuck-at-1 there used to land at the driver as bit 10 of an 8-bit
+    node, so ``SHR n #8:8`` read 4 instead of 0."""
+
+    with pytest.raises(FaultModelError) as info:
+        inject(build(WIDE_OUT), [fd(0, kind, "o", 10, "sa1")])
+    assert str(info.value) == \
+        "fault 0: bit 10 of 'o' is undriven: only its low 8 bits come from 'n'"
+    # Behind a good fault at the same location, and through a 4-bit output.
+    with pytest.raises(FaultModelError, match="fault 1: bit 8 of 'o' is undriven"):
+        inject(build(WIDE_OUT), [fd(0, kind, "o", 7, "sa1"), fd(1, kind, "o", 8, "sa1")])
+    with pytest.raises(FaultModelError, match="bit 4 of 'oo' is undriven: only its low 4"):
+        inject(build(WIDE_OUT), [fd(0, kind, "oo", 4, "sa0")])
+    g = build(WIDE_OUT)
+    table = inject(g, [fd(0, kind, "o", 7, "sa1"), fd(1, kind, "oo", 3, "sa0")])
+    assert table.site_of == {0: g.name_to_id["n"], 1: g.name_to_id["n"]}

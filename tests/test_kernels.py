@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from faultsim.faults import (
@@ -7,8 +8,8 @@ from faultsim.faults import (
     window_active,
 )
 from faultsim.kernels import (
-    NodeState, affected_fids, check_dependence_changed, eval_bad_set,
-    eval_good, initial_states, sync_check_needed, sync_register,
+    NodeState, SimulationError, affected_fids, check_dependence_changed,
+    eval_bad_set, eval_good, initial_states, sync_check_needed, sync_register,
 )
 from faultsim.oracles import _ref_op, run_single_fault
 from faultsim.rtl import RtlNode
@@ -68,8 +69,10 @@ class TestEvalGood:
     def test_pass_through_kinds(self):
         virt = RtlNode(0, "virtual", "v", 4, fanin=[1])
         assert eval_good(virt, [0x1F]) == 0xF
+        # An output shares its driver's state and is never evaluated.
         out = RtlNode(0, "output", "o", 8, fanin=[1])
-        assert eval_good(out, [0x12]) == 0x12
+        with pytest.raises(SimulationError, match="cannot evaluate node kind 'output'"):
+            eval_good(out, [0x12])
 
 
 wide_vals = st.integers(0, 2**64 - 1)

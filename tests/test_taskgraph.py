@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from faultsim.genbench import gen_bench
-from faultsim.rtl import REG, VIRTUAL, split_register_reads
+from faultsim.rtl import REG, VIRTUAL, observe_outputs, split_register_reads
 from faultsim.taskgraph import (
     MASTER, SLAVE, SYNC, Task, TaskGraph, build_task_graph, expand_high_load,
     make_task_graph, reset_for_cycle,
@@ -143,15 +143,19 @@ end
 """
     g = build(text)
     split_register_reads(g)
+    observe_outputs(g)
     tg = make_task_graph(g, unified=True)
     sync_r1 = tg.tasks[tg.sync_tasks[0]]
     sync_r2 = tg.tasks[tg.sync_tasks[1]]
     # r2 captures r1's current value through r1's copy, which reads r1, so
-    # r1 commits only after the copy ran and r2 commits after it too.
+    # r1 commits only after the copy ran and r2 commits after it too.  The
+    # output reads r2 through r2's copy, which r2's commit waits for.
     copy = tg.tasks[tg.node_task[g.nodes[g.name_to_id["r2"]].next_src]]
     assert g.nodes[copy.node].fanin == [g.name_to_id["r1"]]
+    o_copy = tg.tasks[tg.node_task[g.nodes[g.name_to_id["o"]].fanin[0]]]
+    assert g.nodes[o_copy.node].fanin == [g.name_to_id["r2"]]
     assert sync_r1.preds == {copy.id}
-    assert sync_r2.preds == {task_of(tg, g, "o").id, copy.id}
+    assert sync_r2.preds == {o_copy.id, copy.id}
     assert copy.succs == [sync_r1.id, sync_r2.id]
 
 
@@ -249,12 +253,10 @@ def test_dump_dot_golden():
         "digraph tasks {\n"
         '  t0 [label="default(n2)"];\n'
         '  t1 [label="default(n3)"];\n'
-        '  t2 [label="default(n4)"];\n'
-        '  t3 [label="sync(1)"];\n'
+        '  t2 [label="sync(1)"];\n'
         "  t0 -> t1;\n"
-        "  t0 -> t3;\n"
+        "  t0 -> t2;\n"
         "  t1 -> t2;\n"
-        "  t1 -> t3;\n"
         "}\n"
     )
     assert dump_dot(tg) == expected
