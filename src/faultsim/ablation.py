@@ -4,13 +4,12 @@ utilization, and the task-overhead accounting of the added
 master/slave and local-sync tasks.
 
 Wall times are taken as the minimum over a few interleaved trials, which
-filters host-speed drift out of cross-run ratios; garbage collection is
-paused during measured runs.
+filters host-speed drift out of cross-run ratios; the engine pauses
+garbage collection during each run.
 """
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass
 
 from .config import (
@@ -78,35 +77,29 @@ def ablation_run(
     def fresh_graph():
         return elaborate_text(netlist_text)
 
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        serial_walls = []
-        serial_report = None
-        for _ in range(trials):
-            report = run_serial_concurrent(fresh_graph(), faults, stimulus)
-            serial_walls.append(report.totals.wall_ns)
-            serial_report = report
-        serial_wall = min(serial_walls)
-        baseline = serial_report.verdicts()
+    serial_walls = []
+    serial_report = None
+    for _ in range(trials):
+        report = run_serial_concurrent(fresh_graph(), faults, stimulus)
+        serial_walls.append(report.totals.wall_ns)
+        serial_report = report
+    serial_wall = min(serial_walls)
+    baseline = serial_report.verdicts()
 
-        cells: list[AblationCell] = []
-        best: dict[tuple[str, int], dict] = {}
-        consistent = True
-        for trial in range(trials):
-            for mode in ABLATION_MODES:
-                for P in workers:
-                    cfg = SimConfig(workers=P, mode=mode, threshold=threshold)
-                    report = run_simulation(fresh_graph(), faults, stimulus, cfg)
-                    if report.verdicts() != baseline:
-                        consistent = False
-                    key = (mode, P)
-                    wall = report.totals.wall_ns
-                    if key not in best or wall < best[key]["wall"]:
-                        best[key] = {"wall": wall, "report": report}
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    cells: list[AblationCell] = []
+    best: dict[tuple[str, int], dict] = {}
+    consistent = True
+    for trial in range(trials):
+        for mode in ABLATION_MODES:
+            for P in workers:
+                cfg = SimConfig(workers=P, mode=mode, threshold=threshold)
+                report = run_simulation(fresh_graph(), faults, stimulus, cfg)
+                if report.verdicts() != baseline:
+                    consistent = False
+                key = (mode, P)
+                wall = report.totals.wall_ns
+                if key not in best or wall < best[key]["wall"]:
+                    best[key] = {"wall": wall, "report": report}
 
     cells.append(AblationCell(
         mode=MODE_SERIAL, workers=1, wall_ns=serial_wall,

@@ -15,8 +15,13 @@ Most bad-gate calls are light: in a serial run of the generated
 five evaluates two, while a few hub nodes hold most of the fids.
 ``eval_bad_set`` therefore looks a single fid up by bisection in each
 fanin's sorted list, and a longer fid range through one dict per fanin.
-The engine calls neither bad-gate kernel for a node with no divergent
-fanin and no injected fault, since every bad gate there converges.
+The candidates are the fids divergent at a fanin plus the live fids
+injected here, never the node's own list: a fid divergent here and nowhere
+upstream evaluates to the good value, so it would only be dropped, and
+``commit_state`` drops it by replacing the whole list (the prune of
+concurrent fault simulation, Ulrich & Baker 1974).  The engine calls
+neither bad-gate kernel for a node with no divergent fanin and no injected
+fault, since every bad gate there converges.
 
 Each kernel writes exactly one node's state and reads only fanin states
 that the schedule has already sealed, so the kernels themselves need no
@@ -142,19 +147,22 @@ def affected_fids(
     node: RtlNode,
     fanin_states: list[NodeState],
     nf: NodeFaults,
-    own_state: NodeState,
     cycle: int,
     lo: int = 0,
     hi: int | None = None,
 ) -> list[int]:
     """Candidate fault ids in [lo, hi) (``hi`` None: no upper end) for this
-    node's bad-gate evaluation: every fault divergent at a fanin, every
-    fault injected here with an active window, and every fault currently
-    divergent here (so convergence is observed)."""
+    node's bad-gate evaluation: every fault divergent at a fanin and every
+    fault injected here with an active window.
+
+    A fault divergent here but at no fanin, and not live-injected here, is
+    no candidate: every fanin gives it the good value, so it would evaluate
+    to the good value and be dropped.  ``commit_state`` replaces the whole
+    bad list, so leaving it out drops it just the same."""
 
     bounded = lo or hi is not None
     fids = set()
-    for st in (own_state, *fanin_states):
+    for st in fanin_states:
         bads = st.bads
         if bads:
             if bounded:

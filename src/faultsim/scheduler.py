@@ -34,8 +34,10 @@ zero.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import time
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
@@ -74,58 +76,78 @@ class WorkerPool:
     def run_phase(self, counts, ready, tasks, execute, trace=None, time_base=0):
         P = self.workers
         queues: list[deque] = [deque() for _ in range(P)]
+        # Each worker's steal victims, in scan order.
+        victims = [[queues[(w + off) % P] for off in range(1, P)] for w in range(P)]
         injection = deque(ready)
         busy = [0] * P
-        idle: set[int] = set()
+        idle: list[int] = []        # idle workers, ascending
         heap: list[tuple[int, int, int, int, int]] = []
         executed: list[int] = []
+        push, replace = heapq.heappush, heapq.heapreplace
+        queued = 0                  # tasks held in the worker deques
         seq = 0
 
-        def acquire(w: int):
-            q = queues[w]
-            if q:
-                return q.pop()
-            for off in range(1, P):
-                victim = queues[(w + off) % P]
-                if victim:
-                    return victim.popleft()
-            if injection:
-                return injection.popleft()
-            return None
-
-        def dispatch(w: int, now: int) -> bool:
-            nonlocal seq
-            tid = acquire(w)
-            if tid is None:
-                idle.add(w)
-                return False
-            idle.discard(w)
+        # The deques start empty: worker w takes the w-th entry task.
+        for w in range(P):
+            if not injection:
+                idle.extend(range(w, P))
+                break
+            tid = injection.popleft()
             cost = execute(tid)
             busy[w] += cost
-            heapq.heappush(heap, (now + cost, seq, w, tid, now))
+            push(heap, (time_base + cost, seq, w, tid, time_base))
             seq += 1
             executed.append(tid)
-            return True
-
-        for w in range(P):
-            dispatch(w, time_base)
 
         makespan = time_base
         while heap:
-            fin, _, w, tid, started = heapq.heappop(heap)
+            # The earliest finish stays on the heap until the finishing
+            # worker's next task replaces it (one sift instead of two).
+            fin, _, w, tid, started = heap[0]
             if fin > makespan:
                 makespan = fin
             if trace is not None:
                 trace.append((tid, w, started, fin))
+            q = queues[w]
             for succ in tasks[tid].succs:
                 counts[succ] -= 1
                 if counts[succ] == 0:
-                    queues[w].append(succ)
-            dispatch(w, fin)
-            if idle:
-                for wi in sorted(idle):
-                    if not dispatch(wi, fin):
-                        break
+                    q.append(succ)
+                    queued += 1
+            if not queued and not injection:
+                heapq.heappop(heap)
+                insort(idle, w)
+                continue
+            # Dispatch the finishing worker, then the idle workers in index
+            # order, while anything is runnable.  An idle worker's own deque
+            # is empty: releases go only to the deque of a finishing worker.
+            taken = 0
+            put = replace
+            while True:
+                if q:
+                    tid = q.pop()
+                    queued -= 1
+                elif queued:
+                    for victim in victims[w]:
+                        if victim:
+                            tid = victim.popleft()
+                            break
+                    queued -= 1
+                else:
+                    tid = injection.popleft()
+                cost = execute(tid)
+                busy[w] += cost
+                put(heap, (fin + cost, seq, w, tid, fin))
+                put = push
+                seq += 1
+                executed.append(tid)
+                if taken == len(idle) or not (queued or injection):
+                    break
+                w = idle[taken]
+                taken += 1
+                q = queues[w]
+            if taken:
+                del idle[:taken]
         return PhaseResult(makespan - time_base, busy, executed)
 
 
@@ -269,13 +291,13 @@ class SimulationEngine:
                 diverged = True
         new_good = eval_good(node, goods)
         if diverged:
-            affected = affected_fids(node, fanin_states, nf, st, cycle)
+            affected = affected_fids(node, fanin_states, nf, cycle)
             new_bads = eval_bad_set(
                 node, fanin_states, nf, new_good, cycle, affected, 0, len(affected)
             )
         else:
             # No divergence at a fanin and nothing injected here: every bad
-            # gate, including any still divergent here, takes the good value.
+            # gate takes the good value.
             new_bads = []
         commit_state(st, new_good, new_bads, cycle)
         self._executed += 1
@@ -290,8 +312,10 @@ class SimulationEngine:
             return
         new_good = eval_good(node, [fs.good for fs in fanin_states])
         board.new_good = new_good
-        # Cut at the quantiles of the longest fid list the slaves will read:
-        # its own or a fanin's bad list, or the fids injected here.
+        # Cut at the quantiles of the longest of the node's own bad list, its
+        # fanins' lists and the fids injected here.  The slaves do not read
+        # the own list, but as last cycle's result it tracks the union they
+        # evaluate better than any one fanin list does.
         longest = max((fs.bads for fs in fanin_states), key=len)
         if len(st.bads) > len(longest):
             longest = st.bads
@@ -316,7 +340,7 @@ class SimulationEngine:
         lo, hi = board.bounds[i], board.bounds[i + 1]
         partial = []
         if hi is None or lo < hi:
-            affected = affected_fids(node, fanin_states, nf, st, self._cycle, lo, hi)
+            affected = affected_fids(node, fanin_states, nf, self._cycle, lo, hi)
             partial = eval_bad_set(
                 node, fanin_states, nf, board.new_good, self._cycle,
                 affected, 0, len(affected),
@@ -352,13 +376,25 @@ class SimulationEngine:
     # -- cycle loop ----------------------------------------------------------
 
     def run(self) -> SimulationReport:
+        """Simulate every stimulus row with the cyclic garbage collector
+        off.  A run creates no reference cycles, so the collector would
+        free nothing; its pauses over the caller's heap would only be
+        charged to whichever task was running, and measured task times
+        decide expansion and the modeled schedule."""
+
         cfg = self.config
         run_cycle = self._run_serial_cycle if self.serial else self._run_pool_cycle
-        host_start = time.perf_counter_ns()
-        for cycle, row in enumerate(self.rows):
-            self._cycle = cycle
-            run_cycle(cycle, row)
-        self.totals.host_ns = time.perf_counter_ns() - host_start
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            host_start = time.perf_counter_ns()
+            for cycle, row in enumerate(self.rows):
+                self._cycle = cycle
+                run_cycle(cycle, row)
+            self.totals.host_ns = time.perf_counter_ns() - host_start
+        finally:
+            if gc_was_enabled:
+                gc.enable()
         report = SimulationReport(
             results=build_results(self.faults, self.detections),
             config=cfg.echo(),
@@ -522,7 +558,7 @@ class SimulationEngine:
             fanin_states = [fanin_state(f) for f in node.fanin]
             nf = self.nf[nid]
             good = eval_good(node, [fs.good for fs in fanin_states])
-            affected = affected_fids(node, fanin_states, nf, st, cycle)
+            affected = affected_fids(node, fanin_states, nf, cycle)
             bads = eval_bad_set(
                 node, fanin_states, nf, good, cycle, affected, 0, len(affected)
             )

@@ -11,6 +11,7 @@ from faultsim.kernels import (
     NodeState, SimulationError, affected_fids, check_dependence_changed,
     eval_bad_set, eval_good, initial_states, sync_check_needed, sync_register,
 )
+from faultsim.netlist import OPERATOR_ARITY
 from faultsim.oracles import _ref_op, run_single_fault
 from faultsim.rtl import RtlNode
 from faultsim.scheduler import run_simulation
@@ -118,23 +119,71 @@ class TestAffectedFids:
     def test_empty(self):
         node = comb("AND", 1, 2)
         states = [NodeState(1), NodeState(1)]
-        assert affected_fids(node, states, NO_FAULTS, NodeState(1), 0) == []
+        assert affected_fids(node, states, NO_FAULTS, 0) == []
 
     def test_union_of_sources(self):
         node = comb("AND", 1, 2)
         fan = [NodeState(1, [(3, 0), (7, 0)]), NodeState(1, [(7, 0)])]
-        own = NodeState(1, [(12, 0)])
         faults = nf(entry(7, 0, "sa0"), entry(9, 0, "sa1"))
-        assert affected_fids(node, fan, faults, own, 0) == [3, 7, 9, 12]
+        assert affected_fids(node, fan, faults, 0) == [3, 7, 9]
 
     def test_inactive_window_excluded(self):
         node = comb("AND", 1, 2)
         faults = nf(entry(4, 0, "transient", 3, 5))
         fan = [NodeState(1), NodeState(1)]
         for cycle, want in [(0, []), (2, []), (3, [4]), (4, [4]), (5, [4]), (6, [])]:
-            assert affected_fids(node, fan, faults, NodeState(1), cycle) == want
+            assert affected_fids(node, fan, faults, cycle) == want
         faults.entries[0].dropped = True
-        assert affected_fids(node, fan, faults, NodeState(1), 4) == []
+        assert affected_fids(node, fan, faults, 4) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_own_only_fids_converge(self, data):
+        """The candidates leave out fids divergent only at the node itself.
+        Such a fid reads the good value at every fanin and is not live-
+        injected here, so it evaluates to the good value: adding it back
+        changes no result, over the whole list and one fid at a time."""
+
+        rng = random.Random(data.draw(st.integers(0, 10**6)))
+        op = rng.choice(sorted(OPERATOR_ARITY))
+        width = rng.randint(1, 64)
+        if op == "SLICE":
+            lo = rng.randint(0, 63)
+            hi = rng.randint(lo, 63)
+            width = hi - lo + 1
+            node = comb(op, width, 1, slice_hi=hi, slice_lo=lo)
+        elif op == "CONCAT":
+            node = comb(op, width, 2, concat_lo_width=rng.randint(1, width))
+        else:
+            node = comb(op, width, OPERATOR_ARITY[op])
+        cycle = rng.randint(0, 6)
+
+        def rand_state(w):
+            good = rng.getrandbits(w)
+            fids = sorted(rng.sample(range(60), rng.randint(0, 12)))
+            return NodeState(good, [(f, v) for f in fids
+                                    if (v := rng.getrandbits(w)) != good])
+
+        fan = [rand_state(rng.randint(1, 64)) for _ in node.fanin]
+        own = rand_state(width)
+        faults = NodeFaults([
+            entry(f, rng.randrange(width), rng.choice(["sa0", "sa1", "transient"]),
+                  *sorted(rng.sample(range(7), 2)))
+            for f in rng.sample(range(60), rng.randint(0, 6))
+        ])
+        for e in faults.entries:
+            e.dropped = rng.random() < 0.3
+        new_good = eval_good(node, [fs.good for fs in fan])
+        affected = affected_fids(node, fan, faults, cycle)
+        union = sorted(set(affected).union(f for f, _ in own.bads))
+        want = eval_bad_set(node, fan, faults, new_good, cycle,
+                            affected, 0, len(affected))
+        assert eval_bad_set(node, fan, faults, new_good, cycle,
+                            union, 0, len(union)) == want
+        for i, f in enumerate(union):
+            if f not in affected:
+                assert eval_bad_set(node, fan, faults, new_good, cycle,
+                                    union, i, i + 1) == []
 
 
 class TestEvalBadSet:
@@ -155,7 +204,7 @@ class TestEvalBadSet:
         node = comb("AND", 1, 2)
         fan = [NodeState(0), NodeState(1)]
         faults = nf(entry(9, 0, "sa0"))
-        affected = affected_fids(node, fan, faults, NodeState(0), 0)
+        affected = affected_fids(node, fan, faults, 0)
         assert affected == [9]
         assert eval_bad_set(node, fan, faults, 0, 0, affected, 0, 1) == []
 
@@ -193,13 +242,12 @@ end
             fids = sorted(rng.sample(range(40), rng.randint(0, 10)))
             return [(f, rng.randrange(1 << width)) for f in fids]
         fan = [NodeState(rng.randrange(1 << width), rand_bads()) for _ in range(2)]
-        own = NodeState(rng.randrange(1 << width), rand_bads())
         faults = NodeFaults([
             entry(f, rng.randrange(width), rng.choice(["sa0", "sa1"]))
             for f in rng.sample(range(40), rng.randint(0, 4))
         ])
         new_good = eval_good(node, [fan[0].good, fan[1].good])
-        affected = affected_fids(node, fan, faults, own, 0)
+        affected = affected_fids(node, fan, faults, 0)
         whole = eval_bad_set(node, fan, faults, new_good, 0,
                              affected, 0, len(affected))
         n_cuts = rng.randint(0, min(3, len(affected) + 1))
@@ -237,7 +285,6 @@ end
             w = 1 if op == "MUX" and i == 0 else width
             good = rng.randrange(1 << w)
             fan.append(NodeState(good, [(f, v) for f, v in rand_bads(w) if v != good]))
-        own = NodeState(rng.randrange(1 << width), rand_bads(width))
         faults = NodeFaults([
             entry(f, rng.randrange(width), rng.choice(["sa0", "sa1", "transient"]),
                   *sorted(rng.sample(range(5), 2)))
@@ -246,13 +293,13 @@ end
         for e in faults.entries:
             e.dropped = rng.random() < 0.25
         new_good = eval_good(node, [fs.good for fs in fan])
-        affected = affected_fids(node, fan, faults, own, cycle)
+        affected = affected_fids(node, fan, faults, cycle)
         whole = eval_bad_set(node, fan, faults, new_good, cycle,
                              affected, 0, len(affected))
         cuts = sorted(data.draw(st.lists(st.integers(0, 41), max_size=7)))
         pieces = []
         for lo, hi in zip([0] + cuts, cuts + [None]):
-            part = affected_fids(node, fan, faults, own, cycle, lo, hi)
+            part = affected_fids(node, fan, faults, cycle, lo, hi)
             assert part == [f for f in affected if lo <= f and (hi is None or f < hi)]
             pieces.extend(eval_bad_set(node, fan, faults, new_good, cycle,
                                        part, 0, len(part)))

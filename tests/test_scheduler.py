@@ -282,6 +282,157 @@ def test_pool_executes_each_task_exactly_once():
                 assert order[t.id] < order[s]
 
 
+def reference_run_phase(P, counts, ready, tasks, execute, trace, time_base):
+    """The pool's loop as it was written with per-task ``acquire`` and
+    ``dispatch`` closures, kept to pin the inlined ``WorkerPool.run_phase``
+    to the same schedule."""
+
+    import heapq
+    from collections import deque
+
+    queues = [deque() for _ in range(P)]
+    injection = deque(ready)
+    busy = [0] * P
+    idle = set()
+    heap = []
+    executed = []
+    seq = 0
+
+    def acquire(w):
+        q = queues[w]
+        if q:
+            return q.pop()
+        for off in range(1, P):
+            victim = queues[(w + off) % P]
+            if victim:
+                return victim.popleft()
+        if injection:
+            return injection.popleft()
+        return None
+
+    def dispatch(w, now):
+        nonlocal seq
+        tid = acquire(w)
+        if tid is None:
+            idle.add(w)
+            return False
+        idle.discard(w)
+        cost = execute(tid)
+        busy[w] += cost
+        heapq.heappush(heap, (now + cost, seq, w, tid, now))
+        seq += 1
+        executed.append(tid)
+        return True
+
+    for w in range(P):
+        dispatch(w, time_base)
+    makespan = time_base
+    while heap:
+        fin, _, w, tid, started = heapq.heappop(heap)
+        makespan = max(makespan, fin)
+        trace.append((tid, w, started, fin))
+        for succ in tasks[tid].succs:
+            counts[succ] -= 1
+            if counts[succ] == 0:
+                queues[w].append(succ)
+        dispatch(w, fin)
+        if idle:
+            for wi in sorted(idle):
+                if not dispatch(wi, fin):
+                    break
+    return makespan - time_base, busy, executed
+
+
+def test_inlined_pool_loop_keeps_the_reference_schedule():
+    """Over random DAGs, worker counts 1..8, shuffled entry order, tied and
+    zero costs, a nonzero time base and tasks that never release, the pool
+    gives the reference loop's makespan, busy times, execution order, trace
+    and final countdowns, and calls ``execute`` in the same order."""
+
+    rng = random.Random(2024)
+    for case in range(1200):
+        n = rng.randint(1, 40)
+        tasks = [Task(i, "default", node=i) for i in range(n)]
+        for i in range(n):
+            for j in rng.sample(range(i + 1, n), min(rng.randint(0, 4), n - i - 1)):
+                tasks[i].succs.append(j)
+                tasks[j].preds.add(i)
+        counts = [len(t.preds) for t in tasks]
+        if case % 10 == 0:
+            # A predecessor outside the phase: that task and its
+            # descendants are never released.
+            counts[rng.randrange(n)] += 1
+        ready = [t.id for t in tasks if not counts[t.id]]
+        rng.shuffle(ready)
+        levels = rng.choice(([0], [0, 7], [5], [3, 3, 9], list(range(100))))
+        cost = [rng.choice(levels) for _ in range(n)]
+        P = rng.randint(1, 8)
+        time_base = rng.choice((0, 1, 12345))
+        sides = []
+        for run in ("pool", "reference"):
+            calls, trace, cnt = [], [], list(counts)
+
+            def execute(tid):
+                calls.append(tid)
+                return cost[tid]
+
+            if run == "pool":
+                res = WorkerPool(P).run_phase(cnt, list(ready), tasks, execute,
+                                              trace, time_base)
+                got = (res.makespan_ns, res.busy_ns, res.executed)
+            else:
+                got = reference_run_phase(P, cnt, list(ready), tasks, execute,
+                                          trace, time_base)
+            sides.append((*got, trace, cnt, calls))
+        assert sides[0] == sides[1], case
+
+
+@pytest.mark.parametrize("mode", ["serial", "structural", "full"])
+def test_run_pauses_cyclic_gc_and_leaves_no_cycles(mode, monkeypatch):
+    """The collector is off inside a run and back in its earlier state
+    after it, also when the run fails; and a run leaves no cyclic garbage,
+    which is why pausing the collector costs no memory."""
+
+    import gc
+
+    import faultsim.scheduler as scheduler
+
+    b = small_bench(5, size=60, faults=20)
+    commit = scheduler.commit_state
+    seen = []
+
+    def checking(*args):
+        seen.append(gc.isenabled())
+        return commit(*args)
+
+    monkeypatch.setattr(scheduler, "commit_state", checking)
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            g, stim, faults = b.build()
+            cfg = SimConfig(workers=4, mode=mode, threshold=0.05,
+                            drop_on_detect=True, steady_state_check=True)
+            eng = SimulationEngine(g, faults, stim, cfg)
+            gc.collect()
+            eng.run()
+            assert gc.isenabled() == enabled
+            assert gc.collect() == 0
+        assert seen and not any(seen)
+
+        def fail(*args):
+            raise SimulationError("stop")
+
+        monkeypatch.setattr(scheduler, "commit_state", fail)
+        gc.enable()
+        g, stim, faults = b.build()
+        with pytest.raises(SimulationError):
+            SimulationEngine(g, faults, stim, SimConfig(workers=2, mode=mode)).run()
+        assert gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
 def test_master_cuts_at_injected_fids_when_only_injection_diverges():
     """At cycle 0 nothing diverges anywhere yet, so every difference at n
     comes from the faults injected there; the master cuts the injected
