@@ -36,7 +36,6 @@ class AblationCell:
 @dataclass
 class AblationTable:
     cells: list[AblationCell]
-    serial_wall_ns: int
     overhead_fraction: float
     verdicts_consistent: bool
 
@@ -121,7 +120,7 @@ def ablation_run(
                 mean_dispatch_ns=t.mean_dispatch_ns,
             ))
 
-    table = AblationTable(cells, serial_wall, 0.0, consistent)
+    table = AblationTable(cells, 0.0, consistent)
     p_max = max(workers)
     structural = table.cell(MODE_STRUCTURAL, p_max)
     full = table.cell(MODE_FULL, p_max)

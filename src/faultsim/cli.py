@@ -83,8 +83,6 @@ def build_parser() -> _Parser:
     run_p.add_argument("--workers", type=int, default=1)
     run_p.add_argument("--mode", choices=MODES, default=MODE_FULL)
     run_p.add_argument("--threshold", type=float, default=1e-4)
-    run_p.add_argument("--slaves", type=int, default=0)
-    run_p.add_argument("--max-expansions", type=int, default=8)
     run_p.add_argument("--report", help="write per-fault verdict CSV here")
     run_p.add_argument("--stats", help="write per-cycle statistics here")
     run_p.add_argument("--drop-on-detect", action="store_true")
@@ -167,8 +165,6 @@ def _cmd_run(args) -> int:
         workers=args.workers,
         mode=args.mode,
         threshold=args.threshold,
-        slaves=args.slaves,
-        max_expansions_per_cycle=args.max_expansions,
         drop_on_detect=args.drop_on_detect,
         steady_state_check=args.steady_check,
     )

@@ -1,10 +1,12 @@
 """Run configuration shared by the simulation engine and the CLI.
 
-The mode picks the engine's executor.  ``serial`` evaluates nodes in
-topological order and commits registers after the strobe; it has no task
-graph or worker pool, so the pool, expansion and cost settings do not
-apply to it.  The other modes drain the task graph on the discrete-event
-pool.
+The mode picks the engine's schedule; the engine alone turns it into
+policy.  ``serial`` evaluates nodes in topological order and commits
+registers after the strobe; it has no task graph or worker pool, so the
+pool, expansion and cost settings do not apply to it.  The other modes
+drain the same task graph on the discrete-event pool: ``structural`` and
+``structural+fault`` commit registers behind a barrier, ``full`` commits
+them mid-cycle, and the last two expand overloaded nodes.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ class SimConfig:
     workers: int = 1
     mode: str = MODE_FULL
     threshold: float = 1e-4
-    slaves: int = 0  # 0 means one slave per worker
-    max_expansions_per_cycle: int = 8
     drop_on_detect: bool = False
     steady_state_check: bool = False
     record_outputs: bool = False
@@ -49,29 +49,11 @@ class SimConfig:
             raise ValueError(f"unknown mode '{self.mode}'")
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must lie in (0, 1)")
-        if self.slaves < 0:
-            raise ValueError("slave count must be >= 0")
-        if self.max_expansions_per_cycle < 0:
-            raise ValueError("max_expansions_per_cycle must be >= 0")
-
-    @property
-    def unified_sync(self) -> bool:
-        return self.mode == MODE_FULL
-
-    @property
-    def expansion_enabled(self) -> bool:
-        return self.mode in (MODE_STRUCTURAL_FAULT, MODE_FULL)
-
-    @property
-    def effective_slaves(self) -> int:
-        return self.slaves if self.slaves > 0 else self.workers
 
     def echo(self) -> dict:
         return {
             "workers": self.workers,
             "mode": self.mode,
             "threshold": self.threshold,
-            "slaves": self.effective_slaves,
-            "max_expansions_per_cycle": self.max_expansions_per_cycle,
             "drop_on_detect": int(self.drop_on_detect),
         }

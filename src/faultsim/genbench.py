@@ -133,9 +133,17 @@ def _gen_stimulus(rng, input_widths, cycles, quiescent) -> str:
 def _sample_faults(rng, graph, count, cycles, transient_frac) -> list[FaultDescriptor]:
     universe = generate_fault_list(graph, ("sa0", "sa1"))
     picked = sorted(rng.sample(range(len(universe)), min(count, len(universe))))
+    return _transient_or_stuck(rng, [universe[i] for i in picked], 0,
+                               cycles, transient_frac)
+
+
+def _transient_or_stuck(rng, sites, first_fid, cycles, transient_frac):
+    """One record per sampled stuck-at fault, fids counting up from
+    ``first_fid``: with probability ``transient_frac`` its site instead
+    gets a transient flip over a window of at most three cycles."""
+
     faults = []
-    for fid, i in enumerate(picked):
-        f = universe[i]
+    for fid, f in enumerate(sites, first_fid):
         if transient_frac and rng.random() < transient_frac and cycles > 1:
             start = rng.randrange(cycles - 1)
             end = min(cycles - 1, start + rng.randrange(3))
@@ -309,18 +317,9 @@ def _skewed_faults(rng, graph, fault_count, cycles, transient_frac):
         if f.location_name.startswith(("L", "ci"))
     ]
     need = max(0, target - heavy_count)
-    for i in sorted(rng.sample(range(len(light_universe)), min(need, len(light_universe)))):
-        f = light_universe[i]
-        if transient_frac and rng.random() < transient_frac and cycles > 1:
-            start = rng.randrange(cycles - 1)
-            end = min(cycles - 1, start + rng.randrange(3))
-            faults.append(FaultDescriptor(
-                len(faults), f.location_kind, f.location_name, f.bit,
-                TRANSIENT, start, end))
-        else:
-            faults.append(FaultDescriptor(
-                len(faults), f.location_kind, f.location_name, f.bit, f.kind))
-    return faults
+    picked = sorted(rng.sample(range(len(light_universe)), min(need, len(light_universe))))
+    return faults + _transient_or_stuck(
+        rng, [light_universe[i] for i in picked], heavy_count, cycles, transient_frac)
 
 
 def _pipeline_faults(rng, graph, count, cycles, transient_frac):
@@ -341,18 +340,8 @@ def _pipeline_faults(rng, graph, count, cycles, transient_frac):
         + rng.sample(reg_pool, n_reg)
         + rng.sample(other_pool, n_other)
     )
-    faults = []
-    for fid, i in enumerate(picked):
-        f = universe[i]
-        if transient_frac and rng.random() < transient_frac and cycles > 1:
-            start = rng.randrange(cycles - 1)
-            end = min(cycles - 1, start + rng.randrange(3))
-            faults.append(FaultDescriptor(
-                fid, f.location_kind, f.location_name, f.bit, TRANSIENT, start, end))
-        else:
-            faults.append(FaultDescriptor(
-                fid, f.location_kind, f.location_name, f.bit, f.kind))
-    return faults
+    return _transient_or_stuck(rng, [universe[i] for i in picked], 0,
+                               cycles, transient_frac)
 
 
 # ---------------------------------------------------------------------------

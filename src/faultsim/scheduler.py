@@ -11,7 +11,13 @@ is the reference the parallel modes must reproduce bit for bit, and the
 baseline the ablation grid divides by.
 
 The other modes execute the task graph on a fixed pool of workers with
-work stealing, through the same per-node and register-commit bodies.
+work stealing, through the same per-node and register-commit bodies.  The
+engine alone holds the schedule policy; every mode builds the same task
+graph.  ``full`` releases each register commit mid-cycle once its readers
+and producer are done; ``structural`` and ``structural+fault`` hold every
+commit back for a second phase behind a barrier.  ``structural+fault`` and
+``full`` also expand, at each cycle boundary, up to ``MAX_EXPANSIONS`` of
+the overloaded nodes into a master and one slave per worker.
 
 The pool is a deterministic discrete-event executor: every task's kernel
 runs exactly once on the host, in an order consistent with the dependency
@@ -43,7 +49,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from . import rtl
-from .config import MODE_SERIAL, SimConfig
+from .config import MODE_FULL, MODE_SERIAL, MODE_STRUCTURAL, SimConfig
 from .faults import FaultDescriptor, inject
 from .kernels import (
     NodeState, SimulationError, affected_fids, apply_stimulus_row,
@@ -58,6 +64,8 @@ from .taskgraph import (
     DEFAULT, MASTER, SLAVE, SYNC, TaskGraph, expand_high_load, make_task_graph,
     reset_for_cycle,
 )
+
+MAX_EXPANSIONS = 8  # nodes expanded at one cycle boundary, heaviest first
 
 
 @dataclass
@@ -152,9 +160,10 @@ class WorkerPool:
 
 
 class LoadMonitor:
-    """Per-task execution time for one cycle, as shares of the cycle total,
-    and the largest of them, so that a cycle without an overloaded task is
-    recognised without a scan."""
+    """Per-task execution time for one cycle, the cycle total, and the
+    largest task time, so that a cycle without an overloaded task is
+    recognised without a scan.  The drain runs each task exactly once per
+    cycle, so a task's time is its one recorded cost."""
 
     def __init__(self):
         self.task_ns: dict[int, int] = {}
@@ -167,16 +176,10 @@ class LoadMonitor:
         self.peak_ns = 0
 
     def record(self, tid: int, cost: int) -> None:
-        ns = self.task_ns.get(tid, 0) + cost
-        self.task_ns[tid] = ns
+        self.task_ns[tid] = cost
         self.total_ns += cost
-        if ns > self.peak_ns:
-            self.peak_ns = ns
-
-    def shares(self) -> dict[int, float]:
-        if self.total_ns <= 0:
-            return {tid: 0.0 for tid in self.task_ns}
-        return {tid: ns / self.total_ns for tid, ns in self.task_ns.items()}
+        if cost > self.peak_ns:
+            self.peak_ns = cost
 
 
 def flag_overloaded(monitor: LoadMonitor, tg: TaskGraph, threshold: float) -> list[int]:
@@ -204,8 +207,9 @@ class SimulationEngine:
     Two executors run the same per-node and register-commit bodies.  Mode
     ``serial`` evaluates every node in topological order, strobes, and then
     commits the registers; it builds no task graph, pool or load monitor,
-    and its cycle times are host time.  Every other mode
-    drains the task graph on the discrete-event pool."""
+    and its cycle times are host time.  Every other mode drains the task
+    graph on the discrete-event pool, then strobes.  Both call ``_detect``
+    once per cycle, after their drain."""
 
     def __init__(self, graph: RtlGraph, faults: list[FaultDescriptor],
                  stimulus, config: SimConfig):
@@ -236,9 +240,15 @@ class SimulationEngine:
             self.order = [nid for nid in graph.topo
                           if graph.nodes[nid].kind in rtl.TASK_KINDS]
         else:
-            self.tg = make_task_graph(graph, unified=config.unified_sync)
+            self.tg = make_task_graph(graph)
             self.pool = WorkerPool(config.workers)
             self.monitor = LoadMonitor()
+            self.unified = config.mode == MODE_FULL
+            self.expands = config.mode != MODE_STRUCTURAL
+            # Expansion adds no entry task, so phase 1's entry list is fixed;
+            # behind a barrier it leaves out the sync tasks.
+            self.entry = [tid for tid in self.tg.entry_tasks
+                          if self.unified or self.tg.tasks[tid].kind != SYNC]
         self.detections: dict[int, tuple[int, str]] = {}
         self.cycle_stats: list[CycleStats] = []
         self.totals = RunTotals()
@@ -408,8 +418,8 @@ class SimulationEngine:
     def _begin_cycle(self, cycle: int, row) -> None:
         apply_stimulus_row(self.graph, self.states, row, cycle)
         if self.config.steady_state_check:
-            # Registers commit mid-drain under the unified schedule; the
-            # re-sweep must judge settlement against the values this cycle read.
+            # Pool modes commit registers before the re-sweep; it must judge
+            # settlement against the values this cycle read.
             self._reg_snapshot = {
                 rid: (self.states[rid].good, list(self.states[rid].bads))
                 for rid in self.graph.regs
@@ -418,9 +428,12 @@ class SimulationEngine:
         self._skipped = 0
         self._sync_ns = 0
 
-    def _strobe(self, cycle: int) -> list[tuple[int, int, str]]:
-        """Detection strobe, then the steady-state re-sweep.  The re-sweep
-        runs before any drop: a drop removes divergences from every state
+    def _detect(self, cycle: int) -> None:
+        """Detection strobe, then the steady-state re-sweep, then the drop
+        of the faults detected now.  The strobe reads outputs, which share
+        no state with a register (see ``rtl.split_register_reads``), so it
+        sees the same values before and after the commits.  The re-sweep
+        runs before the drop: a drop removes divergences from every state
         but the register snapshot the re-sweep reads."""
 
         hits = scan_outputs(self.graph, self.states, self.detections, cycle)
@@ -428,7 +441,8 @@ class SimulationEngine:
             self.detections[fid] = (at, out)
         if self.config.steady_state_check:
             self._assert_steady(cycle)
-        return hits
+        if self.config.drop_on_detect:
+            drop_detected(self.table, self.distinct_states, [hit[0] for hit in hits])
 
     def _end_cycle(self, stats: CycleStats) -> None:
         self.cycle_stats.append(stats)
@@ -450,9 +464,7 @@ class SimulationEngine:
         run_default = self._run_default
         for nid in self.order:
             run_default(nid)
-        hits = self._strobe(cycle)
-        if self.config.drop_on_detect:
-            drop_detected(self.table, self.distinct_states, [hit[0] for hit in hits])
+        self._detect(cycle)
         sync0 = time.perf_counter_ns()
         self._run_sync(self.graph.regs)
         self._sync_ns = time.perf_counter_ns() - sync0
@@ -466,53 +478,50 @@ class SimulationEngine:
         tg = self.tg
         boundary0 = time.perf_counter_ns()
         self._begin_cycle(cycle, row)
-        counts, ready = reset_for_cycle(tg)
+        counts = reset_for_cycle(tg)
+        if not self.unified:
+            # Behind a barrier the compute drain must not release a sync
+            # task: its countdown starts below zero and only falls.
+            for tid in tg.sync_tasks:
+                counts[tid] = -1
         self.monitor.reset()
         if cfg.cost_table is not None:
             self._cost_replay = cfg.cost_table[cycle] if cycle < len(cfg.cost_table) else {}
         if cfg.record_costs:
             self._cost_log = {}
             self.cost_log.append(self._cost_log)
-        expected = len(tg.tasks) if tg.unified else len(tg.tasks) - len(tg.sync_tasks)
         boundary_ns = time.perf_counter_ns() - boundary0
 
         pool0 = time.perf_counter_ns()
-        phase1 = self.pool.run_phase(counts, ready, tg.tasks, self._execute)
-        pool_host_ns = time.perf_counter_ns() - pool0
-        self._check_drained(phase1, counts, expected)
-        wall = phase1.makespan_ns
-        busy = phase1.busy_ns
-
-        b1 = time.perf_counter_ns()
-        hits = self._strobe(cycle)
-        boundary_ns += time.perf_counter_ns() - b1
-
-        if not tg.unified:
+        phase = self.pool.run_phase(counts, self.entry, tg.tasks, self._execute)
+        wall = phase.makespan_ns
+        busy = phase.busy_ns
+        ran = len(phase.executed)
+        if not self.unified:
             # Sync tasks are sinks: the commit phase starts with all of them.
-            pool0 = time.perf_counter_ns()
-            phase2 = self.pool.run_phase(
+            phase = self.pool.run_phase(
                 counts, tg.sync_tasks, tg.tasks, self._execute, time_base=wall
             )
-            pool_host_ns += time.perf_counter_ns() - pool0
-            if len(phase2.executed) != len(tg.sync_tasks):
-                raise SimulationError(
-                    f"cycle {cycle}: commit phase drained with "
-                    f"{len(tg.sync_tasks) - len(phase2.executed)} unexecuted tasks"
-                )
-            wall += phase2.makespan_ns
-            busy = [a + b for a, b in zip(busy, phase2.busy_ns)]
+            wall += phase.makespan_ns
+            busy = [a + b for a, b in zip(busy, phase.busy_ns)]
+            ran += len(phase.executed)
+        pool_host_ns = time.perf_counter_ns() - pool0
+        if ran != len(tg.tasks):
+            stuck = [(t.id, t.kind, counts[t.id]) for t in tg.tasks if counts[t.id] > 0]
+            raise SimulationError(
+                f"cycle {cycle}: pool drained with {len(tg.tasks) - ran} "
+                f"unexecuted tasks; (id, kind, pending preds): {stuck[:20]}"
+            )
 
-        b3 = time.perf_counter_ns()
-        if cfg.drop_on_detect:
-            drop_detected(self.table, self.distinct_states, [hit[0] for hit in hits])
+        b1 = time.perf_counter_ns()
+        self._detect(cycle)
         expansions: tuple[int, ...] = ()
-        if cfg.expansion_enabled and cfg.max_expansions_per_cycle > 0:
+        if self.expands:
             flagged = flag_overloaded(self.monitor, tg, cfg.threshold)
-            chosen = flagged[: cfg.max_expansions_per_cycle]
-            for nid in chosen:
-                expand_high_load(tg, nid, cfg.effective_slaves)
-            expansions = tuple(chosen)
-        boundary_ns += time.perf_counter_ns() - b3
+            expansions = tuple(flagged[:MAX_EXPANSIONS])
+            for nid in expansions:
+                expand_high_load(tg, nid, self.pool.workers)
+        boundary_ns += time.perf_counter_ns() - b1
 
         self._end_cycle(CycleStats(
             cycle=cycle,
@@ -525,20 +534,6 @@ class SimulationEngine:
         ))
         self.totals.dispatches += self._executed + self._skipped
         self.totals.dispatch_overhead_ns += max(0, pool_host_ns - sum(busy))
-
-    def _check_drained(self, phase: PhaseResult, counts, expected: int) -> None:
-        if len(phase.executed) == expected:
-            return
-        done = set(phase.executed)
-        stuck = [
-            (t.id, t.kind, counts[t.id])
-            for t in self.tg.tasks
-            if t.id not in done and (self.tg.unified or t.kind != SYNC)
-        ]
-        raise SimulationError(
-            f"cycle {self._cycle}: pool drained with {len(stuck)} unexecuted "
-            f"tasks; (id, kind, pending preds): {stuck[:20]}"
-        )
 
     def _assert_steady(self, cycle: int) -> None:
         """Debug re-sweep: re-evaluating any node must change nothing."""

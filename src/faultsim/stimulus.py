@@ -22,9 +22,6 @@ class StimulusFile:
     inputs: list[str]
     rows: list[list[int]]
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
 
 def parse_stimulus(text: str) -> StimulusFile:
     lines = [ln.split("#", 1)[0].split() for ln in text.splitlines()]

@@ -6,11 +6,12 @@ onto compute tasks.  An output is no task: it shares its driver's state
 task that depends on the producer of the register's next value and on
 every task reading the register, and nothing depends on it (a
 register-to-register read goes through a copy node, see
-``rtl.split_register_reads``).  Under the unified schedule a sync task is
-runnable once the current-cycle readers are done, mid-cycle, instead of
-waiting for a global barrier.  High-load nodes can be expanded between
-cycles into a master plus a fixed set of slaves that split the node's
-bad-gate work at fid cut points the master publishes.
+``rtl.split_register_reads``).  The graph is a plain dependency
+description with one shape for every mode: whether sync tasks run
+mid-cycle or behind a commit barrier is the engine's choice, not the
+graph's.  High-load nodes can be expanded between cycles into a master
+plus a fixed set of slaves that split the node's bad-gate work at fid cut
+points the master publishes.
 """
 
 from __future__ import annotations
@@ -63,21 +64,13 @@ class TaskGraph:
     tasks: list[Task]
     node_task: dict[int, int]           # rtl node id -> default/master task id
     sync_tasks: list[int]
-    unified: bool
     boards: dict[int, RangeBoard] = field(default_factory=dict)  # expanded nodes
     pred_reset: list[int] = field(default_factory=list)
     entry_tasks: list[int] = field(default_factory=list)
 
     def rebuild_reset_image(self) -> None:
         self.pred_reset = [len(t.preds) for t in self.tasks]
-        if not self.unified:
-            # Barrier discipline: sync tasks run as a separate phase and
-            # must not be released by the compute drain.
-            for tid in self.sync_tasks:
-                self.pred_reset[tid] = -1
-        self.entry_tasks = [
-            t.id for t in self.tasks if self.pred_reset[t.id] == 0
-        ]
+        self.entry_tasks = [t.id for t in self.tasks if not t.preds]
 
 
 def build_task_graph(graph: RtlGraph) -> TaskGraph:
@@ -99,7 +92,7 @@ def build_task_graph(graph: RtlGraph) -> TaskGraph:
             if src_tid is not None and src_tid not in task.preds:
                 task.preds.add(src_tid)
                 tasks[src_tid].succs.append(tid)
-    tg = TaskGraph(tasks, node_task, [], unified=True)
+    tg = TaskGraph(tasks, node_task, [])
     tg.rebuild_reset_image()
     return tg
 
@@ -135,10 +128,8 @@ def insert_local_sync(tg: TaskGraph, graph: RtlGraph) -> TaskGraph:
     return tg
 
 
-def make_task_graph(graph: RtlGraph, unified: bool) -> TaskGraph:
-    tg = build_task_graph(graph)
-    tg.unified = unified
-    return insert_local_sync(tg, graph)
+def make_task_graph(graph: RtlGraph) -> TaskGraph:
+    return insert_local_sync(build_task_graph(graph), graph)
 
 
 def expand_high_load(tg: TaskGraph, node_id: int, k: int) -> TaskGraph:
@@ -149,8 +140,7 @@ def expand_high_load(tg: TaskGraph, node_id: int, k: int) -> TaskGraph:
     on the master alone and evaluates the bad gates of the fids between
     its two cuts; the node's original successors wait for the master and
     every slave.  The reset image is updated in place: each slave starts
-    at one pending predecessor and each original successor gains k, except
-    sync tasks of a barrier graph, which the compute drain never releases.
+    at one pending predecessor and each original successor gains k.
     """
 
     if k < 1:
@@ -176,14 +166,13 @@ def expand_high_load(tg: TaskGraph, node_id: int, k: int) -> TaskGraph:
     reset = tg.pred_reset
     reset.extend([1] * k)
     for succ in original_succs:
-        if tg.unified or tg.tasks[succ].kind != SYNC:
-            reset[succ] += k
+        reset[succ] += k
     return tg
 
 
-def reset_for_cycle(tg: TaskGraph) -> tuple[list[int], list[int]]:
-    """Fresh predecessor countdowns and the entry task list for one cycle."""
+def reset_for_cycle(tg: TaskGraph) -> list[int]:
+    """Fresh predecessor countdowns for one cycle."""
 
     for board in tg.boards.values():
         board.reset()
-    return tg.pred_reset.copy(), tg.entry_tasks
+    return tg.pred_reset.copy()

@@ -33,6 +33,20 @@ end
 """
 
 
+# One register read by one comb consumer; its next value is produced by a
+# node that reads the consumer.
+SYNCED = """
+module m
+input x 1
+reg r 1 = 0
+assign d 1 = NOT r
+assign e 1 = AND d x
+output o 1 = e
+next r = e
+end
+"""
+
+
 @pytest.fixture
 def and2_graph():
     return build(AND2)

@@ -238,15 +238,13 @@ def test_structural_invariants_over_many_cycles():
         workers = rng.choice((2, 4, 8))
         rng.choice((1, 1, 2, 3))  # the retired sync-group draw; keeps later draws
         pre = rng.sample(nodes, min(len(nodes), 3))
-        cfg = SimConfig(
-            workers=workers,
-            mode="full",
-            threshold=0.02,
-            slaves=rng.choice((0, 2)),
-        )
+        cfg = SimConfig(workers=workers, mode="full", threshold=0.02)
+        # Pre-expanded nodes get k slaves, 0 meaning one per worker as at
+        # the engine's own cycle-boundary expansions.
+        k = rng.choice((0, 2)) or workers
         eng = SimulationEngine(graph, faults, stim, cfg)
         for nid in pre:
-            expand_high_load(eng.tg, nid, cfg.effective_slaves)
+            expand_high_load(eng.tg, nid, k)
         traces = record_traces(eng)
         eng.run()
         ms, sync = check_schedule_invariants(eng, traces)

@@ -145,7 +145,7 @@ def test_negative_fid_rejected():
               for bit in range(8) for k, kind in enumerate(("sa0", "sa1"))]
     with pytest.raises(FaultModelError, match="fault -100: fid must be >= 0"):
         run_simulation(build(text), faults, [[0xF0, 0xFF]],
-                       SimConfig(workers=4, mode="full", slaves=4))
+                       SimConfig(workers=4, mode="full"))
 
 
 MULTI_PORT = """

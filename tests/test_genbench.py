@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from faultsim.faults import parse_fault_csv
@@ -11,6 +13,33 @@ def test_deterministic_by_seed():
     assert (a.netlist, a.stimulus, a.faults_csv) == (b.netlist, b.stimulus, b.faults_csv)
     c = gen_bench("uniform", 100, 8)
     assert c.netlist != a.netlist or c.stimulus != a.stimulus
+
+
+# sha256 of the netlist, stimulus and fault CSV texts of the first instance
+# of each benchmark workload (perfbench/bench.py): a generator change that
+# moves a byte of them changes what every earlier measurement meant.
+GOLDEN = [
+    (("skewed", 3000, 42), dict(cycles=10), (
+        "f1f01a01aaee18036225cbbcc424c09cf1fd9e22558c15cdcbcbc14d3d60da8e",
+        "c08170da6e32a079f3c6801c50bd4bcb663c5adb240cb309a158437b354d24d1",
+        "274b6d7290144cfe0b78179338976ff844420bf79f184fed5fc573f8535e5f05")),
+    (("pipeline", 1500, 42), dict(cycles=10, fault_count=15000), (
+        "ecc4c14b871f15701be18523bde79b6d449864a674e4e901b623366ba60e2e5f",
+        "6a8d5d30d7ca398a7bbcd72ccd3490e6104e5fab428d1f66c3317ae0035b890e",
+        "da828597c7275a628ef7514efb0ed81fa5f57c2b2318d858f71ec8fae41da49f")),
+    (("uniform", 600, 11), dict(cycles=10), (
+        "b9e0b5c2ec6cefb500780748b6b717d3c227f45a13c4873e77640dc8615964a6",
+        "d2d2c61792d40523e3bf2c36b77646daadb79c4b4375ccc14c62968af614032d",
+        "92ea30911833850d2d1d9b0c16e0c1a069bd6af9b55444ccc07fbf0bd9042115")),
+]
+
+
+@pytest.mark.parametrize("args,kwargs,digests", GOLDEN,
+                         ids=["_".join(map(str, args)) for args, _, _ in GOLDEN])
+def test_fixed_benches_are_byte_stable(args, kwargs, digests):
+    bench = gen_bench(*args, **kwargs)
+    texts = (bench.netlist, bench.stimulus, bench.faults_csv)
+    assert tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts) == digests
 
 
 def test_size_floor_and_profile_validation():
@@ -64,9 +93,9 @@ def test_skewed_one_node_dominates_before_expansion():
     eng = SimulationEngine(g, faults, stim,
                            SimConfig(workers=4, mode="structural"))
     eng.run()
-    shares = eng.monitor.shares()
+    mon = eng.monitor
     node_share = {
-        eng.tg.tasks[tid].node: share for tid, share in shares.items()
+        eng.tg.tasks[tid].node: ns / mon.total_ns for tid, ns in mon.task_ns.items()
         if eng.tg.tasks[tid].node >= 0
     }
     top_node, top_share = max(node_share.items(), key=lambda kv: kv[1])

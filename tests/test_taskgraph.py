@@ -10,7 +10,7 @@ from faultsim.taskgraph import (
     make_task_graph, reset_for_cycle,
 )
 
-from conftest import build
+from conftest import SYNCED, build
 
 CHAIN = """
 module m
@@ -86,26 +86,14 @@ def test_diamond_pred_count():
     tg = build_task_graph(g)
     d = task_of(tg, g, "d")
     assert len(d.preds) == 2
-    counts, ready = reset_for_cycle(tg)
+    counts = reset_for_cycle(tg)
     assert counts[d.id] == 2
-    assert set(ready) == {task_of(tg, g, "b").id, task_of(tg, g, "c").id}
-
-
-SYNCED = """
-module m
-input x 1
-reg r 1 = 0
-assign d 1 = NOT r
-assign e 1 = AND d x
-output o 1 = e
-next r = e
-end
-"""
+    assert set(tg.entry_tasks) == {task_of(tg, g, "b").id, task_of(tg, g, "c").id}
 
 
 def test_sync_task_waits_for_readers_and_producer():
     g = build(SYNCED)
-    tg = make_task_graph(g, unified=True)
+    tg = make_task_graph(g)
     sync = tg.tasks[tg.sync_tasks[0]]
     d = task_of(tg, g, "d")   # reads r
     e = task_of(tg, g, "e")   # produces next r
@@ -125,7 +113,7 @@ next r = e
 end
 """
     g = build(text)
-    tg = make_task_graph(g, unified=True)
+    tg = make_task_graph(g)
     sync = tg.tasks[tg.sync_tasks[0]]
     assert sync.preds == {task_of(tg, g, "e").id}
 
@@ -144,7 +132,7 @@ end
     g = build(text)
     split_register_reads(g)
     observe_outputs(g)
-    tg = make_task_graph(g, unified=True)
+    tg = make_task_graph(g)
     sync_r1 = tg.tasks[tg.sync_tasks[0]]
     sync_r2 = tg.tasks[tg.sync_tasks[1]]
     # r2 captures r1's current value through r1's copy, which reads r1, so
@@ -194,9 +182,9 @@ def test_double_expansion_rejected():
 
 def test_expansions_commute():
     g1 = build(DIAMOND)
-    tg1 = make_task_graph(g1, unified=True)
+    tg1 = make_task_graph(g1)
     g2 = build(DIAMOND)
-    tg2 = make_task_graph(g2, unified=True)
+    tg2 = make_task_graph(g2)
     nb, nc = g1.name_to_id["b"], g1.name_to_id["c"]
     expand_high_load(tg1, nb, 2)
     expand_high_load(tg1, nc, 2)
@@ -206,17 +194,16 @@ def test_expansions_commute():
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10**6), unified=st.booleans(),
-       picks=st.integers(1, 6), k=st.integers(1, 5))
-def test_incremental_reset_image_matches_rebuild(seed, unified, picks, k):
+@given(seed=st.integers(0, 10**6), picks=st.integers(1, 6), k=st.integers(1, 5))
+def test_incremental_reset_image_matches_rebuild(seed, picks, k):
     """expand_high_load updates the reset image in place; after any sequence
-    of expansions it equals a fresh rebuild in unified and barrier graphs."""
+    of expansions it equals a fresh rebuild."""
 
     bench = gen_bench(("uniform", "skewed", "pipeline")[seed % 3], 30, seed,
                       cycles=2, fault_count=4)
     graph, _, _ = bench.build()
     split_register_reads(graph)
-    tg = make_task_graph(graph, unified=unified)
+    tg = make_task_graph(graph)
     rng = random.Random(seed)
     for nid in rng.sample(sorted(tg.node_task), min(picks, len(tg.node_task))):
         expand_high_load(tg, nid, k)
@@ -229,26 +216,18 @@ def test_reset_after_expansion_master_entry_unchanged():
     g = build(CHAIN)
     tg = build_task_graph(g)
     b = task_of(tg, g, "b")
-    _, ready_before = reset_for_cycle(tg)
+    ready_before = list(tg.entry_tasks)
     expand_high_load(tg, b.node, 2)
-    _, ready_after = reset_for_cycle(tg)
+    reset_for_cycle(tg)
+    ready_after = tg.entry_tasks
     assert b.id in ready_before and b.id in ready_after
     slaves = [t.id for t in tg.tasks if t.kind == SLAVE]
     assert not set(slaves) & set(ready_after)
 
 
-def test_barrier_wiring_excludes_sync_from_entry():
-    g = build(SYNCED)
-    tg = make_task_graph(g, unified=False)
-    counts, ready = reset_for_cycle(tg)
-    assert set(ready).isdisjoint(set(tg.sync_tasks))
-    for tid in tg.sync_tasks:
-        assert counts[tid] == -1
-
-
 def test_dump_dot_golden():
     g = build(SYNCED)
-    tg = make_task_graph(g, unified=True)
+    tg = make_task_graph(g)
     expected = (
         "digraph tasks {\n"
         '  t0 [label="default(n2)"];\n'
@@ -290,23 +269,22 @@ end
 
 def check_ring_syncs(text):
     """A register ring gives one sync task per register, with no sync
-    predecessor and no successor, in unified and barrier graphs."""
+    predecessor and no successor."""
 
-    for unified in (True, False):
-        g = build(text)
-        split_register_reads(g)
-        tg = make_task_graph(g, unified=unified)
-        assert [tg.tasks[tid].regs for tid in tg.sync_tasks] == [(r,) for r in g.regs]
-        for tid in tg.sync_tasks:
-            task = tg.tasks[tid]
-            assert task.succs == []
-            assert all(tg.tasks[p].kind != SYNC for p in task.preds)
-            # The register's next value comes from the copy of its source,
-            # which reads that source and nothing else.
-            (rid,) = task.regs
-            copy = g.nodes[g.nodes[rid].next_src]
-            assert copy.kind == VIRTUAL and g.nodes[copy.fanin[0]].kind == REG
-            assert tg.node_task[copy.id] in task.preds
+    g = build(text)
+    split_register_reads(g)
+    tg = make_task_graph(g)
+    assert [tg.tasks[tid].regs for tid in tg.sync_tasks] == [(r,) for r in g.regs]
+    for tid in tg.sync_tasks:
+        task = tg.tasks[tid]
+        assert task.succs == []
+        assert all(tg.tasks[p].kind != SYNC for p in task.preds)
+        # The register's next value comes from the copy of its source,
+        # which reads that source and nothing else.
+        (rid,) = task.regs
+        copy = g.nodes[g.nodes[rid].next_src]
+        assert copy.kind == VIRTUAL and g.nodes[copy.fanin[0]].kind == REG
+        assert tg.node_task[copy.id] in task.preds
 
 
 def test_register_swap_gives_one_sync_per_register():
@@ -345,4 +323,4 @@ end
 @pytest.mark.parametrize("text", [SWAP, ROTATION])
 def test_unsplit_register_read_rejected(text):
     with pytest.raises(ValueError, match="split register reads"):
-        make_task_graph(build(text), unified=True)
+        make_task_graph(build(text))
