@@ -6,7 +6,7 @@ from .config import (
     SimConfig,
 )
 from .faults import (
-    FaultDescriptor, FaultEntry, FaultTable, faulty_val, generate_fault_list,
+    FaultDescriptor, FaultTable, faulty_val, generate_fault_list,
     inject, parse_fault_csv, emit_fault_csv, resolve_injection_site,
 )
 from .kernels import NodeState, SimulationError
@@ -20,7 +20,7 @@ from .stimulus import StimulusFile, StimulusError, emit_stimulus, parse_stimulus
 __all__ = [
     "MODE_FULL", "MODE_SERIAL", "MODE_STRUCTURAL", "MODE_STRUCTURAL_FAULT",
     "MODES", "SimConfig",
-    "FaultDescriptor", "FaultEntry", "FaultTable", "faulty_val",
+    "FaultDescriptor", "FaultTable", "faulty_val",
     "generate_fault_list", "inject", "parse_fault_csv", "emit_fault_csv",
     "resolve_injection_site",
     "NodeState", "SimulationError",

@@ -233,11 +233,15 @@ def _cmd_ablate(args) -> int:
     netlist_text = _read_text(args.netlist)
     stim = parse_stimulus(_read_text(args.stimulus))
     faults = parse_fault_csv(_read_text(args.faults))
-    workers = [int(tok) for tok in args.workers.split(",") if tok.strip()]
-    if not workers or any(w < 1 for w in workers):
-        return _usage_error("--workers needs positive integers")
     try:
-        SimConfig(threshold=args.threshold).validate()
+        workers = [int(tok) for tok in args.workers.split(",") if tok.strip()]
+    except ValueError:
+        workers = []
+    if not workers:
+        return _usage_error("--workers needs comma-separated integers")
+    try:
+        for P in workers:
+            SimConfig(workers=P, threshold=args.threshold).validate()
     except ValueError as exc:
         return _usage_error(str(exc))
     table = ablation_run(

@@ -18,6 +18,9 @@ MODE_STRUCTURAL = "structural"
 MODE_STRUCTURAL_FAULT = "structural+fault"
 MODE_FULL = "full"
 MODES = (MODE_SERIAL, MODE_STRUCTURAL, MODE_STRUCTURAL_FAULT, MODE_FULL)
+# The pool builds a P x (P - 1) steal table every phase, so its cost grows
+# as P squared; far past any host's core count it only burns memory.
+MAX_WORKERS = 1024
 
 
 @dataclass
@@ -43,8 +46,8 @@ class SimConfig:
     cost_table: list | None = None
 
     def validate(self) -> None:
-        if self.workers < 1:
-            raise ValueError("worker count must be >= 1")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ValueError(f"worker count must lie in 1..{MAX_WORKERS}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode '{self.mode}'")
         if not 0.0 < self.threshold < 1.0:

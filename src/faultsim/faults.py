@@ -7,12 +7,17 @@ commits), and a fault on an input port lands at a virtual pass-through
 node spliced between the port and its consumers.  Faults on output ports
 fall back to the wire rule on the output's driver, and a fault on an output
 bit the driver does not reach is rejected.
+
+A site files the caller's ``FaultDescriptor`` objects themselves.  Dropping
+a detected fault removes it from its site (``NodeFaults.discard``) and never
+mutates a descriptor, so one fault list can be simulated again and again.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -55,39 +60,40 @@ class FaultDescriptor:
     end: int = 0
 
 
-@dataclass(slots=True)
-class FaultEntry:
-    """Per-node injection record; ``dropped`` is set once the fault is
-    detected and dropped from simulation."""
-
-    fid: int
-    rule: FaultDescriptor
-    dropped: bool = False
-
-
 class NodeFaults:
-    """Immutable per-node view of injected entries: the sorted entry list
+    """The faults injected at one node: their descriptors sorted by fid,
     plus lookup structures the evaluation kernels index every cycle.
-    ``transients`` holds the entries whose window can open or close; a
-    stuck-at window never toggles."""
+    ``transients`` holds the descriptors whose window can open or close; a
+    stuck-at window never toggles.  Only ``kernels.drop_detected`` changes
+    a site, through ``discard``, after a cycle's drain."""
 
     __slots__ = ("entries", "fid_map", "fids", "transients")
 
-    def __init__(self, entries: list[FaultEntry]):
+    def __init__(self, entries: list[FaultDescriptor]):
         entries = sorted(entries, key=attrgetter("fid"))
         self.entries = entries
-        self.fid_map = {e.fid: e for e in entries}
-        self.fids = [e.fid for e in entries]
-        self.transients = [e for e in entries if e.rule.kind == TRANSIENT]
+        self.fid_map = {f.fid: f for f in entries}
+        self.fids = [f.fid for f in entries]
+        self.transients = [f for f in entries if f.kind == TRANSIENT]
+
+    def discard(self, fid: int) -> None:
+        """Stop injecting fault ``fid`` here; its descriptor is left as is."""
+
+        fault = self.fid_map.pop(fid)
+        i = bisect_left(self.fids, fid)
+        del self.fids[i]
+        del self.entries[i]
+        if fault.kind == TRANSIENT:
+            self.transients.remove(fault)
 
 
 NO_FAULTS = NodeFaults([])
 
 
 class FaultTable:
-    """Sorted per-node fault entries plus a fid -> site map."""
+    """Each site's injected faults plus a fid -> site map."""
 
-    def __init__(self, by_node: dict[int, list[FaultEntry]], site_of: dict[int, int]):
+    def __init__(self, by_node: dict[int, list[FaultDescriptor]], site_of: dict[int, int]):
         self._node_faults = {nid: NodeFaults(entries) for nid, entries in by_node.items()}
         self.site_of = site_of
 
@@ -95,22 +101,19 @@ class FaultTable:
         return self._node_faults.get(nid, NO_FAULTS)
 
 
-def window_active(rule: FaultDescriptor, cycle: int) -> bool:
-    if rule.kind == TRANSIENT:
-        return rule.start <= cycle <= rule.end
-    return True
-
-
 def window_toggles(rule: FaultDescriptor, cycle: int) -> bool:
-    """True when the rule's active window opens or closes at this cycle."""
+    """True when the rule's active window opens or closes at this cycle; a
+    stuck-at window is always open."""
 
     if rule.kind != TRANSIENT or cycle <= 0:
         return False
-    return window_active(rule, cycle) != window_active(rule, cycle - 1)
+    return (rule.start <= cycle <= rule.end) != (rule.start <= cycle - 1 <= rule.end)
 
 
 def faulty_val(rule: FaultDescriptor, computed: int, cycle: int) -> int:
-    """Apply the forcing rule to a computed value for the given cycle."""
+    """Apply the forcing rule to a computed value for the given cycle.  A
+    transient leaves the value alone outside its window; a stuck-at rule
+    always applies."""
 
     lane = 1 << rule.bit
     if rule.kind == SA0:
@@ -272,16 +275,16 @@ def _resolve_wire_site(graph: RtlGraph, fault: FaultDescriptor, nid: int) -> tup
 
 
 def inject(graph: RtlGraph, faults: list[FaultDescriptor]) -> FaultTable:
-    """Resolve and record every fault; the graph gains any needed carriers.
+    """File every fault at its site; the graph gains any needed carriers.
     Each distinct location is resolved once; later faults there only pay
     their fid and bit checks.  ``graph.topo`` is sorted once, after the
     last carrier is spliced (also when a fault is rejected), rather than
     once per carrier."""
 
-    by_node: dict[int, list[FaultEntry]] = {}
+    by_node: dict[int, list[FaultDescriptor]] = {}
     site_of: dict[int, int] = {}
-    # (location_kind, location_name) -> (site, its entries, bits it carries)
-    sites: dict[tuple[str, str], tuple[int, list[FaultEntry], int]] = {}
+    # (location_kind, location_name) -> (site, its faults, bits it carries)
+    sites: dict[tuple[str, str], tuple[int, list[FaultDescriptor], int]] = {}
     count = len(graph.nodes)
     try:
         for fault in faults:
@@ -296,7 +299,7 @@ def inject(graph: RtlGraph, faults: list[FaultDescriptor]) -> FaultTable:
             if fid in site_of:
                 raise FaultModelError(f"duplicate fid {fid}")
             site_of[fid] = hit[0]
-            hit[1].append(FaultEntry(fid, fault))
+            hit[1].append(fault)
     finally:
         if len(graph.nodes) != count:
             graph.recompute_topo()

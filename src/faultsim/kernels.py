@@ -25,8 +25,10 @@ fault, since every bad gate there converges.
 
 Each kernel writes exactly one node's state and reads only fanin states
 that the schedule has already sealed, so the kernels themselves need no
-locking in any execution discipline.  ``drop_detected`` writes every
-state and so runs only after a cycle's drain.
+locking in any execution discipline.  ``drop_detected`` removes the newly
+detected faults from their injection sites and their divergences from
+every state, and so runs only after a cycle's drain; a dropped fault is
+then neither injected nor divergent anywhere, and no kernel tests for it.
 
 Outputs are not evaluated: no fault lands on one, so an output only
 observes its driver, and ``initial_states`` gives it the driver's state
@@ -39,9 +41,7 @@ import operator
 from bisect import bisect_left
 
 from . import rtl
-from .faults import (
-    TRANSIENT, FaultTable, NodeFaults, faulty_val, window_active, window_toggles,
-)
+from .faults import TRANSIENT, FaultTable, NodeFaults, faulty_val, window_toggles
 from .rtl import RtlGraph, RtlNode
 
 
@@ -174,12 +174,10 @@ def affected_fids(
         inj = nf.fids
         a = bisect_left(inj, lo) if lo else 0
         entries = entries[a:len(inj) if hi is None else bisect_left(inj, hi, a)]
-    for entry in entries:
-        # window_active, inlined: a stuck-at window is always open.
-        rule = entry.rule
-        if not entry.dropped and (rule.kind != TRANSIENT
-                                  or rule.start <= cycle <= rule.end):
-            fids.add(entry.fid)
+    for fault in entries:
+        # A stuck-at window is always open.
+        if fault.kind != TRANSIENT or fault.start <= cycle <= fault.end:
+            fids.add(fault.fid)
     return sorted(fids)
 
 
@@ -220,9 +218,9 @@ def eval_bad_set(
             i = bisect_left(bads, key)
             vals.append(bads[i][1] if i < len(bads) and bads[i][0] == f else st.good)
         raw = fn(*vals) & node.mask
-        entry = nf.fid_map.get(f)
-        if entry is not None:
-            raw = _forced(entry, raw, cycle)
+        fault = nf.fid_map.get(f)
+        if fault is not None:
+            raw = faulty_val(fault, raw, cycle)
         return [(f, raw)] if raw != new_good else []
     fids = affected if begin == 0 and end == len(affected) else affected[begin:end]
     first, last = fids[0], fids[-1]
@@ -254,7 +252,7 @@ def eval_bad_set(
         for f in fids:
             raw = fn(get0(f, g0), get1(f, g1)) & mask
             if injected and f in injected:
-                raw = _forced(injected[f], raw, cycle)
+                raw = faulty_val(injected[f], raw, cycle)
             if raw != new_good:
                 result.append((f, raw))
     elif len(gets) == 1:
@@ -263,7 +261,7 @@ def eval_bad_set(
         for f in fids:
             raw = fn(get0(f, g0)) & mask
             if injected and f in injected:
-                raw = _forced(injected[f], raw, cycle)
+                raw = faulty_val(injected[f], raw, cycle)
             if raw != new_good:
                 result.append((f, raw))
     else:
@@ -272,19 +270,10 @@ def eval_bad_set(
         for f in fids:
             raw = fn(get0(f, g0), get1(f, g1), get2(f, g2)) & mask
             if injected and f in injected:
-                raw = _forced(injected[f], raw, cycle)
+                raw = faulty_val(injected[f], raw, cycle)
             if raw != new_good:
                 result.append((f, raw))
     return result
-
-
-def _forced(entry, raw: int, cycle: int) -> int:
-    """A computed value after the forcing rule of a fault injected at the
-    node, if the fault is live and its window is open."""
-
-    if entry.dropped or not window_active(entry.rule, cycle):
-        return raw
-    return faulty_val(entry.rule, raw, cycle)
 
 
 def check_dependence_changed(
@@ -300,8 +289,8 @@ def check_dependence_changed(
     for st in fanin_states:
         if st.good_stamp == cycle or st.bads_stamp == cycle:
             return True
-    for entry in nf.transients:
-        if not entry.dropped and window_toggles(entry.rule, cycle):
+    for fault in nf.transients:
+        if window_toggles(fault, cycle):
             return True
     return False
 
@@ -352,10 +341,9 @@ def sync_register(
             i += 1
             j += 1
         value &= mask
-        entry = fid_map.get(fid)
-        if entry is not None and not entry.dropped \
-                and window_active(entry.rule, serve_cycle):
-            value = faulty_val(entry.rule, value, serve_cycle)
+        fault = fid_map.get(fid)
+        if fault is not None:
+            value = faulty_val(fault, value, serve_cycle)
         if value != new_good:
             new_bads.append((fid, value))
     return new_good, new_bads
@@ -377,8 +365,8 @@ def sync_check_needed(
         return True
     if reg_state.good_stamp == cycle or reg_state.bads_stamp == cycle:
         return True
-    for entry in nf.transients:
-        if not entry.dropped and window_toggles(entry.rule, serve_cycle):
+    for fault in nf.transients:
+        if window_toggles(fault, serve_cycle):
             return True
     return False
 
@@ -397,8 +385,8 @@ def commit_state(st: NodeState, good: int, bads: list[tuple[int, int]],
 
 
 def drop_detected(table: FaultTable, states: list[NodeState], new_fids) -> None:
-    """Stop simulating a cycle's newly detected faults: mark their injected
-    entries dropped and remove their divergences from every state in
+    """Stop simulating a cycle's newly detected faults: discard each from
+    its injection site and remove their divergences from every state in
     ``states``, which lists each distinct state object once (an output
     shares its driver's).  A fault dropped earlier is not injected and
     diverges nowhere, so it cannot reappear and needs no second visit."""
@@ -406,7 +394,7 @@ def drop_detected(table: FaultTable, states: list[NodeState], new_fids) -> None:
     if not new_fids:
         return
     for fid in new_fids:
-        table.node_faults(table.site_of[fid]).fid_map[fid].dropped = True
+        table.node_faults(table.site_of[fid]).discard(fid)
     new = sorted(new_fids)
     fids = set(new)
     for st in states:
@@ -436,12 +424,10 @@ def initial_states(graph: RtlGraph, table: FaultTable) -> list[NodeState]:
             st = states[node.id]
             st.good = node.init
             bads = []
-            for entry in table.node_faults(node.id).entries:
-                if entry.dropped or not window_active(entry.rule, 0):
-                    continue
-                forced = faulty_val(entry.rule, node.init, 0)
+            for fault in table.node_faults(node.id).entries:
+                forced = faulty_val(fault, node.init, 0)
                 if forced != node.init:
-                    bads.append((entry.fid, forced))
+                    bads.append((fault.fid, forced))
             bads.sort()
             st.bads = bads
     for oid in graph.outputs:

@@ -14,17 +14,11 @@ from dataclasses import dataclass, replace
 
 from . import rtl
 from .config import MODE_SERIAL, SimConfig
-from .faults import FaultDescriptor, faulty_val, resolve_injection_site, window_active
+from .faults import FaultDescriptor, faulty_val, resolve_injection_site
 from .report import SimulationReport
 from .rtl import RtlGraph
 from .scheduler import SimulationEngine
 from .stimulus import as_rows
-
-
-def _force(rule: FaultDescriptor, value: int, cycle: int) -> int:
-    if window_active(rule, cycle):
-        return faulty_val(rule, value, cycle)
-    return value
 
 
 def _ref_op(node, ins: list[int]) -> int:
@@ -83,7 +77,7 @@ def _plain_sim(
         elif node.kind == rtl.REG:
             v = node.init
             if node.id == site:
-                v = _force(rule, v, 0)
+                v = faulty_val(rule, v, 0)
             vals[node.id] = v
 
     order = [nid for nid in graph.topo if graph.nodes[nid].kind in _EVALUATED]
@@ -98,7 +92,7 @@ def _plain_sim(
             else:
                 v = vals[node.fanin[0]] & node.mask
             if nid == site:
-                v = _force(rule, v, cycle)
+                v = faulty_val(rule, v, cycle)
             vals[nid] = v
         out_trace.append(tuple(vals[o] for o in graph.outputs))
         committed = [
@@ -107,7 +101,7 @@ def _plain_sim(
         ]
         for r, v in committed:
             if r == site:
-                v = _force(rule, v, cycle + 1)
+                v = faulty_val(rule, v, cycle + 1)
             vals[r] = v
     return out_trace
 

@@ -254,7 +254,6 @@ class SimulationEngine:
         self.totals = RunTotals()
         self.cost_log: list[dict[int, int]] = []
         self._cost_replay: dict[int, int] | None = None
-        self._cost_log: dict[int, int] | None = None
         self.output_trace: list[tuple[int, ...]] = []
         self._cycle = 0
         self._executed = 0
@@ -280,8 +279,6 @@ class SimulationEngine:
             # Charge the calibrated cost for this task; fresh tasks that the
             # calibration run never executed keep their live measurement.
             cost = self._cost_replay.get(tid, cost)
-        if self._cost_log is not None:
-            self._cost_log[tid] = cost
         self.monitor.record(tid, cost)
         if kind == SYNC:
             self._sync_ns += cost
@@ -487,9 +484,6 @@ class SimulationEngine:
         self.monitor.reset()
         if cfg.cost_table is not None:
             self._cost_replay = cfg.cost_table[cycle] if cycle < len(cfg.cost_table) else {}
-        if cfg.record_costs:
-            self._cost_log = {}
-            self.cost_log.append(self._cost_log)
         boundary_ns = time.perf_counter_ns() - boundary0
 
         pool0 = time.perf_counter_ns()
@@ -514,6 +508,8 @@ class SimulationEngine:
             )
 
         b1 = time.perf_counter_ns()
+        if cfg.record_costs:
+            self.cost_log.append(dict(self.monitor.task_ns))
         self._detect(cycle)
         expansions: tuple[int, ...] = ()
         if self.expands:

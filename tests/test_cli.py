@@ -142,9 +142,17 @@ def test_ablate_smoke(tmp_path, capsys):
 def test_ablate_bad_workers(capsys, tmp_path):
     bench = gen_bench("uniform", 40, 1, cycles=3)
     paths = bench.write(tmp_path, "u")
-    code = run_cli("ablate", "--netlist", paths[0], "--stimulus", paths[1],
-                   "--faults", paths[2], "--workers", "0,4")
-    assert code == 1
+    for workers, message in [
+        ("0,4", "worker count must lie in 1..1024"),
+        ("4,1025", "worker count must lie in 1..1024"),
+        ("1,a", "--workers needs comma-separated integers"),
+        (",", "--workers needs comma-separated integers"),
+    ]:
+        capsys.readouterr()
+        code = run_cli("ablate", "--netlist", paths[0], "--stimulus", paths[1],
+                       "--faults", paths[2], "--workers", workers)
+        assert code == 1
+        assert one_line_error(capsys) == f"error: {message}\n", workers
 
 
 AND2_FAULTS = "fid,location_kind,location_name,bit,kind\n0,wire,y,0,sa0\n1,port,a,0,sa1\n"
@@ -244,6 +252,8 @@ def _bench_args(tmp_path):
      "--cycles must be >= 0"),
     (["ablate", "--trials", "0"], "--trials must be >= 1"),
     (["ablate", "--threshold", "-1"], "threshold must lie in (0, 1)"),
+    (["run", "--netlist", AND2_NL, "--stimulus", AND2_STIM,
+      "--gen-faults", "sa0", "--workers", "1025"], "worker count must lie in 1..1024"),
 ])
 def test_out_of_range_numeric_option_exits_1(tmp_path, capsys, args, message):
     if args[0] == "gen":

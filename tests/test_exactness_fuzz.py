@@ -4,12 +4,12 @@ must give the fault-free output trace of the reference interpreter and the
 same verdicts in the serial concurrent engine, in single-fault
 resimulation, in ``full`` mode at P=1 and P=4 and in ``structural+fault``
 at P=4 (the barrier commit phase), each with one node forced into
-master/slave expansion (so the fid-cut slave path runs) and the
-steady-state re-sweep on.  Up to three registers whose next values may be
-registers give swaps and 3-rings.  Outputs may be driven by any earlier
-signal or a literal, at the driver's width or another one, and later
-nodes and register ``next`` values may read them; faults are also named
-on output bits."""
+master/slave expansion (so the fid-cut slave path runs), the steady-state
+re-sweep on, and the drop of detected faults drawn on or off.  Up to three
+registers whose next values may be registers give swaps and 3-rings.
+Outputs may be driven by any earlier signal or a literal, at the driver's
+width or another one, and later nodes and register ``next`` values may
+read them; faults are also named on output bits."""
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -117,7 +117,8 @@ def test_concurrent_engines_match_single_fault_resimulation(case, data):
     good = run_good_trace(graph, rows)
     report = run_serial_concurrent(elaborate_text(text), faults, rows,
                                    SimConfig(mode="serial", record_outputs=True,
-                                             steady_state_check=True))
+                                             steady_state_check=True,
+                                             drop_on_detect=data.draw(st.booleans())))
     assert report.output_trace == good, text
     serial = report.verdicts()
     truth = []
@@ -128,7 +129,8 @@ def test_concurrent_engines_match_single_fault_resimulation(case, data):
 
     for workers, mode in ((1, "full"), (4, "full"), (4, "structural+fault")):
         cfg = SimConfig(workers=workers, mode=mode, threshold=0.02,
-                        record_outputs=True, steady_state_check=True)
+                        record_outputs=True, steady_state_check=True,
+                        drop_on_detect=data.draw(st.booleans()))
         eng = SimulationEngine(elaborate_text(text), faults, rows, cfg)
         nid = data.draw(st.sampled_from(sorted(eng.tg.node_task)))
         expand_high_load(eng.tg, nid, data.draw(st.integers(1, 4)))

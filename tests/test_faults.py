@@ -213,10 +213,18 @@ def test_inject_empty_list(and2_graph):
 
 
 def test_inject_sorts_entries_by_fid(and2_graph):
+    """A site files the caller's descriptors themselves, sorted by fid,
+    and leaves the caller's list as it was."""
+
     g = and2_graph
-    table = inject(g, [fd(7, "wire", "y", 0, "sa1"), fd(2, "wire", "y", 0, "sa0")])
-    entries = table.node_faults(g.name_to_id["y"]).entries
-    assert [e.fid for e in entries] == [2, 7]
+    faults = [fd(7, "wire", "y", 0, "sa1"), fd(2, "wire", "y", 0, "transient", 1, 2)]
+    table = inject(g, faults)
+    site = table.node_faults(g.name_to_id["y"])
+    assert [e.fid for e in site.entries] == site.fids == [2, 7]
+    assert site.entries[0] is faults[1] and site.entries[1] is faults[0]
+    assert site.fid_map[7] is faults[0] and site.fid_map[2] is faults[1]
+    assert len(site.transients) == 1 and site.transients[0] is faults[1]
+    assert [f.fid for f in faults] == [7, 2]
 
 
 def test_inject_wire_reg_port_distinct_sites(regloop_graph):

@@ -3,10 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from faultsim.faults import (
-    NO_FAULTS, FaultDescriptor, FaultEntry, NodeFaults, faulty_val, inject,
-    window_active,
-)
+from faultsim.faults import NO_FAULTS, FaultDescriptor, NodeFaults, faulty_val, inject
 from faultsim.kernels import (
     NodeState, SimulationError, affected_fids, check_dependence_changed,
     eval_bad_set, eval_good, initial_states, sync_check_needed, sync_register,
@@ -29,12 +26,18 @@ def rule(fid, bit, kind, start=0, end=0, name="y"):
     return FaultDescriptor(fid, "wire", name, bit, kind, start, end)
 
 
-def entry(fid, bit, kind, start=0, end=0):
-    return FaultEntry(fid, rule(fid, bit, kind, start, end))
+def nf(*faults):
+    return NodeFaults(list(faults))
 
 
-def nf(*entries):
-    return NodeFaults(list(entries))
+def discard_some(faults, rng, p):
+    """Drop each injected fault with probability p, as a detection would;
+    returns the dropped fids."""
+
+    dropped = {f for f in faults.fids if rng.random() < p}
+    for f in dropped:
+        faults.discard(f)
+    return dropped
 
 
 class TestEvalGood:
@@ -124,17 +127,20 @@ class TestAffectedFids:
     def test_union_of_sources(self):
         node = comb("AND", 1, 2)
         fan = [NodeState(1, [(3, 0), (7, 0)]), NodeState(1, [(7, 0)])]
-        faults = nf(entry(7, 0, "sa0"), entry(9, 0, "sa1"))
+        faults = nf(rule(7, 0, "sa0"), rule(9, 0, "sa1"))
         assert affected_fids(node, fan, faults, 0) == [3, 7, 9]
 
     def test_inactive_window_excluded(self):
         node = comb("AND", 1, 2)
-        faults = nf(entry(4, 0, "transient", 3, 5))
+        faults = nf(rule(4, 0, "transient", 3, 5))
         fan = [NodeState(1), NodeState(1)]
         for cycle, want in [(0, []), (2, []), (3, [4]), (4, [4]), (5, [4]), (6, [])]:
             assert affected_fids(node, fan, faults, cycle) == want
-        faults.entries[0].dropped = True
+        faults.discard(4)
+        assert (faults.entries, faults.fids, faults.fid_map, faults.transients) == \
+            ([], [], {}, [])
         assert affected_fids(node, fan, faults, 4) == []
+        assert not check_dependence_changed(node, fan, faults, 3)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -167,12 +173,11 @@ class TestAffectedFids:
         fan = [rand_state(rng.randint(1, 64)) for _ in node.fanin]
         own = rand_state(width)
         faults = NodeFaults([
-            entry(f, rng.randrange(width), rng.choice(["sa0", "sa1", "transient"]),
-                  *sorted(rng.sample(range(7), 2)))
+            rule(f, rng.randrange(width), rng.choice(["sa0", "sa1", "transient"]),
+                 *sorted(rng.sample(range(7), 2)))
             for f in rng.sample(range(60), rng.randint(0, 6))
         ])
-        for e in faults.entries:
-            e.dropped = rng.random() < 0.3
+        discard_some(faults, rng, 0.3)
         new_good = eval_good(node, [fs.good for fs in fan])
         affected = affected_fids(node, fan, faults, cycle)
         union = sorted(set(affected).union(f for f, _ in own.bads))
@@ -203,7 +208,7 @@ class TestEvalBadSet:
         # Stuck-at-0 on an AND whose good output is already 0.
         node = comb("AND", 1, 2)
         fan = [NodeState(0), NodeState(1)]
-        faults = nf(entry(9, 0, "sa0"))
+        faults = nf(rule(9, 0, "sa0"))
         affected = affected_fids(node, fan, faults, 0)
         assert affected == [9]
         assert eval_bad_set(node, fan, faults, 0, 0, affected, 0, 1) == []
@@ -243,7 +248,7 @@ end
             return [(f, rng.randrange(1 << width)) for f in fids]
         fan = [NodeState(rng.randrange(1 << width), rand_bads()) for _ in range(2)]
         faults = NodeFaults([
-            entry(f, rng.randrange(width), rng.choice(["sa0", "sa1"]))
+            rule(f, rng.randrange(width), rng.choice(["sa0", "sa1"]))
             for f in rng.sample(range(40), rng.randint(0, 4))
         ])
         new_good = eval_good(node, [fan[0].good, fan[1].good])
@@ -285,13 +290,13 @@ end
             w = 1 if op == "MUX" and i == 0 else width
             good = rng.randrange(1 << w)
             fan.append(NodeState(good, [(f, v) for f, v in rand_bads(w) if v != good]))
-        faults = NodeFaults([
-            entry(f, rng.randrange(width), rng.choice(["sa0", "sa1", "transient"]),
-                  *sorted(rng.sample(range(5), 2)))
+        injected = [
+            rule(f, rng.randrange(width), rng.choice(["sa0", "sa1", "transient"]),
+                 *sorted(rng.sample(range(5), 2)))
             for f in rng.sample(range(40), rng.randint(0, 4))
-        ])
-        for e in faults.entries:
-            e.dropped = rng.random() < 0.25
+        ]
+        faults = NodeFaults(injected)
+        dropped = discard_some(faults, rng, 0.25)
         new_good = eval_good(node, [fs.good for fs in fan])
         affected = affected_fids(node, fan, faults, cycle)
         whole = eval_bad_set(node, fan, faults, new_good, cycle,
@@ -312,9 +317,9 @@ end
         for f, value in whole:
             vals = [dict(fs.bads).get(f, fs.good) for fs in fan]
             raw = eval_good(node, vals)
-            e = faults.fid_map.get(f)
-            if e is not None and not e.dropped and window_active(e.rule, cycle):
-                raw = faulty_val(e.rule, raw, cycle)
+            for fault in injected:
+                if fault.fid == f and f not in dropped:
+                    raw = faulty_val(fault, raw, cycle)
             assert value == raw != new_good
 
 
@@ -336,7 +341,7 @@ class TestDependenceCheck:
 
     def test_window_toggle_triggers(self):
         node = comb("AND", 1, 2)
-        faults = nf(entry(0, 0, "transient", 3, 5))
+        faults = nf(rule(0, 0, "transient", 3, 5))
         quiet = [NodeState(), NodeState()]
         assert check_dependence_changed(node, quiet, faults, 3)
         assert not check_dependence_changed(node, quiet, faults, 4)
@@ -368,7 +373,7 @@ class TestSyncRegister:
             for incoming_bad in (None, 0, 1):
                 for kind in ("sa0", "sa1"):
                     reg = reg_node(1)
-                    faults = nf(entry(9, 0, kind))
+                    faults = nf(rule(9, 0, kind))
                     nxt = NodeState(incoming_good)
                     if incoming_bad is not None:
                         nxt.bads = [(9, incoming_bad)] if incoming_bad != incoming_good else []

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from faultsim.config import SimConfig
+from faultsim.config import MAX_WORKERS, SimConfig
 from faultsim.genbench import gen_bench
 from faultsim.kernels import SimulationError
 from faultsim.oracles import run_good_trace, run_serial_concurrent
+from faultsim.report import emit_report_csv
 from faultsim.scheduler import (
     LoadMonitor, SimulationEngine, WorkerPool, flag_overloaded, run_simulation,
 )
@@ -156,6 +157,9 @@ def test_always_eval_equivalence(monkeypatch):
 
 
 def test_drop_on_detect_keeps_verdicts():
+    """A drop discards each detected fault from its site and nothing else,
+    and leaves the caller's fault list fit for another run."""
+
     b = small_bench(31, size=70, faults=30)
     for mode in ("structural", "serial"):
         g, stim, faults = b.build()
@@ -166,15 +170,47 @@ def test_drop_on_detect_keeps_verdicts():
         )
         drop = eng.run()
         table = eng.table
-        dropped = {fid for fid, nid in table.site_of.items()
-                   if table.node_faults(nid).fid_map[fid].dropped}
         detected = {r.fid for r in drop.results if r.detected}
-        assert detected and dropped == detected, mode
+        assert detected and len(detected) < len(faults), mode
+        for fault in faults:
+            site = table.node_faults(table.site_of[fault.fid])
+            filed = (fault.fid in site.fid_map, fault.fid in site.fids,
+                     fault in site.entries, fault in site.transients)
+            live = fault.fid not in detected
+            assert filed == (live, live, live, live and fault.kind == "transient"), \
+                (mode, fault.fid)
         assert keep.verdicts() == drop.verdicts(), mode
         # Dropping detected faults removes their bad gates from later cycles;
         # both modes keep task counts deterministic for the comparison.
         assert sum(c.executed for c in drop.cycles) <= \
             sum(c.executed for c in keep.cycles), mode
+        g3, _, _ = b.build()
+        again = run_simulation(g3, faults, stim, SimConfig(workers=2, mode=mode))
+        assert emit_report_csv(again) == emit_report_csv(keep), mode
+
+
+def test_cost_log_replays_the_schedule():
+    """The gates calibrate one run and replay its logged costs: fed back as
+    the cost table, a run's log must give the same expansions and charge
+    the same busy time in every cycle."""
+
+    b = gen_bench("skewed", 300, 5, cycles=6)
+    _, stim, faults = b.build()
+    g, _, _ = b.build()
+    cfg = SimConfig(workers=8, mode="full", threshold=0.02, record_costs=True)
+    eng = SimulationEngine(g, faults, stim, cfg)
+    live = eng.run()
+    assert any(c.expansions for c in live.cycles)
+    assert [sum(log.values()) for log in eng.cost_log] == \
+        [sum(c.busy_ns) for c in live.cycles]
+    g2, _, _ = b.build()
+    replay = run_simulation(g2, faults, stim, SimConfig(
+        workers=8, mode="full", threshold=0.02, cost_table=eng.cost_log))
+
+    def shape(report):
+        return [(c.executed, c.skipped, c.expansions, c.busy_ns) for c in report.cycles]
+
+    assert shape(replay) == shape(live)
 
 
 def test_layer_kernels_are_called_from_engine_modules(monkeypatch):
@@ -551,6 +587,9 @@ def test_serial_mode_runs_the_steady_state_check(monkeypatch):
 def test_config_validation():
     with pytest.raises(ValueError, match="worker count"):
         SimConfig(workers=0).validate()
+    SimConfig(workers=MAX_WORKERS).validate()
+    with pytest.raises(ValueError, match="worker count"):
+        SimConfig(workers=MAX_WORKERS + 1).validate()
     with pytest.raises(ValueError, match="mode"):
         SimConfig(mode="turbo").validate()
     with pytest.raises(ValueError, match="threshold"):
