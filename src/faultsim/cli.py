@@ -188,6 +188,7 @@ def _cmd_run(args) -> int:
     detected = sum(1 for r in report.results if r.detected)
     print(
         f"faults={len(report.results)} detected={detected} "
+        f"unobservable={report.totals.unobservable} "
         f"coverage={report.coverage:.4f} cycles={len(report.cycles)} "
         f"wall_ms={report.totals.wall_ns / 1e6:.2f}"
     )

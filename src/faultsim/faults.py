@@ -8,6 +8,12 @@ node spliced between the port and its consumers.  Faults on output ports
 fall back to the wire rule on the output's driver, and a fault on an output
 bit the driver does not reach is rejected.
 
+``inject`` resolves every fault's site and groups the faults by site;
+``FaultTable`` files them.  The engine files only the sites that some
+output can see (``rtl.observable``): a fault anywhere else can never be
+detected, so it is never filed, never simulated, and reported undetected
+(ISO 26262 calls it a safe fault).
+
 A site files the caller's ``FaultDescriptor`` objects themselves.  Dropping
 a detected fault removes it from its site (``NodeFaults.discard``) and never
 mutates a descriptor, so one fault list can be simulated again and again.
@@ -91,11 +97,15 @@ NO_FAULTS = NodeFaults([])
 
 
 class FaultTable:
-    """Each site's injected faults plus a fid -> site map."""
+    """The filed faults: each site's ``NodeFaults`` plus a fid -> site map,
+    built from ``inject``'s grouping.  The engine passes only the sites
+    inside some output's cone, so an unobservable fault has no site here
+    and no fid in ``site_of``."""
 
-    def __init__(self, by_node: dict[int, list[FaultDescriptor]], site_of: dict[int, int]):
-        self._node_faults = {nid: NodeFaults(entries) for nid, entries in by_node.items()}
-        self.site_of = site_of
+    def __init__(self, by_site: dict[int, list[FaultDescriptor]]):
+        self._node_faults = {nid: NodeFaults(entries) for nid, entries in by_site.items()}
+        self.site_of = {fid: nid for nid, site in self._node_faults.items()
+                        for fid in site.fids}
 
     def node_faults(self, nid: int) -> NodeFaults:
         return self._node_faults.get(nid, NO_FAULTS)
@@ -274,15 +284,17 @@ def _resolve_wire_site(graph: RtlGraph, fault: FaultDescriptor, nid: int) -> tup
     raise FaultModelError(f"fault {fault.fid}: cannot inject at '{node.name}'")
 
 
-def inject(graph: RtlGraph, faults: list[FaultDescriptor]) -> FaultTable:
-    """File every fault at its site; the graph gains any needed carriers.
-    Each distinct location is resolved once; later faults there only pay
-    their fid and bit checks.  ``graph.topo`` is sorted once, after the
-    last carrier is spliced (also when a fault is rejected), rather than
-    once per carrier."""
+def inject(graph: RtlGraph,
+           faults: list[FaultDescriptor]) -> dict[int, list[FaultDescriptor]]:
+    """Resolve every fault's site and group the faults by site id, in list
+    order; the graph gains any needed carriers.  Each distinct location is
+    resolved once; later faults there only pay their fid and bit checks.
+    ``graph.topo`` is sorted once, after the last carrier is spliced (also
+    when a fault is rejected), rather than once per carrier.
+    ``FaultTable`` files the groups."""
 
-    by_node: dict[int, list[FaultDescriptor]] = {}
-    site_of: dict[int, int] = {}
+    by_site: dict[int, list[FaultDescriptor]] = {}
+    fids: set[int] = set()
     # (location_kind, location_name) -> (site, its faults, bits it carries)
     sites: dict[tuple[str, str], tuple[int, list[FaultDescriptor], int]] = {}
     count = len(graph.nodes)
@@ -292,18 +304,18 @@ def inject(graph: RtlGraph, faults: list[FaultDescriptor]) -> FaultTable:
             hit = sites.get(key)
             if hit is None:
                 site, lanes = _resolve_site(graph, fault)
-                hit = sites[key] = (site, by_node.setdefault(site, []), lanes)
+                hit = sites[key] = (site, by_site.setdefault(site, []), lanes)
             elif fault.fid < 0 or not 0 <= fault.bit < hit[2]:
                 _resolve_site(graph, fault)  # raises
             fid = fault.fid
-            if fid in site_of:
+            if fid in fids:
                 raise FaultModelError(f"duplicate fid {fid}")
-            site_of[fid] = hit[0]
+            fids.add(fid)
             hit[1].append(fault)
     finally:
         if len(graph.nodes) != count:
             graph.recompute_topo()
-    return FaultTable(by_node, site_of)
+    return by_site
 
 
 # ---------------------------------------------------------------------------

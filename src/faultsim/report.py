@@ -63,6 +63,8 @@ class RunTotals:
     skipped: int = 0
     dispatches: int = 0
     dispatch_overhead_ns: int = 0
+    # Faults outside every output's cone: never simulated, reported undetected.
+    unobservable: int = 0
 
     @property
     def mean_dispatch_ns(self) -> float:
@@ -161,7 +163,8 @@ def emit_stats(report: SimulationReport) -> str:
         f"busy_ns={';'.join(str(b) for b in t.busy_ns)} "
         f"executed={t.executed} skipped={t.skipped} "
         f"dispatches={t.dispatches} mean_dispatch_ns={t.mean_dispatch_ns:.1f} "
-        f"coverage={report.coverage:.6f} faults={len(report.results)}"
+        f"coverage={report.coverage:.6f} faults={len(report.results)} "
+        f"unobservable={t.unobservable}"
     )
     for c in report.cycles:
         lines.append(

@@ -11,7 +11,8 @@ every register-to-register ``next`` edge through a virtual copy node, and
 ``observe_outputs`` turns every output into an observation point: a sink
 reading a node that is not a register and is no wider than the output,
 whose state the output shares.  Only comb and virtual nodes are evaluated
-(``TASK_KINDS``).
+(``TASK_KINDS``).  ``observable`` then marks the nodes some output can
+see: a fault anywhere else is never simulated.
 
 Value semantics are two-state and unsigned.  Every node value is kept
 masked to the node's width; operands narrower than the computation are
@@ -308,6 +309,27 @@ def observe_outputs(graph: RtlGraph) -> None:
     elif copies:
         # The copies sit at the end of the order; their outputs follow.
         graph.topo = [n for n in graph.topo if nodes[n].kind != OUTPUT] + graph.outputs
+
+
+def observable(graph: RtlGraph) -> list[bool]:
+    """Per node id: whether the node lies in some output's cone of
+    influence, found by walking backward from the outputs through fanin
+    edges and through each reached register's ``next`` source.  A value
+    outside every cone reaches no output on any cycle, so a fault whose
+    site lies there can never be detected."""
+
+    nodes = graph.nodes
+    seen = [False] * len(nodes)
+    stack = list(graph.outputs)
+    for oid in stack:
+        seen[oid] = True
+    while stack:
+        node = nodes[stack.pop()]
+        for src in (node.next_src,) if node.kind == REG else node.fanin:
+            if not seen[src]:
+                seen[src] = True
+                stack.append(src)
+    return seen
 
 
 def topo_positions(graph: RtlGraph) -> list[int]:

@@ -50,7 +50,7 @@ from itertools import chain
 
 from . import rtl
 from .config import MODE_FULL, MODE_SERIAL, MODE_STRUCTURAL, SimConfig
-from .faults import FaultDescriptor, inject
+from .faults import FaultDescriptor, FaultTable, inject
 from .kernels import (
     NodeState, SimulationError, affected_fids, apply_stimulus_row,
     bind_operators, check_dependence_changed, commit_state, drop_detected,
@@ -204,6 +204,11 @@ class SimulationEngine:
     """Drives the cycle loop: stimulus, node evaluation, detection strobe,
     register commit, overload expansion at cycle boundaries, and statistics.
 
+    Setup files only the faults whose site lies in some output's cone
+    (``rtl.observable``).  Any other fault can never be detected: no kernel,
+    state or drop ever sees it, ``totals.unobservable`` counts it, and the
+    report reads it undetected.  Every node is still evaluated.
+
     Two executors run the same per-node and register-commit bodies.  Mode
     ``serial`` evaluates every node in topological order, strobes, and then
     commits the registers; it builds no task graph, pool or load monitor,
@@ -218,9 +223,12 @@ class SimulationEngine:
         self.faults = faults
         self.rows = as_rows(graph, stimulus)
         self.config = config
-        self.table = inject(graph, faults)
+        by_site = inject(graph, faults)
         rtl.split_register_reads(graph)
         rtl.observe_outputs(graph)
+        seen = rtl.observable(graph)
+        self.table = FaultTable({nid: fs for nid, fs in by_site.items() if seen[nid]})
+        self.totals = RunTotals(unobservable=len(faults) - len(self.table.site_of))
         bind_operators(graph)
         self.nf = [self.table.node_faults(i) for i in range(len(graph.nodes))]
         self.states = initial_states(graph, self.table)
@@ -251,7 +259,6 @@ class SimulationEngine:
                           if self.unified or self.tg.tasks[tid].kind != SYNC]
         self.detections: dict[int, tuple[int, str]] = {}
         self.cycle_stats: list[CycleStats] = []
-        self.totals = RunTotals()
         self.cost_log: list[dict[int, int]] = []
         self._cost_replay: dict[int, int] | None = None
         self.output_trace: list[tuple[int, ...]] = []

@@ -299,3 +299,43 @@ def test_fault_on_undriven_output_bit_exits_2(tmp_path, capsys):
     code = run_cli("run", "--netlist", nl, "--stimulus", stim, "--faults", flt)
     assert code == 2
     assert "bit 10 of 'o' is undriven" in one_line_error(capsys)
+
+
+DEAD_BANK_NL = """module bank
+input a 2
+input b 2
+reg r0 2 = 1
+reg r1 2 = 2
+assign w0 2 = ADD r0 b
+assign w1 2 = XOR r1 w0
+assign y 2 = NOT a
+output o 2 = y
+next r0 = w0
+next r1 = w1
+end
+"""
+
+
+def test_dead_register_bank_reads_undetected_under_oracle_check(tmp_path, capsys):
+    """The bank (r0, r1, their next logic and the input b feeding only it)
+    reaches no output: its 20 faults are never simulated, and the oracle
+    check, which resimulates every fault, agrees that they go undetected."""
+
+    nl, stim = tmp_path / "bank.nl", tmp_path / "bank.stim"
+    nl.write_text(DEAD_BANK_NL)
+    stim.write_text("cycle a b\n0 0 1\n1 3 2\n2 1 3\n")
+    report, stats = tmp_path / "r.csv", tmp_path / "s.txt"
+    code = run_cli(
+        "run", "--netlist", nl, "--stimulus", stim, "--gen-faults", "sa0,sa1",
+        "--workers", "4", "--oracle-check", "--report", report, "--stats", stats,
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "oracle-check: ok" in out
+    assert "faults=28 " in out and " unobservable=20 " in out
+    totals = next(ln for ln in stats.read_text().splitlines() if ln.startswith("totals "))
+    assert totals.split()[-1] == "unobservable=20"
+    rows = parse_report_csv(report.read_text())
+    bank = [r for r in rows if r.location_name in ("r0", "r1", "w0", "w1", "b")]
+    assert len(bank) == 20 and not any(r.detected for r in bank)
+    assert all(r.detected for r in rows if r.location_name in ("a", "y"))

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from faultsim import faults as faults_module, rtl
 from faultsim.config import SimConfig
 from faultsim.faults import (
-    FaultDescriptor, FaultModelError, emit_fault_csv, faulty_val,
+    FaultDescriptor, FaultModelError, FaultTable, emit_fault_csv, faulty_val,
     generate_fault_list, inject, parse_fault_csv, resolve_injection_site,
 )
 from faultsim.genbench import gen_bench
@@ -185,7 +185,7 @@ def test_inject_sorts_topo_once(monkeypatch):
 
     g = build(MULTI_PORT)
     sorts.clear()
-    table = inject(g, faults)
+    table = FaultTable(inject(g, faults))
     assert len(sorts) == 1
     assert len(g.port_carriers) == 3
     assert g.topo == stepwise.topo
@@ -208,7 +208,7 @@ def test_inject_rejection_leaves_topo_sorted():
 
 
 def test_inject_empty_list(and2_graph):
-    table = inject(and2_graph, [])
+    table = FaultTable(inject(and2_graph, []))
     assert table.site_of == {}
 
 
@@ -218,7 +218,7 @@ def test_inject_sorts_entries_by_fid(and2_graph):
 
     g = and2_graph
     faults = [fd(7, "wire", "y", 0, "sa1"), fd(2, "wire", "y", 0, "transient", 1, 2)]
-    table = inject(g, faults)
+    table = FaultTable(inject(g, faults))
     site = table.node_faults(g.name_to_id["y"])
     assert [e.fid for e in site.entries] == site.fids == [2, 7]
     assert site.entries[0] is faults[1] and site.entries[1] is faults[0]
@@ -234,7 +234,7 @@ def test_inject_wire_reg_port_distinct_sites(regloop_graph):
         fd(1, "reg", "r", 0, "sa1"),
         fd(2, "port", "x", 0, "sa0"),
     ]
-    table = inject(g, faults)
+    table = FaultTable(inject(g, faults))
     sites = {table.site_of[f.fid] for f in faults}
     assert len(sites) == 3
     assert {resolve_injection_site(g, f) for f in faults} == sites
@@ -398,7 +398,7 @@ def test_inject_resolves_each_location_once(monkeypatch):
     g = build(AND8)
     good = GOOD_AT_N_AND_A
     on_output = [fd(1000 - i, "port", "o", i, "sa1") for i in range(8)]
-    table = inject(g, good + on_output)
+    table = FaultTable(inject(g, good + on_output))
     assert resolved == ["n", "a", "o"]
     n = g.name_to_id["n"]
     assert table.node_faults(n).fids == sorted(
@@ -436,5 +436,5 @@ def test_fault_on_an_output_bit_its_driver_does_not_reach_is_rejected(kind):
     with pytest.raises(FaultModelError, match="bit 4 of 'oo' is undriven: only its low 4"):
         inject(build(WIDE_OUT), [fd(0, kind, "oo", 4, "sa0")])
     g = build(WIDE_OUT)
-    table = inject(g, [fd(0, kind, "o", 7, "sa1"), fd(1, kind, "oo", 3, "sa0")])
+    table = FaultTable(inject(g, [fd(0, kind, "o", 7, "sa1"), fd(1, kind, "oo", 3, "sa0")]))
     assert table.site_of == {0: g.name_to_id["n"], 1: g.name_to_id["n"]}

@@ -3,7 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from faultsim.faults import NO_FAULTS, FaultDescriptor, NodeFaults, faulty_val, inject
+from faultsim.faults import (
+    NO_FAULTS, FaultDescriptor, FaultTable, NodeFaults, faulty_val, inject,
+)
 from faultsim.kernels import (
     NodeState, SimulationError, affected_fids, check_dependence_changed,
     eval_bad_set, eval_good, initial_states, sync_check_needed, sync_register,
@@ -419,7 +421,7 @@ end
 def test_initial_states_apply_reg_rules():
     text = "module m\ninput a 4\nreg r 4 = 6\nnext r = a\nend"
     g = build(text)
-    table = inject(g, [FaultDescriptor(0, "reg", "r", 0, "sa1")])
+    table = FaultTable(inject(g, [FaultDescriptor(0, "reg", "r", 0, "sa1")]))
     states = initial_states(g, table)
     rid = g.name_to_id["r"]
     assert states[rid].good == 6

@@ -6,7 +6,7 @@ from faultsim.config import SimConfig
 from faultsim.faults import FaultDescriptor, generate_fault_list
 from faultsim.genbench import gen_bench
 from faultsim.oracles import run_good_trace, run_serial_concurrent, run_single_fault
-from faultsim.scheduler import run_simulation
+from faultsim.scheduler import SimulationEngine, run_simulation
 
 from conftest import AND2, build
 
@@ -100,3 +100,29 @@ end
         r = run_single_fault(build(text), f, rows)
         single.append((f.fid, r.detected, r.detect_cycle, r.observing_output))
     assert serial.verdicts() == full.verdicts() == single
+
+
+@pytest.mark.parametrize("profile, size, seed, fault_count, unobservable", [
+    ("skewed", 3000, 42, None, 0),
+    ("pipeline", 1500, 42, 15000, 12194),
+    ("uniform", 600, 11, None, 201),
+])
+def test_unobservable_faults_are_undetected_by_resimulation(
+        profile, size, seed, fault_count, unobservable):
+    """On the fixed benches the engine leaves out the pinned number of
+    faults as unobservable, and single-fault resimulation, which shares
+    nothing with that analysis, detects none of them: all of them where
+    there are few, a seeded sample of 200 on the pipeline."""
+
+    bench = gen_bench(profile, size, seed, cycles=10, fault_count=fault_count)
+    graph, stim, faults = bench.build()
+    engine = SimulationEngine(graph, faults, stim, SimConfig(mode="serial"))
+    pruned = [f for f in faults if f.fid not in engine.table.site_of]
+    assert (len(pruned), engine.totals.unobservable) == (unobservable, unobservable)
+    if len(pruned) > 250:
+        pruned = random.Random(seed).sample(pruned, 200)
+    oracle_graph, _, _ = bench.build()
+    good = run_good_trace(oracle_graph, stim)
+    detected = [f.fid for f in pruned
+                if run_single_fault(oracle_graph, f, stim, good=good).detected]
+    assert detected == []

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
+from faultsim.faults import FaultDescriptor, inject
 from faultsim.genbench import gen_bench
 from faultsim.netlist import parse_netlist
 from faultsim.rtl import (
     ElaborationError, REG, elaborate, elaborate_text, graph_to_netlist,
-    topo_positions,
+    observable, observe_outputs, split_register_reads, topo_positions,
 )
 
 from conftest import build
@@ -244,3 +245,101 @@ def test_print_rejects_injected_graphs(and2_graph):
     resolve_injection_site(and2_graph, FaultDescriptor(0, "port", "a", 0, "sa0"))
     with pytest.raises(ValueError, match="virtual"):
         graph_to_netlist(and2_graph)
+
+
+def cone(text, faults=()):
+    """Names of the nodes ``observable`` marks, on the graph as the engine
+    sets it up: faults injected, register reads split, outputs observed."""
+
+    g = build(text)
+    inject(g, list(faults))
+    split_register_reads(g)
+    observe_outputs(g)
+    seen = observable(g)
+    return {n.name for n in g.nodes if seen[n.id]}, g
+
+
+def test_write_only_register_bank_is_unobservable():
+    """Registers whose only reader is their own ``next`` logic feed no
+    output, and neither does that logic."""
+
+    live, _ = cone("""
+module m
+input a 4
+reg r0 4 = 0
+reg r1 4 = 0
+assign w0 4 = ADD r0 a
+assign w1 4 = XOR r1 w0
+assign y 4 = NOT a
+output o 4 = y
+next r0 = w0
+next r1 = w1
+end
+""")
+    assert live == {"a", "y", "o"}
+
+
+def test_register_seen_through_next_source_is_observable():
+    """``d`` reaches the output only as ``r``'s next value, and ``r`` only
+    through the comb node reading it."""
+
+    live, _ = cone("""
+module m
+input x 4
+input unused 4
+reg r 4 = 0
+assign d 4 = ADD x #1:4
+assign e 4 = NOT r
+output o 4 = e
+next r = d
+end
+""")
+    assert live == {"x", "#1:4", "d", "r", "e", "o"}
+
+
+def test_register_driving_an_output_is_seen_through_its_copy():
+    live, g = cone("""
+module m
+input x 4
+reg r 4 = 0
+reg s 4 = 0
+output o 4 = r
+output p 2 = s
+next r = s
+next s = x
+end
+""")
+    assert {"r$cpy", "s$cpy", "s$cpy2"} <= live
+    assert live == {n.name for n in g.nodes}
+
+
+def test_input_carrier_feeding_only_dead_logic_is_unobservable():
+    live, g = cone("""
+module m
+input a 1
+input b 1
+reg r 1 = 0
+assign w 1 = AND r b
+assign y 1 = NOT a
+output o 1 = y
+next r = w
+end
+""", [FaultDescriptor(0, "port", "b", 0, "sa0"),
+      FaultDescriptor(1, "port", "a", 0, "sa1")])
+    assert {"b$flt", "a$flt"} <= {n.name for n in g.nodes}
+    assert live == {"a", "a$flt", "y", "o"}
+
+
+def test_chain_of_outputs_is_observable_to_its_first_driver():
+    live, g = cone("""
+module m
+input a 8
+input b 8
+assign n 8 = ADD a b
+assign dead 8 = SUB a b
+output o1 8 = n
+output o2 4 = o1
+output o3 2 = o2
+end
+""")
+    assert live == {n.name for n in g.nodes} - {"dead"}

@@ -158,7 +158,8 @@ def test_always_eval_equivalence(monkeypatch):
 
 def test_drop_on_detect_keeps_verdicts():
     """A drop discards each detected fault from its site and nothing else,
-    and leaves the caller's fault list fit for another run."""
+    and leaves the caller's fault list fit for another run.  Faults no
+    output can see are filed nowhere."""
 
     b = small_bench(31, size=70, faults=30)
     for mode in ("structural", "serial"):
@@ -172,7 +173,14 @@ def test_drop_on_detect_keeps_verdicts():
         table = eng.table
         detected = {r.fid for r in drop.results if r.detected}
         assert detected and len(detected) < len(faults), mode
+        # An unobservable fault is never filed, so it has no site to drop
+        # from and reads undetected.
+        unfiled = {f.fid for f in faults if f.fid not in table.site_of}
+        assert len(unfiled) == eng.totals.unobservable, mode
+        assert detected.isdisjoint(unfiled), mode
         for fault in faults:
+            if fault.fid in unfiled:
+                continue
             site = table.node_faults(table.site_of[fault.fid])
             filed = (fault.fid in site.fid_map, fault.fid in site.fids,
                      fault in site.entries, fault in site.transients)
