@@ -69,17 +69,19 @@ class FaultDescriptor:
 class NodeFaults:
     """The faults injected at one node: their descriptors sorted by fid,
     plus lookup structures the evaluation kernels index every cycle.
-    ``transients`` holds the descriptors whose window can open or close; a
-    stuck-at window never toggles.  Only ``kernels.drop_detected`` changes
-    a site, through ``discard``, after a cycle's drain."""
+    ``transients`` holds the descriptors whose window can open or close;
+    ``stuck`` holds the fids of the others, ascending, whose window never
+    closes.  Only ``kernels.drop_detected`` changes a site, through
+    ``discard``, after a cycle's drain."""
 
-    __slots__ = ("entries", "fid_map", "fids", "transients")
+    __slots__ = ("entries", "fid_map", "fids", "stuck", "transients")
 
     def __init__(self, entries: list[FaultDescriptor]):
         entries = sorted(entries, key=attrgetter("fid"))
         self.entries = entries
         self.fid_map = {f.fid: f for f in entries}
         self.fids = [f.fid for f in entries]
+        self.stuck = [f.fid for f in entries if f.kind != TRANSIENT]
         self.transients = [f for f in entries if f.kind == TRANSIENT]
 
     def discard(self, fid: int) -> None:
@@ -91,6 +93,8 @@ class NodeFaults:
         del self.entries[i]
         if fault.kind == TRANSIENT:
             self.transients.remove(fault)
+        else:
+            del self.stuck[bisect_left(self.stuck, fid)]
 
 
 NO_FAULTS = NodeFaults([])

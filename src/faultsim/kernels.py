@@ -1,4 +1,4 @@
-"""Concurrent-simulation kernels: good-value evaluation, bad-gate set
+"""Concurrent-simulation kernels: good-value evaluation, bad-gate
 evaluation with divergence/convergence pruning, dependence checking,
 register next-state computation, the state commit every node evaluation and
 register commit goes through, and the drop of detected faults.
@@ -10,18 +10,19 @@ when re-evaluation produces the good value again (convergence); there is
 no event queue and no explicit deletion, which is what lets any worker
 evaluate any node from nothing but its fanin states.
 
-Most bad-gate calls are light: in a serial run of the generated
-``skewed_3000_42`` bench about three in four evaluate one fid and one in
-five evaluates two, while a few hub nodes hold most of the fids.
-``eval_bad_set`` therefore looks a single fid up by bisection in each
-fanin's sorted list, and a longer fid range through one dict per fanin.
-The candidates are the fids divergent at a fanin plus the live fids
-injected here, never the node's own list: a fid divergent here and nowhere
-upstream evaluates to the good value, so it would only be dropped, and
-``commit_state`` drops it by replacing the whole list (the prune of
-concurrent fault simulation, Ulrich & Baker 1974).  The engine calls
-neither bad-gate kernel for a node with no divergent fanin and no injected
-fault, since every bad gate there converges.
+``eval_bad_gates`` handles a node's bad gates in one call: it collects
+the candidates and evaluates them.  It builds one dict per fanin from that
+fanin's divergences, which serves both as the candidate source (its keys)
+and as the per-fid lookup, adds the stuck-at fids injected here from a
+sorted list and the transients whose window is open, and evaluates the
+union in fid order.  A slave passes its [lo, hi) fid range and reads only
+the slices of the lists inside it.  The candidates never include the
+node's own list: a fid divergent here and nowhere upstream evaluates to
+the good value, so it would only be dropped, and ``commit_state`` drops it
+by replacing the whole list (the prune of concurrent fault simulation,
+Ulrich & Baker 1974).  The engine does not call the kernel for a node with
+no divergent fanin and no injected fault, since every bad gate there
+converges.
 
 Each kernel writes exactly one node's state and reads only fanin states
 that the schedule has already sealed, so the kernels themselves need no
@@ -41,7 +42,7 @@ import operator
 from bisect import bisect_left
 
 from . import rtl
-from .faults import TRANSIENT, FaultTable, NodeFaults, faulty_val, window_toggles
+from .faults import FaultTable, NodeFaults, faulty_val, window_toggles
 from .rtl import RtlGraph, RtlNode
 
 
@@ -143,104 +144,74 @@ def eval_good(node: RtlNode, fanin_goods: list[int]) -> int:
     return (node.fn or operator_of(node))(*fanin_goods) & node.mask
 
 
-def affected_fids(
-    node: RtlNode,
-    fanin_states: list[NodeState],
-    nf: NodeFaults,
-    cycle: int,
-    lo: int = 0,
-    hi: int | None = None,
-) -> list[int]:
-    """Candidate fault ids in [lo, hi) (``hi`` None: no upper end) for this
-    node's bad-gate evaluation: every fault divergent at a fanin and every
-    fault injected here with an active window.
-
-    A fault divergent here but at no fanin, and not live-injected here, is
-    no candidate: every fanin gives it the good value, so it would evaluate
-    to the good value and be dropped.  ``commit_state`` replaces the whole
-    bad list, so leaving it out drops it just the same."""
-
-    bounded = lo or hi is not None
-    fids = set()
-    for st in fanin_states:
-        bads = st.bads
-        if bads:
-            if bounded:
-                a = bisect_left(bads, (lo,)) if lo else 0
-                bads = bads[a:len(bads) if hi is None else bisect_left(bads, (hi,), a)]
-            fids.update(map(_fid, bads))
-    entries = nf.entries
-    if entries and bounded:
-        inj = nf.fids
-        a = bisect_left(inj, lo) if lo else 0
-        entries = entries[a:len(inj) if hi is None else bisect_left(inj, hi, a)]
-    for fault in entries:
-        # A stuck-at window is always open.
-        if fault.kind != TRANSIENT or fault.start <= cycle <= fault.end:
-            fids.add(fault.fid)
-    return sorted(fids)
-
-
 _NO_BADS: dict[int, int] = {}
 
 
-def eval_bad_set(
+def eval_bad_gates(
     node: RtlNode,
     fanin_states: list[NodeState],
     nf: NodeFaults,
     new_good: int,
     cycle: int,
-    affected: list[int],
-    begin: int,
-    end: int,
-) -> list[tuple[int, int]]:
-    """Evaluate the bad gates with ids affected[begin:end].
+    lo: int = 0,
+    hi: int | None = None,
+) -> tuple[list[tuple[int, int]], int]:
+    """Collect and evaluate the node's bad gates with fids in [lo, hi)
+    (``hi`` None: no upper end).  Returns the kept (fid, value) pairs,
+    ascending by fid, and the number of bad gates evaluated.
 
-    For each fault, fanin values fall back to the fanin's good value when
-    the fault is not divergent there.  A fault injected at this node has
-    its forcing rule applied on top of the computed value.  Only values
-    that differ from the good value are kept, ascending by fid; the result
-    over any partition of the affected list concatenates to the result
-    over the full list, which is what makes split evaluation exact.
+    The candidates are the fids divergent at a fanin plus the fids injected
+    here with an open window.  For each, a fanin reads its bad value when
+    the fault diverges there and its good value otherwise, and a fault
+    injected here has its forcing rule applied on top of the computed
+    value.  Only values that differ from ``new_good`` are kept, so the
+    result over any partition of the fid range concatenates to the result
+    over the whole range, which is what makes split evaluation exact.
     """
 
-    if begin >= end:
-        return []
-    fn = node.fn or operator_of(node)
-    if end - begin == 1:
-        # One fid, the common light call: bisect for it in each fanin's
-        # list rather than building a dict per fanin.
-        f = affected[begin]
-        key = (f,)
-        vals = []
-        for st in fanin_states:
-            bads = st.bads
-            i = bisect_left(bads, key)
-            vals.append(bads[i][1] if i < len(bads) and bads[i][0] == f else st.good)
-        raw = fn(*vals) & node.mask
-        fault = nf.fid_map.get(f)
-        if fault is not None:
-            raw = faulty_val(fault, raw, cycle)
-        return [(f, raw)] if raw != new_good else []
-    fids = affected if begin == 0 and end == len(affected) else affected[begin:end]
-    first, last = fids[0], fids[-1]
-    # Each fanin's divergences within [first, last], looked up by fid.
+    bounded = lo or hi is not None
     gets = []
     goods = []
+    found = []  # each fanin's divergences in range, by fid
     for st in fanin_states:
-        bads = st.bads
         goods.append(st.good)
-        if not bads:
-            gets.append(_NO_BADS.get)
-            continue
-        lo, hi = bads[0][0], bads[-1][0]
-        if lo > last or hi < first:
-            gets.append(_NO_BADS.get)
-        elif lo >= first and hi <= last:
-            gets.append(dict(bads).get)
+        bads = st.bads
+        if bads and bounded:
+            a = bisect_left(bads, (lo,)) if lo else 0
+            bads = bads[a:len(bads) if hi is None else bisect_left(bads, (hi,), a)]
+        if bads:
+            d = dict(bads)
+            found.append(d)
+            gets.append(d.get)
         else:
-            a = bisect_left(bads, (first,))
-            gets.append(dict(bads[a:bisect_left(bads, (last + 1,), a)]).get)
+            gets.append(_NO_BADS.get)
+    # Stuck-at fids are always live; a transient only inside its window.
+    stuck = nf.stuck
+    if stuck and bounded:
+        a = bisect_left(stuck, lo) if lo else 0
+        stuck = stuck[a:len(stuck) if hi is None else bisect_left(stuck, hi, a)]
+    live = nf.transients
+    if live:
+        live = [f.fid for f in live if f.start <= cycle <= f.end
+                and lo <= f.fid and (hi is None or f.fid < hi)]
+    if not (stuck or live) and len(found) == 1:
+        fids = found[0]  # a dict iterates in insertion order: ascending fids
+    elif not (found or live):
+        fids = stuck
+    else:
+        # Updating an empty dict from a dict clones it, and sorting the
+        # keys merges the ascending runs the updates appended.
+        union = {}
+        for d in found:
+            union.update(d)
+        if stuck:
+            union.update(dict.fromkeys(stuck))
+        if live:
+            union.update(dict.fromkeys(live))
+        fids = sorted(union)
+    if not fids:
+        return [], 0
+    fn = node.fn or operator_of(node)
     injected = nf.fid_map
     mask = node.mask
     result = []
@@ -273,7 +244,7 @@ def eval_bad_set(
                 raw = faulty_val(injected[f], raw, cycle)
             if raw != new_good:
                 result.append((f, raw))
-    return result
+    return result, len(fids)
 
 
 def check_dependence_changed(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .faults import FaultDescriptor
 
@@ -65,6 +66,9 @@ class RunTotals:
     dispatch_overhead_ns: int = 0
     # Faults outside every output's cone: never simulated, reported undetected.
     unobservable: int = 0
+    # Bad gates the kernel evaluated, and those it kept as divergent.
+    bad_gates_evaluated: int = 0
+    bad_gates_kept: int = 0
 
     @property
     def mean_dispatch_ns(self) -> float:
@@ -99,7 +103,7 @@ def build_results(
     detections: dict[int, tuple[int, str]],
 ) -> list[FaultResult]:
     results = []
-    for f in sorted(faults, key=lambda f: f.fid):
+    for f in sorted(faults, key=attrgetter("fid")):
         hit = detections.get(f.fid)
         results.append(
             FaultResult(
@@ -118,18 +122,36 @@ REPORT_COLUMNS = [
 ]
 
 
+class _CsvField(dict):
+    """Text field -> its CSV form, computed once per distinct text: quoted,
+    with each quote doubled, when it holds a delimiter, a quote or a line
+    break, and as is otherwise.  This is ``csv.writer``'s minimal quoting,
+    except that a carriage return is always quoted, so that every report
+    parses back."""
+
+    def __missing__(self, text: str) -> str:
+        if "," in text or '"' in text or "\n" in text or "\r" in text:
+            quoted = '"' + text.replace('"', '""') + '"'
+        else:
+            quoted = text
+        self[text] = quoted
+        return quoted
+
+
 def emit_report_csv(report: SimulationReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(REPORT_COLUMNS)
+    """The header and one line per result, each ending in a newline."""
+
+    quote = _CsvField()
+    lines = [",".join(REPORT_COLUMNS)]
     for r in report.results:
-        writer.writerow([
-            r.fid, r.location_kind, r.location_name, r.bit, r.kind,
-            "detected" if r.detected else "undetected",
-            "" if r.detect_cycle is None else r.detect_cycle,
-            r.observing_output or "",
-        ])
-    return buf.getvalue()
+        cycle = "" if r.detect_cycle is None else r.detect_cycle
+        lines.append(
+            f"{r.fid},{quote[r.location_kind]},{quote[r.location_name]},{r.bit},"
+            f"{quote[r.kind]},{'detected' if r.detected else 'undetected'},"
+            f"{cycle},{quote[r.observing_output or '']}"
+        )
+    lines.append("")
+    return "\n".join(lines)
 
 
 def parse_report_csv(text: str) -> list[FaultResult]:
@@ -162,6 +184,8 @@ def emit_stats(report: SimulationReport) -> str:
         f"wall_ns={t.wall_ns} host_ns={t.host_ns} "
         f"busy_ns={';'.join(str(b) for b in t.busy_ns)} "
         f"executed={t.executed} skipped={t.skipped} "
+        f"bad_gates_evaluated={t.bad_gates_evaluated} "
+        f"bad_gates_kept={t.bad_gates_kept} "
         f"dispatches={t.dispatches} mean_dispatch_ns={t.mean_dispatch_ns:.1f} "
         f"coverage={report.coverage:.6f} faults={len(report.results)} "
         f"unobservable={t.unobservable}"

@@ -52,10 +52,9 @@ from . import rtl
 from .config import MODE_FULL, MODE_SERIAL, MODE_STRUCTURAL, SimConfig
 from .faults import FaultDescriptor, FaultTable, inject
 from .kernels import (
-    NodeState, SimulationError, affected_fids, apply_stimulus_row,
-    bind_operators, check_dependence_changed, commit_state, drop_detected,
-    eval_bad_set, eval_good, initial_states, scan_outputs, sync_check_needed,
-    sync_register,
+    NodeState, SimulationError, apply_stimulus_row, bind_operators,
+    check_dependence_changed, commit_state, drop_detected, eval_bad_gates,
+    eval_good, initial_states, scan_outputs, sync_check_needed, sync_register,
 )
 from .report import CycleStats, RunTotals, SimulationReport, build_results
 from .rtl import RtlGraph
@@ -305,10 +304,10 @@ class SimulationEngine:
                 diverged = True
         new_good = eval_good(node, goods)
         if diverged:
-            affected = affected_fids(node, fanin_states, nf, cycle)
-            new_bads = eval_bad_set(
-                node, fanin_states, nf, new_good, cycle, affected, 0, len(affected)
-            )
+            new_bads, evaluated = eval_bad_gates(node, fanin_states, nf, new_good, cycle)
+            totals = self.totals
+            totals.bad_gates_evaluated += evaluated
+            totals.bad_gates_kept += len(new_bads)
         else:
             # No divergence at a fanin and nothing injected here: every bad
             # gate takes the good value.
@@ -354,11 +353,12 @@ class SimulationEngine:
         lo, hi = board.bounds[i], board.bounds[i + 1]
         partial = []
         if hi is None or lo < hi:
-            affected = affected_fids(node, fanin_states, nf, self._cycle, lo, hi)
-            partial = eval_bad_set(
-                node, fanin_states, nf, board.new_good, self._cycle,
-                affected, 0, len(affected),
+            partial, evaluated = eval_bad_gates(
+                node, fanin_states, nf, board.new_good, self._cycle, lo, hi
             )
+            totals = self.totals
+            totals.bad_gates_evaluated += evaluated
+            totals.bad_gates_kept += len(partial)
         board.partials[i] = partial
         self._executed += 1
         board.remaining -= 1
@@ -556,10 +556,7 @@ class SimulationEngine:
             fanin_states = [fanin_state(f) for f in node.fanin]
             nf = self.nf[nid]
             good = eval_good(node, [fs.good for fs in fanin_states])
-            affected = affected_fids(node, fanin_states, nf, cycle)
-            bads = eval_bad_set(
-                node, fanin_states, nf, good, cycle, affected, 0, len(affected)
-            )
+            bads, _ = eval_bad_gates(node, fanin_states, nf, good, cycle)
             if good != st.good or bads != st.bads:
                 raise SimulationError(
                     f"cycle {cycle}: node '{node.name}' not steady after drain"

@@ -7,8 +7,8 @@ from faultsim.faults import (
     NO_FAULTS, FaultDescriptor, FaultTable, NodeFaults, faulty_val, inject,
 )
 from faultsim.kernels import (
-    NodeState, SimulationError, affected_fids, check_dependence_changed,
-    eval_bad_set, eval_good, initial_states, sync_check_needed, sync_register,
+    NodeState, SimulationError, check_dependence_changed, eval_bad_gates,
+    eval_good, initial_states, sync_check_needed, sync_register,
 )
 from faultsim.netlist import OPERATOR_ARITY
 from faultsim.oracles import _ref_op, run_single_fault
@@ -120,29 +120,71 @@ def test_slice_concat_semantics_agree(a, hi, lo, wlo, whi):
     assert eval_good(node2, vals2) == _ref_op(node2, vals2)
 
 
+def reference_bad_gates(node, fan, injected, new_good, cycle, fids):
+    """Each fid's bad gate on its own: the operator over the fanins' values
+    for that fid, then the forcing rule of a fault ``injected`` here;
+    only values other than ``new_good`` are kept."""
+
+    out = []
+    for f in fids:
+        raw = eval_good(node, [dict(fs.bads).get(f, fs.good) for fs in fan])
+        if f in injected:
+            raw = faulty_val(injected[f], raw, cycle)
+        if raw != new_good:
+            out.append((f, raw))
+    return out
+
+
+def candidates(fan, faults, cycle):
+    """The fids a node's bad gates are evaluated for: divergent at a fanin,
+    or injected here with an open window."""
+
+    fids = {f for fs in fan for f, _ in fs.bads}
+    fids.update(f.fid for f in faults.entries
+                if f.kind != "transient" or f.start <= cycle <= f.end)
+    return sorted(fids)
+
+
 class TestAffectedFids:
+    """Which fids ``eval_bad_gates`` evaluates: its returned count."""
+
     def test_empty(self):
         node = comb("AND", 1, 2)
         states = [NodeState(1), NodeState(1)]
-        assert affected_fids(node, states, NO_FAULTS, 0) == []
+        assert eval_bad_gates(node, states, NO_FAULTS, 1, 0) == ([], 0)
 
     def test_union_of_sources(self):
         node = comb("AND", 1, 2)
         fan = [NodeState(1, [(3, 0), (7, 0)]), NodeState(1, [(7, 0)])]
-        faults = nf(rule(7, 0, "sa0"), rule(9, 0, "sa1"))
-        assert affected_fids(node, fan, faults, 0) == [3, 7, 9]
+        faults = nf(rule(7, 0, "sa1"), rule(9, 0, "sa0"))
+        # 3 diverges upstream; 7 diverges upstream and its stuck-at-1 forces
+        # the good value back; 9 is injected only.
+        assert eval_bad_gates(node, fan, faults, 1, 0) == ([(3, 0), (9, 0)], 3)
 
     def test_inactive_window_excluded(self):
         node = comb("AND", 1, 2)
         faults = nf(rule(4, 0, "transient", 3, 5))
         fan = [NodeState(1), NodeState(1)]
-        for cycle, want in [(0, []), (2, []), (3, [4]), (4, [4]), (5, [4]), (6, [])]:
-            assert affected_fids(node, fan, faults, cycle) == want
+        for cycle, want in [(0, ([], 0)), (2, ([], 0)), (3, ([(4, 0)], 1)),
+                            (4, ([(4, 0)], 1)), (5, ([(4, 0)], 1)), (6, ([], 0))]:
+            assert eval_bad_gates(node, fan, faults, 1, cycle) == want
         faults.discard(4)
-        assert (faults.entries, faults.fids, faults.fid_map, faults.transients) == \
-            ([], [], {}, [])
-        assert affected_fids(node, fan, faults, 4) == []
+        assert (faults.entries, faults.fids, faults.fid_map, faults.stuck,
+                faults.transients) == ([], [], {}, [], [])
+        assert eval_bad_gates(node, fan, faults, 1, 4) == ([], 0)
         assert not check_dependence_changed(node, fan, faults, 3)
+
+    def test_discard_keeps_stuck_list(self):
+        faults = nf(rule(2, 0, "sa0"), rule(5, 0, "transient", 1, 2),
+                    rule(8, 0, "sa1"), rule(11, 0, "sa0"))
+        assert faults.stuck == [2, 8, 11]
+        faults.discard(8)
+        faults.discard(5)
+        assert faults.stuck == [2, 11] and faults.fids == [2, 11]
+        node = comb("OR", 1, 2)
+        fan = [NodeState(1, [(8, 0)]), NodeState(0)]
+        # 8 now diverges only upstream; the stuck-at-0 fids 2 and 11 stay.
+        assert eval_bad_gates(node, fan, faults, 1, 1) == ([(2, 0), (8, 0), (11, 0)], 3)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -150,7 +192,7 @@ class TestAffectedFids:
         """The candidates leave out fids divergent only at the node itself.
         Such a fid reads the good value at every fanin and is not live-
         injected here, so it evaluates to the good value: adding it back
-        changes no result, over the whole list and one fid at a time."""
+        would change no result."""
 
         rng = random.Random(data.draw(st.integers(0, 10**6)))
         op = rng.choice(sorted(OPERATOR_ARITY))
@@ -181,39 +223,46 @@ class TestAffectedFids:
         ])
         discard_some(faults, rng, 0.3)
         new_good = eval_good(node, [fs.good for fs in fan])
-        affected = affected_fids(node, fan, faults, cycle)
-        union = sorted(set(affected).union(f for f, _ in own.bads))
-        want = eval_bad_set(node, fan, faults, new_good, cycle,
-                            affected, 0, len(affected))
-        assert eval_bad_set(node, fan, faults, new_good, cycle,
-                            union, 0, len(union)) == want
-        for i, f in enumerate(union):
-            if f not in affected:
-                assert eval_bad_set(node, fan, faults, new_good, cycle,
-                                    union, i, i + 1) == []
+        affected = candidates(fan, faults, cycle)
+        kept, evaluated = eval_bad_gates(node, fan, faults, new_good, cycle)
+        assert evaluated == len(affected)
+        assert kept == reference_bad_gates(node, fan, faults.fid_map, new_good,
+                                           cycle, affected)
+        own_only = [f for f, _ in own.bads if f not in affected]
+        assert reference_bad_gates(node, fan, faults.fid_map, new_good,
+                                   cycle, own_only) == []
+
+
+def random_site(rng, width, fid_range, max_faults):
+    """Faults injected at a node, stuck-at and transient, some discarded
+    as a detection would."""
+
+    faults = NodeFaults([
+        rule(f, rng.randrange(width), rng.choice(["sa0", "sa1", "transient"]),
+             *sorted(rng.sample(range(5), 2)))
+        for f in rng.sample(range(fid_range), rng.randint(0, max_faults))
+    ])
+    discard_some(faults, rng, 0.25)
+    return faults
 
 
 class TestEvalBadSet:
     def test_divergence_kept(self):
         node = comb("AND", 1, 2)
         fan = [NodeState(1, [(4, 0)]), NodeState(1)]
-        out = eval_bad_set(node, fan, NO_FAULTS, 1, 0, [4], 0, 1)
-        assert out == [(4, 0)]
+        assert eval_bad_gates(node, fan, NO_FAULTS, 1, 0) == ([(4, 0)], 1)
 
     def test_masking_drops_entry(self):
         node = comb("OR", 1, 2)
         fan = [NodeState(1), NodeState(0, [(4, 1)])]
-        out = eval_bad_set(node, fan, NO_FAULTS, 1, 0, [4], 0, 1)
-        assert out == []
+        assert eval_bad_gates(node, fan, NO_FAULTS, 1, 0) == ([], 1)
 
     def test_forced_value_equal_to_good_not_stored(self):
         # Stuck-at-0 on an AND whose good output is already 0.
         node = comb("AND", 1, 2)
         fan = [NodeState(0), NodeState(1)]
         faults = nf(rule(9, 0, "sa0"))
-        affected = affected_fids(node, fan, faults, 0)
-        assert affected == [9]
-        assert eval_bad_set(node, fan, faults, 0, 0, affected, 0, 1) == []
+        assert eval_bad_gates(node, fan, faults, 0, 0) == ([], 1)
 
     def test_inactive_stuck_fault_produces_no_divergence_anywhere(self):
         text = """
@@ -239,8 +288,9 @@ end
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_range_decomposition(self, data):
-        """Evaluating the affected list piecewise over any partition equals
-        evaluating it whole; fault-level splitting relies on this exactly."""
+        """Cut the fid range at candidate fids, as a master cuts at the
+        quantiles of a list: the pieces' kept pairs and counts add up to the
+        whole; fault-level splitting relies on this exactly."""
 
         rng = random.Random(data.draw(st.integers(0, 10**6)))
         width = rng.randint(1, 8)
@@ -249,32 +299,30 @@ end
             fids = sorted(rng.sample(range(40), rng.randint(0, 10)))
             return [(f, rng.randrange(1 << width)) for f in fids]
         fan = [NodeState(rng.randrange(1 << width), rand_bads()) for _ in range(2)]
-        faults = NodeFaults([
-            rule(f, rng.randrange(width), rng.choice(["sa0", "sa1"]))
-            for f in rng.sample(range(40), rng.randint(0, 4))
-        ])
+        faults = random_site(rng, width, 40, 4)
+        cycle = rng.randint(0, 5)
         new_good = eval_good(node, [fan[0].good, fan[1].good])
-        affected = affected_fids(node, fan, faults, 0)
-        whole = eval_bad_set(node, fan, faults, new_good, 0,
-                             affected, 0, len(affected))
-        n_cuts = rng.randint(0, min(3, len(affected) + 1))
-        cuts = sorted(rng.sample(range(len(affected) + 1), n_cuts))
-        bounds = [0] + cuts + [len(affected)]
-        pieces = []
-        for b, e in zip(bounds, bounds[1:]):
-            pieces.extend(eval_bad_set(node, fan, faults, new_good, 0,
-                                       affected, b, e))
-        assert pieces == whole
-
+        whole, evaluated = eval_bad_gates(node, fan, faults, new_good, cycle)
+        affected = candidates(fan, faults, cycle)
+        assert evaluated == len(affected)
+        assert whole == reference_bad_gates(node, fan, faults.fid_map, new_good,
+                                            cycle, affected)
+        cuts = sorted(rng.choices(affected, k=rng.randint(0, 3))) if affected else []
+        pieces, counted = [], 0
+        for lo, hi in zip([0] + cuts, cuts + [None]):
+            kept, n = eval_bad_gates(node, fan, faults, new_good, cycle, lo, hi)
+            pieces.extend(kept)
+            counted += n
+        assert (pieces, counted) == (whole, evaluated)
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_fid_cut_partials_concatenate(self, data):
-        """A slave computes affected_fids within its [lo, hi) fid range and
-        evaluates those; over any fid cut points the slaves' partials
-        concatenate to the unsplit result, for every operator arity.  So do
-        one-fid pieces, which take eval_bad_set's single-fid path, and each
-        fid's value is the operator applied to its own fanin values."""
+        """A slave evaluates the candidates in its [lo, hi) fid range; over
+        any fid cut points the slaves' partials concatenate to the unsplit
+        result, for every operator arity, and so do one-fid ranges.  Each
+        fid's value is the operator applied to its own fanin values, then
+        its forcing rule."""
 
         rng = random.Random(data.draw(st.integers(0, 10**6)))
         width = rng.randint(1, 8)
@@ -292,37 +340,26 @@ end
             w = 1 if op == "MUX" and i == 0 else width
             good = rng.randrange(1 << w)
             fan.append(NodeState(good, [(f, v) for f, v in rand_bads(w) if v != good]))
-        injected = [
-            rule(f, rng.randrange(width), rng.choice(["sa0", "sa1", "transient"]),
-                 *sorted(rng.sample(range(5), 2)))
-            for f in rng.sample(range(40), rng.randint(0, 4))
-        ]
-        faults = NodeFaults(injected)
-        dropped = discard_some(faults, rng, 0.25)
+        faults = random_site(rng, width, 40, 4)
         new_good = eval_good(node, [fs.good for fs in fan])
-        affected = affected_fids(node, fan, faults, cycle)
-        whole = eval_bad_set(node, fan, faults, new_good, cycle,
-                             affected, 0, len(affected))
+        whole, evaluated = eval_bad_gates(node, fan, faults, new_good, cycle)
+        affected = candidates(fan, faults, cycle)
+        assert evaluated == len(affected)
+        assert whole == reference_bad_gates(node, fan, faults.fid_map, new_good,
+                                            cycle, affected)
         cuts = sorted(data.draw(st.lists(st.integers(0, 41), max_size=7)))
         pieces = []
         for lo, hi in zip([0] + cuts, cuts + [None]):
-            part = affected_fids(node, fan, faults, cycle, lo, hi)
-            assert part == [f for f in affected if lo <= f and (hi is None or f < hi)]
-            pieces.extend(eval_bad_set(node, fan, faults, new_good, cycle,
-                                       part, 0, len(part)))
+            kept, n = eval_bad_gates(node, fan, faults, new_good, cycle, lo, hi)
+            assert n == sum(1 for f in affected if lo <= f and (hi is None or f < hi))
+            pieces.extend(kept)
         assert pieces == whole
         singles = []
-        for i in range(len(affected)):
-            singles.extend(eval_bad_set(node, fan, faults, new_good, cycle,
-                                        affected, i, i + 1))
+        for f in affected:
+            kept, n = eval_bad_gates(node, fan, faults, new_good, cycle, f, f + 1)
+            assert n == 1
+            singles.extend(kept)
         assert singles == whole
-        for f, value in whole:
-            vals = [dict(fs.bads).get(f, fs.good) for fs in fan]
-            raw = eval_good(node, vals)
-            for fault in injected:
-                if fault.fid == f and f not in dropped:
-                    raw = faulty_val(fault, raw, cycle)
-            assert value == raw != new_good
 
 
 class TestDependenceCheck:

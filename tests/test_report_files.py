@@ -1,10 +1,14 @@
+import csv
+import io
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from faultsim.config import SimConfig
 from faultsim.genbench import gen_bench
 from faultsim.report import (
-    CycleStats, ReportFormatError, SimulationReport, emit_report_csv,
-    emit_stats, parse_report_csv,
+    REPORT_COLUMNS, CycleStats, FaultResult, ReportFormatError,
+    SimulationReport, emit_report_csv, emit_stats, parse_report_csv,
 )
 from faultsim.scheduler import run_simulation
 from faultsim.stimulus import (
@@ -86,3 +90,48 @@ class TestReport:
     def test_cycle_stats_utilization(self):
         c = CycleStats(0, 100, (50, 25), 2, 0, (), 0)
         assert c.utilization == 0.375
+
+
+def reference_report_csv(results) -> str:
+    """The report CSV as ``csv.writer`` writes it, one row at a time.  The
+    writer quotes a field holding a delimiter, a quote or a character of
+    its line terminator; with "\r\n" that covers both line breaks, and each
+    row's terminator is then replaced by the report's "\n"."""
+
+    lines = []
+    for row in [REPORT_COLUMNS] + [
+        [r.fid, r.location_kind, r.location_name, r.bit, r.kind,
+         "detected" if r.detected else "undetected",
+         "" if r.detect_cycle is None else r.detect_cycle,
+         r.observing_output or ""]
+        for r in results
+    ]:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        lines.append(buf.getvalue()[:-2] + "\n")
+    return "".join(lines)
+
+
+# Names with every character the CSV quoting reacts to, spaces and the
+# empty string.
+csv_text = st.text(alphabet=st.sampled_from(list('ab ,"\r\n')), max_size=6)
+
+
+# Every field drawn on its own, as a parsed report may combine them; an
+# empty output name reads back as None.
+fault_results = st.builds(
+    FaultResult, st.integers(0, 10**6), csv_text, csv_text,
+    st.integers(0, 63), csv_text, st.booleans(),
+    st.none() | st.integers(0, 99), st.none() | csv_text.filter(bool),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(results=st.lists(fault_results, max_size=8))
+def test_report_csv_matches_csv_writer(results):
+    """The report writer formats rows itself; its bytes equal
+    ``csv.writer``'s and parse back to the same results."""
+
+    text = emit_report_csv(SimulationReport(results=results, config={}))
+    assert text == reference_report_csv(results)
+    assert parse_report_csv(text) == results

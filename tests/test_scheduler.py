@@ -239,7 +239,7 @@ def test_layer_kernels_are_called_from_engine_modules(monkeypatch):
 
         monkeypatch.setattr(scheduler, name, wrapper)
 
-    for name in ("eval_good", "eval_bad_set", "sync_register"):
+    for name in ("eval_good", "eval_bad_gates", "sync_register"):
         count(name)
     b = small_bench(7, profile="pipeline", size=60, cycles=6, faults=20)
     runs = []
@@ -253,6 +253,28 @@ def test_layer_kernels_are_called_from_engine_modules(monkeypatch):
         runs.append({k: calls[k] - before[k] for k in calls})
     assert all(n > 0 for run in runs for n in run.values()), runs
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("drop", [False, True])
+def test_bad_gate_totals_identical_across_modes(drop):
+    """Every mode evaluates each node once per cycle, and the slaves of an
+    expanded node split its fid range exactly, so the run's bad-gate
+    counts do not depend on the mode or on which nodes were expanded."""
+
+    b = gen_bench("skewed", 300, 5, cycles=6)
+    _, stim, faults = b.build()
+    totals = {}
+    for mode in ("serial", "structural", "structural+fault", "full"):
+        g, _, _ = b.build()
+        report = run_simulation(g, faults, stim, SimConfig(
+            workers=4, mode=mode, drop_on_detect=drop))
+        if mode in ("structural+fault", "full"):
+            assert any(c.expansions for c in report.cycles), mode
+        t = report.totals
+        totals[mode] = (t.bad_gates_evaluated, t.bad_gates_kept)
+    evaluated, kept = totals["serial"]
+    assert evaluated > kept > 0
+    assert set(totals.values()) == {(evaluated, kept)}, totals
 
 
 def test_liveness_random_graphs_with_random_expansions():
