@@ -13,7 +13,7 @@ from .kernels import NodeState, SimulationError
 from .netlist import NetlistError, parse_netlist
 from .oracles import run_serial_concurrent, run_single_fault
 from .report import SimulationReport, emit_report_csv, parse_report_csv
-from .rtl import ElaborationError, RtlGraph, elaborate, elaborate_text, topo_positions
+from .rtl import ElaborationError, RtlGraph, elaborate, elaborate_text
 from .scheduler import SimulationEngine, run_simulation
 from .stimulus import StimulusFile, StimulusError, emit_stimulus, parse_stimulus
 
@@ -28,7 +28,6 @@ __all__ = [
     "run_serial_concurrent", "run_single_fault",
     "SimulationReport", "emit_report_csv", "parse_report_csv",
     "ElaborationError", "RtlGraph", "elaborate", "elaborate_text",
-    "topo_positions",
     "SimulationEngine", "run_simulation",
     "StimulusFile", "StimulusError", "emit_stimulus", "parse_stimulus",
 ]

@@ -67,7 +67,7 @@ def ablation_run(
     stimulus,
     faults,
     workers: list[int],
-    threshold: float = 0.02,
+    threshold: float = SimConfig.threshold,
     trials: int = 3,
 ) -> AblationTable:
     """Measure serial plus every (mode, P) cell; all cells must agree on

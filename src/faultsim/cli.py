@@ -27,7 +27,7 @@ from .genbench import MIN_SIZE, gen_bench
 from .kernels import SimulationError
 from .netlist import NetlistError
 from .oracles import run_good_trace, run_serial_concurrent, run_single_fault
-from .report import ReportFormatError, emit_report_csv, emit_stats
+from .report import emit_report_csv, emit_stats
 from .rtl import ElaborationError, elaborate_text
 from .scheduler import run_simulation
 from .stimulus import StimulusError, parse_stimulus
@@ -56,7 +56,7 @@ def _read_text(path: str) -> str:
 
 _PARSE_ERRORS = (
     NetlistError, ElaborationError, StimulusError, FaultModelError,
-    ReportFormatError, OSError, InputEncodingError,
+    OSError, InputEncodingError,
 )
 
 
@@ -82,7 +82,7 @@ def build_parser() -> _Parser:
     )
     run_p.add_argument("--workers", type=int, default=1)
     run_p.add_argument("--mode", choices=MODES, default=MODE_FULL)
-    run_p.add_argument("--threshold", type=float, default=1e-4)
+    run_p.add_argument("--threshold", type=float, default=SimConfig.threshold)
     run_p.add_argument("--report", help="write per-fault verdict CSV here")
     run_p.add_argument("--stats", help="write per-cycle statistics here")
     run_p.add_argument("--drop-on-detect", action="store_true")
@@ -117,7 +117,7 @@ def build_parser() -> _Parser:
     abl_p.add_argument("--faults", required=True)
     abl_p.add_argument("--workers", default="1,2,4,8",
                        help="comma-separated worker counts")
-    abl_p.add_argument("--threshold", type=float, default=0.02)
+    abl_p.add_argument("--threshold", type=float, default=SimConfig.threshold)
     abl_p.add_argument("--trials", type=int, default=3,
                        help="runs per cell; each cell keeps its fastest")
     abl_p.add_argument("--out", help="write the table here instead of stdout")

@@ -6,7 +6,8 @@ registers after the strobe; it has no task graph or worker pool, so the
 pool, expansion and cost settings do not apply to it.  The other modes
 drain the same task graph on the discrete-event pool: ``structural`` and
 ``structural+fault`` commit registers behind a barrier, ``full`` commits
-them mid-cycle, and the last two expand overloaded nodes.
+them mid-cycle, and the last two expand, before the first cycle, the nodes
+whose fault cone holds more than ``threshold`` of the summed cone counts.
 """
 
 from __future__ import annotations
@@ -32,13 +33,12 @@ class SimConfig:
     no seam outside the engine can replace them:
     ``record_outputs`` is filled in every mode and read by every
     engine-vs-oracle output test; ``record_costs`` logs per-task costs and
-    ``cost_table`` replays them, and the replayed cost must reach
-    ``LoadMonitor.record`` so that the replay expands the same nodes as the
-    calibration run, which a wrapper around the pool would not do."""
+    ``cost_table`` replays them, so that schedules under several
+    disciplines can be charged one calibration run's costs."""
 
     workers: int = 1
     mode: str = MODE_FULL
-    threshold: float = 1e-4
+    threshold: float = 0.02
     drop_on_detect: bool = False
     steady_state_check: bool = False
     record_outputs: bool = False

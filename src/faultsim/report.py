@@ -46,7 +46,6 @@ class CycleStats:
     busy_ns: tuple[int, ...]
     executed: int
     skipped: int
-    expansions: tuple[int, ...]
     sync_ns: int
 
     @property
@@ -69,6 +68,8 @@ class RunTotals:
     # Bad gates the kernel evaluated, and those it kept as divergent.
     bad_gates_evaluated: int = 0
     bad_gates_kept: int = 0
+    # Nodes split into a master and slaves at setup, heaviest first.
+    expanded: tuple[int, ...] = ()
 
     @property
     def mean_dispatch_ns(self) -> float:
@@ -155,6 +156,10 @@ def emit_report_csv(report: SimulationReport) -> str:
 
 
 def parse_report_csv(text: str) -> list[FaultResult]:
+    """The results of a report CSV.  A ``detected`` row names its detect
+    cycle and observing output, an ``undetected`` row neither, and the
+    fid, bit and cycle fields are integers."""
+
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or rows[0] != REPORT_COLUMNS:
         raise ReportFormatError("missing or malformed report header")
@@ -162,15 +167,22 @@ def parse_report_csv(text: str) -> list[FaultResult]:
     for row in rows[1:]:
         if len(row) != len(REPORT_COLUMNS):
             raise ReportFormatError(f"bad report row {row!r}")
-        detected = row[5] == "detected"
-        results.append(
-            FaultResult(
-                int(row[0]), row[1], row[2], int(row[3]), row[4],
-                detected,
-                int(row[6]) if row[6] else None,
-                row[7] or None,
+        fid, location_kind, location_name, bit, kind, verdict, cycle, output = row
+        if verdict not in ("detected", "undetected"):
+            raise ReportFormatError(f"unknown verdict {verdict!r} in row {row!r}")
+        detected = verdict == "detected"
+        if (bool(cycle), bool(output)) != (detected, detected):
+            raise ReportFormatError(
+                f"{verdict} row must {'' if detected else 'not '}name a detect "
+                f"cycle and an observing output: {row!r}"
             )
-        )
+        try:
+            results.append(FaultResult(
+                int(fid), location_kind, location_name, int(bit), kind,
+                detected, int(cycle) if detected else None, output or None,
+            ))
+        except ValueError:
+            raise ReportFormatError(f"non-integer fid, bit or cycle in row {row!r}") from None
     return results
 
 
@@ -186,6 +198,7 @@ def emit_stats(report: SimulationReport) -> str:
         f"executed={t.executed} skipped={t.skipped} "
         f"bad_gates_evaluated={t.bad_gates_evaluated} "
         f"bad_gates_kept={t.bad_gates_kept} "
+        f"expanded={';'.join(str(e) for e in t.expanded)} "
         f"dispatches={t.dispatches} mean_dispatch_ns={t.mean_dispatch_ns:.1f} "
         f"coverage={report.coverage:.6f} faults={len(report.results)} "
         f"unobservable={t.unobservable}"
@@ -196,7 +209,6 @@ def emit_stats(report: SimulationReport) -> str:
             f"cycle={c.cycle} wall_ns={c.wall_ns} "
             f"busy_ns={';'.join(str(b) for b in c.busy_ns)} "
             f"executed={c.executed} skipped={c.skipped} "
-            f"expansions={';'.join(str(e) for e in c.expansions)} "
             f"sync_ns={c.sync_ns}"
         )
     return "\n".join(lines) + "\n"

@@ -82,13 +82,6 @@ class RtlGraph:
     # (source id, width) -> the virtual copy of the source cut to that width
     copies: dict[tuple[int, int], int] = field(default_factory=dict)
 
-    def comb_edges(self):
-        """Yield every (producer, consumer) edge of the combinational view;
-        sources have no fanin."""
-        for node in self.nodes:
-            for src in node.fanin:
-                yield src, node.id
-
     def recompute_topo(self) -> None:
         self.topo = _topo_sort(self.nodes)
 
@@ -330,42 +323,3 @@ def observable(graph: RtlGraph) -> list[bool]:
                 seen[src] = True
                 stack.append(src)
     return seen
-
-
-def topo_positions(graph: RtlGraph) -> list[int]:
-    """Position of each node id within graph.topo (id-indexed)."""
-
-    pos = [0] * len(graph.nodes)
-    for position, nid in enumerate(graph.topo):
-        pos[nid] = position
-    return pos
-
-
-def graph_to_netlist(graph: RtlGraph) -> str:
-    """Print the graph back as netlist text (pre-injection graphs only)."""
-
-    if any(n.kind == VIRTUAL for n in graph.nodes):
-        raise ValueError("cannot print a graph containing injected virtual nodes")
-
-    def operand(nid: int) -> str:
-        node = graph.nodes[nid]
-        return str(Literal(node.init, node.width)) if node.kind == CONST else node.name
-
-    lines = [f"module {graph.name}"]
-    for node in graph.nodes:
-        if node.kind == INPUT:
-            lines.append(f"input {node.name} {node.width}")
-        elif node.kind == REG:
-            lines.append(f"reg {node.name} {node.width} = {node.init:x}")
-        elif node.kind == COMB:
-            ops = " ".join(operand(src) for src in node.fanin)
-            if node.op == "SLICE":
-                ops = f"{node.slice_hi} {node.slice_lo} {ops}"
-            lines.append(f"assign {node.name} {node.width} = {node.op} {ops}")
-        elif node.kind == OUTPUT:
-            lines.append(f"output {node.name} {node.width} = {operand(node.fanin[0])}")
-    for rid in graph.regs:
-        reg = graph.nodes[rid]
-        lines.append(f"next {reg.name} = {operand(reg.next_src)}")
-    lines.append("end")
-    return "\n".join(lines) + "\n"

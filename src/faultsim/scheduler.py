@@ -1,5 +1,5 @@
 """The simulation engine: the cycle loop and its two executors, plus the
-worker pool, load monitoring and overload expansion.
+worker pool, the per-task cost record and the choice of nodes to expand.
 
 Mode ``serial`` is a plain loop: each cycle evaluates the nodes in
 topological order, strobes the outputs, and commits the registers.
@@ -16,8 +16,9 @@ engine alone holds the schedule policy; every mode builds the same task
 graph.  ``full`` releases each register commit mid-cycle once its readers
 and producer are done; ``structural`` and ``structural+fault`` hold every
 commit back for a second phase behind a barrier.  ``structural+fault`` and
-``full`` also expand, at each cycle boundary, up to ``MAX_EXPANSIONS`` of
-the overloaded nodes into a master and one slave per worker.
+``full`` also expand, once at setup, up to ``MAX_EXPANSIONS`` of the nodes
+with the largest fault cones into a master and one slave per worker; the
+task graph does not change after that.
 
 The pool is a deterministic discrete-event executor: every task's kernel
 runs exactly once on the host, in an order consistent with the dependency
@@ -50,7 +51,7 @@ from itertools import chain
 
 from . import rtl
 from .config import MODE_FULL, MODE_SERIAL, MODE_STRUCTURAL, SimConfig
-from .faults import FaultDescriptor, FaultTable, inject
+from .faults import FaultDescriptor, FaultTable, NodeFaults, inject
 from .kernels import (
     NodeState, SimulationError, apply_stimulus_row, bind_operators,
     check_dependence_changed, commit_state, drop_detected, eval_bad_gates,
@@ -60,11 +61,10 @@ from .report import CycleStats, RunTotals, SimulationReport, build_results
 from .rtl import RtlGraph
 from .stimulus import as_rows
 from .taskgraph import (
-    DEFAULT, MASTER, SLAVE, SYNC, TaskGraph, expand_high_load, make_task_graph,
-    reset_for_cycle,
+    DEFAULT, MASTER, SLAVE, SYNC, expand_high_load, make_task_graph, reset_for_cycle,
 )
 
-MAX_EXPANSIONS = 8  # nodes expanded at one cycle boundary, heaviest first
+MAX_EXPANSIONS = 8  # nodes expanded at setup, heaviest first
 
 
 @dataclass
@@ -159,49 +159,56 @@ class WorkerPool:
 
 
 class LoadMonitor:
-    """Per-task execution time for one cycle, the cycle total, and the
-    largest task time, so that a cycle without an overloaded task is
-    recognised without a scan.  The drain runs each task exactly once per
-    cycle, so a task's time is its one recorded cost."""
+    """Per-task execution time for one cycle, as the pool charged it: the
+    record ``record_costs`` logs.  The drain runs each task exactly once
+    per cycle, so a task's time is its one recorded cost."""
 
     def __init__(self):
         self.task_ns: dict[int, int] = {}
-        self.total_ns = 0
-        self.peak_ns = 0
 
     def reset(self) -> None:
         self.task_ns.clear()
-        self.total_ns = 0
-        self.peak_ns = 0
 
     def record(self, tid: int, cost: int) -> None:
         self.task_ns[tid] = cost
-        self.total_ns += cost
-        if cost > self.peak_ns:
-            self.peak_ns = cost
 
 
-def flag_overloaded(monitor: LoadMonitor, tg: TaskGraph, threshold: float) -> list[int]:
-    """Unexpanded nodes whose execution-time share exceeds the threshold,
-    heaviest first."""
+def flag_overloaded(graph: RtlGraph, nf: list[NodeFaults], threshold: float) -> list[int]:
+    """Evaluated nodes whose fault-cone count exceeds ``threshold`` of the
+    summed counts, heaviest first, ties by node id.  A node's count is the
+    number of filed fids whose site reaches it through fanin and register
+    ``next`` edges, a bound on its bad-list length: one bit per fid, ORed
+    over the evaluated nodes in topological order and then into each
+    register from its next source, until no register grows."""
 
-    total = monitor.total_ns
-    if total <= 0:
-        return []
-    floor_ns = total * threshold
-    if monitor.peak_ns <= floor_ns:
-        return []
-    tasks = tg.tasks
-    flagged = sorted(
-        (-ns, tasks[tid].node) for tid, ns in monitor.task_ns.items()
-        if ns > floor_ns and tasks[tid].kind == DEFAULT
-    )
-    return [nid for _, nid in flagged]
+    nodes = graph.nodes
+    order = [nid for nid in graph.topo if nodes[nid].kind in rtl.TASK_KINDS]
+    cone, width = [0] * len(nodes), 0
+    for nid, site in enumerate(nf):
+        cone[nid] = ((1 << len(site.fids)) - 1) << width
+        width += len(site.fids)
+    grew = True
+    while grew:
+        for nid in order:
+            bits = cone[nid]
+            for src in nodes[nid].fanin:
+                bits |= cone[src]
+            cone[nid] = bits
+        grew = False
+        for rid in graph.regs:
+            bits = cone[rid] | cone[nodes[rid].next_src]
+            if bits != cone[rid]:
+                cone[rid] = bits
+                grew = True
+    counts = [(cone[nid].bit_count(), nid) for nid in order]
+    floor = threshold * sum(count for count, _ in counts)
+    heavy = sorted((-count, nid) for count, nid in counts if count > floor)
+    return [nid for _, nid in heavy]
 
 
 class SimulationEngine:
     """Drives the cycle loop: stimulus, node evaluation, detection strobe,
-    register commit, overload expansion at cycle boundaries, and statistics.
+    register commit, and statistics.
 
     Setup files only the faults whose site lies in some output's cone
     (``rtl.observable``).  Any other fault can never be detected: no kernel,
@@ -212,7 +219,9 @@ class SimulationEngine:
     ``serial`` evaluates every node in topological order, strobes, and then
     commits the registers; it builds no task graph, pool or load monitor,
     and its cycle times are host time.  Every other mode drains the task
-    graph on the discrete-event pool, then strobes.  Both call ``_detect``
+    graph on the discrete-event pool, then strobes; the expanding modes
+    split the nodes ``flag_overloaded`` picks before cycle 0, from the
+    netlist and the filed faults alone.  Both executors call ``_detect``
     once per cycle, after their drain."""
 
     def __init__(self, graph: RtlGraph, faults: list[FaultDescriptor],
@@ -251,9 +260,12 @@ class SimulationEngine:
             self.pool = WorkerPool(config.workers)
             self.monitor = LoadMonitor()
             self.unified = config.mode == MODE_FULL
-            self.expands = config.mode != MODE_STRUCTURAL
-            # Expansion adds no entry task, so phase 1's entry list is fixed;
-            # behind a barrier it leaves out the sync tasks.
+            if config.mode != MODE_STRUCTURAL:
+                heavy = flag_overloaded(graph, self.nf, config.threshold)
+                self.totals.expanded = tuple(heavy[:MAX_EXPANSIONS])
+                for nid in self.totals.expanded:
+                    expand_high_load(self.tg, nid, config.workers)
+            # Behind a barrier phase 1's entry list leaves out the sync tasks.
             self.entry = [tid for tid in self.tg.entry_tasks
                           if self.unified or self.tg.tasks[tid].kind != SYNC]
         self.detections: dict[int, tuple[int, str]] = {}
@@ -282,8 +294,8 @@ class SimulationEngine:
             self._run_sync(task.regs)
         cost = time.perf_counter_ns() - t0
         if self._cost_replay is not None:
-            # Charge the calibrated cost for this task; fresh tasks that the
-            # calibration run never executed keep their live measurement.
+            # Charge the calibrated cost for this task; a task the
+            # calibration run never executed keeps its live measurement.
             cost = self._cost_replay.get(tid, cost)
         self.monitor.record(tid, cost)
         if kind == SYNC:
@@ -394,7 +406,7 @@ class SimulationEngine:
         off.  A run creates no reference cycles, so the collector would
         free nothing; its pauses over the caller's heap would only be
         charged to whichever task was running, and measured task times
-        decide expansion and the modeled schedule."""
+        decide the modeled schedule."""
 
         cfg = self.config
         run_cycle = self._run_serial_cycle if self.serial else self._run_pool_cycle
@@ -474,7 +486,7 @@ class SimulationEngine:
         self._sync_ns = time.perf_counter_ns() - sync0
         wall = time.perf_counter_ns() - t0
         self._end_cycle(CycleStats(
-            cycle, wall, (wall,), self._executed, self._skipped, (), self._sync_ns
+            cycle, wall, (wall,), self._executed, self._skipped, self._sync_ns
         ))
 
     def _run_pool_cycle(self, cycle: int, row) -> None:
@@ -518,12 +530,6 @@ class SimulationEngine:
         if cfg.record_costs:
             self.cost_log.append(dict(self.monitor.task_ns))
         self._detect(cycle)
-        expansions: tuple[int, ...] = ()
-        if self.expands:
-            flagged = flag_overloaded(self.monitor, tg, cfg.threshold)
-            expansions = tuple(flagged[:MAX_EXPANSIONS])
-            for nid in expansions:
-                expand_high_load(tg, nid, self.pool.workers)
         boundary_ns += time.perf_counter_ns() - b1
 
         self._end_cycle(CycleStats(
@@ -532,7 +538,6 @@ class SimulationEngine:
             busy_ns=tuple(busy),
             executed=self._executed,
             skipped=self._skipped,
-            expansions=expansions,
             sync_ns=self._sync_ns,
         ))
         self.totals.dispatches += self._executed + self._skipped

@@ -9,9 +9,9 @@ register-to-register read goes through a copy node, see
 ``rtl.split_register_reads``).  The graph is a plain dependency
 description with one shape for every mode: whether sync tasks run
 mid-cycle or behind a commit barrier is the engine's choice, not the
-graph's.  High-load nodes can be expanded between cycles into a master
-plus a fixed set of slaves that split the node's bad-gate work at fid cut
-points the master publishes.
+graph's.  The engine expands the nodes with the largest fault cones,
+before the first cycle, into a master plus a fixed set of slaves that
+split the node's bad-gate work at fid cut points the master publishes.
 """
 
 from __future__ import annotations

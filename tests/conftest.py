@@ -3,12 +3,59 @@ import random
 import pytest
 
 from faultsim.faults import FaultDescriptor
-from faultsim.rtl import OUTPUT, elaborate_text
+from faultsim.netlist import Literal
+from faultsim.rtl import COMB, CONST, INPUT, OUTPUT, REG, VIRTUAL, elaborate_text
 from faultsim.taskgraph import SLAVE, SYNC
 
 
 def build(text):
     return elaborate_text(text)
+
+
+def topo_positions(graph) -> list[int]:
+    """Position of each node id within graph.topo (id-indexed)."""
+
+    pos = [0] * len(graph.nodes)
+    for position, nid in enumerate(graph.topo):
+        pos[nid] = position
+    return pos
+
+
+def comb_edges(graph):
+    """Every (producer, consumer) edge of the combinational view; sources
+    have no fanin."""
+
+    return [(src, node.id) for node in graph.nodes for src in node.fanin]
+
+
+def graph_to_netlist(graph) -> str:
+    """Print the graph back as netlist text (pre-injection graphs only)."""
+
+    if any(n.kind == VIRTUAL for n in graph.nodes):
+        raise ValueError("cannot print a graph containing injected virtual nodes")
+
+    def operand(nid: int) -> str:
+        node = graph.nodes[nid]
+        return str(Literal(node.init, node.width)) if node.kind == CONST else node.name
+
+    lines = [f"module {graph.name}"]
+    for node in graph.nodes:
+        if node.kind == INPUT:
+            lines.append(f"input {node.name} {node.width}")
+        elif node.kind == REG:
+            lines.append(f"reg {node.name} {node.width} = {node.init:x}")
+        elif node.kind == COMB:
+            ops = " ".join(operand(src) for src in node.fanin)
+            if node.op == "SLICE":
+                ops = f"{node.slice_hi} {node.slice_lo} {ops}"
+            lines.append(f"assign {node.name} {node.width} = {node.op} {ops}")
+        elif node.kind == OUTPUT:
+            lines.append(f"output {node.name} {node.width} = {operand(node.fanin[0])}")
+    for rid in graph.regs:
+        reg = graph.nodes[rid]
+        lines.append(f"next {reg.name} = {operand(reg.next_src)}")
+    lines.append("end")
+    return "\n".join(lines) + "\n"
 
 
 AND2 = """
@@ -114,7 +161,8 @@ def check_schedule_invariants(eng, traces):
     checked_ms = checked_sync = 0
     for trace in traces:
         times = {tid: (start, fin) for tid, _, start, fin in trace}
-        # Tasks born from later expansions are absent from earlier cycles.
+        # A trace is one phase; behind a barrier the compute phase runs no
+        # sync task and the commit phase only sync tasks.
         for master, slaves in slaves_of.items():
             if master not in times:
                 continue

@@ -78,8 +78,28 @@ class TestReport:
         text = emit_stats(report)
         line = next(ln for ln in text.splitlines() if ln.startswith("cycle "))
         for field in ("cycle=", "wall_ns=", "busy_ns=", "executed=",
-                      "skipped=", "expansions=", "sync_ns="):
+                      "skipped=", "sync_ns="):
             assert field in line
+        totals = next(ln for ln in text.splitlines() if ln.startswith("totals "))
+        assert " expanded=" in totals
+
+    @pytest.mark.parametrize("row, problem", [
+        ("0,wire,n,0,sa0,detected,,o", "must name"),
+        ("0,wire,n,0,sa0,detected,3,", "must name"),
+        ("0,wire,n,0,sa0,undetected,3,o", "must not name"),
+        ("0,wire,n,0,sa0,undetected,,o", "must not name"),
+        ("0,wire,n,0,sa0,undetected,3,", "must not name"),
+        ("0,wire,n,0,sa0,maybe,,", "unknown verdict"),
+        ("0,wire,n,0,sa0,Detected,3,o", "unknown verdict"),
+        ("x,wire,n,0,sa0,undetected,,", "non-integer"),
+        ("0,wire,n,b0,sa0,undetected,,", "non-integer"),
+        ("0,wire,n,0,sa0,detected,3.5,o", "non-integer"),
+    ])
+    def test_csv_row_must_agree_with_its_verdict(self, row, problem):
+        header = ",".join(REPORT_COLUMNS)
+        assert parse_report_csv(f"{header}\n0,wire,n,0,sa0,detected,3,o\n")[0].detected
+        with pytest.raises(ReportFormatError, match=problem):
+            parse_report_csv(f"{header}\n{row}\n")
 
     def test_coverage_bounds(self):
         report = self._report()
@@ -88,7 +108,7 @@ class TestReport:
         assert empty.coverage == 0.0
 
     def test_cycle_stats_utilization(self):
-        c = CycleStats(0, 100, (50, 25), 2, 0, (), 0)
+        c = CycleStats(0, 100, (50, 25), 2, 0, 0)
         assert c.utilization == 0.375
 
 
@@ -117,12 +137,16 @@ def reference_report_csv(results) -> str:
 csv_text = st.text(alphabet=st.sampled_from(list('ab ,"\r\n')), max_size=6)
 
 
-# Every field drawn on its own, as a parsed report may combine them; an
-# empty output name reads back as None.
+# Every field drawn on its own, except that a detected fault has a detect
+# cycle and an observing output and an undetected one has neither, as the
+# parser requires.
 fault_results = st.builds(
     FaultResult, st.integers(0, 10**6), csv_text, csv_text,
-    st.integers(0, 63), csv_text, st.booleans(),
-    st.none() | st.integers(0, 99), st.none() | csv_text.filter(bool),
+    st.integers(0, 63), csv_text, st.just(True),
+    st.integers(0, 99), csv_text.filter(bool),
+) | st.builds(
+    FaultResult, st.integers(0, 10**6), csv_text, csv_text,
+    st.integers(0, 63), csv_text, st.just(False), st.none(), st.none(),
 )
 
 

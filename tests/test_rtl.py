@@ -6,16 +6,16 @@ from faultsim.faults import FaultDescriptor, inject
 from faultsim.genbench import gen_bench
 from faultsim.netlist import parse_netlist
 from faultsim.rtl import (
-    ElaborationError, REG, elaborate, elaborate_text, graph_to_netlist,
-    observable, observe_outputs, split_register_reads, topo_positions,
+    ElaborationError, REG, elaborate, elaborate_text, observable,
+    observe_outputs, split_register_reads,
 )
 
-from conftest import build
+from conftest import build, comb_edges, graph_to_netlist, topo_positions
 
 
 def positions_respect_edges(graph):
     pos = topo_positions(graph)
-    return all(pos[u] < pos[v] for u, v in graph.comb_edges())
+    return all(pos[u] < pos[v] for u, v in comb_edges(graph))
 
 
 def test_and_graph_shape(and2_graph):

@@ -6,9 +6,9 @@ from faultsim.config import MAX_WORKERS, SimConfig
 from faultsim.genbench import gen_bench
 from faultsim.kernels import SimulationError
 from faultsim.oracles import run_good_trace, run_serial_concurrent
-from faultsim.report import emit_report_csv
+from faultsim.report import emit_report_csv, emit_stats
 from faultsim.scheduler import (
-    LoadMonitor, SimulationEngine, WorkerPool, flag_overloaded, run_simulation,
+    SimulationEngine, WorkerPool, flag_overloaded, run_simulation,
 )
 from faultsim.taskgraph import Task, build_task_graph, expand_high_load
 
@@ -81,32 +81,73 @@ def test_skip_ratio_majority_when_one_input_moves():
     assert skipped / total > 0.5, skipped / total
 
 
-def test_flag_overloaded_uniform_threshold_half_is_empty():
-    # Every task is charged the same replayed cost, so the load is uniform
-    # whatever the host's timing does.
-    b = small_bench(5, size=60)
-    g, stim, faults = b.build()
-    cfg = SimConfig(workers=2, mode="structural")
-    eng = SimulationEngine(g, faults, stim, cfg)
-    cfg.cost_table = [dict.fromkeys(range(len(eng.tg.tasks)), 1000)] * len(stim.rows)
-    eng.run()
-    assert set(eng.monitor.task_ns.values()) == {1000}
-    assert flag_overloaded(eng.monitor, eng.tg, 0.5) == []
+# Fault cones by hand: w's 4 fids reach r through its next edge, and x, y
+# and v through r; r's 1 fid reaches x, y and v; x's and y's 1 fid each
+# reach what reads them.  Counts: w 4, x 6, y 7, v 7 (sum 24).  Read
+# through fanin edges alone, x would count 2 and y 3.
+CONES = """
+module cones
+input a 8
+input b 8
+reg r 8 = 0
+assign w 8 = AND a b
+assign x 8 = XOR r b
+assign y 8 = ADD x a
+assign v 8 = NOT y
+output o 8 = y
+output q 8 = v
+next r = w
+end
+"""
+
+
+def cone_engine(mode="structural", workers=2, threshold=0.02):
+    from faultsim.faults import FaultDescriptor
+
+    sites = [("wire", "w")] * 4 + [("reg", "r"), ("wire", "x"), ("wire", "y")]
+    faults = [FaultDescriptor(fid, kind, name, fid % 8, "sa1")
+              for fid, (kind, name) in enumerate(sites)]
+    return SimulationEngine(build(CONES), faults, [[1, 2]] * 3,
+                            SimConfig(workers=workers, mode=mode, threshold=threshold))
 
 
 def test_flag_overloaded_orders_by_share():
-    from faultsim.taskgraph import Task, TaskGraph
+    eng = cone_engine()
+    g = eng.graph
 
-    tasks = [Task(0, "default", node=10), Task(1, "default", node=11),
-             Task(2, "default", node=12)]
-    tg = TaskGraph(tasks, {10: 0, 11: 1, 12: 2}, [])
-    mon = LoadMonitor()
-    mon.record(0, 100)
-    mon.record(1, 700)
-    mon.record(2, 200)
-    assert flag_overloaded(mon, tg, 0.15) == [11, 12]
-    tasks[1].kind = "master"  # expanded nodes are no longer candidates
-    assert flag_overloaded(mon, tg, 0.15) == [12]
+    def names(threshold):
+        return [g.nodes[nid].name for nid in flag_overloaded(g, eng.nf, threshold)]
+
+    # More than the share, heaviest first, ties by node id (y before v).
+    assert names(0.1) == ["y", "v", "x", "w"]
+    assert names(0.2) == ["y", "v", "x"]
+    assert names(0.25) == ["y", "v"]  # x holds exactly 6/24
+    assert names(0.3) == []
+
+
+def test_flag_overloaded_uniform_threshold_half_is_empty():
+    # No node of a uniform bench holds half of the summed cone counts, and
+    # without faults no node holds any.
+    b = small_bench(5, size=60)
+    g, stim, faults = b.build()
+    eng = SimulationEngine(g, faults, stim, SimConfig(workers=2, mode="structural"))
+    assert flag_overloaded(g, eng.nf, 0.5) == []
+    g, _, _ = b.build()
+    eng = SimulationEngine(g, [], stim, SimConfig(workers=2, mode="full"))
+    assert flag_overloaded(g, eng.nf, 0.02) == []
+    assert eng.totals.expanded == () and not eng.tg.boards
+
+
+def test_expanding_modes_split_the_flagged_nodes_at_setup():
+    for mode in ("structural", "structural+fault", "full"):
+        eng = cone_engine(mode, workers=3, threshold=0.2)
+        flagged = () if mode == "structural" else ("y", "v", "x")
+        assert tuple(eng.graph.nodes[n].name for n in eng.totals.expanded) == flagged
+        assert sorted(eng.tg.boards) == sorted(eng.totals.expanded), mode
+        assert all(len(board.partials) == 3 for board in eng.tg.boards.values())
+        totals = next(line for line in emit_stats(eng.run()).splitlines()
+                      if line.startswith("totals "))
+        assert f" expanded={';'.join(map(str, eng.totals.expanded))} " in totals
 
 
 def test_heavy_hub_flagged_first_on_skewed_profile():
@@ -114,11 +155,51 @@ def test_heavy_hub_flagged_first_on_skewed_profile():
     g, stim, faults = b.build()
     eng = SimulationEngine(g, faults, stim,
                            SimConfig(workers=4, mode="structural"))
-    eng.run()
-    flagged = flag_overloaded(eng.monitor, eng.tg, 0.1)
+    flagged = flag_overloaded(g, eng.nf, 0.1)
     assert flagged, "no node exceeded a 10% share"
     top = g.nodes[flagged[0]].name
     assert top.startswith(("f", "cmp", "o_hub")), top
+
+
+def test_static_picks_on_skewed_3000_42():
+    """The hub links and their comparator hold the largest fault cones of
+    the bundled skewed bench; at the gates' threshold exactly they are
+    expanded, and at P=8 each into a master and eight slaves."""
+
+    b = gen_bench("skewed", 3000, 42, cycles=10)
+    g, stim, faults = b.build()
+    eng = SimulationEngine(g, faults, stim, SimConfig(workers=8, mode="full"))
+    assert [g.nodes[nid].name for nid in eng.totals.expanded] == \
+        ["f6", "cmp", "f5", "f4", "f3", "f2", "f1", "f0"]
+    assert all(len(board.partials) == 8 for board in eng.tg.boards.values())
+
+
+def test_expansion_does_not_depend_on_task_costs():
+    """Two runs charge replayed costs, all equal in one and random over six
+    decades in the other, where a few tasks take most of a cycle: both
+    expand the same nodes and keep the same task list, in every cycle."""
+
+    rng = random.Random(3)
+    b = gen_bench("skewed", 300, 5, cycles=6)
+    _, stim, faults = b.build()
+    runs = []
+    for table in ("equal", "random"):
+        g, _, _ = b.build()
+        cfg = SimConfig(workers=4, mode="full")
+        eng = SimulationEngine(g, faults, stim, cfg)
+        n = len(eng.tg.tasks)
+        cfg.cost_table = [
+            {tid: 1000 if table == "equal" else int(10 ** rng.uniform(0, 6))
+             for tid in range(n)}
+            for _ in stim.rows
+        ]
+        report = eng.run()
+        assert {c.executed + c.skipped for c in report.cycles} == {n}, table
+        runs.append((report.totals.expanded,
+                     [(t.kind, t.node, t.slave_index, t.regs, sorted(t.preds), t.succs)
+                      for t in eng.tg.tasks]))
+    assert runs[0][0], "nothing expanded"
+    assert runs[0] == runs[1]
 
 
 def test_mode_lattice_reports_identical():
@@ -199,8 +280,8 @@ def test_drop_on_detect_keeps_verdicts():
 
 def test_cost_log_replays_the_schedule():
     """The gates calibrate one run and replay its logged costs: fed back as
-    the cost table, a run's log must give the same expansions and charge
-    the same busy time in every cycle."""
+    the cost table, a run's log must charge the same busy time in every
+    cycle, on the same expanded task graph."""
 
     b = gen_bench("skewed", 300, 5, cycles=6)
     _, stim, faults = b.build()
@@ -208,7 +289,7 @@ def test_cost_log_replays_the_schedule():
     cfg = SimConfig(workers=8, mode="full", threshold=0.02, record_costs=True)
     eng = SimulationEngine(g, faults, stim, cfg)
     live = eng.run()
-    assert any(c.expansions for c in live.cycles)
+    assert live.totals.expanded
     assert [sum(log.values()) for log in eng.cost_log] == \
         [sum(c.busy_ns) for c in live.cycles]
     g2, _, _ = b.build()
@@ -216,7 +297,8 @@ def test_cost_log_replays_the_schedule():
         workers=8, mode="full", threshold=0.02, cost_table=eng.cost_log))
 
     def shape(report):
-        return [(c.executed, c.skipped, c.expansions, c.busy_ns) for c in report.cycles]
+        return (report.totals.expanded,
+                [(c.executed, c.skipped, c.busy_ns) for c in report.cycles])
 
     assert shape(replay) == shape(live)
 
@@ -269,7 +351,7 @@ def test_bad_gate_totals_identical_across_modes(drop):
         report = run_simulation(g, faults, stim, SimConfig(
             workers=4, mode=mode, drop_on_detect=drop))
         if mode in ("structural+fault", "full"):
-            assert any(c.expansions for c in report.cycles), mode
+            assert report.totals.expanded, mode
         t = report.totals
         totals[mode] = (t.bad_gates_evaluated, t.bad_gates_kept)
     evaluated, kept = totals["serial"]
@@ -292,11 +374,12 @@ def test_liveness_random_graphs_with_random_expansions():
         rng.choice((1, 2, 3))  # the retired sync-group draw; keeps later draws
         cfg = SimConfig(workers=workers, mode=mode, threshold=0.05)
         # Pre-expanded nodes get k slaves, 0 meaning one per worker as at
-        # the engine's own cycle-boundary expansions.
+        # the engine's own expansions, which are left as they are.
         k = rng.choice((0, 1, 3)) or workers
         eng = SimulationEngine(g, faults, stim, cfg)
         for nid in pre:
-            expand_high_load(eng.tg, nid, k)
+            if nid not in eng.tg.boards:
+                expand_high_load(eng.tg, nid, k)
         report = eng.run()
         for c in report.cycles:
             assert sum(b for b in c.busy_ns) <= c.wall_ns * cfg.workers
@@ -520,7 +603,9 @@ end
         g = build(text)
         eng = SimulationEngine(g, faults, rows, SimConfig(workers=4, mode="full"))
         nid = g.name_to_id["n"]
-        expand_high_load(eng.tg, nid, 4)
+        # n is the only evaluated node, so its cone holds every fault and
+        # the engine splits it into a master and one slave per worker.
+        assert eng.totals.expanded == (nid,)
         report = eng.run()
         board = eng.tg.boards[nid]
         assert board.bounds == [0, base + 4, base + 8, base + 12, None]
