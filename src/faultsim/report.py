@@ -61,6 +61,8 @@ class RunTotals:
     busy_ns: tuple[int, ...] = ()
     executed: int = 0
     skipped: int = 0
+    # Tasks the pool dispatched; a merged chain is one dispatch for many
+    # executed or skipped nodes.
     dispatches: int = 0
     dispatch_overhead_ns: int = 0
     # Faults outside every output's cone: never simulated, reported undetected.

@@ -17,8 +17,11 @@ graph.  ``full`` releases each register commit mid-cycle once its readers
 and producer are done; ``structural`` and ``structural+fault`` hold every
 commit back for a second phase behind a barrier.  ``structural+fault`` and
 ``full`` also expand, once at setup, up to ``MAX_EXPANSIONS`` of the nodes
-with the largest fault cones into a master and one slave per worker; the
-task graph does not change after that.
+with the largest fault cones into a master and one slave per worker.  The
+task graph is merged once when the run starts: each straight-line chain of
+default tasks becomes one task (``taskgraph.merge_chains``), which leaves
+the modeled schedule as it was and saves a dispatch per merged node.  The
+graph does not change after that.
 
 The pool is a deterministic discrete-event executor: every task's kernel
 runs exactly once on the host, in an order consistent with the dependency
@@ -61,7 +64,8 @@ from .report import CycleStats, RunTotals, SimulationReport, build_results
 from .rtl import RtlGraph
 from .stimulus import as_rows
 from .taskgraph import (
-    DEFAULT, MASTER, SLAVE, SYNC, expand_high_load, make_task_graph, reset_for_cycle,
+    DEFAULT, MASTER, SLAVE, SYNC, expand_high_load, make_task_graph, merge_chains,
+    reset_for_cycle,
 )
 
 MAX_EXPANSIONS = 8  # nodes expanded at setup, heaviest first
@@ -221,8 +225,9 @@ class SimulationEngine:
     and its cycle times are host time.  Every other mode drains the task
     graph on the discrete-event pool, then strobes; the expanding modes
     split the nodes ``flag_overloaded`` picks before cycle 0, from the
-    netlist and the filed faults alone.  Both executors call ``_detect``
-    once per cycle, after their drain."""
+    netlist and the filed faults alone, and ``run`` merges the graph's
+    straight-line chains before the first cycle.  Both executors call
+    ``_detect`` once per cycle, after their drain."""
 
     def __init__(self, graph: RtlGraph, faults: list[FaultDescriptor],
                  stimulus, config: SimConfig):
@@ -265,9 +270,6 @@ class SimulationEngine:
                 self.totals.expanded = tuple(heavy[:MAX_EXPANSIONS])
                 for nid in self.totals.expanded:
                     expand_high_load(self.tg, nid, config.workers)
-            # Behind a barrier phase 1's entry list leaves out the sync tasks.
-            self.entry = [tid for tid in self.tg.entry_tasks
-                          if self.unified or self.tg.tasks[tid].kind != SYNC]
         self.detections: dict[int, tuple[int, str]] = {}
         self.cycle_stats: list[CycleStats] = []
         self.cost_log: list[dict[int, int]] = []
@@ -285,7 +287,7 @@ class SimulationEngine:
         task = self.tg.tasks[tid]
         kind = task.kind
         if kind == DEFAULT:
-            self._run_default(task.node)
+            self._run_default(task.nodes)
         elif kind == MASTER:
             self._run_master(task)
         elif kind == SLAVE:
@@ -302,30 +304,37 @@ class SimulationEngine:
             self._sync_ns += cost
         return cost
 
-    def _run_default(self, nid: int) -> None:
-        node, st, fanin_states, nf = self.bound[nid]
+    def _run_default(self, nids) -> None:
+        """Evaluate nodes in the given order: a default task's chain, or
+        every node of a serial cycle."""
+
+        bound = self.bound
         cycle = self._cycle
-        if not check_dependence_changed(node, fanin_states, nf, cycle):
-            self._skipped += 1
-            return
-        diverged = nf.entries
-        goods = []
-        for fs in fanin_states:
-            goods.append(fs.good)
-            if fs.bads:
-                diverged = True
-        new_good = eval_good(node, goods)
-        if diverged:
-            new_bads, evaluated = eval_bad_gates(node, fanin_states, nf, new_good, cycle)
-            totals = self.totals
-            totals.bad_gates_evaluated += evaluated
-            totals.bad_gates_kept += len(new_bads)
-        else:
-            # No divergence at a fanin and nothing injected here: every bad
-            # gate takes the good value.
-            new_bads = []
-        commit_state(st, new_good, new_bads, cycle)
-        self._executed += 1
+        for nid in nids:
+            node, st, fanin_states, nf = bound[nid]
+            if not check_dependence_changed(node, fanin_states, nf, cycle):
+                self._skipped += 1
+                continue
+            diverged = nf.entries
+            goods = []
+            for fs in fanin_states:
+                goods.append(fs.good)
+                if fs.bads:
+                    diverged = True
+            new_good = eval_good(node, goods)
+            if diverged:
+                new_bads, evaluated = eval_bad_gates(
+                    node, fanin_states, nf, new_good, cycle
+                )
+                totals = self.totals
+                totals.bad_gates_evaluated += evaluated
+                totals.bad_gates_kept += len(new_bads)
+            else:
+                # No divergence at a fanin and nothing injected here: every
+                # bad gate takes the good value.
+                new_bads = []
+            commit_state(st, new_good, new_bads, cycle)
+            self._executed += 1
 
     def _run_master(self, task) -> None:
         node, st, fanin_states, nf = self.bound[task.node]
@@ -409,7 +418,16 @@ class SimulationEngine:
         decide the modeled schedule."""
 
         cfg = self.config
-        run_cycle = self._run_serial_cycle if self.serial else self._run_pool_cycle
+        if self.serial:
+            run_cycle = self._run_serial_cycle
+        else:
+            run_cycle = self._run_pool_cycle
+            # Merged here, not at setup, so that a caller may still expand
+            # nodes between construction and the run.
+            tg = merge_chains(self.tg)
+            # Behind a barrier phase 1's entry list leaves out the sync tasks.
+            self.entry = [tid for tid in tg.entry_tasks
+                          if self.unified or tg.tasks[tid].kind != SYNC]
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
@@ -477,9 +495,7 @@ class SimulationEngine:
     def _run_serial_cycle(self, cycle: int, row) -> None:
         t0 = time.perf_counter_ns()
         self._begin_cycle(cycle, row)
-        run_default = self._run_default
-        for nid in self.order:
-            run_default(nid)
+        self._run_default(self.order)
         self._detect(cycle)
         sync0 = time.perf_counter_ns()
         self._run_sync(self.graph.regs)
@@ -540,7 +556,7 @@ class SimulationEngine:
             skipped=self._skipped,
             sync_ns=self._sync_ns,
         ))
-        self.totals.dispatches += self._executed + self._skipped
+        self.totals.dispatches += ran
         self.totals.dispatch_overhead_ns += max(0, pool_host_ns - sum(busy))
 
     def _assert_steady(self, cycle: int) -> None:

@@ -12,6 +12,9 @@ mid-cycle or behind a commit barrier is the engine's choice, not the
 graph's.  The engine expands the nodes with the largest fault cones,
 before the first cycle, into a master plus a fixed set of slaves that
 split the node's bad-gate work at fid cut points the master publishes.
+When the run starts, after every expansion, ``merge_chains`` folds each
+straight-line chain of default tasks into one task that evaluates its
+nodes in chain order; the graph does not change after that.
 """
 
 from __future__ import annotations
@@ -29,9 +32,14 @@ SYNC = "sync"
 
 @dataclass(slots=True)
 class Task:
+    """One unit the pool dispatches.  ``node`` is the node a master or
+    slave serves, or a default task's first node; ``nodes`` lists the
+    nodes a default task evaluates, in order, or a master's one node."""
+
     id: int
     kind: str
     node: int = -1
+    nodes: tuple[int, ...] = ()
     slave_index: int = -1
     regs: tuple[int, ...] = ()
     preds: set[int] = field(default_factory=set)
@@ -82,7 +90,7 @@ def build_task_graph(graph: RtlGraph) -> TaskGraph:
     for nid in range(len(graph.nodes)):
         node = graph.nodes[nid]
         if node.kind in rtl.TASK_KINDS:
-            task = Task(len(tasks), DEFAULT, node=nid)
+            task = Task(len(tasks), DEFAULT, node=nid, nodes=(nid,))
             node_task[nid] = task.id
             tasks.append(task)
     for nid, tid in node_task.items():
@@ -140,7 +148,8 @@ def expand_high_load(tg: TaskGraph, node_id: int, k: int) -> TaskGraph:
     on the master alone and evaluates the bad gates of the fids between
     its two cuts; the node's original successors wait for the master and
     every slave.  The reset image is updated in place: each slave starts
-    at one pending predecessor and each original successor gains k.
+    at one pending predecessor and each original successor gains k.  A
+    task that ``merge_chains`` merged cannot be expanded.
     """
 
     if k < 1:
@@ -151,6 +160,8 @@ def expand_high_load(tg: TaskGraph, node_id: int, k: int) -> TaskGraph:
     if tid is None:
         raise ValueError(f"node {node_id} has no compute task")
     master = tg.tasks[tid]
+    if len(master.nodes) > 1:
+        raise ValueError(f"node {node_id} is in a merged chain; expand before merging")
     master.kind = MASTER
     original_succs = list(master.succs)
     slave_ids = []
@@ -167,6 +178,68 @@ def expand_high_load(tg: TaskGraph, node_id: int, k: int) -> TaskGraph:
     reset.extend([1] * k)
     for succ in original_succs:
         reset[succ] += k
+    return tg
+
+
+def merge_chains(tg: TaskGraph) -> TaskGraph:
+    """Fold every maximal straight-line chain of default tasks into its
+    first task.  A link A -> B qualifies when B is A's only successor and
+    A is B's only predecessor; the merged task holds the chain's nodes in
+    order and the last link's successors.  Masters, slaves and sync tasks
+    never merge.
+
+    The modeled schedule does not change: the pool releases B onto A's
+    worker at A's finish, and that worker pops its own deque LIFO, so B
+    already ran there next.  Only B's dispatch goes.
+
+    The kept tasks are renumbered in place, in their old order, and the
+    reset image is remapped rather than rebuilt.  A second call finds no
+    link and changes nothing.
+    """
+
+    tasks = tg.tasks
+    nxt: dict[int, int] = {}
+    for a in tasks:
+        succs = a.succs
+        if len(succs) == 1 and a.kind == DEFAULT:
+            b = tasks[succs[0]]
+            if len(b.preds) == 1 and b.kind == DEFAULT:
+                nxt[a.id] = b.id
+    if not nxt:
+        return tg
+    absorbed = set(nxt.values())
+    node_task = tg.node_task
+    for head_id in nxt:
+        if head_id in absorbed:
+            continue
+        head = tasks[head_id]
+        tid = head_id
+        while tid in nxt:
+            tid = nxt[tid]
+            head.nodes += tasks[tid].nodes
+        head.succs = tasks[tid].succs
+        for succ in head.succs:
+            preds = tasks[succ].preds
+            preds.discard(tid)
+            preds.add(head_id)
+        for nid in head.nodes:
+            node_task[nid] = head_id
+
+    kept = [t for t in tasks if t.id not in absorbed]
+    remap = [-1] * len(tasks)
+    for new_id, t in enumerate(kept):
+        remap[t.id] = new_id
+    reset = tg.pred_reset
+    tg.pred_reset = [reset[t.id] for t in kept]
+    for t in kept:
+        t.id = remap[t.id]
+        t.preds = {remap[p] for p in t.preds}
+        t.succs = [remap[s] for s in t.succs]
+    tasks[:] = kept
+    for nid, tid in node_task.items():
+        node_task[nid] = remap[tid]
+    tg.sync_tasks = [remap[tid] for tid in tg.sync_tasks]
+    tg.entry_tasks = [remap[tid] for tid in tg.entry_tasks]
     return tg
 
 

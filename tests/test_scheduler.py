@@ -1,16 +1,21 @@
+import inspect
 import random
 
 import pytest
 
+from faultsim import scheduler
 from faultsim.config import MAX_WORKERS, SimConfig
 from faultsim.genbench import gen_bench
 from faultsim.kernels import SimulationError
 from faultsim.oracles import run_good_trace, run_serial_concurrent
 from faultsim.report import emit_report_csv, emit_stats
+from faultsim.rtl import split_register_reads
 from faultsim.scheduler import (
-    SimulationEngine, WorkerPool, flag_overloaded, run_simulation,
+    LoadMonitor, SimulationEngine, WorkerPool, flag_overloaded, run_simulation,
 )
-from faultsim.taskgraph import Task, build_task_graph, expand_high_load
+from faultsim.taskgraph import (
+    DEFAULT, Task, build_task_graph, expand_high_load, make_task_graph, merge_chains,
+)
 
 from conftest import SYNCED, build, check_schedule_invariants, record_traces
 
@@ -195,6 +200,9 @@ def test_expansion_does_not_depend_on_task_costs():
         ]
         report = eng.run()
         assert {c.executed + c.skipped for c in report.cycles} == {n}, table
+        # One dispatch per merged task and cycle, fewer than the n bodies.
+        assert len(eng.tg.tasks) < n
+        assert report.totals.dispatches == len(report.cycles) * len(eng.tg.tasks)
         runs.append((report.totals.expanded,
                      [(t.kind, t.node, t.slave_index, t.regs, sorted(t.preds), t.succs)
                       for t in eng.tg.tasks]))
@@ -532,6 +540,57 @@ def test_inlined_pool_loop_keeps_the_reference_schedule():
                                           trace, time_base)
             sides.append((*got, trace, cnt, calls))
         assert sides[0] == sides[1], case
+
+
+def test_merging_chains_leaves_the_modeled_schedule_unchanged():
+    """A merged task charged its nodes' summed costs gives the unmerged
+    graph's makespan and per-worker busy times at every worker count.
+    The costs are distinct draws from a wide range, so no two events tie."""
+
+    def units(t):
+        if t.kind == DEFAULT:
+            return [(DEFAULT, nid) for nid in t.nodes]
+        return [(t.kind, t.node, t.slave_index, t.regs)]
+
+    def schedules(tg, cost):
+        charge = [sum(cost[u] for u in units(t)) for t in tg.tasks]
+        out = []
+        for P in (1, 2, 4, 8):
+            phase = WorkerPool(P).run_phase(tg.pred_reset.copy(), tg.entry_tasks,
+                                            tg.tasks, charge.__getitem__)
+            assert len(phase.executed) == len(tg.tasks)
+            out.append((phase.makespan_ns, phase.busy_ns))
+        return out
+
+    for seed, profile in enumerate(("skewed", "uniform", "pipeline", "skewed", "uniform")):
+        g, _, _ = gen_bench(profile, 300, seed, cycles=2, fault_count=8).build()
+        split_register_reads(g)
+        tg = make_task_graph(g)
+        rng = random.Random(seed)
+        for nid in rng.sample(sorted(tg.node_task), 3):
+            expand_high_load(tg, nid, rng.choice((1, 4)))
+        keys = [u for t in tg.tasks for u in units(t)]
+        cost = dict(zip(keys, rng.sample(range(1, 10**9), len(keys))))
+        unmerged = len(tg.tasks)
+        before = schedules(tg, cost)
+        merge_chains(tg)
+        assert len(tg.tasks) < unmerged or profile == "pipeline", profile
+        assert schedules(tg, cost) == before, (seed, profile)
+
+
+def test_names_the_perfbench_tracer_wraps():
+    """A traced perfbench run (``perfbench/run.py --trace 1``) replaces
+    ``vars(owner)[attr]`` for these names and calls ``run_phase`` with
+    these parameters; renaming any of them breaks the traced run."""
+
+    empty = inspect.Parameter.empty
+    params = inspect.signature(vars(WorkerPool)["run_phase"]).parameters
+    assert [(p.name, p.default) for p in params.values()] == [
+        ("self", empty), ("counts", empty), ("ready", empty), ("tasks", empty),
+        ("execute", empty), ("trace", None), ("time_base", 0),
+    ]
+    assert inspect.isfunction(vars(LoadMonitor)["record"])
+    assert inspect.isfunction(vars(scheduler)["flag_overloaded"])
 
 
 @pytest.mark.parametrize("mode", ["serial", "structural", "full"])

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from faultsim.genbench import gen_bench
 from faultsim.rtl import REG, VIRTUAL, observe_outputs, split_register_reads
 from faultsim.taskgraph import (
-    MASTER, SLAVE, SYNC, Task, TaskGraph, build_task_graph, expand_high_load,
-    make_task_graph, reset_for_cycle,
+    DEFAULT, MASTER, SLAVE, SYNC, Task, TaskGraph, build_task_graph, expand_high_load,
+    make_task_graph, merge_chains, reset_for_cycle,
 )
 
 from conftest import SYNCED, build
@@ -49,18 +49,21 @@ def dump_dot(tg: TaskGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def task_key(t: Task):
+    """A task's identity that survives renumbering, in an unmerged graph."""
+
+    if t.kind == SLAVE:
+        return (SLAVE, t.node, t.slave_index)
+    if t.kind == SYNC:
+        return (SYNC, t.regs)
+    return (t.kind, t.node)
+
+
 def canonical_form(tg: TaskGraph):
     """Structure of the graph with ids replaced by stable task keys, for
     isomorphism comparisons (expansion order must not matter)."""
 
-    def key(t: Task):
-        if t.kind == SLAVE:
-            return (SLAVE, t.node, t.slave_index)
-        if t.kind == SYNC:
-            return (SYNC, t.regs)
-        return (t.kind, t.node)
-
-    keys = {t.id: key(t) for t in tg.tasks}
+    keys = {t.id: task_key(t) for t in tg.tasks}
     nodes = sorted(keys.values())
     edges = sorted(
         (keys[t.id], keys[s]) for t in tg.tasks for s in set(t.succs)
@@ -324,3 +327,138 @@ end
 def test_unsplit_register_read_rejected(text):
     with pytest.raises(ValueError, match="split register reads"):
         make_task_graph(build(text))
+
+
+# A chain b-c-d that forks at d, a join at g that starts the chain g-h-p,
+# p feeding the node q the test expands, the chain s-t behind q, and the
+# register reader x, whose successors are y and r's sync task.
+MERGE = """
+module m
+input a 4
+reg r 4 = 0
+assign b 4 = NOT a
+assign c 4 = NOT b
+assign d 4 = NOT c
+assign e 4 = NOT d
+assign f 4 = NOT d
+assign g 4 = AND e f
+assign h 4 = NOT g
+assign p 4 = NOT h
+assign q 4 = NOT p
+assign s 4 = NOT q
+assign t 4 = NOT s
+assign x 4 = NOT r
+assign y 4 = NOT x
+assign z 4 = XOR y t
+output o 4 = z
+next r = z
+end
+"""
+
+
+def test_merge_chains_on_hand_built_netlist():
+    g = build(MERGE)
+    tg = make_task_graph(g)
+    expand_high_load(tg, g.name_to_id["q"], 2)
+    merge_chains(tg)
+    names = {t.id: "".join(g.nodes[n].name for n in t.nodes)
+             for t in tg.tasks if t.kind == DEFAULT}
+    assert sorted(names.values()) == ["bcd", "e", "f", "ghp", "st", "x", "y", "z"]
+    by_name = {name: tid for tid, name in names.items()}
+    for t in tg.tasks:
+        assert t.id == tg.tasks.index(t)
+        if t.kind == DEFAULT:
+            assert t.node == t.nodes[0]
+            assert all(tg.node_task[n] == t.id for n in t.nodes)
+    assert tg.tasks[by_name["bcd"]].succs == [by_name["e"], by_name["f"]]
+    assert tg.tasks[by_name["z"]].preds == {by_name["st"], by_name["y"]}
+    master = tg.tasks[tg.node_task[g.name_to_id["q"]]]
+    assert master.kind == MASTER and master.preds == {by_name["ghp"]}
+    assert len(tg.tasks[by_name["st"]].preds) == 3  # the master and two slaves
+    (sync,) = tg.sync_tasks
+    assert tg.tasks[sync].preds == {by_name["x"], by_name["z"]}
+    assert tg.entry_tasks == [by_name["bcd"], by_name["x"]]
+    image = (list(tg.pred_reset), list(tg.entry_tasks))
+    tg.rebuild_reset_image()
+    assert image == (tg.pred_reset, tg.entry_tasks)
+
+
+def test_merged_task_cannot_be_expanded():
+    g = build(CHAIN)
+    tg = merge_chains(build_task_graph(g))
+    (task,) = tg.tasks
+    with pytest.raises(ValueError, match="merged chain"):
+        expand_high_load(tg, task.nodes[1], 2)
+    assert task.kind == DEFAULT and len(tg.tasks) == 1 and not tg.boards
+
+
+def shape(tg: TaskGraph):
+    """A copy of everything a merge may rewrite."""
+
+    tasks = [(t.id, t.kind, t.node, t.nodes, t.slave_index, t.regs,
+              sorted(t.preds), list(t.succs)) for t in tg.tasks]
+    return (tasks, dict(tg.node_task), list(tg.sync_tasks), list(tg.entry_tasks),
+            list(tg.pred_reset))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), picks=st.integers(0, 5), k=st.integers(1, 4))
+def test_merge_chains_properties(seed, picks, k):
+    """On generated graphs with random expansions: the merged tasks
+    partition the nodes, keep every dependency, leave masters, slaves and
+    sync tasks alone, leave no mergeable link behind, and a second pass
+    changes nothing."""
+
+    bench = gen_bench(("uniform", "skewed", "pipeline")[seed % 3], 40, seed,
+                      cycles=2, fault_count=6)
+    graph, _, _ = bench.build()
+    split_register_reads(graph)
+    tg = make_task_graph(graph)
+    rng = random.Random(seed)
+    for nid in rng.sample(sorted(tg.node_task), min(picks, len(tg.node_task))):
+        expand_high_load(tg, nid, k)
+    before = list(tg.tasks)
+    keys = {t.id: task_key(t) for t in before}
+    edges = {(keys[t.id], keys[s]) for t in before for s in t.succs}
+    others = sorted(keys[t.id] for t in before if t.kind != DEFAULT)
+    default_nodes = sorted(t.node for t in before if t.kind == DEFAULT)
+
+    merge_chains(tg)
+    tasks = tg.tasks
+    assert [t.id for t in tasks] == list(range(len(tasks)))
+    # Each unmerged task's key -> (merged task id, position in its nodes).
+    where = {}
+    for t in tasks:
+        if t.kind == DEFAULT:
+            for pos, nid in enumerate(t.nodes):
+                assert (DEFAULT, nid) not in where
+                where[(DEFAULT, nid)] = (t.id, pos)
+                assert tg.node_task[nid] == t.id
+        else:
+            where[task_key(t)] = (t.id, 0)
+    assert sorted(n for t in tasks if t.kind == DEFAULT for n in t.nodes) == default_nodes
+    assert sorted(task_key(t) for t in tasks if t.kind != DEFAULT) == others
+    assert all(len(t.nodes) <= 1 for t in tasks if t.kind != DEFAULT)
+
+    merged_edges = set()
+    for u, v in edges:
+        (tu, pu), (tv, pv) = where[u], where[v]
+        if tu == tv:
+            assert pv == pu + 1, (u, v)
+        else:
+            assert tu in tasks[tv].preds and tv in tasks[tu].succs, (u, v)
+            merged_edges.add((tu, tv))
+    # No edge appears that the unmerged graph does not imply.
+    assert {(t.id, s) for t in tasks for s in t.succs} == merged_edges
+    assert {(p, t.id) for t in tasks for p in t.preds} == merged_edges
+
+    for a in tasks:  # maximal: no link is left to merge
+        if a.kind == DEFAULT and len(a.succs) == 1:
+            b = tasks[a.succs[0]]
+            assert not (b.kind == DEFAULT and len(b.preds) == 1)
+
+    image = shape(tg)
+    merge_chains(tg)
+    assert shape(tg) == image
+    tg.rebuild_reset_image()
+    assert (tg.pred_reset, tg.entry_tasks) == (image[4], image[3])
