@@ -46,10 +46,10 @@ class AblationTable:
         raise KeyError((mode, workers))
 
     def format(self) -> str:
-        lines = [f"{'mode':<18} {'P':>3} {'wall_ms':>10} {'util':>6} {'speedup':>8}"]
+        lines = [f"{'mode':<18} {'P':>3} {'schedule_ms':>11} {'util':>6} {'speedup':>8}"]
         for c in self.cells:
             lines.append(
-                f"{c.mode:<18} {c.workers:>3} {c.wall_ns / 1e6:>10.2f} "
+                f"{c.mode:<18} {c.workers:>3} {c.wall_ns / 1e6:>11.2f} "
                 f"{c.utilization:>6.2f} {c.speedup:>8.2f}"
             )
         lines.append(

@@ -185,12 +185,12 @@ def _cmd_run(args) -> int:
         Path(args.report).write_text(emit_report_csv(report))
     if args.stats:
         Path(args.stats).write_text(emit_stats(report))
-    detected = sum(1 for r in report.results if r.detected)
+    totals = report.totals
     print(
-        f"faults={len(report.results)} detected={detected} "
-        f"unobservable={report.totals.unobservable} "
+        f"faults={len(report.faults)} detected={report.detected} "
+        f"unobservable={totals.unobservable} "
         f"coverage={report.coverage:.4f} cycles={len(report.cycles)} "
-        f"wall_ms={report.totals.wall_ns / 1e6:.2f}"
+        f"schedule_ms={totals.wall_ns / 1e6:.2f} host_ms={totals.host_ns / 1e6:.2f}"
     )
     if args.oracle_check:
         print("oracle-check: ok")
@@ -208,9 +208,9 @@ def _oracle_check(netlist_text, faults, stim, report) -> str | None:
                 return f"serial {a} vs parallel {b}"
     oracle_graph = elaborate_text(netlist_text)
     good = run_good_trace(oracle_graph, stim)
-    for fault, row in zip(faults, report.results):
+    for fault, verdict in zip(report.faults, report.verdicts()):
         single = run_single_fault(oracle_graph, fault, stim, good=good)
-        got = (row.detected, row.detect_cycle, row.observing_output)
+        got = verdict[1:]
         want = (single.detected, single.detect_cycle, single.observing_output)
         if got != want:
             return f"fid {fault.fid}: single-fault {want} vs parallel {got}"

@@ -325,8 +325,9 @@ def inject(graph: RtlGraph,
 # ---------------------------------------------------------------------------
 # Fault list files: fid,location_kind,location_name,bit,kind[,start,end]
 
-_LOCATION_KINDS = frozenset((WIRE, REG, PORT))
-_FAULT_KINDS = frozenset(KIND_ORDER)
+# Each token's canonical spelling, keyed by that spelling.
+_LOCATION_KINDS = {k: k for k in (WIRE, REG, PORT)}
+_FAULT_KINDS = {k: k for k in KIND_ORDER}
 
 
 def emit_fault_csv(faults: list[FaultDescriptor]) -> str:
@@ -343,36 +344,55 @@ def emit_fault_csv(faults: list[FaultDescriptor]) -> str:
 
 def parse_fault_csv(text: str) -> list[FaultDescriptor]:
     """Fault records in fid order.  ``location_kind`` and ``kind`` are
-    case-insensitive and may carry spaces; a canonical token costs one
-    set lookup."""
+    case-insensitive and may carry spaces; each becomes the module's
+    constant (``WIRE``, ``SA0``, ...).  Rows that spell a location the same
+    way share one stripped ``location_name`` string, so a long fault list
+    holds one string per distinct field, not three per fault."""
 
     faults: list[FaultDescriptor] = []
     seen: set[int] = set()
-    for row in csv.reader(io.StringIO(text)):
-        if not row or row[0].strip() == "fid":
-            continue
-        try:
-            fid = int(row[0])
-            location_kind = row[1]
-            location_name = row[2].strip()
-            bit = int(row[3])
-            kind = row[4]
-            start, end = (int(row[5]), int(row[6])) if len(row) > 5 else (0, 0)
-        except (ValueError, IndexError) as exc:
-            raise FaultModelError(f"bad fault row {row!r}: {exc}") from None
-        if location_kind not in _LOCATION_KINDS:
-            location_kind = location_kind.strip().lower()
-            if location_kind not in _LOCATION_KINDS:
-                raise FaultModelError(f"bad location kind '{location_kind}'")
-        if kind not in _FAULT_KINDS:
-            kind = kind.strip().lower()
-            if kind not in _FAULT_KINDS:
-                raise FaultModelError(f"bad fault kind '{kind}'")
-        if kind == TRANSIENT and start > end:
-            raise FaultModelError(f"fault {fid}: window {start}..{end} is empty")
-        if fid in seen:
-            raise FaultModelError(f"duplicate fid {fid}")
-        seen.add(fid)
-        faults.append(FaultDescriptor(fid, location_kind, location_name, bit, kind, start, end))
+    # Raw field -> its canonical token or stripped name, per spelling seen.
+    location_kinds = dict(_LOCATION_KINDS)
+    kinds = dict(_FAULT_KINDS)
+    names: dict[str, str] = {}
+    reader = csv.reader(io.StringIO(text))
+    try:
+        for row in reader:
+            if not row or row[0].strip() == "fid":
+                continue
+            try:
+                fid = int(row[0])
+                raw_location_kind, raw_name, raw_kind = row[1], row[2], row[4]
+                bit = int(row[3])
+                start, end = (int(row[5]), int(row[6])) if len(row) > 5 else (0, 0)
+            except (ValueError, IndexError) as exc:
+                raise FaultModelError(f"bad fault row {row!r}: {exc}") from None
+            location_kind = location_kinds.get(raw_location_kind)
+            if location_kind is None:
+                token = raw_location_kind.strip().lower()
+                location_kind = _LOCATION_KINDS.get(token)
+                if location_kind is None:
+                    raise FaultModelError(f"bad location kind '{token}'")
+                location_kinds[raw_location_kind] = location_kind
+            kind = kinds.get(raw_kind)
+            if kind is None:
+                token = raw_kind.strip().lower()
+                kind = _FAULT_KINDS.get(token)
+                if kind is None:
+                    raise FaultModelError(f"bad fault kind '{token}'")
+                kinds[raw_kind] = kind
+            location_name = names.get(raw_name)
+            if location_name is None:
+                location_name = names[raw_name] = raw_name.strip()
+            if kind == TRANSIENT and start > end:
+                raise FaultModelError(f"fault {fid}: window {start}..{end} is empty")
+            if fid in seen:
+                raise FaultModelError(f"duplicate fid {fid}")
+            seen.add(fid)
+            faults.append(FaultDescriptor(fid, location_kind, location_name, bit, kind,
+                                          start, end))
+    except csv.Error as exc:
+        # An unreadable row, such as a field over csv.field_size_limit().
+        raise FaultModelError(f"fault CSV line {reader.line_num}: {exc}") from None
     faults.sort(key=attrgetter("fid"))
     return faults

@@ -80,43 +80,47 @@ class RunTotals:
 
 @dataclass
 class SimulationReport:
-    results: list[FaultResult]
+    """A run's verdicts as the fault list in fid order plus the detection
+    map, fid -> (detect cycle, observing output); a fault absent from the
+    map is undetected.  The list is a copy of references to the caller's
+    descriptors; ``results`` builds report rows from the two only when it
+    is read."""
+
+    faults: list[FaultDescriptor]
+    detections: dict[int, tuple[int, str]]
     config: dict
     cycles: list[CycleStats] = field(default_factory=list)
     totals: RunTotals = field(default_factory=RunTotals)
     output_trace: list[tuple[int, ...]] | None = None
 
+    def __post_init__(self):
+        self.faults = sorted(self.faults, key=attrgetter("fid"))
+
+    @property
+    def detected(self) -> int:
+        detections = self.detections
+        return sum(1 for f in self.faults if f.fid in detections)
+
     @property
     def coverage(self) -> float:
-        return (
-            sum(1 for r in self.results if r.detected) / len(self.results)
-            if self.results
-            else 0.0
-        )
+        return self.detected / len(self.faults) if self.faults else 0.0
 
     def verdicts(self) -> list[tuple[int, bool, int | None, str | None]]:
+        verdicts = []
+        for f in self.faults:
+            hit = self.detections.get(f.fid)
+            verdicts.append((f.fid, True, *hit) if hit else (f.fid, False, None, None))
+        return verdicts
+
+    @property
+    def results(self) -> list[FaultResult]:
+        """One row per fault, in fid order, built on each read."""
+
         return [
-            (r.fid, r.detected, r.detect_cycle, r.observing_output)
-            for r in self.results
+            FaultResult(f.fid, f.location_kind, f.location_name, f.bit, f.kind,
+                        detected, cycle, output)
+            for f, (_, detected, cycle, output) in zip(self.faults, self.verdicts())
         ]
-
-
-def build_results(
-    faults: list[FaultDescriptor],
-    detections: dict[int, tuple[int, str]],
-) -> list[FaultResult]:
-    results = []
-    for f in sorted(faults, key=attrgetter("fid")):
-        hit = detections.get(f.fid)
-        results.append(
-            FaultResult(
-                f.fid, f.location_kind, f.location_name, f.bit, f.kind,
-                hit is not None,
-                hit[0] if hit else None,
-                hit[1] if hit else None,
-            )
-        )
-    return results
 
 
 REPORT_COLUMNS = [
@@ -141,20 +145,33 @@ class _CsvField(dict):
         return quoted
 
 
+_CHUNK_ROWS = 1024  # report lines joined at a time
+
+
 def emit_report_csv(report: SimulationReport) -> str:
-    """The header and one line per result, each ending in a newline."""
+    """The header and one line per fault, each ending in a newline.  Lines
+    are joined a chunk at a time, so no more than one chunk of per-fault
+    strings is held at once."""
 
     quote = _CsvField()
-    lines = [",".join(REPORT_COLUMNS)]
-    for r in report.results:
-        cycle = "" if r.detect_cycle is None else r.detect_cycle
+    detections = report.detections
+    chunks = [",".join(REPORT_COLUMNS) + "\n"]
+    lines = []
+    for f in report.faults:
+        hit = detections.get(f.fid)
+        if hit:
+            verdict = f"detected,{hit[0]},{quote[hit[1]]}"
+        else:
+            verdict = "undetected,,"
         lines.append(
-            f"{r.fid},{quote[r.location_kind]},{quote[r.location_name]},{r.bit},"
-            f"{quote[r.kind]},{'detected' if r.detected else 'undetected'},"
-            f"{cycle},{quote[r.observing_output or '']}"
+            f"{f.fid},{quote[f.location_kind]},{quote[f.location_name]},{f.bit},"
+            f"{quote[f.kind]},{verdict}\n"
         )
-    lines.append("")
-    return "\n".join(lines)
+        if len(lines) == _CHUNK_ROWS:
+            chunks.append("".join(lines))
+            lines.clear()
+    chunks.append("".join(lines))
+    return "".join(chunks)
 
 
 def parse_report_csv(text: str) -> list[FaultResult]:
@@ -162,7 +179,12 @@ def parse_report_csv(text: str) -> list[FaultResult]:
     cycle and observing output, an ``undetected`` row neither, and the
     fid, bit and cycle fields are integers."""
 
-    rows = list(csv.reader(io.StringIO(text)))
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        # An unreadable row, such as a field over csv.field_size_limit().
+        raise ReportFormatError(f"report CSV line {reader.line_num}: {exc}") from None
     if not rows or rows[0] != REPORT_COLUMNS:
         raise ReportFormatError("missing or malformed report header")
     results = []
@@ -202,7 +224,7 @@ def emit_stats(report: SimulationReport) -> str:
         f"bad_gates_kept={t.bad_gates_kept} "
         f"expanded={';'.join(str(e) for e in t.expanded)} "
         f"dispatches={t.dispatches} mean_dispatch_ns={t.mean_dispatch_ns:.1f} "
-        f"coverage={report.coverage:.6f} faults={len(report.results)} "
+        f"coverage={report.coverage:.6f} faults={len(report.faults)} "
         f"unobservable={t.unobservable}"
     )
     for c in report.cycles:

@@ -60,7 +60,7 @@ from .kernels import (
     check_dependence_changed, commit_state, drop_detected, eval_bad_gates,
     eval_good, initial_states, scan_outputs, sync_check_needed, sync_register,
 )
-from .report import CycleStats, RunTotals, SimulationReport, build_results
+from .report import CycleStats, RunTotals, SimulationReport
 from .rtl import RtlGraph
 from .stimulus import as_rows
 from .taskgraph import (
@@ -440,7 +440,8 @@ class SimulationEngine:
             if gc_was_enabled:
                 gc.enable()
         report = SimulationReport(
-            results=build_results(self.faults, self.detections),
+            faults=self.faults,
+            detections=self.detections,
             config=cfg.echo(),
             cycles=self.cycle_stats,
             totals=self.totals,

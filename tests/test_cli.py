@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -134,6 +137,7 @@ def test_ablate_smoke(tmp_path, capsys):
     )
     assert code == 0
     text = out.read_text()
+    assert text.splitlines()[0].split()[2] == "schedule_ms"
     assert text.splitlines()[1].startswith("serial")
     assert "verdicts consistent across cells: yes" in text
     assert "overhead fraction" in text
@@ -181,6 +185,35 @@ def test_negative_fid_exits_2(tmp_path, capsys):
                        "--faults", flt, "--mode", mode, "--workers", "4")
         assert code == 2
         assert "fault -3: fid must be >= 0" in one_line_error(capsys)
+
+
+def test_overlong_fault_field_exits_2(tmp_path, capsys):
+    """A field over the csv module's field limit is a parse error, not a
+    traceback."""
+
+    flt = tmp_path / "f.csv"
+    flt.write_text(f"0,wire,y,0,sa0\n1,wire,{'y' * 200_000},0,sa0\n")
+    code = run_cli("run", "--netlist", AND2_NL, "--stimulus", AND2_STIM,
+                   "--faults", flt)
+    assert code == 2
+    assert one_line_error(capsys).startswith(
+        "error: fault CSV line 2: field larger than field limit")
+
+
+def test_run_prints_both_clocks(capsys):
+    code = run_cli("run", "--netlist", AND2_NL, "--stimulus", AND2_STIM,
+                   "--gen-faults", "sa0,sa1", "--workers", "2")
+    assert code == 0
+    out = capsys.readouterr().out
+    assert " schedule_ms=" in out and " host_ms=" in out and "wall_ms" not in out
+
+
+def test_python_dash_m_entry_point():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-m", "faultsim", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: faultsim")
 
 
 def test_negative_stimulus_value_exits_2(tmp_path, capsys):

@@ -347,6 +347,36 @@ def test_fault_csv_tokens_are_case_insensitive_and_trimmed():
     assert [f.kind for f in spelled] == ["sa1", "transient", "sa0"]
 
 
+def test_parsed_tokens_are_the_module_constants():
+    """Every spelling of a token parses to the module's constant object,
+    not to an equal string of the row's own."""
+
+    faults = parse_fault_csv(
+        "0,wire,y,0,sa0\n1,Wire,y,1, SA0 \n2, PORT ,a,0,Sa1\n"
+        "3,reg,r,2,TRANSIENT,1,3\n4,Reg,r,0,transient ,0,0\n"
+    )
+    location_kinds = [faults_module.WIRE] * 2 + [faults_module.PORT] + [faults_module.REG] * 2
+    kinds = ([faults_module.SA0] * 2 + [faults_module.SA1]
+             + [faults_module.TRANSIENT] * 2)
+    for fault, location_kind, kind in zip(faults, location_kinds, kinds, strict=True):
+        assert fault.location_kind is location_kind, fault
+        assert fault.kind is kind, fault
+
+
+def test_rows_naming_one_location_share_its_name():
+    faults = parse_fault_csv(
+        "0,wire, long_name ,0,sa0\n1,wire, long_name ,1,sa1\n"
+        "2,reg,long_name,0,sa0\n3,wire,other,0,sa0\n4,wire, long_name ,2,sa0\n"
+    )
+    assert [f.location_name for f in faults] == ["long_name"] * 3 + ["other", "long_name"]
+    spaced = [faults[i].location_name for i in (0, 1, 4)]
+    assert all(name is spaced[0] for name in spaced)
+    bench = gen_bench("pipeline", 200, 3, cycles=2, fault_count=400)
+    parsed = parse_fault_csv(bench.faults_csv)
+    names = {f.location_name for f in parsed}
+    assert len({id(f.location_name) for f in parsed}) == len(names) < len(parsed)
+
+
 @pytest.mark.parametrize("record", [
     FaultDescriptor(3, "wire", "y", 0, "transient", 1, 2),
     FaultResult(3, "wire", "y", 0, "sa0", True, 4, "o"),

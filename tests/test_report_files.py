@@ -4,7 +4,9 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from faultsim import report as report_module
 from faultsim.config import SimConfig
+from faultsim.faults import FaultDescriptor
 from faultsim.genbench import gen_bench
 from faultsim.report import (
     REPORT_COLUMNS, CycleStats, FaultResult, ReportFormatError,
@@ -104,8 +106,21 @@ class TestReport:
     def test_coverage_bounds(self):
         report = self._report()
         assert 0.0 <= report.coverage <= 1.0
-        empty = SimulationReport(results=[], config={})
-        assert empty.coverage == 0.0
+        empty = SimulationReport(faults=[], detections={}, config={})
+        assert empty.coverage == 0.0 and empty.results == []
+        faults = [FaultDescriptor(fid, "wire", "n", 0, "sa0") for fid in (7, 2, 5, 0)]
+        quarter = SimulationReport(faults=faults, detections={5: (1, "o")}, config={})
+        assert quarter.coverage == 0.25 and quarter.detected == 1
+        assert quarter.verdicts() == [
+            (0, False, None, None), (2, False, None, None),
+            (5, True, 1, "o"), (7, False, None, None),
+        ]
+
+    def test_overlong_field_is_a_format_error(self):
+        header = ",".join(REPORT_COLUMNS)
+        text = f"{header}\n0,wire,{'n' * 200_000},0,sa0,undetected,,\n"
+        with pytest.raises(ReportFormatError, match="line 2: field larger than"):
+            parse_report_csv(text)
 
     def test_cycle_stats_utilization(self):
         c = CycleStats(0, 100, (50, 25), 2, 0, 0)
@@ -137,25 +152,82 @@ def reference_report_csv(results) -> str:
 csv_text = st.text(alphabet=st.sampled_from(list('ab ,"\r\n')), max_size=6)
 
 
-# Every field drawn on its own, except that a detected fault has a detect
-# cycle and an observing output and an undetected one has neither, as the
-# parser requires.
-fault_results = st.builds(
-    FaultResult, st.integers(0, 10**6), csv_text, csv_text,
-    st.integers(0, 63), csv_text, st.just(True),
-    st.integers(0, 99), csv_text.filter(bool),
-) | st.builds(
-    FaultResult, st.integers(0, 10**6), csv_text, csv_text,
-    st.integers(0, 63), csv_text, st.just(False), st.none(), st.none(),
+# Every field drawn on its own, fids distinct; a detected fault has a
+# detect cycle and a non-empty observing output.
+fault_verdicts = st.tuples(
+    st.builds(FaultDescriptor, st.integers(0, 10**6), csv_text, csv_text,
+              st.integers(0, 63), csv_text),
+    st.none() | st.tuples(st.integers(0, 99), csv_text.filter(bool)),
 )
 
 
+def expected_results(faults, detections) -> list[FaultResult]:
+    """Report rows built straight from the descriptors, in fid order."""
+
+    return [
+        FaultResult(f.fid, f.location_kind, f.location_name, f.bit, f.kind,
+                    f.fid in detections, *detections.get(f.fid, (None, None)))
+        for f in sorted(faults, key=lambda f: f.fid)
+    ]
+
+
 @settings(max_examples=200, deadline=None)
-@given(results=st.lists(fault_results, max_size=8))
-def test_report_csv_matches_csv_writer(results):
+@given(drawn=st.lists(fault_verdicts, max_size=8, unique_by=lambda d: d[0].fid))
+def test_report_csv_matches_csv_writer(drawn):
     """The report writer formats rows itself; its bytes equal
     ``csv.writer``'s and parse back to the same results."""
 
-    text = emit_report_csv(SimulationReport(results=results, config={}))
+    faults = [f for f, _ in drawn]
+    detections = {f.fid: hit for f, hit in drawn if hit}
+    report = SimulationReport(faults=faults, detections=detections, config={})
+    results = expected_results(faults, detections)
+    text = emit_report_csv(report)
     assert text == reference_report_csv(results)
-    assert parse_report_csv(text) == results
+    assert parse_report_csv(text) == report.results == results
+
+
+def test_report_csv_across_chunk_boundaries():
+    """Lines are joined a chunk at a time; a report of a few chunks and a
+    remainder still reads as ``csv.writer`` writes it."""
+
+    count = 2 * report_module._CHUNK_ROWS + 3
+    faults = [FaultDescriptor(fid, "reg", f"r,{fid % 5}", fid % 8, "sa1")
+              for fid in range(count)]
+    detections = {fid: (fid % 10, "o") for fid in range(0, count, 3)}
+    report = SimulationReport(faults=faults, detections=detections, config={})
+    text = emit_report_csv(report)
+    assert text == reference_report_csv(expected_results(faults, detections))
+    assert text.count("\n") == count + 1
+
+
+@pytest.mark.parametrize("profile, size", [
+    ("uniform", 60), ("skewed", 120), ("pipeline", 120),
+])
+def test_rows_on_demand_agree_with_csv_verdicts_and_coverage(profile, size):
+    """``results`` is built from the fault list and the detection map when
+    it is read; it equals the parsed report CSV, and ``verdicts()`` and
+    ``coverage`` agree with it."""
+
+    g, stim, faults = gen_bench(profile, size, 5, cycles=6, fault_count=40).build()
+    report = run_simulation(g, faults, stim, SimConfig(workers=4))
+    rows = report.results
+    assert rows == parse_report_csv(emit_report_csv(report))
+    assert [r.fid for r in rows] == sorted(f.fid for f in faults)
+    assert report.verdicts() == [
+        (r.fid, r.detected, r.detect_cycle, r.observing_output) for r in rows
+    ]
+    detected = sum(r.detected for r in rows)
+    assert 0 < detected < len(rows)
+    assert report.detected == detected
+    assert report.coverage == detected / len(rows)
+
+
+def test_emitters_do_not_depend_on_reading_rows():
+    """Reading ``results`` changes neither the report CSV nor the stats
+    text."""
+
+    g, stim, faults = gen_bench("skewed", 120, 3, cycles=5, fault_count=30).build()
+    report = run_simulation(g, faults, stim, SimConfig(workers=2))
+    before = emit_report_csv(report), emit_stats(report)
+    assert report.results
+    assert (emit_report_csv(report), emit_stats(report)) == before
