@@ -48,11 +48,6 @@ class CycleStats:
     skipped: int
     sync_ns: int
 
-    @property
-    def utilization(self) -> float:
-        cap = self.wall_ns * len(self.busy_ns)
-        return sum(self.busy_ns) / cap if cap else 0.0
-
 
 @dataclass
 class RunTotals:

@@ -16,12 +16,12 @@ engine alone holds the schedule policy; every mode builds the same task
 graph.  ``full`` releases each register commit mid-cycle once its readers
 and producer are done; ``structural`` and ``structural+fault`` hold every
 commit back for a second phase behind a barrier.  ``structural+fault`` and
-``full`` also expand, once at setup, up to ``MAX_EXPANSIONS`` of the nodes
-with the largest fault cones into a master and one slave per worker.  The
-task graph is merged once when the run starts: each straight-line chain of
-default tasks becomes one task (``taskgraph.merge_chains``), which leaves
-the modeled schedule as it was and saves a dispatch per merged node.  The
-graph does not change after that.
+``full`` also expand up to ``MAX_EXPANSIONS`` of the nodes with the
+largest fault cones into a master and one slave per worker.  The task
+graph is built once, at setup, in its final shape
+(``taskgraph.make_task_graph``): each straight-line chain of nodes is one
+task, which leaves the modeled schedule as it was and saves a dispatch per
+chained node.  The graph does not change after that.
 
 The pool is a deterministic discrete-event executor: every task's kernel
 runs exactly once on the host, in an order consistent with the dependency
@@ -64,8 +64,7 @@ from .report import CycleStats, RunTotals, SimulationReport
 from .rtl import RtlGraph
 from .stimulus import as_rows
 from .taskgraph import (
-    DEFAULT, MASTER, SLAVE, SYNC, expand_high_load, make_task_graph, merge_chains,
-    reset_for_cycle,
+    DEFAULT, MASTER, SLAVE, SYNC, make_task_graph, reset_for_cycle,
 )
 
 MAX_EXPANSIONS = 8  # nodes expanded at setup, heaviest first
@@ -223,11 +222,11 @@ class SimulationEngine:
     ``serial`` evaluates every node in topological order, strobes, and then
     commits the registers; it builds no task graph, pool or load monitor,
     and its cycle times are host time.  Every other mode drains the task
-    graph on the discrete-event pool, then strobes; the expanding modes
-    split the nodes ``flag_overloaded`` picks before cycle 0, from the
-    netlist and the filed faults alone, and ``run`` merges the graph's
-    straight-line chains before the first cycle.  Both executors call
-    ``_detect`` once per cycle, after their drain."""
+    graph on the discrete-event pool, then strobes.  Setup builds that
+    graph once, in its final shape: the expanding modes split the nodes
+    ``flag_overloaded`` picks from the netlist and the filed faults alone,
+    and each straight-line chain of nodes is one task.  Both executors
+    call ``_detect`` once per cycle, after their drain."""
 
     def __init__(self, graph: RtlGraph, faults: list[FaultDescriptor],
                  stimulus, config: SimConfig):
@@ -261,15 +260,17 @@ class SimulationEngine:
             self.order = [nid for nid in graph.topo
                           if graph.nodes[nid].kind in rtl.TASK_KINDS]
         else:
-            self.tg = make_task_graph(graph)
+            heavy = []
+            if config.mode != MODE_STRUCTURAL:
+                heavy = flag_overloaded(graph, self.nf, config.threshold)[:MAX_EXPANSIONS]
+            self.totals.expanded = tuple(heavy)
+            self.tg = tg = make_task_graph(graph, heavy, config.workers)
+            self.unified = config.mode == MODE_FULL
+            # Behind a barrier phase 1's entry list leaves out the sync tasks.
+            self.entry = [tid for tid in tg.entry_tasks
+                          if self.unified or tg.tasks[tid].kind != SYNC]
             self.pool = WorkerPool(config.workers)
             self.monitor = LoadMonitor()
-            self.unified = config.mode == MODE_FULL
-            if config.mode != MODE_STRUCTURAL:
-                heavy = flag_overloaded(graph, self.nf, config.threshold)
-                self.totals.expanded = tuple(heavy[:MAX_EXPANSIONS])
-                for nid in self.totals.expanded:
-                    expand_high_load(self.tg, nid, config.workers)
         self.detections: dict[int, tuple[int, str]] = {}
         self.cycle_stats: list[CycleStats] = []
         self.cost_log: list[dict[int, int]] = []
@@ -418,16 +419,7 @@ class SimulationEngine:
         decide the modeled schedule."""
 
         cfg = self.config
-        if self.serial:
-            run_cycle = self._run_serial_cycle
-        else:
-            run_cycle = self._run_pool_cycle
-            # Merged here, not at setup, so that a caller may still expand
-            # nodes between construction and the run.
-            tg = merge_chains(self.tg)
-            # Behind a barrier phase 1's entry list leaves out the sync tasks.
-            self.entry = [tid for tid in tg.entry_tasks
-                          if self.unified or tg.tasks[tid].kind != SYNC]
+        run_cycle = self._run_serial_cycle if self.serial else self._run_pool_cycle
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:

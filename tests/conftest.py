@@ -1,11 +1,14 @@
+import contextlib
 import random
+from unittest import mock
 
 import pytest
 
+from faultsim import scheduler
 from faultsim.faults import FaultDescriptor
 from faultsim.netlist import Literal
-from faultsim.rtl import COMB, CONST, INPUT, OUTPUT, REG, VIRTUAL, elaborate_text
-from faultsim.taskgraph import SLAVE, SYNC
+from faultsim.rtl import COMB, CONST, INPUT, OUTPUT, REG, TASK_KINDS, VIRTUAL, elaborate_text
+from faultsim.taskgraph import DEFAULT, MASTER, SLAVE, SYNC, Task
 
 
 def build(text):
@@ -125,6 +128,64 @@ def output_faults(graph, first_fid: int) -> list[FaultDescriptor]:
 def rand_rows(rng: random.Random, graph, cycles: int):
     widths = [graph.nodes[i].width for i in graph.inputs]
     return [[rng.randrange(1 << w) for w in widths] for _ in range(cycles)]
+
+
+def per_node_graph(graph, expanded=(), k=1) -> list[Task]:
+    """Reference tasks for ``make_task_graph``'s output, with no chain
+    merged: one default or master task per evaluated node in node-id order,
+    one sync task per register, then k slaves per expanded node, each
+    task's successors in the order the builder lists them."""
+
+    tasks, node_task = [], {}
+    for node in graph.nodes:
+        if node.kind in TASK_KINDS:
+            node_task[node.id] = len(tasks)
+            kind = MASTER if node.id in expanded else DEFAULT
+            tasks.append(Task(len(tasks), kind, node=node.id, nodes=(node.id,)))
+
+    def edge(a, b):
+        if b not in tasks[a].succs:
+            tasks[a].succs.append(b)
+            tasks[b].preds.add(a)
+
+    for node in graph.nodes:
+        for src in node.fanin:
+            if node.id in node_task and src in node_task:
+                edge(node_task[src], node_task[node.id])
+    for rid in graph.regs:
+        sync = Task(len(tasks), SYNC, regs=(rid,))
+        tasks.append(sync)
+        for nid in (graph.nodes[rid].next_src, *graph.nodes[rid].fanout):
+            if nid in node_task:
+                edge(node_task[nid], sync.id)
+    for nid in expanded:
+        master = tasks[node_task[nid]]
+        succs, master.succs = master.succs, []
+        for i in range(k):
+            slave = Task(len(tasks), SLAVE, node=nid, slave_index=i)
+            tasks.append(slave)
+            edge(master.id, slave.id)
+            for succ in succs:
+                edge(slave.id, succ)
+        master.succs += succs
+    return tasks
+
+
+@contextlib.contextmanager
+def expanding_first(pick):
+    """Engines built inside expand the nodes ``pick(graph)`` returns ahead
+    of those ``flag_overloaded`` picks itself (the engine keeps the first
+    ``MAX_EXPANSIONS``).  ``graph`` is the engine's, with its register
+    reads split and its outputs observed; only the expanding modes ask."""
+
+    flag = scheduler.flag_overloaded
+
+    def picking(graph, nf, threshold):
+        picks = list(pick(graph))
+        return picks + [nid for nid in flag(graph, nf, threshold) if nid not in picks]
+
+    with mock.patch.object(scheduler, "flag_overloaded", picking):
+        yield
 
 
 def record_traces(eng):

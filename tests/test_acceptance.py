@@ -23,9 +23,9 @@ from faultsim.genbench import gen_bench
 from faultsim.oracles import run_serial_concurrent, run_single_fault
 from faultsim.report import emit_report_csv
 from faultsim.scheduler import SimulationEngine, run_simulation
-from faultsim.taskgraph import build_task_graph, expand_high_load
+from faultsim.rtl import TASK_KINDS
 
-from conftest import check_schedule_invariants, record_traces
+from conftest import check_schedule_invariants, expanding_first, record_traces
 
 WORKER_GRID = (1, 2, 4, 8)
 PARALLEL_MODES = ("structural", "structural+fault", "full")
@@ -233,19 +233,15 @@ def test_structural_invariants_over_many_cycles():
                           cycles=rng.randint(60, 120),
                           fault_count=rng.randint(4, 24))
         graph, stim, faults = bench.build()
-        probe = build_task_graph(graph)
-        nodes = list(probe.node_task.keys())
+        nodes = [n.id for n in graph.nodes if n.kind in TASK_KINDS]
         workers = rng.choice((2, 4, 8))
         rng.choice((1, 1, 2, 3))  # the retired sync-group draw; keeps later draws
         pre = rng.sample(nodes, min(len(nodes), 3))
         cfg = SimConfig(workers=workers, mode="full", threshold=0.02)
-        # Pre-expanded nodes get k slaves, 0 meaning one per worker as at
-        # the engine's own expansions, which are left as they are.
-        k = rng.choice((0, 2)) or workers
-        eng = SimulationEngine(graph, faults, stim, cfg)
-        for nid in pre:
-            if nid not in eng.tg.boards:
-                expand_high_load(eng.tg, nid, k)
+        rng.choice((0, 2))  # the retired slave-count draw; keeps later draws
+        # The picked nodes are expanded first, one slave per worker.
+        with expanding_first(lambda g: pre):
+            eng = SimulationEngine(graph, faults, stim, cfg)
         traces = record_traces(eng)
         eng.run()
         ms, sync = check_schedule_invariants(eng, traces)

@@ -3,10 +3,11 @@ all 14 operators, with result and operand widths 1..64 drawn independently,
 must give the fault-free output trace of the reference interpreter and the
 same verdicts in the serial concurrent engine, in single-fault
 resimulation, in ``full`` mode at P=1 and P=4 and in ``structural+fault``
-at P=4 (the barrier commit phase), each with one node forced into
-master/slave expansion (so the fid-cut slave path runs), the steady-state
-re-sweep on, and the drop of detected faults drawn on or off.  Up to three
-registers whose next values may be registers give swaps and 3-rings.
+at P=4 (the barrier commit phase), each with one drawn node expanded
+first, into one slave per worker (so the fid-cut slave path runs), the
+steady-state re-sweep on, and the drop of detected faults drawn on or
+off.  Up to three registers whose next values may be registers give swaps
+and 3-rings.
 Outputs may be driven by any earlier signal or a literal, at the driver's
 width or another one, and later nodes and register ``next`` values may
 read them; faults are also named on output bits.  Nodes and registers
@@ -19,11 +20,10 @@ from faultsim.config import SimConfig
 from faultsim.faults import generate_fault_list
 from faultsim.netlist import OPERATOR_ARITY
 from faultsim.oracles import run_good_trace, run_serial_concurrent, run_single_fault
-from faultsim.rtl import elaborate_text
+from faultsim.rtl import TASK_KINDS, elaborate_text
 from faultsim.scheduler import SimulationEngine
-from faultsim.taskgraph import expand_high_load
 
-from conftest import output_faults
+from conftest import expanding_first, output_faults
 
 OPS = sorted(OPERATOR_ARITY)
 # Any width 1..64, with the word boundaries drawn often.
@@ -133,14 +133,16 @@ def test_concurrent_engines_match_single_fault_resimulation(case, data):
         cfg = SimConfig(workers=workers, mode=mode, threshold=0.02,
                         record_outputs=True, steady_state_check=True,
                         drop_on_detect=data.draw(st.booleans()))
-        eng = SimulationEngine(elaborate_text(text), faults, rows, cfg)
+
+        def pick(graph):
+            return [data.draw(st.sampled_from(
+                [n.id for n in graph.nodes if n.kind in TASK_KINDS]))]
+
+        with expanding_first(pick):
+            eng = SimulationEngine(elaborate_text(text), faults, rows, cfg)
         # How often examples hold pruned faults: --hypothesis-show-statistics.
         event("some faults unobservable" if eng.totals.unobservable
               else "every fault observable")
-        nid = data.draw(st.sampled_from(sorted(eng.tg.node_task)))
-        k = data.draw(st.integers(1, 4))
-        if nid not in eng.tg.boards:  # else the engine expanded it already
-            expand_high_load(eng.tg, nid, k)
         report = eng.run()
-        assert report.output_trace == good, (text, workers, mode, nid)
-        assert report.verdicts() == truth, (text, workers, mode, nid)
+        assert report.output_trace == good, (text, workers, mode)
+        assert report.verdicts() == truth, (text, workers, mode)

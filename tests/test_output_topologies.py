@@ -15,9 +15,8 @@ from faultsim.faults import generate_fault_list
 from faultsim.oracles import run_good_trace, run_single_fault
 from faultsim.rtl import elaborate_text
 from faultsim.scheduler import SimulationEngine
-from faultsim.taskgraph import expand_high_load
 
-from conftest import comb_edges, output_faults, rand_rows, topo_positions
+from conftest import comb_edges, expanding_first, output_faults, rand_rows, topo_positions
 
 # A comb node and a register read an output.
 READ_OUTPUT = """
@@ -119,6 +118,13 @@ def faults_for(text):
     return faults + output_faults(graph, len(faults))
 
 
+def middle_node(graph):
+    """The middle evaluated node by id, to split into a master and slaves."""
+
+    nids = [n.id for n in graph.nodes if n.kind in rtl.TASK_KINDS]
+    return [nids[len(nids) // 2]]
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_topologies_match_the_resimulator(name):
     text = CASES[name]
@@ -141,13 +147,9 @@ def test_output_topologies_match_the_resimulator(name):
         for workers in (1, 4):
             cfg = SimConfig(workers=workers, mode=mode, threshold=0.02,
                             steady_state_check=True, record_outputs=True)
-            eng = SimulationEngine(elaborate_text(text), faults, rows, cfg)
-            if mode != "serial":
-                # One node split into a master and slaves as well, unless
-                # the engine expanded it already.
-                nids = sorted(eng.tg.node_task)
-                if nids[len(nids) // 2] not in eng.tg.boards:
-                    expand_high_load(eng.tg, nids[len(nids) // 2], 2)
+            # The expanding modes split the middle evaluated node first.
+            with expanding_first(middle_node):
+                eng = SimulationEngine(elaborate_text(text), faults, rows, cfg)
             report = eng.run()
             assert report.output_trace == good, (name, mode, workers)
             assert report.verdicts() == truth, (name, mode, workers)

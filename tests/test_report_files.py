@@ -9,7 +9,7 @@ from faultsim.config import SimConfig
 from faultsim.faults import FaultDescriptor
 from faultsim.genbench import gen_bench
 from faultsim.report import (
-    REPORT_COLUMNS, CycleStats, FaultResult, ReportFormatError,
+    REPORT_COLUMNS, FaultResult, ReportFormatError,
     SimulationReport, emit_report_csv, emit_stats, parse_report_csv,
 )
 from faultsim.scheduler import run_simulation
@@ -121,10 +121,6 @@ class TestReport:
         text = f"{header}\n0,wire,{'n' * 200_000},0,sa0,undetected,,\n"
         with pytest.raises(ReportFormatError, match="line 2: field larger than"):
             parse_report_csv(text)
-
-    def test_cycle_stats_utilization(self):
-        c = CycleStats(0, 100, (50, 25), 2, 0, 0)
-        assert c.utilization == 0.375
 
 
 def reference_report_csv(results) -> str:

@@ -3,21 +3,22 @@ import random
 
 import pytest
 
-from faultsim import scheduler
+from faultsim import scheduler, taskgraph
 from faultsim.config import MAX_WORKERS, SimConfig
 from faultsim.genbench import gen_bench
 from faultsim.kernels import SimulationError
 from faultsim.oracles import run_good_trace, run_serial_concurrent
 from faultsim.report import emit_report_csv, emit_stats
-from faultsim.rtl import split_register_reads
+from faultsim.rtl import TASK_KINDS, split_register_reads
 from faultsim.scheduler import (
     LoadMonitor, SimulationEngine, WorkerPool, flag_overloaded, run_simulation,
 )
-from faultsim.taskgraph import (
-    DEFAULT, Task, build_task_graph, expand_high_load, make_task_graph, merge_chains,
-)
+from faultsim.taskgraph import DEFAULT, Task, make_task_graph
 
-from conftest import SYNCED, build, check_schedule_invariants, record_traces
+from conftest import (
+    SYNCED, build, check_schedule_invariants, expanding_first, per_node_graph,
+    record_traces,
+)
 
 
 def small_bench(seed, profile="uniform", size=40, cycles=8, faults=12):
@@ -199,10 +200,12 @@ def test_expansion_does_not_depend_on_task_costs():
             for _ in stim.rows
         ]
         report = eng.run()
-        assert {c.executed + c.skipped for c in report.cycles} == {n}, table
-        # One dispatch per merged task and cycle, fewer than the n bodies.
-        assert len(eng.tg.tasks) < n
-        assert report.totals.dispatches == len(report.cycles) * len(eng.tg.tasks)
+        # Each cycle runs or skips every body once (each node of a merged
+        # task, each master, slave and commit) in one dispatch per task.
+        bodies = sum(len(t.nodes) if t.kind == DEFAULT else 1 for t in eng.tg.tasks)
+        assert bodies > n
+        assert {c.executed + c.skipped for c in report.cycles} == {bodies}, table
+        assert report.totals.dispatches == len(report.cycles) * n
         runs.append((report.totals.expanded,
                      [(t.kind, t.node, t.slave_index, t.regs, sorted(t.preds), t.succs)
                       for t in eng.tg.tasks]))
@@ -374,20 +377,17 @@ def test_liveness_random_graphs_with_random_expansions():
         b = gen_bench(profile, rng.randint(20, 60), rng.randint(0, 9999),
                       cycles=rng.randint(2, 8), fault_count=rng.randint(1, 16))
         g, stim, faults = b.build()
-        probe = build_task_graph(g)
-        nodes = list(probe.node_task.keys())
+        nodes = [n.id for n in g.nodes if n.kind in TASK_KINDS]
         pre = rng.sample(nodes, min(len(nodes), rng.randint(0, 4)))
         workers = rng.choice((1, 2, 3, 8))
         mode = rng.choice(("structural", "structural+fault", "full"))
         rng.choice((1, 2, 3))  # the retired sync-group draw; keeps later draws
         cfg = SimConfig(workers=workers, mode=mode, threshold=0.05)
-        # Pre-expanded nodes get k slaves, 0 meaning one per worker as at
-        # the engine's own expansions, which are left as they are.
-        k = rng.choice((0, 1, 3)) or workers
-        eng = SimulationEngine(g, faults, stim, cfg)
-        for nid in pre:
-            if nid not in eng.tg.boards:
-                expand_high_load(eng.tg, nid, k)
+        rng.choice((0, 1, 3))  # the retired slave-count draw; keeps later draws
+        # The expanding modes split the picked nodes first, one slave per
+        # worker; structural mode expands nothing.
+        with expanding_first(lambda graph: pre):
+            eng = SimulationEngine(g, faults, stim, cfg)
         report = eng.run()
         for c in report.cycles:
             assert sum(b for b in c.busy_ns) <= c.wall_ns * cfg.workers
@@ -543,39 +543,40 @@ def test_inlined_pool_loop_keeps_the_reference_schedule():
 
 
 def test_merging_chains_leaves_the_modeled_schedule_unchanged():
-    """A merged task charged its nodes' summed costs gives the unmerged
-    graph's makespan and per-worker busy times at every worker count.
-    The costs are distinct draws from a wide range, so no two events tie."""
+    """A merged task charged its nodes' summed costs gives the one task per
+    node reference's makespan and per-worker busy times at every worker
+    count.  The costs are distinct draws from a wide range, so no two
+    events tie."""
 
     def units(t):
         if t.kind == DEFAULT:
             return [(DEFAULT, nid) for nid in t.nodes]
         return [(t.kind, t.node, t.slave_index, t.regs)]
 
-    def schedules(tg, cost):
-        charge = [sum(cost[u] for u in units(t)) for t in tg.tasks]
+    def schedules(tasks, cost):
+        charge = [sum(cost[u] for u in units(t)) for t in tasks]
+        entry = [t.id for t in tasks if not t.preds]
         out = []
         for P in (1, 2, 4, 8):
-            phase = WorkerPool(P).run_phase(tg.pred_reset.copy(), tg.entry_tasks,
-                                            tg.tasks, charge.__getitem__)
-            assert len(phase.executed) == len(tg.tasks)
+            phase = WorkerPool(P).run_phase([len(t.preds) for t in tasks], entry,
+                                            tasks, charge.__getitem__)
+            assert len(phase.executed) == len(tasks)
             out.append((phase.makespan_ns, phase.busy_ns))
         return out
 
     for seed, profile in enumerate(("skewed", "uniform", "pipeline", "skewed", "uniform")):
         g, _, _ = gen_bench(profile, 300, seed, cycles=2, fault_count=8).build()
         split_register_reads(g)
-        tg = make_task_graph(g)
         rng = random.Random(seed)
-        for nid in rng.sample(sorted(tg.node_task), 3):
-            expand_high_load(tg, nid, rng.choice((1, 4)))
-        keys = [u for t in tg.tasks for u in units(t)]
+        expanded = rng.sample([n.id for n in g.nodes if n.kind in TASK_KINDS], 3)
+        k = rng.choice((1, 4))
+        per_node = per_node_graph(g, expanded, k)
+        keys = [u for t in per_node for u in units(t)]
         cost = dict(zip(keys, rng.sample(range(1, 10**9), len(keys))))
-        unmerged = len(tg.tasks)
-        before = schedules(tg, cost)
-        merge_chains(tg)
-        assert len(tg.tasks) < unmerged or profile == "pipeline", profile
-        assert schedules(tg, cost) == before, (seed, profile)
+        tg = make_task_graph(g, expanded, k)
+        assert tg.pred_reset == [len(t.preds) for t in tg.tasks]
+        assert len(tg.tasks) < len(per_node) or profile == "pipeline", profile
+        assert schedules(tg.tasks, cost) == schedules(per_node, cost), (seed, profile)
 
 
 def test_names_the_perfbench_tracer_wraps():
@@ -591,6 +592,34 @@ def test_names_the_perfbench_tracer_wraps():
     ]
     assert inspect.isfunction(vars(LoadMonitor)["record"])
     assert inspect.isfunction(vars(scheduler)["flag_overloaded"])
+    # taskgraph.build_s, taskgraph.reset_s and the setup spans read the
+    # taskgraph functions the engine calls through these names.
+    for name in ("make_task_graph", "reset_for_cycle"):
+        assert vars(scheduler)[name] is vars(taskgraph)[name], name
+        assert inspect.isfunction(vars(taskgraph)[name]), name
+
+
+@pytest.mark.parametrize("mode", ["structural", "full"])
+def test_task_graph_is_final_at_setup(mode):
+    """Setup builds the graph the run drains: each cycle dispatches every
+    task of ``engine.tg`` as read right after construction, and the run
+    neither replaces nor changes it."""
+
+    def shape(tg):
+        tasks = [(t.id, t.kind, t.node, t.nodes, t.slave_index, t.regs,
+                  sorted(t.preds), list(t.succs)) for t in tg.tasks]
+        return (tasks, dict(tg.node_task), list(tg.sync_tasks), list(tg.entry_tasks),
+                list(tg.pred_reset), list(tg.boards))
+
+    g, stim, faults = gen_bench("skewed", 300, 3, cycles=4, fault_count=40).build()
+    eng = SimulationEngine(g, faults, stim, SimConfig(workers=4, mode=mode, threshold=0.02))
+    tg = eng.tg
+    built = shape(tg)
+    assert any(len(t.nodes) > 1 for t in tg.tasks)  # chains are merged already
+    assert bool(tg.boards) == (mode == "full")
+    report = eng.run()
+    assert eng.tg is tg and shape(tg) == built
+    assert report.totals.dispatches == len(stim.rows) * len(built[0])
 
 
 @pytest.mark.parametrize("mode", ["serial", "structural", "full"])

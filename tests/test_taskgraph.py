@@ -4,13 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from faultsim.genbench import gen_bench
-from faultsim.rtl import REG, VIRTUAL, observe_outputs, split_register_reads
+from faultsim.rtl import REG, TASK_KINDS, VIRTUAL, observe_outputs, split_register_reads
 from faultsim.taskgraph import (
-    DEFAULT, MASTER, SLAVE, SYNC, Task, TaskGraph, build_task_graph, expand_high_load,
-    make_task_graph, merge_chains, reset_for_cycle,
+    DEFAULT, MASTER, SLAVE, SYNC, Task, TaskGraph, make_task_graph, reset_for_cycle,
 )
 
-from conftest import SYNCED, build
+from conftest import SYNCED, build, per_node_graph
 
 CHAIN = """
 module m
@@ -50,7 +49,8 @@ def dump_dot(tg: TaskGraph) -> str:
 
 
 def task_key(t: Task):
-    """A task's identity that survives renumbering, in an unmerged graph."""
+    """A task's identity that survives renumbering; a default task is
+    known by its chain's first node."""
 
     if t.kind == SLAVE:
         return (SLAVE, t.node, t.slave_index)
@@ -75,18 +75,19 @@ def task_of(tg, g, name):
     return tg.tasks[tg.node_task[g.name_to_id[name]]]
 
 
-def test_chain_two_tasks_one_edge():
+def test_chain_is_one_task():
     g = build(CHAIN)
-    tg = build_task_graph(g)
-    assert len(tg.tasks) == 2  # inputs carry no task
-    b, c = task_of(tg, g, "b"), task_of(tg, g, "c")
-    assert b.preds == set() and c.preds == {b.id}
-    assert b.succs == [c.id]
+    tg = make_task_graph(g)
+    (task,) = tg.tasks  # inputs carry no task
+    b, c = g.name_to_id["b"], g.name_to_id["c"]
+    assert task.kind == DEFAULT and task.node == b and task.nodes == (b, c)
+    assert task.preds == set() and task.succs == []
+    assert tg.node_task == {b: 0, c: 0} and tg.entry_tasks == [0]
 
 
 def test_diamond_pred_count():
     g = build(DIAMOND)
-    tg = build_task_graph(g)
+    tg = make_task_graph(g)
     d = task_of(tg, g, "d")
     assert len(d.preds) == 2
     counts = reset_for_cycle(tg)
@@ -152,9 +153,8 @@ end
 
 def test_expansion_topology():
     g = build(DIAMOND)
-    tg = build_task_graph(g)
+    tg = make_task_graph(g, [g.name_to_id["c"]], 2)
     b, c, d = (task_of(tg, g, n) for n in "bcd")
-    expand_high_load(tg, c.node, 2)
     assert c.kind == MASTER
     slaves = [t for t in tg.tasks if t.kind == SLAVE]
     assert [s.slave_index for s in slaves] == [0, 1]
@@ -167,63 +167,30 @@ def test_expansion_topology():
 
 def test_expansion_k1_degenerate():
     g = build(CHAIN)
-    tg = build_task_graph(g)
-    b = task_of(tg, g, "b")
-    expand_high_load(tg, b.node, 1)
+    tg = make_task_graph(g, [g.name_to_id["b"]], 1)
+    b, c = task_of(tg, g, "b"), task_of(tg, g, "c")
+    assert b.kind == MASTER and c.kind == DEFAULT  # an expanded node chains with nothing
     slaves = [t for t in tg.tasks if t.kind == SLAVE]
     assert len(slaves) == 1
 
 
-def test_double_expansion_rejected():
-    g = build(CHAIN)
-    tg = build_task_graph(g)
-    b = task_of(tg, g, "b")
-    expand_high_load(tg, b.node, 2)
-    with pytest.raises(ValueError, match="already expanded"):
-        expand_high_load(tg, b.node, 2)
-
-
 def test_expansions_commute():
     g1 = build(DIAMOND)
-    tg1 = make_task_graph(g1)
     g2 = build(DIAMOND)
-    tg2 = make_task_graph(g2)
     nb, nc = g1.name_to_id["b"], g1.name_to_id["c"]
-    expand_high_load(tg1, nb, 2)
-    expand_high_load(tg1, nc, 2)
-    expand_high_load(tg2, nc, 2)
-    expand_high_load(tg2, nb, 2)
+    tg1 = make_task_graph(g1, [nb, nc], 2)
+    tg2 = make_task_graph(g2, [nc, nb], 2)
     assert canonical_form(tg1) == canonical_form(tg2)
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10**6), picks=st.integers(1, 6), k=st.integers(1, 5))
-def test_incremental_reset_image_matches_rebuild(seed, picks, k):
-    """expand_high_load updates the reset image in place; after any sequence
-    of expansions it equals a fresh rebuild."""
-
-    bench = gen_bench(("uniform", "skewed", "pipeline")[seed % 3], 30, seed,
-                      cycles=2, fault_count=4)
-    graph, _, _ = bench.build()
-    split_register_reads(graph)
-    tg = make_task_graph(graph)
-    rng = random.Random(seed)
-    for nid in rng.sample(sorted(tg.node_task), min(picks, len(tg.node_task))):
-        expand_high_load(tg, nid, k)
-    image = (list(tg.pred_reset), list(tg.entry_tasks))
-    tg.rebuild_reset_image()
-    assert image == (tg.pred_reset, tg.entry_tasks)
 
 
 def test_reset_after_expansion_master_entry_unchanged():
     g = build(CHAIN)
-    tg = build_task_graph(g)
-    b = task_of(tg, g, "b")
-    ready_before = list(tg.entry_tasks)
-    expand_high_load(tg, b.node, 2)
+    b = g.name_to_id["b"]
+    ready_before = make_task_graph(g).entry_tasks
+    tg = make_task_graph(g, [b], 2)
     reset_for_cycle(tg)
     ready_after = tg.entry_tasks
-    assert b.id in ready_before and b.id in ready_after
+    assert tg.node_task[b] in ready_before and tg.node_task[b] in ready_after
     slaves = [t.id for t in tg.tasks if t.kind == SLAVE]
     assert not set(slaves) & set(ready_after)
 
@@ -358,9 +325,7 @@ end
 
 def test_merge_chains_on_hand_built_netlist():
     g = build(MERGE)
-    tg = make_task_graph(g)
-    expand_high_load(tg, g.name_to_id["q"], 2)
-    merge_chains(tg)
+    tg = make_task_graph(g, [g.name_to_id["q"]], 2)
     names = {t.id: "".join(g.nodes[n].name for n in t.nodes)
              for t in tg.tasks if t.kind == DEFAULT}
     assert sorted(names.values()) == ["bcd", "e", "f", "ghp", "st", "x", "y", "z"]
@@ -378,55 +343,35 @@ def test_merge_chains_on_hand_built_netlist():
     (sync,) = tg.sync_tasks
     assert tg.tasks[sync].preds == {by_name["x"], by_name["z"]}
     assert tg.entry_tasks == [by_name["bcd"], by_name["x"]]
-    image = (list(tg.pred_reset), list(tg.entry_tasks))
-    tg.rebuild_reset_image()
-    assert image == (tg.pred_reset, tg.entry_tasks)
-
-
-def test_merged_task_cannot_be_expanded():
-    g = build(CHAIN)
-    tg = merge_chains(build_task_graph(g))
-    (task,) = tg.tasks
-    with pytest.raises(ValueError, match="merged chain"):
-        expand_high_load(tg, task.nodes[1], 2)
-    assert task.kind == DEFAULT and len(tg.tasks) == 1 and not tg.boards
-
-
-def shape(tg: TaskGraph):
-    """A copy of everything a merge may rewrite."""
-
-    tasks = [(t.id, t.kind, t.node, t.nodes, t.slave_index, t.regs,
-              sorted(t.preds), list(t.succs)) for t in tg.tasks]
-    return (tasks, dict(tg.node_task), list(tg.sync_tasks), list(tg.entry_tasks),
-            list(tg.pred_reset))
+    assert tg.pred_reset == [len(t.preds) for t in tg.tasks]
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10**6), picks=st.integers(0, 5), k=st.integers(1, 4))
 def test_merge_chains_properties(seed, picks, k):
-    """On generated graphs with random expansions: the merged tasks
-    partition the nodes, keep every dependency, leave masters, slaves and
-    sync tasks alone, leave no mergeable link behind, and a second pass
-    changes nothing."""
+    """On generated graphs with random expansions, against the one task
+    per node reference: the built tasks partition the nodes, keep every
+    dependency and the reference's task order, leave masters, slaves and
+    sync tasks alone, leave no mergeable link behind, and the reset image
+    matches the edges."""
 
     bench = gen_bench(("uniform", "skewed", "pipeline")[seed % 3], 40, seed,
                       cycles=2, fault_count=6)
     graph, _, _ = bench.build()
     split_register_reads(graph)
-    tg = make_task_graph(graph)
+    evaluated = [n.id for n in graph.nodes if n.kind in TASK_KINDS]
     rng = random.Random(seed)
-    for nid in rng.sample(sorted(tg.node_task), min(picks, len(tg.node_task))):
-        expand_high_load(tg, nid, k)
-    before = list(tg.tasks)
+    expanded = rng.sample(evaluated, min(picks, len(evaluated)))
+    before = per_node_graph(graph, expanded, k)
     keys = {t.id: task_key(t) for t in before}
     edges = {(keys[t.id], keys[s]) for t in before for s in t.succs}
     others = sorted(keys[t.id] for t in before if t.kind != DEFAULT)
     default_nodes = sorted(t.node for t in before if t.kind == DEFAULT)
 
-    merge_chains(tg)
+    tg = make_task_graph(graph, expanded, k)
     tasks = tg.tasks
     assert [t.id for t in tasks] == list(range(len(tasks)))
-    # Each unmerged task's key -> (merged task id, position in its nodes).
+    # Each reference task's key -> (built task id, position in its nodes).
     where = {}
     for t in tasks:
         if t.kind == DEFAULT:
@@ -439,6 +384,8 @@ def test_merge_chains_properties(seed, picks, k):
     assert sorted(n for t in tasks if t.kind == DEFAULT for n in t.nodes) == default_nodes
     assert sorted(task_key(t) for t in tasks if t.kind != DEFAULT) == others
     assert all(len(t.nodes) <= 1 for t in tasks if t.kind != DEFAULT)
+    built = {task_key(t) for t in tasks}
+    assert [task_key(t) for t in tasks] == [keys[t.id] for t in before if keys[t.id] in built]
 
     merged_edges = set()
     for u, v in edges:
@@ -448,7 +395,7 @@ def test_merge_chains_properties(seed, picks, k):
         else:
             assert tu in tasks[tv].preds and tv in tasks[tu].succs, (u, v)
             merged_edges.add((tu, tv))
-    # No edge appears that the unmerged graph does not imply.
+    # No edge appears that the reference does not imply.
     assert {(t.id, s) for t in tasks for s in t.succs} == merged_edges
     assert {(p, t.id) for t in tasks for p in t.preds} == merged_edges
 
@@ -457,8 +404,6 @@ def test_merge_chains_properties(seed, picks, k):
             b = tasks[a.succs[0]]
             assert not (b.kind == DEFAULT and len(b.preds) == 1)
 
-    image = shape(tg)
-    merge_chains(tg)
-    assert shape(tg) == image
-    tg.rebuild_reset_image()
-    assert (tg.pred_reset, tg.entry_tasks) == (image[4], image[3])
+    assert tg.pred_reset == [len(t.preds) for t in tasks]
+    assert tg.entry_tasks == [t.id for t in tasks if not t.preds]
+    assert sorted(tg.boards) == sorted(expanded)
