@@ -3,7 +3,7 @@
 The mode picks the engine's schedule; the engine alone turns it into
 policy.  ``serial`` evaluates nodes in topological order and commits
 registers after the strobe; it has no task graph or worker pool, so the
-pool, expansion and cost settings do not apply to it.  The other modes
+pool and expansion settings do not apply to it.  The other modes
 drain the same task graph on the discrete-event pool: ``structural`` and
 ``structural+fault`` commit registers behind a barrier, ``full`` commits
 them mid-cycle, and the last two expand, before the first cycle, the nodes
@@ -26,15 +26,14 @@ MAX_WORKERS = 1024
 
 @dataclass
 class SimConfig:
-    """Run settings, plus three measurement hooks that only tests set.
+    """Run settings, plus one measurement hook that only tests set.
 
     ``workers`` to ``drop_on_detect`` are run settings; ``steady_state_check``
-    is the CLI's ``--steady-check`` re-sweep.  The three hooks stay because
-    no seam outside the engine can replace them:
-    ``record_outputs`` is filled in every mode and read by every
-    engine-vs-oracle output test; ``record_costs`` logs per-task costs and
-    ``cost_table`` replays them, so that schedules under several
-    disciplines can be charged one calibration run's costs."""
+    is the CLI's ``--steady-check`` re-sweep.  ``record_outputs`` stays
+    because no seam outside the engine can replace it: it is filled in
+    every mode, serial included, which has no pool to wrap, and every
+    engine-vs-oracle output test reads it.  Per-task costs are recorded
+    and replayed at the pool's ``run_phase`` seam, outside the engine."""
 
     workers: int = 1
     mode: str = MODE_FULL
@@ -42,8 +41,6 @@ class SimConfig:
     drop_on_detect: bool = False
     steady_state_check: bool = False
     record_outputs: bool = False
-    record_costs: bool = False
-    cost_table: list | None = None
 
     def validate(self) -> None:
         if not 1 <= self.workers <= MAX_WORKERS:

@@ -67,18 +67,17 @@ class FaultDescriptor:
 
 
 class NodeFaults:
-    """The faults injected at one node: their descriptors sorted by fid,
-    plus lookup structures the evaluation kernels index every cycle.
-    ``transients`` holds the descriptors whose window can open or close;
-    ``stuck`` holds the fids of the others, ascending, whose window never
-    closes.  Only ``kernels.drop_detected`` changes a site, through
+    """The faults injected at one node, in the forms the evaluation kernels
+    index every cycle: ``fid_map`` maps each fid to its descriptor, in fid
+    order, and ``fids`` lists the fids ascending.  ``transients`` holds the
+    descriptors whose window can open or close; ``stuck`` holds the fids of
+    the others, ascending, whose window never closes.  Only ``kernels.drop_detected`` changes a site, through
     ``discard``, after a cycle's drain."""
 
-    __slots__ = ("entries", "fid_map", "fids", "stuck", "transients")
+    __slots__ = ("fid_map", "fids", "stuck", "transients")
 
     def __init__(self, entries: list[FaultDescriptor]):
         entries = sorted(entries, key=attrgetter("fid"))
-        self.entries = entries
         self.fid_map = {f.fid: f for f in entries}
         self.fids = [f.fid for f in entries]
         self.stuck = [f.fid for f in entries if f.kind != TRANSIENT]
@@ -90,7 +89,6 @@ class NodeFaults:
         fault = self.fid_map.pop(fid)
         i = bisect_left(self.fids, fid)
         del self.fids[i]
-        del self.entries[i]
         if fault.kind == TRANSIENT:
             self.transients.remove(fault)
         else:
@@ -229,7 +227,7 @@ def _resolve_site(graph: RtlGraph, fault: FaultDescriptor) -> tuple[int, int]:
     if nid is None:
         raise FaultModelError(f"fault {fault.fid}: unknown location '{fault.location_name}'")
     node = graph.nodes[nid]
-    _check_fid_and_bit(fault, node.width)
+    _check_fault(fault, node.width)
 
     if fault.location_kind == REG:
         if node.kind != rtl.REG:
@@ -249,9 +247,11 @@ def _resolve_site(graph: RtlGraph, fault: FaultDescriptor) -> tuple[int, int]:
     return _resolve_wire_site(graph, fault, nid)
 
 
-def _check_fid_and_bit(fault: FaultDescriptor, width: int) -> None:
+def _check_fault(fault: FaultDescriptor, width: int) -> None:
     """The checks that depend on the fault and not only on its location;
-    ``width`` is that of the node the fault names."""
+    ``width`` is that of the node the fault names.  ``faulty_val`` treats
+    any kind but sa0 and sa1 as a transient, so an unknown kind is
+    rejected here rather than simulated as one."""
 
     if fault.fid < 0:
         # Fids are cut points of the fault-level split, whose lowest
@@ -261,6 +261,12 @@ def _check_fid_and_bit(fault: FaultDescriptor, width: int) -> None:
         raise FaultModelError(
             f"fault {fault.fid}: bit {fault.bit} out of range for "
             f"{width}-bit '{fault.location_name}'"
+        )
+    if fault.kind not in KIND_ORDER:
+        raise FaultModelError(f"fault {fault.fid}: unknown fault kind '{fault.kind}'")
+    if fault.kind == TRANSIENT and fault.start > fault.end:
+        raise FaultModelError(
+            f"fault {fault.fid}: window {fault.start}..{fault.end} is empty"
         )
 
 
@@ -292,7 +298,7 @@ def inject(graph: RtlGraph,
            faults: list[FaultDescriptor]) -> dict[int, list[FaultDescriptor]]:
     """Resolve every fault's site and group the faults by site id, in list
     order; the graph gains any needed carriers.  Each distinct location is
-    resolved once; later faults there only pay their fid and bit checks.
+    resolved once; later faults there only pay the per-fault checks.
     ``graph.topo`` is sorted once, after the last carrier is spliced (also
     when a fault is rejected), rather than once per carrier.
     ``FaultTable`` files the groups."""
@@ -309,7 +315,9 @@ def inject(graph: RtlGraph,
             if hit is None:
                 site, lanes = _resolve_site(graph, fault)
                 hit = sites[key] = (site, by_site.setdefault(site, []), lanes)
-            elif fault.fid < 0 or not 0 <= fault.bit < hit[2]:
+            elif (fault.fid < 0 or not 0 <= fault.bit < hit[2]
+                  or fault.kind not in KIND_ORDER
+                  or fault.kind == TRANSIENT and fault.start > fault.end):
                 _resolve_site(graph, fault)  # raises
             fid = fault.fid
             if fid in fids:

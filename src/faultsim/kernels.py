@@ -287,7 +287,7 @@ def sync_register(
     new_good = next_state.good & mask
     new_bads: list[tuple[int, int]] = []
 
-    if not nf.entries:
+    if not nf.fids:
         for pair in incoming:
             value = pair[1] & mask
             if value != new_good:
@@ -381,8 +381,9 @@ def drop_detected(table: FaultTable, states: list[NodeState], new_fids) -> None:
 
 
 def initial_states(graph: RtlGraph, table: FaultTable) -> list[NodeState]:
-    """States before cycle 0: inputs zero, consts fixed, regs at their reset
-    value with any reg-injected fault already forced for cycle 0.  An output
+    """States before cycle 0: inputs zero, consts fixed, and each reg as a
+    commit of its reset value for cycle 0 stores it (``sync_register``),
+    so a reg-injected fault is already forced.  An output
     gets its driver's state object itself (``rtl.observe_outputs`` has made
     the driver a node that is not a register and is no wider than the
     output), so the strobe reads the driver's value, bad list and stamps."""
@@ -393,14 +394,9 @@ def initial_states(graph: RtlGraph, table: FaultTable) -> list[NodeState]:
             states[node.id].good = node.init
         elif node.kind == rtl.REG:
             st = states[node.id]
-            st.good = node.init
-            bads = []
-            for fault in table.node_faults(node.id).entries:
-                forced = faulty_val(fault, node.init, 0)
-                if forced != node.init:
-                    bads.append((fault.fid, forced))
-            bads.sort()
-            st.bads = bads
+            st.good, st.bads = sync_register(
+                node, NodeState(node.init), table.node_faults(node.id), 0
+            )
     for oid in graph.outputs:
         states[oid] = states[graph.nodes[oid].fanin[0]]
     return states

@@ -118,7 +118,6 @@ def run_single_fault(
     graph: RtlGraph,
     fault: FaultDescriptor,
     stimulus,
-    site: int | None = None,
     good: list[tuple[int, ...]] | None = None,
 ) -> SingleFaultResult:
     """Resimulate one fault from scratch and compare against the fault-free
@@ -127,8 +126,7 @@ def run_single_fault(
     caller checking many faults on one stimulus computes it once."""
 
     rows = as_rows(graph, stimulus)
-    if site is None:
-        site = resolve_injection_site(graph, fault)
+    site = resolve_injection_site(graph, fault)
     if good is None:
         good = _plain_sim(graph, rows)
     bad = _plain_sim(graph, rows, site, fault)

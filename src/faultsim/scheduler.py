@@ -162,9 +162,11 @@ class WorkerPool:
 
 
 class LoadMonitor:
-    """Per-task execution time for one cycle, as the pool charged it: the
-    record ``record_costs`` logs.  The drain runs each task exactly once
-    per cycle, so a task's time is its one recorded cost."""
+    """Per-task execution time for one cycle, as ``_execute`` measured it
+    on the host.  The drain runs each task exactly once per cycle, so a
+    task's time is its one recorded cost.  The pool is charged the value
+    ``execute`` returns, which is this cost unless a caller wraps the
+    callable (the tests' cost replay does)."""
 
     def __init__(self):
         self.task_ns: dict[int, int] = {}
@@ -273,8 +275,6 @@ class SimulationEngine:
             self.monitor = LoadMonitor()
         self.detections: dict[int, tuple[int, str]] = {}
         self.cycle_stats: list[CycleStats] = []
-        self.cost_log: list[dict[int, int]] = []
-        self._cost_replay: dict[int, int] | None = None
         self.output_trace: list[tuple[int, ...]] = []
         self._cycle = 0
         self._executed = 0
@@ -296,10 +296,6 @@ class SimulationEngine:
         else:
             self._run_sync(task.regs)
         cost = time.perf_counter_ns() - t0
-        if self._cost_replay is not None:
-            # Charge the calibrated cost for this task; a task the
-            # calibration run never executed keeps its live measurement.
-            cost = self._cost_replay.get(tid, cost)
         self.monitor.record(tid, cost)
         if kind == SYNC:
             self._sync_ns += cost
@@ -316,7 +312,7 @@ class SimulationEngine:
             if not check_dependence_changed(node, fanin_states, nf, cycle):
                 self._skipped += 1
                 continue
-            diverged = nf.entries
+            diverged = nf.fids
             goods = []
             for fs in fanin_states:
                 goods.append(fs.good)
@@ -499,7 +495,6 @@ class SimulationEngine:
         ))
 
     def _run_pool_cycle(self, cycle: int, row) -> None:
-        cfg = self.config
         tg = self.tg
         boundary0 = time.perf_counter_ns()
         self._begin_cycle(cycle, row)
@@ -510,8 +505,6 @@ class SimulationEngine:
             for tid in tg.sync_tasks:
                 counts[tid] = -1
         self.monitor.reset()
-        if cfg.cost_table is not None:
-            self._cost_replay = cfg.cost_table[cycle] if cycle < len(cfg.cost_table) else {}
         boundary_ns = time.perf_counter_ns() - boundary0
 
         pool0 = time.perf_counter_ns()
@@ -536,8 +529,6 @@ class SimulationEngine:
             )
 
         b1 = time.perf_counter_ns()
-        if cfg.record_costs:
-            self.cost_log.append(dict(self.monitor.task_ns))
         self._detect(cycle)
         boundary_ns += time.perf_counter_ns() - b1
 

@@ -203,6 +203,44 @@ def record_traces(eng):
     return traces
 
 
+def record_costs(eng):
+    """Make this engine keep, after each cycle's phases, a copy of the
+    per-task costs its load monitor recorded in that cycle, and return the
+    list those copies are kept in, one per cycle."""
+
+    log = []
+    run_phase = eng.pool.run_phase
+
+    def recording(*args, **kwargs):
+        phase = run_phase(*args, **kwargs)
+        # A barrier cycle's second phase replaces its first's copy.
+        log[eng._cycle:] = [dict(eng.monitor.task_ns)]
+        return phase
+
+    eng.pool.run_phase = recording
+    return log
+
+
+def replay_costs(eng, table):
+    """Charge this engine's pool the costs of a ``record_costs`` log: each
+    task still runs, but the pool is charged ``table[cycle][tid]``.  A task
+    the cycle's entry does not list, and every task of a cycle past the
+    end of the table, keeps its live cost."""
+
+    run_phase = eng.pool.run_phase
+
+    def replaying(counts, ready, tasks, execute, **kwargs):
+        costs = table[eng._cycle] if eng._cycle < len(table) else {}
+
+        def charged(tid):
+            cost = execute(tid)
+            return costs.get(tid, cost)
+
+        return run_phase(counts, ready, tasks, charged, **kwargs)
+
+    eng.pool.run_phase = replaying
+
+
 def check_schedule_invariants(eng, traces):
     """Sync tasks have no sync predecessor; masters finish before their
     slaves start; every reader of a register completes before that

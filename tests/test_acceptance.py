@@ -25,7 +25,10 @@ from faultsim.report import emit_report_csv
 from faultsim.scheduler import SimulationEngine, run_simulation
 from faultsim.rtl import TASK_KINDS
 
-from conftest import check_schedule_invariants, expanding_first, record_traces
+from conftest import (
+    check_schedule_invariants, expanding_first, record_costs, record_traces,
+    replay_costs,
+)
 
 WORKER_GRID = (1, 2, 4, 8)
 PARALLEL_MODES = ("structural", "structural+fault", "full")
@@ -138,18 +141,19 @@ def _calibrate(bench, faults, stim, mode, workers=8, threshold=0.02):
     cost table for schedule replay."""
 
     graph, _, _ = bench.build()
-    cfg = SimConfig(workers=workers, mode=mode, threshold=threshold,
-                    record_costs=True)
+    cfg = SimConfig(workers=workers, mode=mode, threshold=threshold)
     engine = SimulationEngine(graph, faults, stim, cfg)
+    log = record_costs(engine)
     engine.run()
-    return engine.cost_log
+    return log
 
 
 def _replay_wall(bench, faults, stim, table, mode, workers):
     graph, _, _ = bench.build()
-    cfg = SimConfig(workers=workers, mode=mode, threshold=0.02,
-                    cost_table=table)
-    return run_simulation(graph, faults, stim, cfg).totals.wall_ns
+    cfg = SimConfig(workers=workers, mode=mode, threshold=0.02)
+    engine = SimulationEngine(graph, faults, stim, cfg)
+    replay_costs(engine, table)
+    return engine.run().totals.wall_ns
 
 
 @pytest.fixture(scope="module")

@@ -220,8 +220,7 @@ def test_inject_sorts_entries_by_fid(and2_graph):
     faults = [fd(7, "wire", "y", 0, "sa1"), fd(2, "wire", "y", 0, "transient", 1, 2)]
     table = FaultTable(inject(g, faults))
     site = table.node_faults(g.name_to_id["y"])
-    assert [e.fid for e in site.entries] == site.fids == [2, 7]
-    assert site.entries[0] is faults[1] and site.entries[1] is faults[0]
+    assert list(site.fid_map) == site.fids == [2, 7]
     assert site.fid_map[7] is faults[0] and site.fid_map[2] is faults[1]
     assert len(site.transients) == 1 and site.transients[0] is faults[1]
     assert [f.fid for f in faults] == [7, 2]
@@ -415,6 +414,27 @@ def test_inject_checks_each_fault_at_a_resolved_location(bad, message):
     with pytest.raises(FaultModelError) as info:
         inject(build(AND8), GOOD_AT_N_AND_A + [bad])
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("bad, message", [
+    (fd(1, "wire", "y", 0, "SA0"), "fault 1: unknown fault kind 'SA0'"),
+    (fd(1, "wire", "y", 0, "stuck"), "fault 1: unknown fault kind 'stuck'"),
+    (fd(1, "wire", "y", 0, "transient", 3, 1), "fault 1: window 3..1 is empty"),
+])
+def test_unknown_kind_and_empty_window_are_rejected(bad, message):
+    """``faulty_val`` reads any kind but sa0 and sa1 as a transient, so a
+    programmatic ``SA0`` would be simulated as a flip at cycle 0.  Such a
+    fault is rejected on a direct resolution and behind another fault at
+    an already-resolved location."""
+
+    with pytest.raises(FaultModelError) as info:
+        resolve_injection_site(build(AND2), bad)
+    assert str(info.value) == message
+    with pytest.raises(FaultModelError) as info:
+        inject(build(AND2), [fd(0, "wire", "y", 0, "sa1"), bad])
+    assert str(info.value) == message
+    # A stuck-at fault ignores its window, so any bounds are accepted.
+    assert inject(build(AND2), [fd(0, "wire", "y", 0, "sa0", 3, 1)])
 
 
 def test_inject_resolves_each_location_once(monkeypatch):

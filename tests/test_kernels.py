@@ -140,7 +140,7 @@ def candidates(fan, faults, cycle):
     or injected here with an open window."""
 
     fids = {f for fs in fan for f, _ in fs.bads}
-    fids.update(f.fid for f in faults.entries
+    fids.update(f.fid for f in faults.fid_map.values()
                 if f.kind != "transient" or f.start <= cycle <= f.end)
     return sorted(fids)
 
@@ -169,8 +169,8 @@ class TestAffectedFids:
                             (4, ([(4, 0)], 1)), (5, ([(4, 0)], 1)), (6, ([], 0))]:
             assert eval_bad_gates(node, fan, faults, 1, cycle) == want
         faults.discard(4)
-        assert (faults.entries, faults.fids, faults.fid_map, faults.stuck,
-                faults.transients) == ([], [], {}, [], [])
+        assert (faults.fids, faults.fid_map, faults.stuck,
+                faults.transients) == ([], {}, [], [])
         assert eval_bad_gates(node, fan, faults, 1, 4) == ([], 0)
         assert not check_dependence_changed(node, fan, faults, 3)
 

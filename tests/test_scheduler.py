@@ -17,7 +17,7 @@ from faultsim.taskgraph import DEFAULT, Task, make_task_graph
 
 from conftest import (
     SYNCED, build, check_schedule_invariants, expanding_first, per_node_graph,
-    record_traces,
+    record_costs, record_traces, replay_costs,
 )
 
 
@@ -194,11 +194,11 @@ def test_expansion_does_not_depend_on_task_costs():
         cfg = SimConfig(workers=4, mode="full")
         eng = SimulationEngine(g, faults, stim, cfg)
         n = len(eng.tg.tasks)
-        cfg.cost_table = [
+        replay_costs(eng, [
             {tid: 1000 if table == "equal" else int(10 ** rng.uniform(0, 6))
              for tid in range(n)}
             for _ in stim.rows
-        ]
+        ])
         report = eng.run()
         # Each cycle runs or skips every body once (each node of a merged
         # task, each master, slave and commit) in one dispatch per task.
@@ -275,7 +275,7 @@ def test_drop_on_detect_keeps_verdicts():
                 continue
             site = table.node_faults(table.site_of[fault.fid])
             filed = (fault.fid in site.fid_map, fault.fid in site.fids,
-                     fault in site.entries, fault in site.transients)
+                     site.fid_map.get(fault.fid) is fault, fault in site.transients)
             live = fault.fid not in detected
             assert filed == (live, live, live, live and fault.kind == "transient"), \
                 (mode, fault.fid)
@@ -297,21 +297,47 @@ def test_cost_log_replays_the_schedule():
     b = gen_bench("skewed", 300, 5, cycles=6)
     _, stim, faults = b.build()
     g, _, _ = b.build()
-    cfg = SimConfig(workers=8, mode="full", threshold=0.02, record_costs=True)
+    cfg = SimConfig(workers=8, mode="full", threshold=0.02)
     eng = SimulationEngine(g, faults, stim, cfg)
+    log = record_costs(eng)
     live = eng.run()
     assert live.totals.expanded
-    assert [sum(log.values()) for log in eng.cost_log] == \
+    assert [sum(costs.values()) for costs in log] == \
         [sum(c.busy_ns) for c in live.cycles]
     g2, _, _ = b.build()
-    replay = run_simulation(g2, faults, stim, SimConfig(
-        workers=8, mode="full", threshold=0.02, cost_table=eng.cost_log))
+    eng2 = SimulationEngine(g2, faults, stim, SimConfig(
+        workers=8, mode="full", threshold=0.02))
+    replay_costs(eng2, log)
+    replay = eng2.run()
 
     def shape(report):
         return (report.totals.expanded,
                 [(c.executed, c.skipped, c.busy_ns) for c in report.cycles])
 
     assert shape(replay) == shape(live)
+
+
+@pytest.mark.parametrize("mode", ["structural", "full"])
+def test_replay_charges_listed_tasks_and_keeps_live_costs(mode):
+    """Replay is keyed by task id: a listed task is charged its table cost,
+    an unlisted one and every task of a cycle past the table's end its
+    live cost.  The load monitor keeps the live costs, and a barrier
+    cycle's log covers both of its phases."""
+
+    b = gen_bench("pipeline", 120, 9, cycles=5, fault_count=60)
+    g, stim, faults = b.build()
+    eng = SimulationEngine(g, faults, stim, SimConfig(workers=4, mode=mode))
+    n = len(eng.tg.tasks)
+    table = [{tid: 7 * (cycle + 1) for tid in range(cycle % 2, n, 2)}
+             for cycle in range(3)]
+    live = record_costs(eng)
+    replay_costs(eng, table)
+    report = eng.run()
+    assert [len(costs) for costs in live] == [n] * len(stim.rows)
+    for cycle, stats in enumerate(report.cycles):
+        listed = table[cycle] if cycle < len(table) else {}
+        assert sum(stats.busy_ns) == sum(listed.get(tid, cost)
+                                         for tid, cost in live[cycle].items())
 
 
 def test_layer_kernels_are_called_from_engine_modules(monkeypatch):
