@@ -1,11 +1,13 @@
 """Ablation and measurement pipeline: run every (mode, worker-count) cell
-on one benchmark, report wall time, speedup over the serial baseline,
+on one benchmark, report its time, speedup over the serial baseline,
 utilization, and the task-overhead accounting of the added
-master/slave and local-sync tasks.
+master/slave tasks.
 
-Wall times are taken as the minimum over a few interleaved trials, which
-filters host-speed drift out of cross-run ratios; the engine pauses
-garbage collection during each run.
+The two clocks differ: the serial cell holds host time, every other cell
+the modeled makespan of its pool schedule, so ``speedup`` divides serial
+host time by a modeled makespan.  Times are taken as the minimum over a
+few interleaved trials, which filters host-speed drift out of cross-run
+ratios; the engine pauses garbage collection during each run.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ class AblationTable:
     cells: list[AblationCell]
     overhead_fraction: float
     verdicts_consistent: bool
+    # Nodes ``full`` expanded at the largest worker count; with none, no
+    # task was added and the overhead fraction measures nothing.
+    expanded: tuple[int, ...] = ()
 
     def cell(self, mode: str, workers: int) -> AblationCell:
         for c in self.cells:
@@ -52,14 +57,17 @@ class AblationTable:
                 f"{c.mode:<18} {c.workers:>3} {c.wall_ns / 1e6:>11.2f} "
                 f"{c.utilization:>6.2f} {c.speedup:>8.2f}"
             )
-        lines.append(
-            f"added-task overhead fraction: {self.overhead_fraction:.4f}"
-        )
+        lines.append(f"added-task overhead fraction: {self.overhead_text()}")
         lines.append(
             "verdicts consistent across cells: "
             + ("yes" if self.verdicts_consistent else "NO")
         )
+        lines.append("serial row: host time; other rows: modeled schedule makespan")
+        lines.append("speedup: serial host time / modeled makespan")
         return "\n".join(lines) + "\n"
+
+    def overhead_text(self) -> str:
+        return f"{self.overhead_fraction:.4f}" if self.expanded else "none expanded"
 
 
 def ablation_run(
@@ -120,8 +128,9 @@ def ablation_run(
                 mean_dispatch_ns=t.mean_dispatch_ns,
             ))
 
-    table = AblationTable(cells, 0.0, consistent)
     p_max = max(workers)
+    table = AblationTable(cells, 0.0, consistent,
+                          best[(MODE_FULL, p_max)]["report"].totals.expanded)
     structural = table.cell(MODE_STRUCTURAL, p_max)
     full = table.cell(MODE_FULL, p_max)
     added = max(0, full.dispatches - structural.dispatches)

@@ -26,21 +26,15 @@ MAX_WORKERS = 1024
 
 @dataclass
 class SimConfig:
-    """Run settings, plus one measurement hook that only tests set.
-
-    ``workers`` to ``drop_on_detect`` are run settings; ``steady_state_check``
-    is the CLI's ``--steady-check`` re-sweep.  ``record_outputs`` stays
-    because no seam outside the engine can replace it: it is filled in
-    every mode, serial included, which has no pool to wrap, and every
-    engine-vs-oracle output test reads it.  Per-task costs are recorded
-    and replayed at the pool's ``run_phase`` seam, outside the engine."""
+    """Run settings, and nothing else: ``steady_state_check`` is the CLI's
+    ``--steady-check`` re-sweep.  Tests record output traces and per-task
+    costs at the engine's seams, outside the engine."""
 
     workers: int = 1
     mode: str = MODE_FULL
     threshold: float = 0.02
     drop_on_detect: bool = False
     steady_state_check: bool = False
-    record_outputs: bool = False
 
     def validate(self) -> None:
         if not 1 <= self.workers <= MAX_WORKERS:

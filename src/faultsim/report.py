@@ -86,7 +86,6 @@ class SimulationReport:
     config: dict
     cycles: list[CycleStats] = field(default_factory=list)
     totals: RunTotals = field(default_factory=RunTotals)
-    output_trace: list[tuple[int, ...]] | None = None
 
     def __post_init__(self):
         self.faults = sorted(self.faults, key=attrgetter("fid"))

@@ -166,7 +166,11 @@ class LoadMonitor:
     on the host.  The drain runs each task exactly once per cycle, so a
     task's time is its one recorded cost.  The pool is charged the value
     ``execute`` returns, which is this cost unless a caller wraps the
-    callable (the tests' cost replay does)."""
+    callable (the tests' cost record and replay do).
+
+    Nothing in the package or its tests reads ``task_ns``.  Its one reader
+    is perfbench's tracer, which wraps ``record`` to count dispatched
+    tasks (``scheduler.tasks_executed``) and to time the call itself."""
 
     def __init__(self):
         self.task_ns: dict[int, int] = {}
@@ -228,7 +232,9 @@ class SimulationEngine:
     graph once, in its final shape: the expanding modes split the nodes
     ``flag_overloaded`` picks from the netlist and the filed faults alone,
     and each straight-line chain of nodes is one task.  Both executors
-    call ``_detect`` once per cycle, after their drain."""
+    call ``_detect`` once per cycle, after their drain, and end the cycle
+    with one ``_end_cycle`` call, after which no state changes until the
+    next cycle's stimulus."""
 
     def __init__(self, graph: RtlGraph, faults: list[FaultDescriptor],
                  stimulus, config: SimConfig):
@@ -275,7 +281,6 @@ class SimulationEngine:
             self.monitor = LoadMonitor()
         self.detections: dict[int, tuple[int, str]] = {}
         self.cycle_stats: list[CycleStats] = []
-        self.output_trace: list[tuple[int, ...]] = []
         self._cycle = 0
         self._executed = 0
         self._skipped = 0
@@ -414,7 +419,6 @@ class SimulationEngine:
         charged to whichever task was running, and measured task times
         decide the modeled schedule."""
 
-        cfg = self.config
         run_cycle = self._run_serial_cycle if self.serial else self._run_pool_cycle
         gc_was_enabled = gc.isenabled()
         gc.disable()
@@ -427,16 +431,13 @@ class SimulationEngine:
         finally:
             if gc_was_enabled:
                 gc.enable()
-        report = SimulationReport(
+        return SimulationReport(
             faults=self.faults,
             detections=self.detections,
-            config=cfg.echo(),
+            config=self.config.echo(),
             cycles=self.cycle_stats,
             totals=self.totals,
         )
-        if cfg.record_outputs:
-            report.output_trace = self.output_trace
-        return report
 
     def _begin_cycle(self, cycle: int, row) -> None:
         apply_stimulus_row(self.graph, self.states, row, cycle)
@@ -476,10 +477,6 @@ class SimulationEngine:
         t.busy_ns = tuple(
             a + b for a, b in zip(t.busy_ns or (0,) * len(stats.busy_ns), stats.busy_ns)
         )
-        if self.config.record_outputs:
-            self.output_trace.append(
-                tuple(self.states[o].good for o in self.graph.outputs)
-            )
 
     def _run_serial_cycle(self, cycle: int, row) -> None:
         t0 = time.perf_counter_ns()

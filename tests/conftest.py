@@ -1,5 +1,6 @@
 import contextlib
 import random
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -8,6 +9,7 @@ from faultsim import scheduler
 from faultsim.faults import FaultDescriptor
 from faultsim.netlist import Literal
 from faultsim.rtl import COMB, CONST, INPUT, OUTPUT, REG, TASK_KINDS, VIRTUAL, elaborate_text
+from faultsim.scheduler import SimulationEngine
 from faultsim.taskgraph import DEFAULT, MASTER, SLAVE, SYNC, Task
 
 
@@ -203,42 +205,110 @@ def record_traces(eng):
     return traces
 
 
-def record_costs(eng):
-    """Make this engine keep, after each cycle's phases, a copy of the
-    per-task costs its load monitor recorded in that cycle, and return the
-    list those copies are kept in, one per cycle."""
+def record_outputs(eng):
+    """Make this engine append, at the end of each cycle, the good value of
+    every output, and return the list those tuples are appended to.  The
+    engine ends each cycle with one ``_end_cycle`` call, in every mode; an
+    output's driver is never a register (``rtl.observe_outputs``), so
+    serial's commits before that call leave the values as the strobe saw
+    them."""
 
-    log = []
+    trace = []
+    end_cycle = eng._end_cycle
+
+    def recording(stats):
+        end_cycle(stats)
+        trace.append(tuple(eng.states[o].good for o in eng.graph.outputs))
+
+    eng._end_cycle = recording
+    return trace
+
+
+def run_with_outputs(graph, faults, stimulus, config):
+    """Run an engine with ``record_outputs`` attached; return its report and
+    its output trace."""
+
+    eng = SimulationEngine(graph, faults, stimulus, config)
+    trace = record_outputs(eng)
+    return eng.run(), trace
+
+
+def _wrap_execute(eng, wrap):
+    """Make every ``run_phase`` call of this engine's pool run the tasks
+    through ``wrap(execute)`` instead of the engine's ``execute``
+    callable.  ``wrap`` is called once per phase."""
+
     run_phase = eng.pool.run_phase
 
-    def recording(*args, **kwargs):
-        phase = run_phase(*args, **kwargs)
-        # A barrier cycle's second phase replaces its first's copy.
-        log[eng._cycle:] = [dict(eng.monitor.task_ns)]
-        return phase
+    def wrapped(counts, ready, tasks, execute, **kwargs):
+        return run_phase(counts, ready, tasks, wrap(execute), **kwargs)
 
-    eng.pool.run_phase = recording
+    eng.pool.run_phase = wrapped
+
+
+def cost_key(task):
+    """A task's key in a cost log: ``(node, slave index)`` for a slave, whose
+    task id depends on the worker count, and the task id for every other
+    task, whose id does not."""
+
+    return (task.node, task.slave_index) if task.kind == SLAVE else task.id
+
+
+def record_costs(eng):
+    """Make this engine's pool log the cost ``execute`` returns for each
+    task, one dict per cycle keyed by ``cost_key``, and return the list of
+    those dicts.  A barrier cycle's two phases log into the same dict.
+    Attached after ``replay_costs``, it logs the live costs, not the
+    charged ones."""
+
+    log = []
+    tasks = eng.tg.tasks
+
+    def wrap(execute):
+        if len(log) == eng._cycle:
+            log.append({})
+        costs = log[eng._cycle]
+
+        def recording(tid):
+            cost = costs[cost_key(tasks[tid])] = execute(tid)
+            return cost
+
+        return recording
+
+    _wrap_execute(eng, wrap)
     return log
 
 
 def replay_costs(eng, table):
     """Charge this engine's pool the costs of a ``record_costs`` log: each
-    task still runs, but the pool is charged ``table[cycle][tid]``.  A task
-    the cycle's entry does not list, and every task of a cycle past the
-    end of the table, keeps its live cost."""
+    task still runs, but the pool is charged ``table[cycle][key]``.  A
+    slave is charged by fid range, so that a replay at any worker count
+    charges the same work: slave i of an expanded node's k is charged the
+    sum of that node's logged slaves [K*i/k, K*(i+1)/k), K being how many
+    the log holds; a log holds all of a node's slaves or none.  A task the
+    cycle's entry does not list (for a slave, no slave of its node), and
+    every task of a cycle past the end of the table, keeps its live cost."""
 
-    run_phase = eng.pool.run_phase
+    tasks, boards = eng.tg.tasks, eng.tg.boards
 
-    def replaying(counts, ready, tasks, execute, **kwargs):
+    def wrap(execute):
         costs = table[eng._cycle] if eng._cycle < len(table) else {}
+        logged = Counter(key[0] for key in costs if isinstance(key, tuple))
 
         def charged(tid):
             cost = execute(tid)
-            return costs.get(tid, cost)
+            task = tasks[tid]
+            if task.kind != SLAVE:
+                return costs.get(tid, cost)
+            K = logged[task.node]
+            if not K:
+                return cost
+            k, i = len(boards[task.node].partials), task.slave_index
+            return sum(costs[task.node, j] for j in range(K * i // k, K * (i + 1) // k))
 
-        return run_phase(counts, ready, tasks, charged, **kwargs)
+        return charged
 
-    eng.pool.run_phase = replaying
+    _wrap_execute(eng, wrap)
 
 
 def check_schedule_invariants(eng, traces):

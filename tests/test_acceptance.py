@@ -148,12 +148,14 @@ def _calibrate(bench, faults, stim, mode, workers=8, threshold=0.02):
     return log
 
 
-def _replay_wall(bench, faults, stim, table, mode, workers):
+def _replay(bench, faults, stim, table, mode, workers):
+    """Replay a calibrated cost table; return the run's totals."""
+
     graph, _, _ = bench.build()
     cfg = SimConfig(workers=workers, mode=mode, threshold=0.02)
     engine = SimulationEngine(graph, faults, stim, cfg)
     replay_costs(engine, table)
-    return engine.run().totals.wall_ns
+    return engine.run().totals
 
 
 @pytest.fixture(scope="module")
@@ -177,9 +179,8 @@ def test_two_dimensional_parallelism_benefit(skewed_bench):
 def test_scalability_trend(skewed_bench):
     bench, faults, stim = skewed_bench
     table = _calibrate(bench, faults, stim, "full")
-    walls = {p: _replay_wall(bench, faults, stim, table, "full", p)
-             for p in WORKER_GRID}
-    speedup = {p: walls[1] / walls[p] for p in WORKER_GRID}
+    totals = {p: _replay(bench, faults, stim, table, "full", p) for p in WORKER_GRID}
+    speedup = {p: totals[1].wall_ns / totals[p].wall_ns for p in WORKER_GRID}
     monotone = all(
         speedup[b] >= speedup[a] * 0.95
         for a, b in zip(WORKER_GRID, WORKER_GRID[1:])
@@ -187,7 +188,9 @@ def test_scalability_trend(skewed_bench):
     ok = speedup[8] >= 3.0 and monotone
     _criterion("scalability: full-mode speedup P8 >= 3.0x and non-decreasing",
                ok, "speedups " + ", ".join(f"P{p}={speedup[p]:.2f}x"
-                                           for p in WORKER_GRID))
+                                           for p in WORKER_GRID)
+               + "; busy " + ", ".join(f"P{p}={sum(totals[p].busy_ns) / 1e6:.1f}ms"
+                                       for p in WORKER_GRID))
 
 
 @pytest.mark.gate
@@ -196,8 +199,8 @@ def test_unified_schedule_benefit():
     graph, stim, faults = bench.build()
     assert len(graph.regs) >= 1500 / 4
     table = _calibrate(bench, faults, stim, "structural+fault")
-    barrier = _replay_wall(bench, faults, stim, table, "structural+fault", 8)
-    unified = _replay_wall(bench, faults, stim, table, "full", 8)
+    barrier = _replay(bench, faults, stim, table, "structural+fault", 8).wall_ns
+    unified = _replay(bench, faults, stim, table, "full", 8).wall_ns
     ratio = unified / barrier
     _criterion("unified schedule: full <= 0.9x structural+fault at P=8",
                ratio <= 0.9, f"ratio {ratio:.3f}")
@@ -217,7 +220,7 @@ def test_overhead_bound_on_bundled_benchmarks():
         table = ablation_run(bench.netlist, stim, faults, [8],
                              threshold=0.02, trials=2)
         assert table.verdicts_consistent
-        details.append(f"{bench.name}={table.overhead_fraction:.4f}")
+        details.append(f"{bench.name}={table.overhead_text()}")
         worst = max(worst, table.overhead_fraction)
     _criterion("overhead: added-task fraction < 15% on all bundled benches",
                worst < 0.15, "; ".join(details))

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from faultsim import oracles
+from faultsim.ablation import ablation_run
 from faultsim.cli import main
 from faultsim.faults import parse_fault_csv
 from faultsim.genbench import gen_bench
@@ -141,6 +142,22 @@ def test_ablate_smoke(tmp_path, capsys):
     assert text.splitlines()[1].startswith("serial")
     assert "verdicts consistent across cells: yes" in text
     assert "overhead fraction" in text
+
+
+def test_ablate_says_when_nothing_is_expanded():
+    """With no node expanded, no task was added: the table prints ``none
+    expanded`` rather than a 0.0000 fraction that reads as a measurement.
+    Its footer names the clock of each row and of ``speedup``."""
+
+    for args, expanded in ((("uniform", 200, 3), False), (("skewed", 150, 2), True)):
+        bench = gen_bench(*args, cycles=3)
+        _, stim, faults = bench.build()
+        table = ablation_run(bench.netlist, stim, faults, [2], trials=1)
+        assert bool(table.expanded) == expanded, args
+        text = table.format()
+        assert ("overhead fraction: none expanded" in text) != expanded, args
+        assert "serial row: host time; other rows: modeled schedule makespan" in text
+        assert "speedup: serial host time / modeled makespan" in text
 
 
 def test_ablate_bad_workers(capsys, tmp_path):

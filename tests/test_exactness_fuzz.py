@@ -19,11 +19,11 @@ from hypothesis import HealthCheck, event, given, settings, strategies as st
 from faultsim.config import SimConfig
 from faultsim.faults import generate_fault_list
 from faultsim.netlist import OPERATOR_ARITY
-from faultsim.oracles import run_good_trace, run_serial_concurrent, run_single_fault
+from faultsim.oracles import run_good_trace, run_single_fault
 from faultsim.rtl import TASK_KINDS, elaborate_text
 from faultsim.scheduler import SimulationEngine
 
-from conftest import expanding_first, output_faults
+from conftest import expanding_first, output_faults, record_outputs, run_with_outputs
 
 OPS = sorted(OPERATOR_ARITY)
 # Any width 1..64, with the word boundaries drawn often.
@@ -117,11 +117,10 @@ def test_concurrent_engines_match_single_fault_resimulation(case, data):
     faults = [universe[i] for i in sorted(picks)]
 
     good = run_good_trace(graph, rows)
-    report = run_serial_concurrent(elaborate_text(text), faults, rows,
-                                   SimConfig(mode="serial", record_outputs=True,
-                                             steady_state_check=True,
-                                             drop_on_detect=data.draw(st.booleans())))
-    assert report.output_trace == good, text
+    report, trace = run_with_outputs(elaborate_text(text), faults, rows,
+                                     SimConfig(mode="serial", steady_state_check=True,
+                                               drop_on_detect=data.draw(st.booleans())))
+    assert trace == good, text
     serial = report.verdicts()
     truth = []
     for fault in faults:
@@ -131,7 +130,7 @@ def test_concurrent_engines_match_single_fault_resimulation(case, data):
 
     for workers, mode in ((1, "full"), (4, "full"), (4, "structural+fault")):
         cfg = SimConfig(workers=workers, mode=mode, threshold=0.02,
-                        record_outputs=True, steady_state_check=True,
+                        steady_state_check=True,
                         drop_on_detect=data.draw(st.booleans()))
 
         def pick(graph):
@@ -143,6 +142,7 @@ def test_concurrent_engines_match_single_fault_resimulation(case, data):
         # How often examples hold pruned faults: --hypothesis-show-statistics.
         event("some faults unobservable" if eng.totals.unobservable
               else "every fault observable")
+        trace = record_outputs(eng)
         report = eng.run()
-        assert report.output_trace == good, (text, workers, mode)
+        assert trace == good, (text, workers, mode)
         assert report.verdicts() == truth, (text, workers, mode)

@@ -12,7 +12,7 @@ from faultsim.oracles import run_good_trace
 from faultsim.report import FaultResult
 from faultsim.scheduler import run_simulation
 
-from conftest import AND2, REG_LOOP, build
+from conftest import AND2, REG_LOOP, build, run_with_outputs
 
 
 def fd(fid, lk, name, bit, kind, start=0, end=0):
@@ -275,10 +275,10 @@ def test_injection_transparent_when_no_faults(regloop_graph):
     from conftest import rand_rows
 
     rows = rand_rows(random.Random(5), regloop_graph, 8)
-    cfg = SimConfig(workers=3, mode="full", record_outputs=True)
-    report = run_simulation(regloop_graph, [], rows, cfg)
+    cfg = SimConfig(workers=3, mode="full")
+    report, trace = run_with_outputs(regloop_graph, [], rows, cfg)
     g2 = build(REG_LOOP)
-    assert report.output_trace == run_good_trace(g2, rows)
+    assert trace == run_good_trace(g2, rows)
     assert report.results == []
 
 

@@ -85,6 +85,7 @@ def test_skewed_one_node_dominates_before_expansion():
     """The generated skew really concentrates execution time: some single
     node's measured share exceeds 0.3 while expansion is disabled."""
 
+    from conftest import record_costs
     from faultsim.config import SimConfig
     from faultsim.scheduler import SimulationEngine
 
@@ -92,8 +93,9 @@ def test_skewed_one_node_dominates_before_expansion():
     g, stim, faults = bench.build()
     eng = SimulationEngine(g, faults, stim,
                            SimConfig(workers=4, mode="structural"))
+    log = record_costs(eng)
     eng.run()
-    task_ns = eng.monitor.task_ns
+    task_ns = log[-1]  # the last cycle's costs, keyed by task id
     total_ns = sum(task_ns.values())
     node_share = {
         eng.tg.tasks[tid].node: ns / total_ns for tid, ns in task_ns.items()

@@ -16,7 +16,7 @@ from faultsim.rtl import RtlNode
 from faultsim.scheduler import run_simulation
 from faultsim.config import SimConfig
 
-from conftest import build
+from conftest import build, run_with_outputs
 
 
 def comb(op, width, nfanin, **kw):
@@ -278,12 +278,11 @@ end
         rows = [[1], [1], [1]]
         oracle = run_single_fault(build(text), fault, rows)
         assert not oracle.detected
-        report = run_simulation(g, [fault], rows,
-                                SimConfig(workers=2, record_outputs=True))
+        report, trace = run_with_outputs(g, [fault], rows, SimConfig(workers=2))
         assert not report.results[0].detected
         g2 = build(text)
         from faultsim.oracles import run_good_trace
-        assert report.output_trace == run_good_trace(g2, rows)
+        assert trace == run_good_trace(g2, rows)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -439,8 +438,7 @@ end
         fault = FaultDescriptor(0, "reg", "cnt", 0, "transient", 1, 2)
         rows = [[1]] * 6
         oracle = run_single_fault(build(text), fault, rows)
-        report = run_simulation(build(text), [fault], rows,
-                                SimConfig(workers=2, record_outputs=True))
+        report = run_simulation(build(text), [fault], rows, SimConfig(workers=2))
         assert oracle.output_trace != [(r[0],) for r in rows]  # fault did act
         assert report.results[0].detected == oracle.detected
         assert report.results[0].detect_cycle == oracle.detect_cycle

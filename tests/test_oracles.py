@@ -8,7 +8,7 @@ from faultsim.genbench import gen_bench
 from faultsim.oracles import run_good_trace, run_serial_concurrent, run_single_fault
 from faultsim.scheduler import SimulationEngine, run_simulation
 
-from conftest import AND2, build
+from conftest import AND2, build, run_with_outputs
 
 
 def test_controlling_value_detection():
@@ -88,13 +88,12 @@ end
     rows = [[0xF0, 0xF0], [0xF0, 0x00], [0x3C, 0x01]]
     g = build(text)
     faults = generate_fault_list(g, ["sa0", "sa1"])
-    serial = run_serial_concurrent(g, faults, rows,
-                                   SimConfig(mode="serial", record_outputs=True))
-    full = run_simulation(build(text), faults, rows,
-                          SimConfig(workers=4, mode="full", record_outputs=True))
+    serial, serial_trace = run_with_outputs(g, faults, rows, SimConfig(mode="serial"))
+    full, full_trace = run_with_outputs(build(text), faults, rows,
+                                        SimConfig(workers=4, mode="full"))
     good = run_good_trace(build(text), rows)
     assert all(o == 0 for o, _ in good)
-    assert serial.output_trace == full.output_trace == good
+    assert serial_trace == full_trace == good
     single = []
     for f in faults:
         r = run_single_fault(build(text), f, rows)

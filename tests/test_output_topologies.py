@@ -16,7 +16,9 @@ from faultsim.oracles import run_good_trace, run_single_fault
 from faultsim.rtl import elaborate_text
 from faultsim.scheduler import SimulationEngine
 
-from conftest import comb_edges, expanding_first, output_faults, rand_rows, topo_positions
+from conftest import (
+    comb_edges, expanding_first, output_faults, rand_rows, record_outputs, topo_positions,
+)
 
 # A comb node and a register read an output.
 READ_OUTPUT = """
@@ -146,12 +148,13 @@ def test_output_topologies_match_the_resimulator(name):
     for mode in MODES:
         for workers in (1, 4):
             cfg = SimConfig(workers=workers, mode=mode, threshold=0.02,
-                            steady_state_check=True, record_outputs=True)
+                            steady_state_check=True)
             # The expanding modes split the middle evaluated node first.
             with expanding_first(middle_node):
                 eng = SimulationEngine(elaborate_text(text), faults, rows, cfg)
+            trace = record_outputs(eng)
             report = eng.run()
-            assert report.output_trace == good, (name, mode, workers)
+            assert trace == good, (name, mode, workers)
             assert report.verdicts() == truth, (name, mode, workers)
 
     # The resimulator reads the rewired graph the same way.

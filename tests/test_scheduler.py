@@ -7,17 +7,17 @@ from faultsim import scheduler, taskgraph
 from faultsim.config import MAX_WORKERS, SimConfig
 from faultsim.genbench import gen_bench
 from faultsim.kernels import SimulationError
-from faultsim.oracles import run_good_trace, run_serial_concurrent
+from faultsim.oracles import run_good_trace, run_serial_concurrent, run_single_fault
 from faultsim.report import emit_report_csv, emit_stats
 from faultsim.rtl import TASK_KINDS, split_register_reads
 from faultsim.scheduler import (
     LoadMonitor, SimulationEngine, WorkerPool, flag_overloaded, run_simulation,
 )
-from faultsim.taskgraph import DEFAULT, Task, make_task_graph
+from faultsim.taskgraph import DEFAULT, SLAVE, Task, make_task_graph
 
 from conftest import (
     SYNCED, build, check_schedule_invariants, expanding_first, per_node_graph,
-    record_costs, record_traces, replay_costs,
+    cost_key, record_costs, record_traces, replay_costs, run_with_outputs,
 )
 
 
@@ -28,9 +28,9 @@ def small_bench(seed, profile="uniform", size=40, cycles=8, faults=12):
 def test_no_faults_single_worker_matches_plain_interpreter():
     b = small_bench(3)
     g, stim, _ = b.build()
-    report = run_simulation(g, [], stim, SimConfig(workers=1, record_outputs=True))
+    _, trace = run_with_outputs(g, [], stim, SimConfig(workers=1))
     g2, _, _ = b.build()
-    assert report.output_trace == run_good_trace(g2, stim)
+    assert trace == run_good_trace(g2, stim)
 
 
 def test_eval_deltas_identical_across_worker_counts(monkeypatch):
@@ -195,8 +195,8 @@ def test_expansion_does_not_depend_on_task_costs():
         eng = SimulationEngine(g, faults, stim, cfg)
         n = len(eng.tg.tasks)
         replay_costs(eng, [
-            {tid: 1000 if table == "equal" else int(10 ** rng.uniform(0, 6))
-             for tid in range(n)}
+            {cost_key(t): 1000 if table == "equal" else int(10 ** rng.uniform(0, 6))
+             for t in eng.tg.tasks}
             for _ in stim.rows
         ])
         report = eng.run()
@@ -319,25 +319,50 @@ def test_cost_log_replays_the_schedule():
 
 @pytest.mark.parametrize("mode", ["structural", "full"])
 def test_replay_charges_listed_tasks_and_keeps_live_costs(mode):
-    """Replay is keyed by task id: a listed task is charged its table cost,
-    an unlisted one and every task of a cycle past the table's end its
-    live cost.  The load monitor keeps the live costs, and a barrier
-    cycle's log covers both of its phases."""
+    """Replay is keyed by ``cost_key``: a listed task is charged its table
+    cost, an unlisted one and every task of a cycle past the table's end
+    its live cost.  A cost log attached after the replay keeps the live
+    costs, and a barrier cycle's log covers both of its phases."""
 
     b = gen_bench("pipeline", 120, 9, cycles=5, fault_count=60)
     g, stim, faults = b.build()
     eng = SimulationEngine(g, faults, stim, SimConfig(workers=4, mode=mode))
-    n = len(eng.tg.tasks)
-    table = [{tid: 7 * (cycle + 1) for tid in range(cycle % 2, n, 2)}
+    tg = eng.tg
+    n = len(tg.tasks)
+
+    def parity(t):  # a node's slaves are listed with its master
+        return (tg.node_task[t.node] if t.kind == SLAVE else t.id) % 2
+
+    table = [{cost_key(t): 7 * (cycle + 1) for t in tg.tasks if parity(t) == cycle % 2}
              for cycle in range(3)]
-    live = record_costs(eng)
     replay_costs(eng, table)
+    live = record_costs(eng)
     report = eng.run()
     assert [len(costs) for costs in live] == [n] * len(stim.rows)
     for cycle, stats in enumerate(report.cycles):
         listed = table[cycle] if cycle < len(table) else {}
         assert sum(stats.busy_ns) == sum(listed.get(tid, cost)
                                          for tid, cost in live[cycle].items())
+
+
+def test_replay_charges_the_same_work_at_every_worker_count():
+    """Slave task ids depend on the worker count, so the gates' replay
+    charges slaves by fid range: one P=8 log replayed at P = 1, 2, 4 and 8
+    charges the same summed busy time in every cycle, the log's own."""
+
+    b = gen_bench("skewed", 300, 5, cycles=6)
+    _, stim, faults = b.build()
+    g, _, _ = b.build()
+    eng = SimulationEngine(g, faults, stim, SimConfig(workers=8, mode="full"))
+    log = record_costs(eng)
+    assert eng.run().totals.expanded
+    logged = [sum(costs.values()) for costs in log]
+    for workers in (1, 2, 4, 8):
+        g, _, _ = b.build()
+        eng = SimulationEngine(g, faults, stim, SimConfig(workers=workers, mode="full"))
+        replay_costs(eng, log)
+        report = eng.run()
+        assert [sum(c.busy_ns) for c in report.cycles] == logged, workers
 
 
 def test_layer_kernels_are_called_from_engine_modules(monkeypatch):
@@ -625,6 +650,34 @@ def test_names_the_perfbench_tracer_wraps():
         assert inspect.isfunction(vars(taskgraph)[name]), name
 
 
+def test_names_perfbench_reads_from_an_untraced_run():
+    """An untraced perfbench run (``perfbench/run.py --trace 0``) builds the
+    engine and reads its results through these names, called as the
+    benchmark calls them.  perfbench is edited only by a change to the
+    benchmark itself, so a change to the package alone must keep every one
+    of them: ``totals.wall_ns``, for one, holds a modeled time, but it can
+    be renamed only together with perfbench's reads of it."""
+
+    b = small_bench(7, profile="skewed", size=60, cycles=4, faults=20)
+    graph, stim, faults = b.build()
+    engine = SimulationEngine(graph, faults, stim,
+                              SimConfig(workers=4, mode="full", threshold=0.02))
+    assert engine.tg.tasks and engine.table.site_of
+    report = engine.run()
+    totals = report.totals
+    assert totals.wall_ns > 0 and sum(totals.busy_ns) > 0
+    assert totals.dispatch_overhead_ns >= 0
+    assert totals.executed + totals.skipped > 0
+    rows = {r.fid: r for r in report.results}
+    serial = run_serial_concurrent(b.build()[0], faults, stim)
+    assert serial.totals.executed + serial.totals.skipped > 0
+    for fault in faults[:3]:
+        single = run_single_fault(b.build()[0], fault, stim)
+        row = rows[fault.fid]
+        assert (single.detected, single.detect_cycle, single.observing_output) == \
+            (row.detected, row.detect_cycle, row.observing_output)
+
+
 @pytest.mark.parametrize("mode", ["structural", "full"])
 def test_task_graph_is_final_at_setup(mode):
     """Setup builds the graph the run drains: each cycle dispatches every
@@ -886,8 +939,7 @@ end
         good = run_good_trace(build(text), rows)
         assert good[:len(expected)] == expected
         for mode in ("serial", "structural", "structural+fault", "full"):
-            rep = run_simulation(build(text), faults, rows, SimConfig(
-                workers=3, mode=mode, threshold=0.02, record_outputs=True,
-                steady_state_check=True))
-            assert rep.output_trace == good, (mode, text)
+            rep, trace = run_with_outputs(build(text), faults, rows, SimConfig(
+                workers=3, mode=mode, threshold=0.02, steady_state_check=True))
+            assert trace == good, (mode, text)
             assert rep.verdicts() == truth, (mode, text)
