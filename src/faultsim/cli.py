@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .ablation import ablation_run
-from .config import MODES, MODE_FULL, SimConfig
+from .config import MODES, MODE_FULL, MODE_SERIAL, SimConfig
 from .faults import (
     FaultModelError, TRANSIENT, FaultDescriptor, generate_fault_list,
     parse_fault_csv,
@@ -81,7 +81,11 @@ def build_parser() -> _Parser:
         help="comma-separated kinds, e.g. sa0,sa1 or sa0,sa1,transient:2:5",
     )
     run_p.add_argument("--workers", type=int, default=1)
-    run_p.add_argument("--mode", choices=MODES, default=MODE_FULL)
+    run_p.add_argument(
+        "--mode", choices=MODES,
+        help="schedule; default serial at --workers 1, where a one-worker "
+             "pool models nothing serial does not, and full otherwise",
+    )
     run_p.add_argument("--threshold", type=float, default=SimConfig.threshold)
     run_p.add_argument("--report", help="write per-fault verdict CSV here")
     run_p.add_argument("--stats", help="write per-cycle statistics here")
@@ -163,7 +167,7 @@ def _cmd_run(args) -> int:
 
     config = SimConfig(
         workers=args.workers,
-        mode=args.mode,
+        mode=args.mode or (MODE_SERIAL if args.workers == 1 else MODE_FULL),
         threshold=args.threshold,
         drop_on_detect=args.drop_on_detect,
         steady_state_check=args.steady_check,
@@ -190,7 +194,8 @@ def _cmd_run(args) -> int:
         f"faults={len(report.faults)} detected={report.detected} "
         f"unobservable={totals.unobservable} "
         f"coverage={report.coverage:.4f} cycles={len(report.cycles)} "
-        f"schedule_ms={totals.wall_ns / 1e6:.2f} host_ms={totals.host_ns / 1e6:.2f}"
+        f"schedule_ms={totals.wall_ns / 1e6:.2f} host_ms={totals.host_ns / 1e6:.2f} "
+        f"bound_ratio={totals.bound_ratio:.3f}"
     )
     if args.oracle_check:
         print("oracle-check: ok")

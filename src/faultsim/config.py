@@ -5,9 +5,11 @@ policy.  ``serial`` evaluates nodes in topological order and commits
 registers after the strobe; it has no task graph or worker pool, so the
 pool and expansion settings do not apply to it.  The other modes
 drain the same task graph on the discrete-event pool: ``structural`` and
-``structural+fault`` commit registers behind a barrier, ``full`` commits
-them mid-cycle, and the last two expand, before the first cycle, the nodes
-whose fault cone holds more than ``threshold`` of the summed cone counts.
+``structural+fault`` once per cycle, committing registers behind a
+barrier; ``full`` in one drain for the whole run, committing registers
+mid-cycle and overlapping consecutive cycles within a two-cycle window.
+The last two expand, before the first cycle, the nodes whose fault cone
+holds more than ``threshold`` of the summed cone counts.
 """
 
 from __future__ import annotations

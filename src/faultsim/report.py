@@ -41,12 +41,19 @@ class FaultResult:
 
 @dataclass
 class CycleStats:
+    """One cycle's times and tallies.  ``wall_ns`` is the cycle's share of
+    the run's clock: serial host time, a barrier cycle's stimulus, drains
+    and strobe, or, in ``full``, where consecutive cycles overlap, the
+    finish of the cycle's last task less that of the previous cycle's.
+    ``busy_ns`` is each worker's busy time in that stretch, and the counts
+    are of the cycle's own node and register bodies."""
+
     cycle: int
-    wall_ns: int
-    busy_ns: tuple[int, ...]
-    executed: int
-    skipped: int
-    sync_ns: int
+    wall_ns: int = 0
+    busy_ns: tuple[int, ...] = ()
+    executed: int = 0
+    skipped: int = 0
+    sync_ns: int = 0
 
 
 @dataclass
@@ -67,10 +74,19 @@ class RunTotals:
     bad_gates_kept: int = 0
     # Nodes split into a master and slaves at setup, heaviest first.
     expanded: tuple[int, ...] = ()
+    # A lower bound on wall_ns: the critical path of the executed schedule,
+    # the costliest chain of tasks each released by the one before it (with
+    # the host time between a barrier cycle's drains), or the summed busy
+    # time spread over every worker, if more.
+    bound_ns: int = 0
 
     @property
     def mean_dispatch_ns(self) -> float:
         return self.dispatch_overhead_ns / self.dispatches if self.dispatches else 0.0
+
+    @property
+    def bound_ratio(self) -> float:
+        return self.wall_ns / self.bound_ns if self.bound_ns else 0.0
 
 
 @dataclass
@@ -218,6 +234,7 @@ def emit_stats(report: SimulationReport) -> str:
         f"bad_gates_kept={t.bad_gates_kept} "
         f"expanded={';'.join(str(e) for e in t.expanded)} "
         f"dispatches={t.dispatches} mean_dispatch_ns={t.mean_dispatch_ns:.1f} "
+        f"bound_ns={t.bound_ns} bound_ratio={t.bound_ratio:.4f} "
         f"coverage={report.coverage:.6f} faults={len(report.faults)} "
         f"unobservable={t.unobservable}"
     )

@@ -1,27 +1,30 @@
-"""The simulation engine: the cycle loop and its two executors, plus the
+"""The simulation engine: the cycle loop and its executors, plus the
 worker pool, the per-task cost record and the choice of nodes to expand.
 
 Mode ``serial`` is a plain loop: each cycle evaluates the nodes in
 topological order, strobes the outputs, and commits the registers.
 Outputs are never evaluated in any mode: after ``rtl.observe_outputs`` an
 output shares its driver's state, so it is in neither the serial order
-nor the task graph.  It
-builds no task graph and times no task; its cycle times are host time.  It
-is the reference the parallel modes must reproduce bit for bit, and the
-baseline the ablation grid divides by.
+nor the task graph.  It builds no task graph and times no task; its cycle
+times are host time.  It is the reference the parallel modes must
+reproduce bit for bit, and the baseline the ablation grid divides by.
 
 The other modes execute the task graph on a fixed pool of workers with
 work stealing, through the same per-node and register-commit bodies.  The
 engine alone holds the schedule policy; every mode builds the same task
-graph.  ``full`` releases each register commit mid-cycle once its readers
-and producer are done; ``structural`` and ``structural+fault`` hold every
-commit back for a second phase behind a barrier.  ``structural+fault`` and
-``full`` also expand up to ``MAX_EXPANSIONS`` of the nodes with the
-largest fault cones into a master and one slave per worker.  The task
-graph is built once, at setup, in its final shape
-(``taskgraph.make_task_graph``): each straight-line chain of nodes is one
-task, which leaves the modeled schedule as it was and saves a dispatch per
-chained node.  The graph does not change after that.
+graph.  ``structural`` and ``structural+fault`` drain it once per cycle
+and hold every commit back for a second phase behind a barrier.  ``full``
+drains every cycle in one pool phase over the cycle window
+(``taskgraph.make_window``): a commit runs mid-cycle once its readers and
+producer are done, stimulus and strobe are tasks, and a task of the next
+cycle starts once the states it touches are free, with no cycle starting
+before the one two back is done.  ``structural+fault`` and ``full`` also
+expand up to ``MAX_EXPANSIONS`` of the nodes with the largest fault
+cones into a master and one slave per worker.  The task graph is built
+once, at setup, in its final shape (``taskgraph.make_task_graph``): each
+straight-line chain of nodes is one task, which leaves the modeled
+schedule as it was and saves a dispatch per chained node.  The graph does
+not change after that.
 
 The pool is a deterministic discrete-event executor: every task's kernel
 runs exactly once on the host, in an order consistent with the dependency
@@ -32,25 +35,27 @@ threads, so scheduling quality is accounted on the schedule itself rather
 than on OS threads; the drain contract (exactly-once execution, no busy
 waiting, stuck-task detection) is unchanged.
 
-Workers keep a local LIFO deque; cycle-entry tasks start in a shared
+Workers keep a local LIFO deque; a phase's entry tasks start in a shared
 injection queue.  An idle worker pops its own deque, then steals FIFO from
 the next non-empty victim in index order, and only then takes an entry
 task, so released successors (above all the slaves of an expanded node)
 run ahead of fresh entry tasks.  Completion events release successor
 tasks by decrementing their predecessor countdowns onto the finishing
-worker's deque; a task is claimed exactly once, when its countdown reaches
-zero.
+worker's deque; a task is claimed exactly once per countdown, when it
+reaches zero, and a caller that re-arms a countdown (the cycle window
+does, for the cycle two on) runs the task again.
 """
 
 from __future__ import annotations
 
 import gc
 import heapq
-import time
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
+from operator import add
+from time import perf_counter_ns
 
 from . import rtl
 from .config import MODE_FULL, MODE_SERIAL, MODE_STRUCTURAL, SimConfig
@@ -64,7 +69,8 @@ from .report import CycleStats, RunTotals, SimulationReport
 from .rtl import RtlGraph
 from .stimulus import as_rows
 from .taskgraph import (
-    DEFAULT, MASTER, SLAVE, SYNC, make_task_graph, reset_for_cycle,
+    DEFAULT, MASTER, SLAVE, STIMULUS, STROBE, SYNC, make_task_graph, make_window,
+    reset_for_cycle,
 )
 
 MAX_EXPANSIONS = 8  # nodes expanded at setup, heaviest first
@@ -74,7 +80,12 @@ MAX_EXPANSIONS = 8  # nodes expanded at setup, heaviest first
 class PhaseResult:
     makespan_ns: int
     busy_ns: list[int]
-    executed: list[int]
+    dispatched: int
+    # The critical path of the executed schedule: the costliest chain of
+    # tasks each released by the one before it (its last predecessor to
+    # finish), in summed charged costs.  A chain of dependent tasks, so no
+    # longer than the makespan.
+    critical_ns: int = 0
 
 
 class WorkerPool:
@@ -91,11 +102,14 @@ class WorkerPool:
         injection = deque(ready)
         busy = [0] * P
         idle: list[int] = []        # idle workers, ascending
-        heap: list[tuple[int, int, int, int, int]] = []
-        executed: list[int] = []
+        heap: list[tuple[int, int, int, int, int, int]] = []
+        # Per released task: the charged costs of the critical path that
+        # ends at the predecessor that released it.
+        reach = [0] * len(tasks)
         push, replace = heapq.heappush, heapq.heapreplace
         queued = 0                  # tasks held in the worker deques
-        seq = 0
+        seq = 0                     # tasks dispatched
+        self._busy, self._heap, self._now = busy, heap, time_base
 
         # The deques start empty: worker w takes the w-th entry task.
         for w in range(P):
@@ -105,23 +119,28 @@ class WorkerPool:
             tid = injection.popleft()
             cost = execute(tid)
             busy[w] += cost
-            push(heap, (time_base + cost, seq, w, tid, time_base))
+            push(heap, (time_base + cost, seq, w, tid, time_base, reach[tid] + cost))
             seq += 1
-            executed.append(tid)
 
         makespan = time_base
+        critical = 0
         while heap:
             # The earliest finish stays on the heap until the finishing
             # worker's next task replaces it (one sift instead of two).
-            fin, _, w, tid, started = heap[0]
+            fin, _, w, tid, started, path = heap[0]
+            self._now = fin
             if fin > makespan:
                 makespan = fin
+            if path > critical:
+                critical = path
             if trace is not None:
                 trace.append((tid, w, started, fin))
             q = queues[w]
             for succ in tasks[tid].succs:
-                counts[succ] -= 1
-                if counts[succ] == 0:
+                left = counts[succ] - 1
+                counts[succ] = left
+                if not left:
+                    reach[succ] = path
                     q.append(succ)
                     queued += 1
             if not queued and not injection:
@@ -147,10 +166,9 @@ class WorkerPool:
                     tid = injection.popleft()
                 cost = execute(tid)
                 busy[w] += cost
-                put(heap, (fin + cost, seq, w, tid, fin))
+                put(heap, (fin + cost, seq, w, tid, fin, reach[tid] + cost))
                 put = push
                 seq += 1
-                executed.append(tid)
                 if taken == len(idle) or not (queued or injection):
                     break
                 w = idle[taken]
@@ -158,15 +176,29 @@ class WorkerPool:
                 q = queues[w]
             if taken:
                 del idle[:taken]
-        return PhaseResult(makespan - time_base, busy, executed)
+        return PhaseResult(makespan - time_base, busy, seq, critical)
+
+    def clock(self) -> tuple[int, list[int]]:
+        """From inside an ``execute`` call of ``run_phase``: the modeled
+        time at which the task being dispatched starts, and each worker's
+        busy time elapsed by then, which is its charged costs less what
+        its running task has left."""
+
+        now = self._now
+        elapsed = list(self._busy)
+        for fin, _, w, *_ in self._heap:
+            if fin > now:
+                elapsed[w] -= fin - now
+        return now, elapsed
 
 
 class LoadMonitor:
-    """Per-task execution time for one cycle, as ``_execute`` measured it
-    on the host.  The drain runs each task exactly once per cycle, so a
-    task's time is its one recorded cost.  The pool is charged the value
-    ``execute`` returns, which is this cost unless a caller wraps the
-    callable (the tests' cost record and replay do).
+    """Per-task execution time, as ``_execute`` measured it on the host:
+    each task's latest run, by task id.  A barrier cycle clears it first;
+    in ``full``, where two cycles' runs interleave, nothing does.  The
+    pool is charged the value ``execute`` returns, which is this cost
+    unless a caller wraps the callable (the tests' cost record and replay
+    do), or 0 for a cycle window's gate, which is not recorded.
 
     Nothing in the package or its tests reads ``task_ns``.  Its one reader
     is perfbench's tracer, which wraps ``record`` to count dispatched
@@ -224,17 +256,20 @@ class SimulationEngine:
     state or drop ever sees it, ``totals.unobservable`` counts it, and the
     report reads it undetected.  Every node is still evaluated.
 
-    Two executors run the same per-node and register-commit bodies.  Mode
+    Three executors run the same per-node and register-commit bodies.  Mode
     ``serial`` evaluates every node in topological order, strobes, and then
     commits the registers; it builds no task graph, pool or load monitor,
-    and its cycle times are host time.  Every other mode drains the task
-    graph on the discrete-event pool, then strobes.  Setup builds that
-    graph once, in its final shape: the expanding modes split the nodes
-    ``flag_overloaded`` picks from the netlist and the filed faults alone,
-    and each straight-line chain of nodes is one task.  Both executors
-    call ``_detect`` once per cycle, after their drain, and end the cycle
-    with one ``_end_cycle`` call, after which no state changes until the
-    next cycle's stimulus."""
+    and its cycle times are host time.  ``structural`` and
+    ``structural+fault`` drain the task graph on the discrete-event pool
+    once per cycle, commits behind a barrier, then strobe.  ``full`` drains
+    every cycle in one pool phase over the cycle window
+    (``taskgraph.make_window``), where stimulus and strobe are tasks too.
+    Setup builds the task graph once, in its final shape: the expanding
+    modes split the nodes ``flag_overloaded`` picks from the netlist and
+    the filed faults alone, and each straight-line chain of nodes is one
+    task.  Every executor calls ``_detect`` once per cycle, when the
+    cycle's outputs hold their values, and ``_end_cycle`` once per cycle,
+    in cycle order."""
 
     def __init__(self, graph: RtlGraph, faults: list[FaultDescriptor],
                  stimulus, config: SimConfig):
@@ -273,24 +308,33 @@ class SimulationEngine:
                 heavy = flag_overloaded(graph, self.nf, config.threshold)[:MAX_EXPANSIONS]
             self.totals.expanded = tuple(heavy)
             self.tg = tg = make_task_graph(graph, heavy, config.workers)
+            self._tasks = tg.tasks          # what ``_execute`` runs, by id
             self.unified = config.mode == MODE_FULL
-            # Behind a barrier phase 1's entry list leaves out the sync tasks.
-            self.entry = [tid for tid in tg.entry_tasks
-                          if self.unified or tg.tasks[tid].kind != SYNC]
+            if self.unified:
+                # Dropping detected faults changes every state, and the
+                # re-sweep reads every state.
+                self.window = make_window(
+                    graph, tg, hold_strobe=config.drop_on_detect or config.steady_state_check)
+            else:
+                # Behind a barrier phase 1's entry list leaves out the sync tasks.
+                self.entry = [tid for tid in tg.entry_tasks if tg.tasks[tid].kind != SYNC]
             self.pool = WorkerPool(config.workers)
             self.monitor = LoadMonitor()
         self.detections: dict[int, tuple[int, str]] = {}
         self.cycle_stats: list[CycleStats] = []
         self._cycle = 0
-        self._executed = 0
-        self._skipped = 0
-        self._sync_ns = 0
+        self._stats = CycleStats(0)     # the tallies of the running task's cycle
+        self._critical_ns = 0
 
     # -- per-task execution -------------------------------------------------
 
-    def _execute(self, tid: int) -> int:
-        t0 = time.perf_counter_ns()
-        task = self.tg.tasks[tid]
+    def _execute(self, xid: int) -> int:
+        """Run one dispatched task and return its host time: task ``xid``
+        of the graph in a barrier cycle, or, in ``full``, the instance with
+        cycle window id ``xid`` (see ``_execute_instance``)."""
+
+        t0 = perf_counter_ns()
+        task = self._tasks[xid]
         kind = task.kind
         if kind == DEFAULT:
             self._run_default(task.nodes)
@@ -298,13 +342,31 @@ class SimulationEngine:
             self._run_master(task)
         elif kind == SLAVE:
             self._run_slave(task)
-        else:
+        elif kind == SYNC:
             self._run_sync(task.regs)
-        cost = time.perf_counter_ns() - t0
-        self.monitor.record(tid, cost)
+        elif kind == STIMULUS:
+            apply_stimulus_row(self.graph, self.states, self.rows[self._cycle], self._cycle)
+        elif kind == STROBE:
+            self._detect(self._cycle)
+            if self.config.steady_state_check:
+                self._snapshot_registers()
+        else:                           # a cycle window's gate
+            self._close_cycle(xid >= self._size)
+            return 0
+        cost = perf_counter_ns() - t0
+        self.monitor.record(task.id, cost)
         if kind == SYNC:
-            self._sync_ns += cost
+            self._stats.sync_ns += cost
         return cost
+
+    def _execute_instance(self, xid: int) -> int:
+        """``full``'s execute callable: point the bodies at the cycle, and
+        its tallies, that the window id's slot serves, then run it."""
+
+        slot = xid >= self._size       # 0, or 1 for the window's second slot
+        self._cycle = self._slot_cycle[slot]
+        self._stats = self._open[slot]
+        return self._execute(xid)
 
     def _run_default(self, nids) -> None:
         """Evaluate nodes in the given order: a default task's chain, or
@@ -312,10 +374,11 @@ class SimulationEngine:
 
         bound = self.bound
         cycle = self._cycle
+        stats = self._stats
         for nid in nids:
             node, st, fanin_states, nf = bound[nid]
             if not check_dependence_changed(node, fanin_states, nf, cycle):
-                self._skipped += 1
+                stats.skipped += 1
                 continue
             diverged = nf.fids
             goods = []
@@ -336,15 +399,16 @@ class SimulationEngine:
                 # bad gate takes the good value.
                 new_bads = []
             commit_state(st, new_good, new_bads, cycle)
-            self._executed += 1
+            stats.executed += 1
 
     def _run_master(self, task) -> None:
         node, st, fanin_states, nf = self.bound[task.node]
         board = self.tg.boards[task.node]
+        board.reset()
         cycle = self._cycle
         if not check_dependence_changed(node, fanin_states, nf, cycle):
             board.skip = True
-            self._skipped += 1
+            self._stats.skipped += 1
             return
         new_good = eval_good(node, [fs.good for fs in fanin_states])
         board.new_good = new_good
@@ -364,12 +428,12 @@ class SimulationEngine:
             n = len(longest)
             board.bounds[1:k] = [longest[i * n // k][0] if n else 0 for i in range(1, k)]
         commit_state(st, new_good, st.bads, cycle)
-        self._executed += 1
+        self._stats.executed += 1
 
     def _run_slave(self, task) -> None:
         board = self.tg.boards[task.node]
         if board.skip:
-            self._skipped += 1
+            self._stats.skipped += 1
             return
         node, st, fanin_states, nf = self.bound[task.node]
         i = task.slave_index
@@ -383,7 +447,7 @@ class SimulationEngine:
             totals.bad_gates_evaluated += evaluated
             totals.bad_gates_kept += len(partial)
         board.partials[i] = partial
-        self._executed += 1
+        self._stats.executed += 1
         board.remaining -= 1
         if board.remaining == 0:
             new_bads = list(chain.from_iterable(board.partials))
@@ -397,6 +461,7 @@ class SimulationEngine:
 
         graph = self.graph
         states = self.states
+        stats = self._stats
         serve = self._cycle + 1
         for rid in regs:
             reg = graph.nodes[rid]
@@ -406,9 +471,9 @@ class SimulationEngine:
             if sync_check_needed(st, next_st, nf, serve):
                 new_good, new_bads = sync_register(reg, next_st, nf, serve)
                 commit_state(st, new_good, new_bads, serve)
-                self._executed += 1
+                stats.executed += 1
             else:
-                self._skipped += 1
+                stats.skipped += 1
 
     # -- cycle loop ----------------------------------------------------------
 
@@ -419,18 +484,24 @@ class SimulationEngine:
         charged to whichever task was running, and measured task times
         decide the modeled schedule."""
 
-        run_cycle = self._run_serial_cycle if self.serial else self._run_pool_cycle
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            host_start = time.perf_counter_ns()
-            for cycle, row in enumerate(self.rows):
-                self._cycle = cycle
-                run_cycle(cycle, row)
-            self.totals.host_ns = time.perf_counter_ns() - host_start
+            host_start = perf_counter_ns()
+            if self.serial or not self.unified:
+                run_cycle = self._run_serial_cycle if self.serial else self._run_pool_cycle
+                for cycle, row in enumerate(self.rows):
+                    self._cycle = cycle
+                    run_cycle(cycle, row)
+            else:
+                self._run_window()
+            self.totals.host_ns = perf_counter_ns() - host_start
         finally:
             if gc_was_enabled:
                 gc.enable()
+        t = self.totals
+        workers = len(t.busy_ns) or 1
+        t.bound_ns = max(self._critical_ns, -(-sum(t.busy_ns) // workers))
         return SimulationReport(
             faults=self.faults,
             detections=self.detections,
@@ -442,15 +513,18 @@ class SimulationEngine:
     def _begin_cycle(self, cycle: int, row) -> None:
         apply_stimulus_row(self.graph, self.states, row, cycle)
         if self.config.steady_state_check:
-            # Pool modes commit registers before the re-sweep; it must judge
-            # settlement against the values this cycle read.
-            self._reg_snapshot = {
-                rid: (self.states[rid].good, list(self.states[rid].bads))
-                for rid in self.graph.regs
-            }
-        self._executed = 0
-        self._skipped = 0
-        self._sync_ns = 0
+            self._snapshot_registers()
+        self._stats = CycleStats(cycle)
+
+    def _snapshot_registers(self) -> None:
+        """Keep the register values the coming cycle reads for its
+        re-sweep: pool modes commit registers before the re-sweep, which
+        must judge settlement against the values the cycle read."""
+
+        self._reg_snapshot = {
+            rid: (self.states[rid].good, list(self.states[rid].bads))
+            for rid in self.graph.regs
+        }
 
     def _detect(self, cycle: int) -> None:
         """Detection strobe, then the steady-state re-sweep, then the drop
@@ -479,45 +553,44 @@ class SimulationEngine:
         )
 
     def _run_serial_cycle(self, cycle: int, row) -> None:
-        t0 = time.perf_counter_ns()
+        t0 = perf_counter_ns()
         self._begin_cycle(cycle, row)
         self._run_default(self.order)
         self._detect(cycle)
-        sync0 = time.perf_counter_ns()
+        sync0 = perf_counter_ns()
         self._run_sync(self.graph.regs)
-        self._sync_ns = time.perf_counter_ns() - sync0
-        wall = time.perf_counter_ns() - t0
-        self._end_cycle(CycleStats(
-            cycle, wall, (wall,), self._executed, self._skipped, self._sync_ns
-        ))
+        stats = self._stats
+        stats.sync_ns = perf_counter_ns() - sync0
+        stats.wall_ns = perf_counter_ns() - t0
+        stats.busy_ns = (stats.wall_ns,)
+        self._critical_ns += stats.wall_ns
+        self._end_cycle(stats)
 
     def _run_pool_cycle(self, cycle: int, row) -> None:
+        """A barrier cycle: stimulus, the compute drain, the commit drain
+        behind it, then the strobe.  Stimulus and strobe are host time
+        between the drains."""
+
         tg = self.tg
-        boundary0 = time.perf_counter_ns()
+        boundary0 = perf_counter_ns()
         self._begin_cycle(cycle, row)
         counts = reset_for_cycle(tg)
-        if not self.unified:
-            # Behind a barrier the compute drain must not release a sync
-            # task: its countdown starts below zero and only falls.
-            for tid in tg.sync_tasks:
-                counts[tid] = -1
+        # The compute drain must not release a sync task: its countdown
+        # starts below zero and only falls.
+        for tid in tg.sync_tasks:
+            counts[tid] = -1
         self.monitor.reset()
-        boundary_ns = time.perf_counter_ns() - boundary0
+        boundary_ns = perf_counter_ns() - boundary0
 
-        pool0 = time.perf_counter_ns()
-        phase = self.pool.run_phase(counts, self.entry, tg.tasks, self._execute)
-        wall = phase.makespan_ns
-        busy = phase.busy_ns
-        ran = len(phase.executed)
-        if not self.unified:
-            # Sync tasks are sinks: the commit phase starts with all of them.
-            phase = self.pool.run_phase(
-                counts, tg.sync_tasks, tg.tasks, self._execute, time_base=wall
-            )
-            wall += phase.makespan_ns
-            busy = [a + b for a, b in zip(busy, phase.busy_ns)]
-            ran += len(phase.executed)
-        pool_host_ns = time.perf_counter_ns() - pool0
+        pool0 = perf_counter_ns()
+        compute = self.pool.run_phase(counts, self.entry, tg.tasks, self._execute)
+        # Sync tasks are sinks: the commit phase starts with all of them.
+        commit = self.pool.run_phase(
+            counts, tg.sync_tasks, tg.tasks, self._execute, time_base=compute.makespan_ns
+        )
+        pool_host_ns = perf_counter_ns() - pool0
+        busy = [a + b for a, b in zip(compute.busy_ns, commit.busy_ns)]
+        ran = compute.dispatched + commit.dispatched
         if ran != len(tg.tasks):
             stuck = [(t.id, t.kind, counts[t.id]) for t in tg.tasks if counts[t.id] > 0]
             raise SimulationError(
@@ -525,20 +598,82 @@ class SimulationEngine:
                 f"unexecuted tasks; (id, kind, pending preds): {stuck[:20]}"
             )
 
-        b1 = time.perf_counter_ns()
+        b1 = perf_counter_ns()
         self._detect(cycle)
-        boundary_ns += time.perf_counter_ns() - b1
+        boundary_ns += perf_counter_ns() - b1
 
-        self._end_cycle(CycleStats(
-            cycle=cycle,
-            wall_ns=wall + boundary_ns,
-            busy_ns=tuple(busy),
-            executed=self._executed,
-            skipped=self._skipped,
-            sync_ns=self._sync_ns,
-        ))
+        stats = self._stats
+        stats.wall_ns = compute.makespan_ns + commit.makespan_ns + boundary_ns
+        stats.busy_ns = tuple(busy)
+        self._critical_ns += boundary_ns + compute.critical_ns + commit.critical_ns
+        self._end_cycle(stats)
         self.totals.dispatches += ran
         self.totals.dispatch_overhead_ns += max(0, pool_host_ns - sum(busy))
+
+    def _run_window(self) -> None:
+        """Mode ``full``: every cycle in one pool phase over the cycle
+        window (``taskgraph.make_window``).  A window id names a slot, and
+        the slot the cycle it serves; each cycle's gate task closes it
+        (``_close_cycle``)."""
+
+        window, self.window = self.window, None     # held for the run only
+        cycles = len(self.rows)
+        if not cycles:
+            return
+        cfg = self.config
+        size = window.size
+        first, second, self._rearm = window.countdowns(self.tg.pred_reset)
+        self._never = [-2 * size] * size     # a slot past the last cycle: below zero for good
+        self._counts = counts = first + (second if cycles > 1 else self._never)
+        self._tasks = [task.task for task in window.tasks]
+        self._size = size
+        self._slot_cycle = [0, 1]
+        self._open = [CycleStats(0), CycleStats(1)]
+        self._closed = (0, [0] * cfg.workers)   # the last closed cycle's end, busy
+        if cfg.steady_state_check:
+            self._snapshot_registers()
+
+        ready = [tid for tid in range(size) if not first[tid]]
+        pool0 = perf_counter_ns()
+        phase = self.pool.run_phase(counts, ready, window.tasks, self._execute_instance)
+        pool_host_ns = perf_counter_ns() - pool0
+        ran = phase.dispatched
+        if ran != cycles * size:
+            stuck = [(iid, window.tasks[iid].kind, k) for iid, k in enumerate(counts) if k > 0]
+            raise SimulationError(
+                f"cycle {min(self._slot_cycle)}: pool drained with {cycles * size - ran} "
+                f"unexecuted task instances; (window id, kind, pending preds): {stuck[:20]}"
+            )
+        self._critical_ns = phase.critical_ns
+        self.totals.dispatches += ran
+        self.totals.dispatch_overhead_ns += max(0, pool_host_ns - sum(phase.busy_ns))
+
+    def _close_cycle(self, slot: int) -> None:
+        """The gate task of the cycle ``slot`` serves, which runs once the
+        cycle is done.  The cycle's wall time runs from the previous
+        cycle's last finish to its own, and its busy time is each worker's
+        busy time in between.  The slot's countdowns are re-armed for the
+        cycle two on: every instance of the slot has been released, and a
+        countdown has fallen below zero only by releases from the cycle
+        between, into the cycle two on, which the re-arm adds to."""
+
+        now, elapsed = self.pool.clock()
+        stats = self._open[slot]
+        end, busy = self._closed
+        stats.wall_ns = now - end
+        stats.busy_ns = tuple(e - b for e, b in zip(elapsed, busy))
+        self._closed = (now, elapsed)
+        self._end_cycle(stats)
+        cycle = stats.cycle + 2
+        size = self._size
+        lo = slot * size
+        counts = self._counts
+        if cycle < len(self.rows):
+            counts[lo:lo + size] = map(add, counts[lo:lo + size], self._rearm)
+        else:
+            counts[lo:lo + size] = self._never
+        self._open[slot] = CycleStats(cycle)
+        self._slot_cycle[slot] = cycle
 
     def _assert_steady(self, cycle: int) -> None:
         """Debug re-sweep: re-evaluating any node must change nothing."""

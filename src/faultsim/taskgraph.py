@@ -13,7 +13,10 @@ split the node's bad-gate work at fid cut points the master publishes.
 The graph is a plain dependency description with one shape for every
 mode: whether sync tasks run mid-cycle or behind a commit barrier is the
 engine's choice, not the graph's.  ``make_task_graph`` builds it at
-setup, and nothing changes it after that.
+setup, and nothing changes it after that.  ``make_window`` lays two
+cycles of it side by side for a drain that spans the run, with the
+per-cycle stimulus, strobe and gate tasks and the edges from each cycle
+to the next.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ class Task:
     nodes: tuple[int, ...] = ()
     slave_index: int = -1
     regs: tuple[int, ...] = ()
-    preds: set[int] = field(default_factory=set)
+    preds: tuple[int, ...] = ()
     succs: list[int] = field(default_factory=list)
 
 
@@ -62,8 +65,9 @@ class RangeBoard:
         self.partials: list[list[tuple[int, int]]] = [[] for _ in range(k)]
 
     def reset(self) -> None:
-        # In a cycle that commits, every slave overwrites its partial, so
-        # stale partials need no clearing here.
+        # The master calls this first thing.  In a cycle that commits,
+        # every slave overwrites its partial, so stale partials need no
+        # clearing here.
         self.skip = False
         self.remaining = len(self.partials)
 
@@ -171,10 +175,12 @@ def make_task_graph(graph: RtlGraph, expanded: Sequence[int] = (), k: int = 1) -
                 tasks[sid].succs = list(succs)
             succs = slaves[task.node] + succs
         task.succs = succs
+    preds: list[list[int]] = [[] for _ in tasks]
     for task in tasks:
-        tid = task.id
         for sid in task.succs:
-            tasks[sid].preds.add(tid)
+            preds[sid].append(task.id)
+    for task, ids in zip(tasks, preds):
+        task.preds = tuple(ids)
     return TaskGraph(
         tasks, node_task, sync_tasks, {nid: RangeBoard(k) for nid in expanded},
         [len(t.preds) for t in tasks], [t.id for t in tasks if not t.preds],
@@ -184,6 +190,223 @@ def make_task_graph(graph: RtlGraph, expanded: Sequence[int] = (), k: int = 1) -
 def reset_for_cycle(tg: TaskGraph) -> list[int]:
     """Fresh predecessor countdowns for one cycle."""
 
-    for board in tg.boards.values():
-        board.reset()
     return tg.pred_reset.copy()
+
+
+# The per-cycle tasks a cycle window adds after the graph's own.
+STIMULUS = "stimulus"
+STROBE = "strobe"
+GATE = "gate"
+
+
+class SlotTask:
+    """One task of a cycle window's slot: the per-cycle ``task`` it runs
+    and the window ids it releases when it finishes (``succs``).  Every
+    other attribute reads through to ``task``, except ``preds``, the
+    window ids it waits for."""
+
+    __slots__ = ("task", "succs", "iid", "inverse")
+
+    def __init__(self, task: Task, succs: tuple[int, ...], iid: int, inverse: _Inverse):
+        self.task = task
+        self.succs = succs
+        self.iid = iid
+        self.inverse = inverse
+
+    @property
+    def preds(self) -> tuple[int, ...]:
+        return self.inverse.preds(self.iid)
+
+    def __getattr__(self, name):
+        return getattr(self.task, name)
+
+
+class _Inverse:
+    """A window's predecessor lists, worked out from its successor tuples
+    on first read.  It holds the tuples, not the slot tasks, so that no
+    reference cycle outlives a run."""
+
+    __slots__ = ("succs", "lists")
+
+    def __init__(self, succs: list[tuple[int, ...]]):
+        self.succs = succs
+        self.lists: list[tuple[int, ...]] | None = None
+
+    def preds(self, iid: int) -> tuple[int, ...]:
+        if self.lists is None:
+            lists: list[list[int]] = [[] for _ in self.succs]
+            for pred, succs in enumerate(self.succs):
+                for succ in succs:
+                    lists[succ].append(pred)
+            self.lists = [tuple(ids) for ids in lists]
+        return self.lists[iid]
+
+
+@dataclass
+class CycleWindow:
+    """Two consecutive cycles of the task graph, as one pool phase drains
+    them: slot s holds window ids [s * size, (s + 1) * size), and id
+    ``s * size + t`` is task ``t`` of the cycle the slot holds, cycle
+    parity s.  Task ids below ``len(tg.tasks)`` are the graph's; the
+    stimulus, strobe and gate tasks follow, in that order."""
+
+    tasks: list[SlotTask]
+    size: int
+    # Per task id: the same-cycle predecessors the window adds to the
+    # graph's, and the predecessors in the cycle before.
+    added: list[int]
+    crossing: list[int]
+    entry: list[int]        # the tasks with no same-cycle predecessor
+
+    def countdowns(self, pred_reset: list[int]) -> tuple[list[int], list[int], list[int]]:
+        """Predecessor counts per task id, given the graph's: in cycle 0,
+        in cycle 1, and in every later cycle, where ``entry`` also waits
+        for the gate two cycles back."""
+
+        first = [a + b for a, b in zip(pred_reset + [0, 0, 0], self.added)]
+        second = [a + b for a, b in zip(first, self.crossing)]
+        later = list(second)
+        for tid in self.entry:
+            later[tid] += 1
+        return first, second, later
+
+
+def make_window(graph: RtlGraph, tg: TaskGraph, hold_strobe: bool = False) -> CycleWindow:
+    """The cycle window of ``tg``: its tasks plus three per cycle, joined
+    by same-cycle edges and by edges from tasks of cycle c to tasks of
+    cycle c + 1, and nothing wider.
+
+    The stimulus task drives the inputs, and every task reading an input
+    waits for it.  The strobe task detects, and waits for the tasks that
+    write an output's driver.  The gate task waits for every task with no
+    same-cycle successor, so it runs once its cycle is done.  With
+    ``hold_strobe`` (a run that drops detected faults or re-sweeps, which
+    change or read every state) the strobe also waits for every task of
+    its cycle.
+
+    These are the per-task next-cycle successor lists the engine's setup
+    builds once: a task of cycle c + 1 waits for every task of cycle c
+    that reads a state it writes (write after read; a slave reads its
+    node's fanins and its master's cut points), and for itself in cycle c,
+    unless it already does through such a reader or through a task of its
+    own cycle that writes what it reads.  A task reading a register waits
+    for that register's commit in the cycle before.  With ``hold_strobe`` every task
+    of cycle c + 1 with no same-cycle predecessor waits for the strobe of
+    cycle c.  The gate of cycle c releases the tasks of cycle c + 2 with no
+    same-cycle predecessor, so no cycle starts before the one two back is
+    done; that is what lets two slots serve every cycle.  Same-cycle
+    successors come first in a task's ``succs``, then next-cycle ones, and
+    the gate last, so that the worker finishing a cycle's last task runs
+    its gate at once.
+    """
+
+    nodes = graph.nodes
+    tasks = tg.tasks
+    n = len(tasks)
+    stim, strobe, gate = n, n + 1, n + 2
+    size = n + 3
+    # The task that starts writing an evaluated node's state in a cycle is
+    # its node task, and an input's the stimulus; an expanded node's slaves
+    # finish it.
+    node_task = tg.node_task
+    inputs = set(graph.inputs)
+    finishers: dict[int, list[int]] = {}
+    for task in tasks:
+        if task.kind == SLAVE:
+            finishers.setdefault(task.node, []).append(task.id)
+    # The tasks that read an input: its evaluated readers, and the commits
+    # of registers whose next value it is.
+    reads_input = [False] * n
+    for nid in inputs:
+        for reader in nodes[nid].fanout:
+            if reader in node_task:
+                reads_input[node_task[reader]] = True
+
+    # Next-cycle successors.  A task waits, in the next cycle, for every
+    # task that reads a state it writes: a graph task's predecessors are
+    # the writers of what it reads (a slave reads what its master does, and
+    # the master's cut points), and a commit's are its register's readers
+    # and the producer of its next value.  A task that reads a state
+    # another task writes in its cycle follows itself in the next cycle
+    # through that writer, which it precedes there; every other task
+    # follows itself directly.
+    following: list[list[int]] = []
+    for task in tasks:
+        tid, kind = task.id, task.kind
+        if kind == SYNC:
+            source = nodes[task.regs[0]].next_src
+            producer = node_task.get(source)
+            if source in inputs:
+                reads_input[tid] = True
+                producer = stim
+            # Its register's readers read this commit in the next cycle.
+            reading = [p for p in task.preds if p != producer and tasks[p].kind != SLAVE]
+            following.append([producer if producer is not None else tid, *reading])
+        elif kind == SLAVE:
+            master = node_task[task.node]
+            following.append([master, *(w for w in following[master] if w != master)])
+        else:
+            writers = [p for p in task.preds if tasks[p].kind != SLAVE]
+            if reads_input[tid]:
+                writers.append(stim)
+            following.append(writers or [tid])
+    readers = [tid for tid in range(n) if reads_input[tid]]
+    # Each output's driver that some task writes, and the task that starts
+    # writing it.  The strobe waits for the tasks that finish them, and
+    # follows itself unless one of those starts one too.
+    drivers = {d: stim if d in inputs else node_task[d]
+               for oid in graph.outputs
+               if (d := nodes[oid].fanin[0]) in inputs or d in node_task}
+    strobed = dict.fromkeys(t for d, w in drivers.items() for t in finishers.get(d, (w,)))
+    following += [
+        [] if readers else [stim],
+        [*dict.fromkeys(drivers.values()),
+         *([] if any(d not in finishers for d in drivers) else [strobe])],
+        [gate],
+    ]
+    if hold_strobe:
+        strobed.update(dict.fromkeys(
+            tid for tid in range(n) if not tasks[tid].succs and tid not in strobed))
+        if not readers:
+            strobed[stim] = None
+
+    # Same-cycle successors: the graph's, the stimulus's readers, the
+    # strobe after its writers, and the gate after every task with none.
+    intra = [task.succs for task in tasks] + [readers, [], []]
+    for tid in strobed:
+        intra[tid] = intra[tid] + [strobe]
+    added = [0] * size
+    for tid in readers:
+        added[tid] += 1
+    sinks = [tid for tid in range(size) if not intra[tid] and tid != gate]
+    added[strobe], added[gate] = len(strobed), len(sinks)
+    entry = [tid for tid, (a, b) in enumerate(zip(tg.pred_reset + [0, 0, 0], added))
+             if not a + b]
+    if hold_strobe:
+        following[strobe] = list(dict.fromkeys(following[strobe] + entry))
+
+    crossing = [0] * size
+    for succs in following:
+        for succ in succs:
+            crossing[succ] += 1
+
+    # Each window id is one int object, however many tuples hold it.
+    ids = list(range(2 * size))
+    shifted = ids[size:].__getitem__
+    base = [*tasks, Task(stim, STIMULUS), Task(strobe, STROBE), Task(gate, GATE)]
+    succ_ids: list[tuple[int, ...]] = []
+    for slot in (0, 1):
+        for tid in range(size):
+            same, tail = intra[tid], ()
+            if tid == gate:
+                same = entry
+            elif not same:
+                tail = (gate,)
+            if slot:
+                succ_ids.append((*map(shifted, same), *following[tid], *map(shifted, tail)))
+            else:
+                succ_ids.append((*same, *map(shifted, following[tid]), *tail))
+    inverse = _Inverse(succ_ids)
+    window = [SlotTask(base[iid % size], succs, iid, inverse)
+              for iid, succs in zip(ids, succ_ids)]
+    return CycleWindow(window, size, added, crossing, entry)

@@ -10,7 +10,10 @@ from faultsim.faults import FaultDescriptor
 from faultsim.netlist import Literal
 from faultsim.rtl import COMB, CONST, INPUT, OUTPUT, REG, TASK_KINDS, VIRTUAL, elaborate_text
 from faultsim.scheduler import SimulationEngine
-from faultsim.taskgraph import DEFAULT, MASTER, SLAVE, SYNC, Task
+from faultsim.taskgraph import DEFAULT, GATE, MASTER, SLAVE, STIMULUS, STROBE, SYNC, Task
+
+
+WINDOW_KINDS = (STIMULUS, STROBE, GATE)
 
 
 def build(text):
@@ -148,7 +151,7 @@ def per_node_graph(graph, expanded=(), k=1) -> list[Task]:
     def edge(a, b):
         if b not in tasks[a].succs:
             tasks[a].succs.append(b)
-            tasks[b].preds.add(a)
+            tasks[b].preds += (a,)
 
     for node in graph.nodes:
         for src in node.fanin:
@@ -206,21 +209,20 @@ def record_traces(eng):
 
 
 def record_outputs(eng):
-    """Make this engine append, at the end of each cycle, the good value of
-    every output, and return the list those tuples are appended to.  The
-    engine ends each cycle with one ``_end_cycle`` call, in every mode; an
-    output's driver is never a register (``rtl.observe_outputs``), so
-    serial's commits before that call leave the values as the strobe saw
-    them."""
+    """Make this engine append, at each cycle's strobe, the good value of
+    every output, and return the list those tuples are appended to.  Every
+    executor calls ``_detect`` once per cycle, in cycle order, when the
+    cycle's outputs hold their values; in ``full`` the next cycle's tasks
+    may already have run, but none that writes an output's driver."""
 
     trace = []
-    end_cycle = eng._end_cycle
+    detect = eng._detect
 
-    def recording(stats):
-        end_cycle(stats)
+    def recording(cycle):
         trace.append(tuple(eng.states[o].good for o in eng.graph.outputs))
+        detect(cycle)
 
-    eng._end_cycle = recording
+    eng._detect = recording
     return trace
 
 
@@ -235,42 +237,41 @@ def run_with_outputs(graph, faults, stimulus, config):
 
 def _wrap_execute(eng, wrap):
     """Make every ``run_phase`` call of this engine's pool run the tasks
-    through ``wrap(execute)`` instead of the engine's ``execute``
+    through ``wrap(tasks, execute)`` instead of the engine's ``execute``
     callable.  ``wrap`` is called once per phase."""
 
     run_phase = eng.pool.run_phase
 
     def wrapped(counts, ready, tasks, execute, **kwargs):
-        return run_phase(counts, ready, tasks, wrap(execute), **kwargs)
+        return run_phase(counts, ready, tasks, wrap(tasks, execute), **kwargs)
 
     eng.pool.run_phase = wrapped
 
 
 def cost_key(task):
-    """A task's key in a cost log: ``(node, slave index)`` for a slave, whose
-    task id depends on the worker count, and the task id for every other
-    task, whose id does not."""
+    """A task's key in a cost log: ``(node, slave index)`` for a slave and
+    the kind for a cycle window's stimulus, strobe or gate, whose task ids
+    depend on the worker count, and the task id for every other task,
+    whose id does not.  A cycle window's task reads as the task it runs."""
 
-    return (task.node, task.slave_index) if task.kind == SLAVE else task.id
+    if task.kind == SLAVE:
+        return (task.node, task.slave_index)
+    return task.kind if task.kind in WINDOW_KINDS else task.id
 
 
 def record_costs(eng):
     """Make this engine's pool log the cost ``execute`` returns for each
-    task, one dict per cycle keyed by ``cost_key``, and return the list of
-    those dicts.  A barrier cycle's two phases log into the same dict.
+    task, keyed by ``(cycle, cost_key)``, and return that dict.  The
+    engine sets ``eng._cycle`` to the cycle of the task it runs, so one
+    phase may log many cycles: ``full`` drains every cycle in one.
     Attached after ``replay_costs``, it logs the live costs, not the
-    charged ones."""
+    charged ones; attached before, the charged ones."""
 
-    log = []
-    tasks = eng.tg.tasks
+    log = {}
 
-    def wrap(execute):
-        if len(log) == eng._cycle:
-            log.append({})
-        costs = log[eng._cycle]
-
+    def wrap(tasks, execute):
         def recording(tid):
-            cost = costs[cost_key(tasks[tid])] = execute(tid)
+            cost = log[eng._cycle, cost_key(tasks[tid])] = execute(tid)
             return cost
 
         return recording
@@ -281,34 +282,68 @@ def record_costs(eng):
 
 def replay_costs(eng, table):
     """Charge this engine's pool the costs of a ``record_costs`` log: each
-    task still runs, but the pool is charged ``table[cycle][key]``.  A
+    task still runs, but the pool is charged ``table[cycle, key]``.  A
     slave is charged by fid range, so that a replay at any worker count
     charges the same work: slave i of an expanded node's k is charged the
-    sum of that node's logged slaves [K*i/k, K*(i+1)/k), K being how many
-    the log holds; a log holds all of a node's slaves or none.  A task the
-    cycle's entry does not list (for a slave, no slave of its node), and
-    every task of a cycle past the end of the table, keeps its live cost."""
+    sum of that node's logged slaves [K*i/k, K*(i+1)/k) in that cycle, K
+    being how many the log holds; a log holds all of a node's slaves in a
+    cycle or none.  A task the table does not list in its cycle (for a
+    slave, no slave of its node) keeps its live cost, and so does a cycle
+    window's gate, whose cost is 0: a cycle ends when its gate starts."""
 
-    tasks, boards = eng.tg.tasks, eng.tg.boards
+    boards = eng.tg.boards
+    logged = Counter((cycle, key[0]) for cycle, key in table if isinstance(key, tuple))
 
-    def wrap(execute):
-        costs = table[eng._cycle] if eng._cycle < len(table) else {}
-        logged = Counter(key[0] for key in costs if isinstance(key, tuple))
-
+    def wrap(tasks, execute):
         def charged(tid):
             cost = execute(tid)
-            task = tasks[tid]
+            task, cycle = tasks[tid], eng._cycle
+            if task.kind == GATE:
+                return cost
             if task.kind != SLAVE:
-                return costs.get(tid, cost)
-            K = logged[task.node]
+                return table.get((cycle, cost_key(task)), cost)
+            K = logged[cycle, task.node]
             if not K:
                 return cost
             k, i = len(boards[task.node].partials), task.slave_index
-            return sum(costs[task.node, j] for j in range(K * i // k, K * (i + 1) // k))
+            return sum(table[cycle, (task.node, j)]
+                       for j in range(K * i // k, K * (i + 1) // k))
 
         return charged
 
     _wrap_execute(eng, wrap)
+
+
+def cycle_costs(log, cycles):
+    """The summed costs of a ``record_costs`` log, per cycle."""
+
+    sums = [0] * cycles
+    for (cycle, _), cost in log.items():
+        sums[cycle] += cost
+    return sums
+
+
+def cycle_traces(eng, traces):
+    """The schedule traces of a run as one trace per phase with task ids:
+    a barrier run's as they are, and a ``full`` run's one trace split into
+    one per cycle, each window id turned into its task id.  Within a
+    window slot, every task of a cycle finishes before any task of the
+    cycle two on starts, so a slot's completions come a cycle at a time."""
+
+    if not eng.unified:
+        return traces
+    size = len(eng.tg.tasks) + 3
+    out = []
+    for trace in traces:
+        per_cycle, seen = [], [0, 0]
+        for iid, w, start, fin in trace:
+            slot, tid = divmod(iid, size)
+            cycle = slot + 2 * (seen[slot] // size)
+            seen[slot] += 1
+            per_cycle += [[] for _ in range(cycle + 1 - len(per_cycle))]
+            per_cycle[cycle].append((tid, w, start, fin))
+        out += per_cycle
+    return out
 
 
 def check_schedule_invariants(eng, traces):
@@ -328,7 +363,7 @@ def check_schedule_invariants(eng, traces):
             slaves_of.setdefault(tg.node_task[t.node], []).append(t.id)
 
     checked_ms = checked_sync = 0
-    for trace in traces:
+    for trace in cycle_traces(eng, traces):
         times = {tid: (start, fin) for tid, _, start, fin in trace}
         # A trace is one phase; behind a barrier the compute phase runs no
         # sync task and the commit phase only sync tasks.
@@ -349,3 +384,64 @@ def check_schedule_invariants(eng, traces):
                         f"sync {sync_tid} started before reader {r} finished"
                     checked_sync += 1
     return checked_ms, checked_sync
+
+
+def check_data_hazards(eng, traces):
+    """Every state of a ``full`` run is read and written in order across
+    cycles, judged from the netlist and the executed schedule alone.  A
+    state's version v is written by its writers in cycle v and read by
+    its readers in cycle v (in cycle v + 1 for a register, which serves
+    the value its commit of cycle v stored); every writer of version v
+    finishes before any reader of v or writer of v + 1 starts, and every
+    reader of v before any writer of v + 1.  Returns the number of ordered
+    pairs checked."""
+
+    graph, tg = eng.graph, eng.tg
+    nodes = graph.nodes
+    n = len(tg.tasks)
+    stim, strobe = n, n + 1
+    writes, reads = {}, {}       # state -> tasks; a board is ("board", node)
+    for t in tg.tasks:
+        if t.kind == SYNC:
+            rid = t.regs[0]
+            writes.setdefault(rid, []).append(t.id)
+            reads.setdefault(nodes[rid].next_src, []).append(t.id)
+            continue
+        own = t.nodes if t.kind == DEFAULT else (t.node,)
+        for nid in own:
+            writes.setdefault(nid, []).append(t.id)
+            for f in nodes[nid].fanin:
+                if f not in own:
+                    reads.setdefault(f, []).append(t.id)
+        if t.kind == MASTER:
+            writes.setdefault(("board", t.node), []).append(t.id)
+        elif t.kind == SLAVE:
+            reads.setdefault(("board", t.node), []).append(t.id)
+    for nid in graph.inputs:
+        writes.setdefault(nid, []).append(stim)
+    for oid in graph.outputs:
+        reads.setdefault(nodes[oid].fanin[0], []).append(strobe)
+
+    per_cycle = [{tid: (start, fin) for tid, _, start, fin in trace}
+                 for trace in cycle_traces(eng, traces)]
+    checked = 0
+
+    def before(a, b):
+        nonlocal checked
+        (ta, ca), (tb, cb) = a, b
+        if 0 <= ca < len(per_cycle) and 0 <= cb < len(per_cycle):
+            assert per_cycle[ca][ta][1] <= per_cycle[cb][tb][0], \
+                f"task {ta} of cycle {ca} must finish before task {tb} of cycle {cb}"
+            checked += 1
+
+    for state, writers in writes.items():
+        lag = 1 if not isinstance(state, tuple) and nodes[state].kind == REG else 0
+        readers = reads.get(state, [])
+        for v in range(len(per_cycle)):
+            for w in writers:
+                for r in readers:
+                    before((w, v), (r, v + lag))
+                    before((r, v + lag), (w, v + 1))
+                for w2 in writers:
+                    before((w, v), (w2, v + 1))
+    return checked

@@ -223,6 +223,28 @@ def test_run_prints_both_clocks(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert " schedule_ms=" in out and " host_ms=" in out and "wall_ms" not in out
+    ratio = float(out.split(" bound_ratio=")[1].split()[0])
+    assert ratio >= 1.0
+
+
+@pytest.mark.parametrize("args, mode", [
+    ((), "serial"), (("--workers", "1"), "serial"), (("--workers", "3"), "full"),
+    (("--workers", "1", "--mode", "full"), "full"),
+    (("--workers", "3", "--mode", "structural"), "structural"),
+])
+def test_default_mode_follows_the_worker_count(tmp_path, capsys, args, mode):
+    """Without ``--mode`` one worker runs ``serial``: a one-worker pool
+    models nothing serial does not.  An explicit mode always holds."""
+
+    stats = tmp_path / "s.txt"
+    code = run_cli("run", "--netlist", AND2_NL, "--stimulus", AND2_STIM,
+                   "--gen-faults", "sa0,sa1", "--stats", stats, *args)
+    assert code == 0
+    config = stats.read_text().splitlines()[0]
+    assert f" mode={mode} " in config
+    totals = next(ln for ln in stats.read_text().splitlines() if ln.startswith("totals "))
+    assert " bound_ns=" in totals and " bound_ratio=" in totals
+    assert "bound_ratio=" in capsys.readouterr().out
 
 
 def test_python_dash_m_entry_point():

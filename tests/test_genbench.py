@@ -95,7 +95,8 @@ def test_skewed_one_node_dominates_before_expansion():
                            SimConfig(workers=4, mode="structural"))
     log = record_costs(eng)
     eng.run()
-    task_ns = log[-1]  # the last cycle's costs, keyed by task id
+    last = len(stim.rows) - 1
+    task_ns = {key: ns for (cycle, key), ns in log.items() if cycle == last}
     total_ns = sum(task_ns.values())
     node_share = {
         eng.tg.tasks[tid].node: ns / total_ns for tid, ns in task_ns.items()

@@ -13,11 +13,12 @@ from faultsim.rtl import TASK_KINDS, split_register_reads
 from faultsim.scheduler import (
     LoadMonitor, SimulationEngine, WorkerPool, flag_overloaded, run_simulation,
 )
-from faultsim.taskgraph import DEFAULT, SLAVE, Task, make_task_graph
+from faultsim.taskgraph import DEFAULT, SLAVE, SYNC, Task, make_task_graph
 
 from conftest import (
-    SYNCED, build, check_schedule_invariants, expanding_first, per_node_graph,
-    cost_key, record_costs, record_traces, replay_costs, run_with_outputs,
+    SYNCED, build, check_schedule_invariants, cost_key, cycle_costs,
+    expanding_first, per_node_graph, record_costs, record_traces, replay_costs,
+    run_with_outputs,
 )
 
 
@@ -194,18 +195,18 @@ def test_expansion_does_not_depend_on_task_costs():
         cfg = SimConfig(workers=4, mode="full")
         eng = SimulationEngine(g, faults, stim, cfg)
         n = len(eng.tg.tasks)
-        replay_costs(eng, [
-            {cost_key(t): 1000 if table == "equal" else int(10 ** rng.uniform(0, 6))
-             for t in eng.tg.tasks}
-            for _ in stim.rows
-        ])
+        replay_costs(eng, {
+            (cycle, cost_key(t)): 1000 if table == "equal" else int(10 ** rng.uniform(0, 6))
+            for cycle in range(len(stim.rows)) for t in eng.tg.tasks
+        })
         report = eng.run()
         # Each cycle runs or skips every body once (each node of a merged
-        # task, each master, slave and commit) in one dispatch per task.
+        # task, each master, slave and commit) in one dispatch per task,
+        # plus the stimulus, strobe and gate tasks of the cycle window.
         bodies = sum(len(t.nodes) if t.kind == DEFAULT else 1 for t in eng.tg.tasks)
         assert bodies > n
         assert {c.executed + c.skipped for c in report.cycles} == {bodies}, table
-        assert report.totals.dispatches == len(report.cycles) * n
+        assert report.totals.dispatches == len(report.cycles) * (n + 3)
         runs.append((report.totals.expanded,
                      [(t.kind, t.node, t.slave_index, t.regs, sorted(t.preds), t.succs)
                       for t in eng.tg.tasks]))
@@ -291,8 +292,8 @@ def test_drop_on_detect_keeps_verdicts():
 
 def test_cost_log_replays_the_schedule():
     """The gates calibrate one run and replay its logged costs: fed back as
-    the cost table, a run's log must charge the same busy time in every
-    cycle, on the same expanded task graph."""
+    the cost table, a run's log must charge the same costs in every cycle,
+    on the same expanded task graph, and give the same schedule."""
 
     b = gen_bench("skewed", 300, 5, cycles=6)
     _, stim, faults = b.build()
@@ -302,53 +303,57 @@ def test_cost_log_replays_the_schedule():
     log = record_costs(eng)
     live = eng.run()
     assert live.totals.expanded
-    assert [sum(costs.values()) for costs in log] == \
-        [sum(c.busy_ns) for c in live.cycles]
+    assert sum(log.values()) == sum(live.totals.busy_ns)
     g2, _, _ = b.build()
     eng2 = SimulationEngine(g2, faults, stim, SimConfig(
         workers=8, mode="full", threshold=0.02))
+    charged = record_costs(eng2)
     replay_costs(eng2, log)
     replay = eng2.run()
+    assert cycle_costs(charged, 6) == cycle_costs(log, 6)
 
     def shape(report):
         return (report.totals.expanded,
-                [(c.executed, c.skipped, c.busy_ns) for c in report.cycles])
+                [(c.executed, c.skipped, c.wall_ns, c.busy_ns) for c in report.cycles])
 
     assert shape(replay) == shape(live)
 
 
 @pytest.mark.parametrize("mode", ["structural", "full"])
 def test_replay_charges_listed_tasks_and_keeps_live_costs(mode):
-    """Replay is keyed by ``cost_key``: a listed task is charged its table
-    cost, an unlisted one and every task of a cycle past the table's end
-    its live cost.  A cost log attached after the replay keeps the live
-    costs, and a barrier cycle's log covers both of its phases."""
+    """Replay is keyed by ``(cycle, cost_key)``: a listed task is charged
+    its table cost, an unlisted one and every task of a cycle past the
+    table's end its live cost.  A cost log attached after the replay keeps
+    the live costs, one attached before it the charged ones, and a barrier
+    cycle's log covers both of its phases."""
 
     b = gen_bench("pipeline", 120, 9, cycles=5, fault_count=60)
     g, stim, faults = b.build()
     eng = SimulationEngine(g, faults, stim, SimConfig(workers=4, mode=mode))
     tg = eng.tg
-    n = len(tg.tasks)
+    per_cycle = len(tg.tasks) + (3 if mode == "full" else 0)
 
     def parity(t):  # a node's slaves are listed with its master
         return (tg.node_task[t.node] if t.kind == SLAVE else t.id) % 2
 
-    table = [{cost_key(t): 7 * (cycle + 1) for t in tg.tasks if parity(t) == cycle % 2}
-             for cycle in range(3)]
+    table = {(cycle, cost_key(t)): 7 * (cycle + 1)
+             for cycle in range(3) for t in tg.tasks if parity(t) == cycle % 2}
+    charged = record_costs(eng)
     replay_costs(eng, table)
     live = record_costs(eng)
     report = eng.run()
-    assert [len(costs) for costs in live] == [n] * len(stim.rows)
-    for cycle, stats in enumerate(report.cycles):
-        listed = table[cycle] if cycle < len(table) else {}
-        assert sum(stats.busy_ns) == sum(listed.get(tid, cost)
-                                         for tid, cost in live[cycle].items())
+    assert len(live) == per_cycle * len(stim.rows)
+    assert charged == {key: table.get(key, cost) for key, cost in live.items()}
+    assert sum(charged.values()) == sum(report.totals.busy_ns)
+    if mode == "structural":
+        assert cycle_costs(charged, len(stim.rows)) == \
+            [sum(stats.busy_ns) for stats in report.cycles]
 
 
 def test_replay_charges_the_same_work_at_every_worker_count():
     """Slave task ids depend on the worker count, so the gates' replay
     charges slaves by fid range: one P=8 log replayed at P = 1, 2, 4 and 8
-    charges the same summed busy time in every cycle, the log's own."""
+    charges the same summed cost in every cycle, the log's own."""
 
     b = gen_bench("skewed", 300, 5, cycles=6)
     _, stim, faults = b.build()
@@ -356,13 +361,63 @@ def test_replay_charges_the_same_work_at_every_worker_count():
     eng = SimulationEngine(g, faults, stim, SimConfig(workers=8, mode="full"))
     log = record_costs(eng)
     assert eng.run().totals.expanded
-    logged = [sum(costs.values()) for costs in log]
+    logged = cycle_costs(log, 6)
     for workers in (1, 2, 4, 8):
         g, _, _ = b.build()
         eng = SimulationEngine(g, faults, stim, SimConfig(workers=workers, mode="full"))
+        charged = record_costs(eng)
         replay_costs(eng, log)
         report = eng.run()
-        assert [sum(c.busy_ns) for c in report.cycles] == logged, workers
+        assert cycle_costs(charged, 6) == logged, workers
+        assert sum(report.totals.busy_ns) == sum(logged), workers
+
+
+def test_barrier_modes_replay_the_per_cycle_schedule():
+    """One recorded cost table, replayed through ``structural`` and
+    ``structural+fault``, gives each cycle's compute and commit drains the
+    makespans of a direct per-cycle replay of the task graph: the barrier
+    modes keep the schedule they had before ``full`` drained every cycle
+    in one phase.  Keys a mode's graph has and the log lacks (the
+    structural graph merges chains through nodes the other mode splits)
+    are charged one fixed cost in both replays."""
+
+    b = gen_bench("skewed", 300, 5, cycles=6)
+    _, stim, faults = b.build()
+    g, _, _ = b.build()
+    eng = SimulationEngine(g, faults, stim, SimConfig(workers=4, mode="structural+fault"))
+    log = record_costs(eng)
+    eng.run()
+    cycles = len(stim.rows)
+    for mode in ("structural", "structural+fault"):
+        g, _, _ = b.build()
+        eng = SimulationEngine(g, faults, stim, SimConfig(workers=4, mode=mode))
+        tg = eng.tg
+        table = {(c, cost_key(t)): log.get((c, cost_key(t)), 5000)
+                 for c in range(cycles) for t in tg.tasks}
+        replay_costs(eng, table)
+        run_phase = eng.pool.run_phase
+        results = []
+
+        def keeping(*args, **kwargs):
+            results.append(run_phase(*args, **kwargs))
+            return results[-1]
+
+        eng.pool.run_phase = keeping
+        eng.run()
+        got = [(a.makespan_ns, c.makespan_ns) for a, c in zip(results[::2], results[1::2])]
+        want = []
+        entry = [t for t in tg.entry_tasks if tg.tasks[t].kind != SYNC]
+        for c in range(cycles):
+            counts = list(tg.pred_reset)
+            for tid in tg.sync_tasks:
+                counts[tid] = -1
+            charge = [table[c, cost_key(t)] for t in tg.tasks].__getitem__
+            compute = WorkerPool(4).run_phase(counts, entry, tg.tasks, charge)
+            commit = WorkerPool(4).run_phase(counts, tg.sync_tasks, tg.tasks, charge,
+                                             time_base=compute.makespan_ns)
+            want.append((compute.makespan_ns, commit.makespan_ns))
+        assert got == want, mode
+        assert any(t.kind == SLAVE for t in tg.tasks) == (mode == "structural+fault")
 
 
 def test_layer_kernels_are_called_from_engine_modules(monkeypatch):
@@ -452,10 +507,11 @@ def test_deadlock_detector_reports_stuck_tasks():
     pool = WorkerPool(2)
     tasks = [Task(0, "default", node=0), Task(1, "default", node=1)]
     tasks[0].succs = []
-    tasks[1].preds = {99}
+    tasks[1].preds = (99,)
     counts = [0, 5]  # task 1 never releases
-    result = pool.run_phase(counts, [0], tasks, lambda tid: 10)
-    assert result.executed == [0]
+    calls = []
+    result = pool.run_phase(counts, [0], tasks, lambda tid: (calls.append(tid), 10)[1])
+    assert calls == [0] and result.dispatched == 1
 
     b = small_bench(2)
     g, stim, faults = b.build()
@@ -473,14 +529,14 @@ def test_pool_executes_each_task_exactly_once():
         for i in range(n):
             for j in rng.sample(range(i + 1, n), min(rng.randint(0, 3), n - i - 1)):
                 tasks[i].succs.append(j)
-                tasks[j].preds.add(i)
+                tasks[j].preds += (i,)
         counts = [len(t.preds) for t in tasks]
         ready = [t.id for t in tasks if not t.preds]
         pool = WorkerPool(rng.randint(1, 8))
         seen = []
         result = pool.run_phase(counts, ready, tasks,
                                 lambda tid: (seen.append(tid), rng.randint(0, 50))[1])
-        assert sorted(result.executed) == list(range(n))
+        assert result.dispatched == n
         assert sorted(seen) == list(range(n))
         order = {tid: i for i, tid in enumerate(seen)}
         for t in tasks:
@@ -552,7 +608,7 @@ def reference_run_phase(P, counts, ready, tasks, execute, trace, time_base):
 def test_inlined_pool_loop_keeps_the_reference_schedule():
     """Over random DAGs, worker counts 1..8, shuffled entry order, tied and
     zero costs, a nonzero time base and tasks that never release, the pool
-    gives the reference loop's makespan, busy times, execution order, trace
+    gives the reference loop's makespan, busy times, dispatch count, trace
     and final countdowns, and calls ``execute`` in the same order."""
 
     rng = random.Random(2024)
@@ -562,7 +618,7 @@ def test_inlined_pool_loop_keeps_the_reference_schedule():
         for i in range(n):
             for j in rng.sample(range(i + 1, n), min(rng.randint(0, 4), n - i - 1)):
                 tasks[i].succs.append(j)
-                tasks[j].preds.add(i)
+                tasks[j].preds += (i,)
         counts = [len(t.preds) for t in tasks]
         if case % 10 == 0:
             # A predecessor outside the phase: that task and its
@@ -585,12 +641,47 @@ def test_inlined_pool_loop_keeps_the_reference_schedule():
             if run == "pool":
                 res = WorkerPool(P).run_phase(cnt, list(ready), tasks, execute,
                                               trace, time_base)
-                got = (res.makespan_ns, res.busy_ns, res.executed)
+                got = (res.makespan_ns, res.busy_ns, res.dispatched)
             else:
-                got = reference_run_phase(P, cnt, list(ready), tasks, execute,
-                                          trace, time_base)
+                makespan, busy, executed = reference_run_phase(
+                    P, cnt, list(ready), tasks, execute, trace, time_base)
+                got = (makespan, busy, len(executed))
             sides.append((*got, trace, cnt, calls))
         assert sides[0] == sides[1], case
+
+
+def test_pool_reports_the_critical_path_it_ran():
+    """A phase's ``critical_ns`` is the costliest chain of tasks each
+    released by the one before it, its last predecessor to finish: read
+    back from the schedule trace, it is no longer than the DAG's longest
+    chain, and the makespan is no shorter than it or than the busy time
+    spread over every worker."""
+
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        tasks = [Task(i, "default", node=i) for i in range(n)]
+        for i in range(n):
+            for j in rng.sample(range(i + 1, n), min(rng.randint(0, 4), n - i - 1)):
+                tasks[i].succs.append(j)
+                tasks[j].preds += (i,)
+        cost = [rng.choice((0, 1, 7, 100, rng.randrange(10**6))) for _ in range(n)]
+        longest = [0] * n
+        for i in range(n):
+            longest[i] = cost[i] + max((longest[p] for p in tasks[i].preds), default=0)
+        P = rng.randint(1, 8)
+        trace = []
+        res = WorkerPool(P).run_phase([len(t.preds) for t in tasks],
+                                      [t.id for t in tasks if not t.preds], tasks,
+                                      cost.__getitem__, trace, rng.choice((0, 999)))
+        done = {tid: k for k, (tid, *_) in enumerate(trace)}
+        chain = {}
+        for tid, *_ in trace:
+            releaser = max(tasks[tid].preds, key=done.__getitem__, default=None)
+            chain[tid] = cost[tid] + (chain[releaser] if releaser is not None else 0)
+        assert res.critical_ns == max(chain.values())
+        assert res.critical_ns <= max(longest)
+        assert res.makespan_ns >= max(res.critical_ns, sum(res.busy_ns) / P)
 
 
 def test_merging_chains_leaves_the_modeled_schedule_unchanged():
@@ -611,7 +702,7 @@ def test_merging_chains_leaves_the_modeled_schedule_unchanged():
         for P in (1, 2, 4, 8):
             phase = WorkerPool(P).run_phase([len(t.preds) for t in tasks], entry,
                                             tasks, charge.__getitem__)
-            assert len(phase.executed) == len(tasks)
+            assert phase.dispatched == len(tasks)
             out.append((phase.makespan_ns, phase.busy_ns))
         return out
 
@@ -698,7 +789,8 @@ def test_task_graph_is_final_at_setup(mode):
     assert bool(tg.boards) == (mode == "full")
     report = eng.run()
     assert eng.tg is tg and shape(tg) == built
-    assert report.totals.dispatches == len(stim.rows) * len(built[0])
+    window = 3 if mode == "full" else 0  # stimulus, strobe and gate tasks
+    assert report.totals.dispatches == len(stim.rows) * (len(built[0]) + window)
 
 
 @pytest.mark.parametrize("mode", ["serial", "structural", "full"])

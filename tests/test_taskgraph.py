@@ -81,7 +81,7 @@ def test_chain_is_one_task():
     (task,) = tg.tasks  # inputs carry no task
     b, c = g.name_to_id["b"], g.name_to_id["c"]
     assert task.kind == DEFAULT and task.node == b and task.nodes == (b, c)
-    assert task.preds == set() and task.succs == []
+    assert task.preds == () and task.succs == []
     assert tg.node_task == {b: 0, c: 0} and tg.entry_tasks == [0]
 
 
@@ -102,7 +102,7 @@ def test_sync_task_waits_for_readers_and_producer():
     d = task_of(tg, g, "d")   # reads r
     e = task_of(tg, g, "e")   # produces next r
     assert sync.kind == SYNC
-    assert sync.preds == {d.id, e.id}
+    assert set(sync.preds) == {d.id, e.id}
     assert sync.succs == []
 
 
@@ -119,7 +119,7 @@ end
     g = build(text)
     tg = make_task_graph(g)
     sync = tg.tasks[tg.sync_tasks[0]]
-    assert sync.preds == {task_of(tg, g, "e").id}
+    assert set(sync.preds) == {task_of(tg, g, "e").id}
 
 
 def test_reg_to_reg_chain_orders_syncs():
@@ -146,8 +146,8 @@ end
     assert g.nodes[copy.node].fanin == [g.name_to_id["r1"]]
     o_copy = tg.tasks[tg.node_task[g.nodes[g.name_to_id["o"]].fanin[0]]]
     assert g.nodes[o_copy.node].fanin == [g.name_to_id["r2"]]
-    assert sync_r1.preds == {copy.id}
-    assert sync_r2.preds == {o_copy.id, copy.id}
+    assert set(sync_r1.preds) == {copy.id}
+    assert set(sync_r2.preds) == {o_copy.id, copy.id}
     assert copy.succs == [sync_r1.id, sync_r2.id]
 
 
@@ -159,9 +159,9 @@ def test_expansion_topology():
     slaves = [t for t in tg.tasks if t.kind == SLAVE]
     assert [s.slave_index for s in slaves] == [0, 1]
     for s in slaves:
-        assert s.preds == {c.id}
+        assert set(s.preds) == {c.id}
         assert s.succs == [d.id]
-    assert d.preds == {b.id, c.id} | {s.id for s in slaves}
+    assert set(d.preds) == {b.id, c.id} | {s.id for s in slaves}
     assert c.succs[:2] == [s.id for s in slaves]
 
 
@@ -336,12 +336,12 @@ def test_merge_chains_on_hand_built_netlist():
             assert t.node == t.nodes[0]
             assert all(tg.node_task[n] == t.id for n in t.nodes)
     assert tg.tasks[by_name["bcd"]].succs == [by_name["e"], by_name["f"]]
-    assert tg.tasks[by_name["z"]].preds == {by_name["st"], by_name["y"]}
+    assert set(tg.tasks[by_name["z"]].preds) == {by_name["st"], by_name["y"]}
     master = tg.tasks[tg.node_task[g.name_to_id["q"]]]
-    assert master.kind == MASTER and master.preds == {by_name["ghp"]}
+    assert master.kind == MASTER and set(master.preds) == {by_name["ghp"]}
     assert len(tg.tasks[by_name["st"]].preds) == 3  # the master and two slaves
     (sync,) = tg.sync_tasks
-    assert tg.tasks[sync].preds == {by_name["x"], by_name["z"]}
+    assert set(tg.tasks[sync].preds) == {by_name["x"], by_name["z"]}
     assert tg.entry_tasks == [by_name["bcd"], by_name["x"]]
     assert tg.pred_reset == [len(t.preds) for t in tg.tasks]
 
