@@ -192,7 +192,7 @@ def _cmd_run(args) -> int:
     totals = report.totals
     print(
         f"faults={len(report.faults)} detected={report.detected} "
-        f"unobservable={totals.unobservable} "
+        f"swept={totals.swept} unobservable={totals.unobservable} "
         f"coverage={report.coverage:.4f} cycles={len(report.cycles)} "
         f"schedule_ms={totals.wall_ns / 1e6:.2f} host_ms={totals.host_ns / 1e6:.2f} "
         f"bound_ratio={totals.bound_ratio:.3f}"

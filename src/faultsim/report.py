@@ -67,6 +67,9 @@ class RunTotals:
     # executed or skipped nodes.
     dispatches: int = 0
     dispatch_overhead_ns: int = 0
+    # Evaluated nodes and registers outside every output's cone: never
+    # evaluated or committed.
+    swept: int = 0
     # Faults outside every output's cone: never simulated, reported undetected.
     unobservable: int = 0
     # Bad gates the kernel evaluated, and those it kept as divergent.
@@ -236,7 +239,7 @@ def emit_stats(report: SimulationReport) -> str:
         f"dispatches={t.dispatches} mean_dispatch_ns={t.mean_dispatch_ns:.1f} "
         f"bound_ns={t.bound_ns} bound_ratio={t.bound_ratio:.4f} "
         f"coverage={report.coverage:.6f} faults={len(report.faults)} "
-        f"unobservable={t.unobservable}"
+        f"swept={t.swept} unobservable={t.unobservable}"
     )
     for c in report.cycles:
         lines.append(

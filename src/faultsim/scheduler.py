@@ -1,11 +1,12 @@
 """The simulation engine: the cycle loop and its executors, plus the
 worker pool, the per-task cost record and the choice of nodes to expand.
 
-Mode ``serial`` is a plain loop: each cycle evaluates the nodes in
-topological order, strobes the outputs, and commits the registers.
+Mode ``serial`` is a plain loop: each cycle evaluates the live nodes in
+topological order, strobes the outputs, and commits the live registers.
 Outputs are never evaluated in any mode: after ``rtl.observe_outputs`` an
 output shares its driver's state, so it is in neither the serial order
-nor the task graph.  It builds no task graph and times no task; its cycle
+nor the task graph, and neither is any node or register outside every
+output's cone.  It builds no task graph and times no task; its cycle
 times are host time.  It is the reference the parallel modes must
 reproduce bit for bit, and the baseline the ablation grid divides by.
 
@@ -220,7 +221,10 @@ def flag_overloaded(graph: RtlGraph, nf: list[NodeFaults], threshold: float) -> 
     number of filed fids whose site reaches it through fanin and register
     ``next`` edges, a bound on its bad-list length: one bit per fid, ORed
     over the evaluated nodes in topological order and then into each
-    register from its next source, until no register grows."""
+    register from its next source, until no register grows.  The counts,
+    the sum and so the floor cover every evaluated node, including those
+    the engine sweeps as outside every output's cone; the engine drops a
+    swept node from the picks."""
 
     nodes = graph.nodes
     order = [nid for nid in graph.topo if nodes[nid].kind in rtl.TASK_KINDS]
@@ -254,12 +258,16 @@ class SimulationEngine:
     Setup files only the faults whose site lies in some output's cone
     (``rtl.observable``).  Any other fault can never be detected: no kernel,
     state or drop ever sees it, ``totals.unobservable`` counts it, and the
-    report reads it undetected.  Every node is still evaluated.
+    report reads it undetected.  Setup sweeps the logic outside the cone
+    too: those evaluated nodes and registers are in neither the serial
+    order (``order``), the commit list (``regs``) nor the task graph, and
+    the register snapshot, the re-sweep and the drop skip them, since no
+    cycle refreshes their states.  ``totals.swept`` counts them.
 
     Three executors run the same per-node and register-commit bodies.  Mode
-    ``serial`` evaluates every node in topological order, strobes, and then
-    commits the registers; it builds no task graph, pool or load monitor,
-    and its cycle times are host time.  ``structural`` and
+    ``serial`` evaluates the live nodes in topological order, strobes, and
+    then commits the live registers; it builds no task graph, pool or load
+    monitor, and its cycle times are host time.  ``structural`` and
     ``structural+fault`` drain the task graph on the discrete-event pool
     once per cycle, commits behind a barrier, then strobe.  ``full`` drains
     every cycle in one pool phase over the cycle window
@@ -282,32 +290,40 @@ class SimulationEngine:
         rtl.split_register_reads(graph)
         rtl.observe_outputs(graph)
         seen = rtl.observable(graph)
+        nodes = graph.nodes
         self.table = FaultTable({nid: fs for nid, fs in by_site.items() if seen[nid]})
-        self.totals = RunTotals(unobservable=len(faults) - len(self.table.site_of))
+        # The live logic, in some output's cone: the evaluated nodes in
+        # topological order, and the registers.
+        self.order = [nid for nid in graph.topo
+                      if seen[nid] and nodes[nid].kind in rtl.TASK_KINDS]
+        self.regs = [rid for rid in graph.regs if seen[rid]]
+        evaluated = sum(1 for n in nodes if n.kind in rtl.TASK_KINDS)
+        self.totals = RunTotals(
+            swept=evaluated - len(self.order) + len(graph.regs) - len(self.regs),
+            unobservable=len(faults) - len(self.table.site_of),
+        )
         bind_operators(graph)
-        self.nf = [self.table.node_faults(i) for i in range(len(graph.nodes))]
+        self.nf = [self.table.node_faults(i) for i in range(len(nodes))]
         self.states = initial_states(graph, self.table)
-        # Each state object once: an output's is its driver's.
-        self.distinct_states = [self.states[n.id] for n in graph.nodes
-                                if n.kind != rtl.OUTPUT]
-        # What a node evaluation reads and writes, per node id: the node,
-        # its state, its fanin states and its injected faults.  A node's
-        # state object lives for the run.
+        # Each live state object once: an output's is its driver's.
+        self.distinct_states = [self.states[n.id] for n in nodes
+                                if seen[n.id] and n.kind != rtl.OUTPUT]
+        # What a node evaluation reads and writes, per live node id: the
+        # node, its state, its fanin states and its injected faults.  A
+        # node's state object lives for the run.
         self.bound = [
             (node, self.states[node.id], [self.states[f] for f in node.fanin],
-             self.nf[node.id])
-            for node in graph.nodes
+             self.nf[node.id]) if seen[node.id] else None
+            for node in nodes
         ]
         self.serial = config.mode == MODE_SERIAL
-        if self.serial:
-            self.order = [nid for nid in graph.topo
-                          if graph.nodes[nid].kind in rtl.TASK_KINDS]
-        else:
+        if not self.serial:
             heavy = []
             if config.mode != MODE_STRUCTURAL:
-                heavy = flag_overloaded(graph, self.nf, config.threshold)[:MAX_EXPANSIONS]
+                heavy = [nid for nid in flag_overloaded(graph, self.nf, config.threshold)
+                         if seen[nid]][:MAX_EXPANSIONS]
             self.totals.expanded = tuple(heavy)
-            self.tg = tg = make_task_graph(graph, heavy, config.workers)
+            self.tg = tg = make_task_graph(graph, heavy, config.workers, seen)
             self._tasks = tg.tasks          # what ``_execute`` runs, by id
             self.unified = config.mode == MODE_FULL
             if self.unified:
@@ -523,7 +539,7 @@ class SimulationEngine:
 
         self._reg_snapshot = {
             rid: (self.states[rid].good, list(self.states[rid].bads))
-            for rid in self.graph.regs
+            for rid in self.regs
         }
 
     def _detect(self, cycle: int) -> None:
@@ -558,7 +574,7 @@ class SimulationEngine:
         self._run_default(self.order)
         self._detect(cycle)
         sync0 = perf_counter_ns()
-        self._run_sync(self.graph.regs)
+        self._run_sync(self.regs)
         stats = self._stats
         stats.sync_ns = perf_counter_ns() - sync0
         stats.wall_ns = perf_counter_ns() - t0
@@ -676,7 +692,9 @@ class SimulationEngine:
         self._slot_cycle[slot] = cycle
 
     def _assert_steady(self, cycle: int) -> None:
-        """Debug re-sweep: re-evaluating any node must change nothing."""
+        """Debug re-sweep: re-evaluating any live node must change
+        nothing.  A swept node's state is never refreshed, so it is left
+        out."""
 
         def fanin_state(fid: int) -> NodeState:
             snap = self._reg_snapshot.get(fid)
@@ -685,10 +703,8 @@ class SimulationEngine:
             shim = NodeState(snap[0], snap[1])
             return shim
 
-        for nid in self.graph.topo:
+        for nid in self.order:
             node = self.graph.nodes[nid]
-            if node.kind not in rtl.TASK_KINDS:
-                continue
             st = self.states[nid]
             fanin_states = [fanin_state(f) for f in node.fanin]
             nf = self.nf[nid]

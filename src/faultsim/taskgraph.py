@@ -1,13 +1,15 @@
 """Executable task graph built from the RTL graph, once, in its final shape.
 
-Evaluated nodes (comb and virtual, ``rtl.TASK_KINDS``) become compute
-tasks; an output is no task: it shares its driver's state (see
-``rtl.observe_outputs``).  Each straight-line chain of evaluated nodes is
-one default task that evaluates them in chain order.  Each register
-commit becomes a local-sync task that depends on the producer of the
-register's next value and on every task reading the register, and
-nothing depends on it (a register-to-register read goes through a copy
-node, see ``rtl.split_register_reads``).  Each node the engine chose to
+Live evaluated nodes (comb and virtual, ``rtl.TASK_KINDS``, in some
+output's cone) become compute tasks.  An output is no task: it shares
+its driver's state (see ``rtl.observe_outputs``).  Nor is any node or
+register the engine sweeps as outside every output's cone.  Each
+straight-line chain of evaluated nodes is one default task that
+evaluates them in chain order.  Each live register's commit becomes a
+local-sync task that depends on the producer of the register's next
+value and on every task reading the register, and nothing depends on it
+(a register-to-register read goes through a copy node, see
+``rtl.split_register_reads``).  Each node the engine chose to
 expand, from its fault cone, is a master plus a fixed set of slaves that
 split the node's bad-gate work at fid cut points the master publishes.
 The graph is a plain dependency description with one shape for every
@@ -82,28 +84,37 @@ class TaskGraph:
     entry_tasks: list[int]              # tasks with no predecessor
 
 
-def make_task_graph(graph: RtlGraph, expanded: Sequence[int] = (), k: int = 1) -> TaskGraph:
-    """The task graph in its final shape, built once.
+def make_task_graph(graph: RtlGraph, expanded: Sequence[int] = (), k: int = 1,
+                    live: Sequence[bool] | None = None) -> TaskGraph:
+    """The task graph in its final shape, built once, over the live
+    evaluated nodes and registers: those ``live`` marks by node id, or
+    every one when it is None.  The engine passes ``rtl.observable``, and
+    logic outside every output's cone gets no task.
 
-    Node A links to node B when B is A's only evaluated reader, A is B's
-    only evaluated fanin, A feeds no register commit, and neither node is
-    in ``expanded``; each maximal chain of links becomes one default task
-    that evaluates its nodes in order.  The modeled schedule is the one a
-    task per node would give: the pool releases B onto A's worker at A's
-    finish, and that worker pops its own deque LIFO, so B ran there next;
-    only B's dispatch goes.
+    Only live nodes and registers count below: a swept reader is no
+    reader, and a swept register has no commit.  Node A links to node B
+    when B is A's only evaluated reader, A is B's only evaluated fanin, A
+    feeds no register commit, and neither node is in ``expanded``; each
+    maximal chain of links becomes one default task that evaluates its
+    nodes in order.  The modeled schedule is the one a task per node
+    would give: the pool releases B onto A's worker at A's finish, and
+    that worker pops its own deque LIFO, so B ran there next; only B's
+    dispatch goes.
 
     Tasks come in a fixed order: one default or master task per chain
-    head, in node-id order; one sync task per register, in ``graph.regs``
-    order; then k slaves per expanded node, in ``expanded`` order.  A
-    master evaluates the good gate and publishes k - 1 fid cut points;
-    each slave depends on the master alone and evaluates the bad gates of
-    the fids between its two cuts; the node's successors wait for the
-    master and every slave.  ``expanded`` lists distinct evaluated nodes.
+    head, in node-id order; one sync task per live register, in
+    ``graph.regs`` order; then k slaves per expanded node, in ``expanded``
+    order.  A master evaluates the good gate and publishes k - 1 fid cut
+    points; each slave depends on the master alone and evaluates the bad
+    gates of the fids between its two cuts; the node's successors wait for
+    the master and every slave.  ``expanded`` lists distinct live
+    evaluated nodes.
     """
 
     nodes = graph.nodes
-    evaluated = [n.id for n in nodes if n.kind in rtl.TASK_KINDS]
+    evaluated = [n.id for n in nodes
+                 if n.kind in rtl.TASK_KINDS and (live is None or live[n.id])]
+    regs = graph.regs if live is None else [rid for rid in graph.regs if live[rid]]
     # Per node id: an evaluated node's evaluated readers, in node-id order
     # (None for any other node), and its count of distinct evaluated fanins.
     readers: list[list[int] | None] = [None] * len(nodes)
@@ -120,7 +131,7 @@ def make_task_graph(graph: RtlGraph, expanded: Sequence[int] = (), k: int = 1) -
     # The registers (by index) whose commit waits for a node: it produces
     # the next value or reads the register, and waits once if it does both.
     commits: dict[int, list[int]] = {}
-    for j, rid in enumerate(graph.regs):
+    for j, rid in enumerate(regs):
         reg = nodes[rid]
         if nodes[reg.next_src].kind == rtl.REG:
             raise ValueError(
@@ -157,8 +168,8 @@ def make_task_graph(graph: RtlGraph, expanded: Sequence[int] = (), k: int = 1) -
         for n in chain:
             node_task[n] = tid
     first_sync = len(tasks)
-    sync_tasks = [first_sync + j for j in range(len(graph.regs))]
-    tasks += [Task(tid, SYNC, regs=(rid,)) for tid, rid in zip(sync_tasks, graph.regs)]
+    sync_tasks = [first_sync + j for j in range(len(regs))]
+    tasks += [Task(tid, SYNC, regs=(rid,)) for tid, rid in zip(sync_tasks, regs)]
     slaves: dict[int, list[int]] = {}
     for nid in expanded:
         base = len(tasks)

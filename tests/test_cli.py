@@ -391,7 +391,9 @@ end
 def test_dead_register_bank_reads_undetected_under_oracle_check(tmp_path, capsys):
     """The bank (r0, r1, their next logic and the input b feeding only it)
     reaches no output: its 20 faults are never simulated, and the oracle
-    check, which resimulates every fault, agrees that they go undetected."""
+    check, which resimulates every fault, agrees that they go undetected.
+    Its two registers, w0, w1 and the carrier that b's port faults splice
+    in are swept: never evaluated or committed."""
 
     nl, stim = tmp_path / "bank.nl", tmp_path / "bank.stim"
     nl.write_text(DEAD_BANK_NL)
@@ -404,9 +406,9 @@ def test_dead_register_bank_reads_undetected_under_oracle_check(tmp_path, capsys
     out = capsys.readouterr().out
     assert code == 0
     assert "oracle-check: ok" in out
-    assert "faults=28 " in out and " unobservable=20 " in out
+    assert "faults=28 " in out and " swept=5 unobservable=20 " in out
     totals = next(ln for ln in stats.read_text().splitlines() if ln.startswith("totals "))
-    assert totals.split()[-1] == "unobservable=20"
+    assert totals.split()[-2:] == ["swept=5", "unobservable=20"]
     rows = parse_report_csv(report.read_text())
     bank = [r for r in rows if r.location_name in ("r0", "r1", "w0", "w1", "b")]
     assert len(bank) == 20 and not any(r.detected for r in bank)
