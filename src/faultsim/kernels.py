@@ -24,6 +24,15 @@ Ulrich & Baker 1974).  The engine does not call the kernel for a node with
 no divergent fanin and no injected fault, since every bad gate there
 converges.
 
+A stored bad list is never mutated: every kernel that changes a state
+stores a new list, so several states may hold one list object.  A list that
+does not change is passed on instead of rebuilt.  A virtual copy no
+narrower than its fanin and with no filed fault holds its fanin's list
+(``bind_operators`` marks it), and a register with no filed fault and no
+wider next source holds that source's list (``sync_register``); a register
+with filed faults copies its source's list and patches only its injected
+fids.
+
 Each kernel writes exactly one node's state and reads only fanin states
 that the schedule has already sealed, so the kernels themselves need no
 locking in any execution discipline.  ``drop_detected`` removes the newly
@@ -127,14 +136,20 @@ def operator_of(node: RtlNode):
     return fn
 
 
-def bind_operators(graph: RtlGraph) -> None:
+def bind_operators(graph: RtlGraph, table: FaultTable) -> None:
     """Resolve every evaluated node's operator before the first cycle, so
     that no task pays for the lookup (nor inflates its measured load with
-    it)."""
+    it), and mark each pass-through copy: a virtual node at least as wide
+    as its fanin with no fault filed in ``table``.  Its value is its
+    fanin's, so ``eval_bad_gates`` gives it its fanin's bad list."""
 
-    for node in graph.nodes:
+    nodes = graph.nodes
+    for node in nodes:
         if node.kind in rtl.TASK_KINDS:
             operator_of(node)
+            node.pass_through = (node.kind == rtl.VIRTUAL
+                                 and node.width >= nodes[node.fanin[0]].width
+                                 and not table.node_faults(node.id).fids)
 
 
 def eval_good(node: RtlNode, fanin_goods: list[int]) -> int:
@@ -167,6 +182,9 @@ def eval_bad_gates(
     value.  Only values that differ from ``new_good`` are kept, so the
     result over any partition of the fid range concatenates to the result
     over the whole range, which is what makes split evaluation exact.
+
+    A pass-through copy (see ``bind_operators``) evaluates nothing: it
+    returns its fanin's list itself, or its slice in [lo, hi).
     """
 
     bounded = lo or hi is not None
@@ -195,6 +213,8 @@ def eval_bad_gates(
         live = [f.fid for f in live if f.start <= cycle <= f.end
                 and lo <= f.fid and (hi is None or f.fid < hi)]
     if not (stuck or live) and len(found) == 1:
+        if node.pass_through:
+            return bads, 0  # the one fanin's list, in range
         fids = found[0]  # a dict iterates in insertion order: ascending fids
     elif not (found or live):
         fids = stuck
@@ -271,53 +291,55 @@ def sync_register(
     next_state: NodeState,
     nf: NodeFaults,
     serve_cycle: int,
+    narrows: bool,
 ) -> tuple[int, list[tuple[int, int]]]:
     """Compute the register's committed state for the coming cycle.
 
-    The incoming good and bad values are the next-source node's state; a
+    The incoming good and bad values are the next-source node's state, cut
+    to the register's width when the source is wider (``narrows``); a
     fault injected at the reg applies its forcing rule to the incoming
     value (window judged at the cycle the stored value will serve).  As
     everywhere else, entries equal to the good value are not stored, so a
     transient whose window just closed persists only through genuinely
     divergent next values.
+
+    A stored bad list is never mutated and states may share one, so with
+    no fault filed here and no narrowing the result is the source's list
+    object itself, which the register then shares with it.  Otherwise
+    the incoming list is copied (or masked) and only the injected fids are
+    patched in place: each is found by bisection, forced, and replaced,
+    inserted, or deleted when it is forced to the good value.  The result
+    stays ascending by fid.
     """
 
     mask = reg.mask
-    incoming = next_state.bads
     new_good = next_state.good & mask
-    new_bads: list[tuple[int, int]] = []
-
-    if not nf.fids:
-        for pair in incoming:
-            value = pair[1] & mask
-            if value != new_good:
-                new_bads.append(pair if value == pair[1] else (pair[0], value))
-        return new_good, new_bads
-
-    # Merge the incoming divergences with the statically injected fids.
+    bads = next_state.bads
+    if narrows and bads:
+        bads = [(f, v) for f, w in bads if (v := w & mask) != new_good]
     fid_map = nf.fid_map
-    inj_fids = nf.fids
-    i = j = 0
-    ni, nj = len(incoming), len(inj_fids)
-    next_good = next_state.good
-    while i < ni or j < nj:
-        if j >= nj or (i < ni and incoming[i][0] < inj_fids[j]):
-            fid, value = incoming[i]
-            i += 1
-        elif i >= ni or incoming[i][0] > inj_fids[j]:
-            fid, value = inj_fids[j], next_good
-            j += 1
+    if not fid_map:
+        return new_good, bads
+    if not bads:
+        # Nothing diverges upstream: each injected fault forces the good value.
+        return new_good, [(f, v) for f, fault in fid_map.items()
+                          if (v := faulty_val(fault, new_good, serve_cycle)) != new_good]
+    if bads is next_state.bads:
+        bads = bads.copy()
+    i = 0
+    for fid, fault in fid_map.items():  # ascending, so positions only grow
+        i = bisect_left(bads, (fid,), i)
+        if i < len(bads) and bads[i][0] == fid:
+            value = faulty_val(fault, bads[i][1], serve_cycle)
+            if value == new_good:
+                del bads[i]
+            else:
+                bads[i] = (fid, value)
         else:
-            fid, value = incoming[i]
-            i += 1
-            j += 1
-        value &= mask
-        fault = fid_map.get(fid)
-        if fault is not None:
-            value = faulty_val(fault, value, serve_cycle)
-        if value != new_good:
-            new_bads.append((fid, value))
-    return new_good, new_bads
+            value = faulty_val(fault, new_good, serve_cycle)
+            if value != new_good:
+                bads.insert(i, (fid, value))
+    return new_good, bads
 
 
 def sync_check_needed(
@@ -359,8 +381,10 @@ def drop_detected(table: FaultTable, states: list[NodeState], new_fids) -> None:
     """Stop simulating a cycle's newly detected faults: discard each from
     its injection site and remove their divergences from every state in
     ``states``, which lists each distinct state object once (an output
-    shares its driver's).  A fault dropped earlier is not injected and
-    diverges nowhere, so it cannot reappear and needs no second visit."""
+    shares its driver's).  Each distinct list is filtered once, so states
+    that shared a list still share one after the drop.  A fault dropped
+    earlier is not injected and diverges nowhere, so it cannot reappear and
+    needs no second visit."""
 
     if not new_fids:
         return
@@ -368,16 +392,23 @@ def drop_detected(table: FaultTable, states: list[NodeState], new_fids) -> None:
         table.node_faults(table.site_of[fid]).discard(fid)
     new = sorted(new_fids)
     fids = set(new)
+    # Each distinct list once, by id: the list (held, so that no list made
+    # here can take its id) and what it became.
+    done = {}
     for st in states:
         bads = st.bads
         if not bads:
             continue
-        # Skip lists whose [first, last] fid span holds no new fid (found
+        seen = done.get(id(bads))
+        if seen is not None:
+            st.bads = seen[1]
+            continue
+        # Keep lists whose [first, last] fid span holds no new fid (found
         # by bisection) or that share none with the new fids.
         a = bisect_left(new, bads[0][0])
-        if a == len(new) or new[a] > bads[-1][0] or fids.isdisjoint(map(_fid, bads)):
-            continue
-        st.bads = [e for e in bads if e[0] not in fids]
+        if not (a == len(new) or new[a] > bads[-1][0] or fids.isdisjoint(map(_fid, bads))):
+            st.bads = [e for e in bads if e[0] not in fids]
+        done[id(bads)] = (bads, st.bads)
 
 
 def initial_states(graph: RtlGraph, table: FaultTable) -> list[NodeState]:
@@ -394,8 +425,9 @@ def initial_states(graph: RtlGraph, table: FaultTable) -> list[NodeState]:
             states[node.id].good = node.init
         elif node.kind == rtl.REG:
             st = states[node.id]
+            # The reset value has no bad list to narrow.
             st.good, st.bads = sync_register(
-                node, NodeState(node.init), table.node_faults(node.id), 0
+                node, NodeState(node.init), table.node_faults(node.id), 0, False
             )
     for oid in graph.outputs:
         states[oid] = states[graph.nodes[oid].fanin[0]]

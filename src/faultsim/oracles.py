@@ -1,11 +1,13 @@
 """Reference engines that define ground truth.
 
 ``run_single_fault`` resimulates one fault at a time with a plain
-topological interpreter and its own operator evaluation code, sharing
-nothing with the concurrent kernels, so the two cannot inherit a common
-bug.  ``run_serial_concurrent`` runs the concurrent engine in ``serial``
-mode (single threaded, topological order); the parallel modes must
-reproduce its report bit for bit.
+topological interpreter and its own operator evaluation code.  It shares
+no kernel with the concurrent engine, but it imports the engine's forcing
+rule (``faulty_val``) and fault-site rule (``resolve_injection_site``), so
+a defect in either would show on both sides.  ``run_serial_concurrent``
+runs the concurrent engine in ``serial`` mode (single threaded,
+topological order); the parallel modes must reproduce its report bit for
+bit.
 """
 
 from __future__ import annotations

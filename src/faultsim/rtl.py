@@ -64,6 +64,9 @@ class RtlNode:
     # Operator as a function of the operand values, filled in by the
     # kernels on the node's first evaluation.
     fn: object = field(default=None, init=False, repr=False, compare=False)
+    # Set by the kernels before the first cycle: a virtual copy whose bad
+    # list is always its fanin's list itself.
+    pass_through: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.mask = (1 << self.width) - 1

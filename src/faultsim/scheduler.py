@@ -302,20 +302,31 @@ class SimulationEngine:
             swept=evaluated - len(self.order) + len(graph.regs) - len(self.regs),
             unobservable=len(faults) - len(self.table.site_of),
         )
-        bind_operators(graph)
+        bind_operators(graph, self.table)
         self.nf = [self.table.node_faults(i) for i in range(len(nodes))]
         self.states = initial_states(graph, self.table)
         # Each live state object once: an output's is its driver's.
         self.distinct_states = [self.states[n.id] for n in nodes
                                 if seen[n.id] and n.kind != rtl.OUTPUT]
         # What a node evaluation reads and writes, per live node id: the
-        # node, its state, its fanin states and its injected faults.  A
-        # node's state object lives for the run.
-        self.bound = [
-            (node, self.states[node.id], [self.states[f] for f in node.fanin],
-             self.nf[node.id]) if seen[node.id] else None
-            for node in nodes
-        ]
+        # node, its state, its fanin states and its injected faults.  For a
+        # register, what its commit reads and writes: the register, its
+        # state, its next source's state, its injected faults, and whether
+        # the source is wider than the register.  A node's state object
+        # lives for the run.
+        states = self.states
+        self.bound = [None] * len(nodes)
+        for node in nodes:
+            nid = node.id
+            if not seen[nid]:
+                continue
+            if node.kind == rtl.REG:
+                src = nodes[node.next_src]
+                self.bound[nid] = (node, states[nid], states[src.id], self.nf[nid],
+                                   node.width < src.width)
+            else:
+                self.bound[nid] = (node, states[nid], [states[f] for f in node.fanin],
+                                   self.nf[nid])
         self.serial = config.mode == MODE_SERIAL
         if not self.serial:
             heavy = []
@@ -475,17 +486,13 @@ class SimulationEngine:
         source is a register (see ``rtl.split_register_reads``), so no
         commit reads another's state."""
 
-        graph = self.graph
-        states = self.states
+        bound = self.bound
         stats = self._stats
         serve = self._cycle + 1
         for rid in regs:
-            reg = graph.nodes[rid]
-            st = states[rid]
-            next_st = states[reg.next_src]
-            nf = self.nf[rid]
+            reg, st, next_st, nf, narrows = bound[rid]
             if sync_check_needed(st, next_st, nf, serve):
-                new_good, new_bads = sync_register(reg, next_st, nf, serve)
+                new_good, new_bads = sync_register(reg, next_st, nf, serve, narrows)
                 commit_state(st, new_good, new_bads, serve)
                 stats.executed += 1
             else:
@@ -535,10 +542,12 @@ class SimulationEngine:
     def _snapshot_registers(self) -> None:
         """Keep the register values the coming cycle reads for its
         re-sweep: pool modes commit registers before the re-sweep, which
-        must judge settlement against the values the cycle read."""
+        must judge settlement against the values the cycle read.  A commit
+        stores a new bad list and never mutates the old one, so the
+        snapshot holds the lists themselves."""
 
         self._reg_snapshot = {
-            rid: (self.states[rid].good, list(self.states[rid].bads))
+            rid: (self.states[rid].good, self.states[rid].bads)
             for rid in self.regs
         }
 

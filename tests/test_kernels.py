@@ -7,8 +7,8 @@ from faultsim.faults import (
     NO_FAULTS, FaultDescriptor, FaultTable, NodeFaults, faulty_val, inject,
 )
 from faultsim.kernels import (
-    NodeState, SimulationError, check_dependence_changed, eval_bad_gates,
-    eval_good, initial_states, sync_check_needed, sync_register,
+    NodeState, SimulationError, check_dependence_changed, drop_detected,
+    eval_bad_gates, eval_good, initial_states, sync_check_needed, sync_register,
 )
 from faultsim.netlist import OPERATOR_ARITY
 from faultsim.oracles import _ref_op, run_single_fault
@@ -361,6 +361,20 @@ end
         assert singles == whole
 
 
+    def test_pass_through_copy_returns_its_fanins_list(self):
+        """A pass-through copy evaluates no bad gate: unbounded it returns
+        its fanin's list object, and a slave gets the slice in its range."""
+
+        node = RtlNode(0, "virtual", "r$cpy", 4, fanin=[1])
+        node.pass_through = True
+        fan = [NodeState(5, [(2, 1), (6, 7), (9, 0)])]
+        kept, n = eval_bad_gates(node, fan, NO_FAULTS, 5, 3)
+        assert kept is fan[0].bads and n == 0
+        assert eval_bad_gates(node, fan, NO_FAULTS, 5, 3, 3, 9) == ([(6, 7)], 0)
+        assert eval_bad_gates(node, fan, NO_FAULTS, 5, 3, 6, None) == ([(6, 7), (9, 0)], 0)
+        assert eval_bad_gates(node, fan, NO_FAULTS, 5, 3, 10, None) == ([], 0)
+
+
 class TestDependenceCheck:
     def test_first_cycle_always_true(self):
         node = comb("AND", 1, 2)
@@ -391,16 +405,50 @@ def reg_node(width=1, init=0):
     return RtlNode(0, "reg", "r", width, init=init)
 
 
+def merge_walk_sync(reg, next_state, nf, serve_cycle):
+    """Reference register commit: one walk that merges the incoming
+    divergences with the injected fids in fid order, masks each value to
+    the register, forces it, and keeps it when it differs from the good
+    value."""
+
+    mask = reg.mask
+    incoming = next_state.bads
+    new_good = next_state.good & mask
+    inj_fids = nf.fids
+    out = []
+    i = j = 0
+    while i < len(incoming) or j < len(inj_fids):
+        if j >= len(inj_fids) or (i < len(incoming) and incoming[i][0] < inj_fids[j]):
+            fid, value = incoming[i]
+            i += 1
+        elif i >= len(incoming) or incoming[i][0] > inj_fids[j]:
+            fid, value = inj_fids[j], next_state.good
+            j += 1
+        else:
+            fid, value = incoming[i]
+            i += 1
+            j += 1
+        value &= mask
+        if fid in nf.fid_map:
+            value = faulty_val(nf.fid_map[fid], value, serve_cycle)
+        if value != new_good:
+            out.append((fid, value))
+    return new_good, out
+
+
 class TestSyncRegister:
     def test_plain_copy(self):
         reg = reg_node(4)
-        good, bads = sync_register(reg, NodeState(5, []), NO_FAULTS, 1)
+        good, bads = sync_register(reg, NodeState(5, []), NO_FAULTS, 1, False)
         assert (good, bads) == (5, [])
 
     def test_incoming_bads_filtered_against_new_good(self):
+        """A register narrower than its 8-bit source drops the divergences
+        that differ from the good value only above its width."""
+
         reg = reg_node(4)
-        nxt = NodeState(5, [(2, 5), (7, 9)])
-        good, bads = sync_register(reg, nxt, NO_FAULTS, 1)
+        nxt = NodeState(0x25, [(2, 0x15), (7, 0x29)])
+        good, bads = sync_register(reg, nxt, NO_FAULTS, 1, True)
         assert (good, bads) == (5, [(7, 9)])
 
     def test_one_bit_brute_force_against_enumeration(self):
@@ -415,7 +463,7 @@ class TestSyncRegister:
                     nxt = NodeState(incoming_good)
                     if incoming_bad is not None:
                         nxt.bads = [(9, incoming_bad)] if incoming_bad != incoming_good else []
-                    good, bads = sync_register(reg, nxt, faults, 1)
+                    good, bads = sync_register(reg, nxt, faults, 1, False)
                     base = incoming_bad if incoming_bad is not None else incoming_good
                     forced = 0 if kind == "sa0" else 1
                     expect = [(9, forced)] if forced != incoming_good else []
@@ -448,6 +496,50 @@ end
         good = run_good_trace(g_check, rows)
         assert oracle.output_trace[4] != good[4]
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_patch_matches_merge_walk(self, data):
+        """The copy-and-patch commit gives what one merge walk over the
+        incoming divergences and the injected fids gives, ascending and
+        with no entry equal to the good value.  It never mutates the
+        incoming list, and with nothing filed and no narrowing it returns
+        that list itself."""
+
+        rng = random.Random(data.draw(st.integers(0, 10**6)))
+        src_width = rng.randint(1, 12)
+        narrows = rng.random() < 0.4
+        width = rng.randint(1, src_width - 1) if narrows and src_width > 1 else \
+            rng.randint(src_width, 12)
+        narrows = width < src_width
+        reg = reg_node(width)
+        good = rng.getrandbits(src_width)
+        incoming = []
+        if rng.random() < 0.8:
+            fids = sorted(rng.sample(range(50), rng.randint(1, 15)))
+            incoming = [(f, v) for f in fids if (v := rng.getrandbits(src_width)) != good]
+        nxt = NodeState(good, incoming)
+        before = list(incoming)
+        # Injected fids drawn partly from the incoming ones, so that a fid
+        # is present, absent, or forced back to the good value.
+        pool = sorted({f for f, _ in incoming} | set(rng.sample(range(50), 10)))
+        serve = rng.randint(0, 6)
+        faults = NodeFaults([
+            rule(f, rng.randrange(width), rng.choice(["sa0", "sa1", "transient"]),
+                 *sorted(rng.sample(range(7), 2)))
+            for f in rng.sample(pool, rng.randint(0, min(8, len(pool))))
+        ])
+        discard_some(faults, rng, 0.2)
+        got = sync_register(reg, nxt, faults, serve, narrows)
+        assert got == merge_walk_sync(reg, nxt, faults, serve)
+        new_good, bads = got
+        assert [f for f, _ in bads] == sorted({f for f, _ in bads})
+        assert all(v != new_good for _, v in bads)
+        assert incoming == before
+        if not (faults.fids or narrows):
+            assert bads is incoming
+        elif incoming:
+            assert bads is not incoming
+
     def test_sync_skip_check_cold_start(self):
         assert sync_check_needed(NodeState(), NodeState(), NO_FAULTS, 1)
         assert not sync_check_needed(NodeState(), NodeState(), NO_FAULTS, 3)
@@ -461,3 +553,22 @@ def test_initial_states_apply_reg_rules():
     rid = g.name_to_id["r"]
     assert states[rid].good == 6
     assert states[rid].bads == [(0, 7)]
+
+
+class TestDropDetected:
+    def test_shared_lists_stay_shared(self):
+        """Each distinct list is filtered once: states that shared a list
+        share the filtered one, and a list without a new fid is kept."""
+
+        table = FaultTable(inject(build("module m\ninput a 4\nassign y 4 = NOT a\noutput o 4 = y\nend"),
+                                  [rule(f, 0, "sa0") for f in (1, 3, 5)]))
+        hit, miss = [(1, 0), (2, 4), (3, 1)], [(2, 4), (7, 1)]
+        states = [NodeState(0, hit), NodeState(1, hit), NodeState(0, miss),
+                  NodeState(2, miss), NodeState(0, [(3, 2)]), NodeState(0)]
+        drop_detected(table, states, [3, 1])
+        assert states[0].bads is states[1].bads == [(2, 4)]
+        assert states[2].bads is states[3].bads is miss
+        assert states[4].bads == [] and states[5].bads == []
+        assert hit == [(1, 0), (2, 4), (3, 1)]
+        assert table.site_of.keys() == {1, 3, 5}
+        assert table.node_faults(table.site_of[5]).fids == [5]

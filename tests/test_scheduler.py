@@ -5,11 +5,12 @@ import pytest
 
 from faultsim import scheduler, taskgraph
 from faultsim.config import MAX_WORKERS, SimConfig
+from faultsim.faults import FaultDescriptor
 from faultsim.genbench import gen_bench
 from faultsim.kernels import SimulationError
 from faultsim.oracles import run_good_trace, run_serial_concurrent, run_single_fault
 from faultsim.report import emit_report_csv, emit_stats
-from faultsim.rtl import TASK_KINDS, split_register_reads
+from faultsim.rtl import OUTPUT, REG, TASK_KINDS, split_register_reads
 from faultsim.scheduler import (
     LoadMonitor, SimulationEngine, WorkerPool, flag_overloaded, run_simulation,
 )
@@ -17,8 +18,8 @@ from faultsim.taskgraph import DEFAULT, SLAVE, SYNC, Task, make_task_graph
 
 from conftest import (
     SYNCED, build, check_schedule_invariants, cost_key, cycle_costs,
-    expanding_first, per_node_graph, record_costs, record_traces, replay_costs,
-    run_with_outputs,
+    expanding_first, per_node_graph, rand_rows, record_costs, record_traces,
+    replay_costs, run_with_outputs,
 )
 
 
@@ -474,6 +475,111 @@ def test_bad_gate_totals_identical_across_modes(drop):
     evaluated, kept = totals["serial"]
     assert evaluated > kept > 0
     assert set(totals.values()) == {(evaluated, kept)}, totals
+
+
+SHARING = """
+module share
+input a 4
+input b 4
+assign x 4 = XOR a b
+reg r 4 = 0
+reg q 4 = 0
+next r = x
+next q = r
+assign y 4 = OR q x
+output o 4 = y
+output n 2 = r
+end
+"""
+
+
+def sharing_faults():
+    """Two port faults on ``a`` (a carrier is spliced in) and one on ``q``;
+    ``r`` is uninjected and ``q`` reads it through the full-width copy
+    ``r$cpy``, while ``n`` reads it through the narrowing copy ``r$cpy2``."""
+
+    return [FaultDescriptor(0, "port", "a", 0, "sa1"),
+            FaultDescriptor(1, "port", "a", 2, "sa0"),
+            FaultDescriptor(2, "reg", "q", 3, "sa1")]
+
+
+def test_unchanged_bad_lists_are_shared():
+    """A bad list that passes through unchanged is not rebuilt: after a
+    serial cycle the full-width copy holds its register's list object and
+    the uninjected register its next source's, while the narrowing copy,
+    the injected carrier and the injected register hold lists of their
+    own."""
+
+    g = build(SHARING)
+    eng = SimulationEngine(g, sharing_faults(), [[0b0100, 0b0001]] * 4,
+                           SimConfig(mode="serial"))
+    eng.run()
+    nodes, states = eng.graph.nodes, eng.states
+    by_name = {n.name: n for n in nodes}
+    for name in ("r$cpy", "r", "r$cpy2", "a$flt", "q"):
+        assert states[by_name[name].id].bads, name
+    shared = set()
+    for node in nodes:
+        bads = states[node.id].bads
+        srcs = (node.next_src,) if node.kind == REG else node.fanin
+        if node.kind != OUTPUT and bads and any(bads is states[f].bads for f in srcs):
+            shared.add(node.name)
+    assert shared == {"r$cpy", "r"}
+    assert {n.name for n in nodes if n.pass_through} == {"r$cpy"}
+
+
+@pytest.mark.parametrize("drop", [False, True])
+@pytest.mark.parametrize("expand", [(), ("r$cpy",), ("r$cpy", "r$cpy2")])
+def test_pass_through_counts_identical_across_modes(drop, expand):
+    """A full-width copy evaluates no bad gate and keeps its fanin's list,
+    so the run's bad-gate counts are the same in every mode, also when the
+    copy is expanded and each slave takes the slice in its fid range."""
+
+    rows = rand_rows(random.Random(4), build(SHARING), 8)
+    totals, reports = {}, {}
+    for mode in ("serial", "structural", "structural+fault", "full"):
+        with expanding_first(lambda graph: [n.id for n in graph.nodes if n.name in expand]):
+            eng = SimulationEngine(build(SHARING), sharing_faults(), rows,
+                                   SimConfig(workers=3, mode=mode, drop_on_detect=drop))
+        if mode in ("structural+fault", "full"):
+            names = [eng.graph.nodes[n].name for n in eng.totals.expanded]
+            assert tuple(names[:len(expand)]) == expand, mode
+        report = eng.run()
+        totals[mode] = (report.totals.bad_gates_evaluated, report.totals.bad_gates_kept)
+        reports[mode] = emit_report_csv(report)
+    assert totals["serial"][1] > 0
+    assert len(set(totals.values())) == 1, totals
+    assert len(set(reports.values())) == 1
+
+
+def test_drop_keeps_shared_lists_shared(monkeypatch):
+    """Under ``drop_on_detect`` states that held one list before a drop
+    hold one list after it, with the new fids filtered out."""
+
+    drop = scheduler.drop_detected
+    seen = []
+
+    def checking(table, states, new_fids):
+        gone = set(new_fids)
+        groups = {}
+        for st in states:
+            if st.bads:
+                groups.setdefault(id(st.bads), []).append(st)
+        want = [[e for e in st.bads if e[0] not in gone] for st in states]
+        seen.extend(len(group) for group in groups.values()
+                    if len(group) > 1 and any(f in gone for f, _ in group[0].bads))
+        drop(table, states, new_fids)
+        assert [st.bads for st in states] == want
+        for group in groups.values():
+            assert all(st.bads is group[0].bads for st in group)
+
+    monkeypatch.setattr(scheduler, "drop_detected", checking)
+    rows = rand_rows(random.Random(4), build(SHARING), 8)
+    for mode in ("serial", "full"):
+        report = run_simulation(build(SHARING), sharing_faults(), rows, SimConfig(
+            workers=3, mode=mode, drop_on_detect=True))
+        assert report.detections, mode
+    assert seen, "no drop filtered a shared list"
 
 
 def test_liveness_random_graphs_with_random_expansions():
