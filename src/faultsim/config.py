@@ -1,13 +1,16 @@
 """Run configuration shared by the simulation engine and the CLI.
 
 The mode picks the engine's schedule; the engine alone turns it into
-policy.  ``serial`` evaluates nodes in topological order and commits
-registers after the strobe; it has no task graph or worker pool, so the
-pool and expansion settings do not apply to it.  The other modes
-drain the same task graph on the discrete-event pool: ``structural`` and
-``structural+fault`` once per cycle, committing registers behind a
-barrier; ``full`` in one drain for the whole run, committing registers
-mid-cycle and overlapping consecutive cycles within a two-cycle window.
+policy.  Every mode runs a cycle in one order: evaluate, strobe, then
+commit the registers.  ``serial`` evaluates nodes in topological order;
+it has no task graph or worker pool, so the pool and expansion settings
+do not apply to it.  The other modes drain the same task graph on the
+discrete-event pool: ``structural`` and ``structural+fault`` once per
+cycle, committing registers behind a barrier after the strobe; ``full``
+in one drain for the whole run, overlapping consecutive cycles within a
+two-cycle window.  There a commit runs mid-cycle once its readers and
+producer are done, and with ``drop_on_detect`` or ``steady_state_check``
+also once the strobe is.
 The last two expand, before the first cycle, the nodes whose fault cone
 holds more than ``threshold`` of the summed cone counts.
 """

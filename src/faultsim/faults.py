@@ -72,7 +72,7 @@ class NodeFaults:
     order, and ``fids`` lists the fids ascending.  ``transients`` holds the
     descriptors whose window can open or close; ``stuck`` holds the fids of
     the others, ascending, whose window never closes.  Only ``kernels.drop_detected`` changes a site, through
-    ``discard``, after a cycle's drain."""
+    ``discard``, at a cycle's strobe."""
 
     __slots__ = ("fid_map", "fids", "stuck", "transients")
 

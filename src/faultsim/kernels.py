@@ -28,17 +28,17 @@ A stored bad list is never mutated: every kernel that changes a state
 stores a new list, so several states may hold one list object.  A list that
 does not change is passed on instead of rebuilt.  A virtual copy no
 narrower than its fanin and with no filed fault holds its fanin's list
-(``bind_operators`` marks it), and a register with no filed fault and no
-wider next source holds that source's list (``sync_register``); a register
-with filed faults copies its source's list and patches only its injected
-fids.
+(``bind_operators`` marks it), and a register with no wider next source
+holds that source's list (``sync_register``) unless forcing one of its
+injected fids changes it; the first such patch copies the list.
 
 Each kernel writes exactly one node's state and reads only fanin states
 that the schedule has already sealed, so the kernels themselves need no
 locking in any execution discipline.  ``drop_detected`` removes the newly
 detected faults from their injection sites and their divergences from
-every state, and so runs only after a cycle's drain; a dropped fault is
-then neither injected nor divergent anywhere, and no kernel tests for it.
+every state, and so runs only at the strobe, after a cycle's evaluations
+and before its commits; a dropped fault is then neither injected nor
+divergent anywhere, and no kernel tests for it.
 
 Outputs are not evaluated: no fault lands on one, so an output only
 observes its driver, and ``initial_states`` gives it the driver's state
@@ -303,13 +303,14 @@ def sync_register(
     transient whose window just closed persists only through genuinely
     divergent next values.
 
-    A stored bad list is never mutated and states may share one, so with
-    no fault filed here and no narrowing the result is the source's list
-    object itself, which the register then shares with it.  Otherwise
-    the incoming list is copied (or masked) and only the injected fids are
-    patched in place: each is found by bisection, forced, and replaced,
-    inserted, or deleted when it is forced to the good value.  The result
-    stays ascending by fid.
+    A stored bad list is never mutated and states may share one, so
+    unless the source is narrowed the result is the source's list object
+    itself, which the register then shares with it, until a patch changes
+    it.  Only the injected fids are patched: each is found by bisection
+    and forced, and a forced value that differs from the one it replaces
+    (the good value where the fid is absent) is written into a copy made
+    at the first such patch: replaced, inserted, or deleted when it is
+    forced to the good value.  The result stays ascending by fid.
     """
 
     mask = reg.mask
@@ -324,21 +325,24 @@ def sync_register(
         # Nothing diverges upstream: each injected fault forces the good value.
         return new_good, [(f, v) for f, fault in fid_map.items()
                           if (v := faulty_val(fault, new_good, serve_cycle)) != new_good]
-    if bads is next_state.bads:
-        bads = bads.copy()
+    shared = bads is next_state.bads
     i = 0
     for fid, fault in fid_map.items():  # ascending, so positions only grow
         i = bisect_left(bads, (fid,), i)
-        if i < len(bads) and bads[i][0] == fid:
-            value = faulty_val(fault, bads[i][1], serve_cycle)
-            if value == new_good:
-                del bads[i]
-            else:
-                bads[i] = (fid, value)
+        present = i < len(bads) and bads[i][0] == fid
+        old = bads[i][1] if present else new_good
+        value = faulty_val(fault, old, serve_cycle)
+        if value == old:
+            continue
+        if shared:
+            bads = bads.copy()
+            shared = False
+        if not present:
+            bads.insert(i, (fid, value))
+        elif value == new_good:
+            del bads[i]
         else:
-            value = faulty_val(fault, new_good, serve_cycle)
-            if value != new_good:
-                bads.insert(i, (fid, value))
+            bads[i] = (fid, value)
     return new_good, bads
 
 

@@ -1,6 +1,7 @@
 """The simulation engine: the cycle loop and its executors, plus the
 worker pool, the per-task cost record and the choice of nodes to expand.
 
+Every mode runs a cycle in one order: evaluate, strobe, then commit.
 Mode ``serial`` is a plain loop: each cycle evaluates the live nodes in
 topological order, strobes the outputs, and commits the live registers.
 Outputs are never evaluated in any mode: after ``rtl.observe_outputs`` an
@@ -14,10 +15,11 @@ The other modes execute the task graph on a fixed pool of workers with
 work stealing, through the same per-node and register-commit bodies.  The
 engine alone holds the schedule policy; every mode builds the same task
 graph.  ``structural`` and ``structural+fault`` drain it once per cycle
-and hold every commit back for a second phase behind a barrier.  ``full``
-drains every cycle in one pool phase over the cycle window
-(``taskgraph.make_window``): a commit runs mid-cycle once its readers and
-producer are done, stimulus and strobe are tasks, and a task of the next
+and hold every commit back for a second phase behind a barrier, after the
+strobe.  ``full`` drains every cycle in one pool phase over the cycle
+window (``taskgraph.make_window``): stimulus and strobe are tasks, a
+commit runs mid-cycle once its readers and producer are done (and, when
+the strobe drops or re-sweeps, once the strobe is), and a task of the next
 cycle starts once the states it touches are free, with no cycle starting
 before the one two back is done.  ``structural+fault`` and ``full`` also
 expand up to ``MAX_EXPANSIONS`` of the nodes with the largest fault
@@ -62,7 +64,7 @@ from . import rtl
 from .config import MODE_FULL, MODE_SERIAL, MODE_STRUCTURAL, SimConfig
 from .faults import FaultDescriptor, FaultTable, NodeFaults, inject
 from .kernels import (
-    NodeState, SimulationError, apply_stimulus_row, bind_operators,
+    SimulationError, apply_stimulus_row, bind_operators,
     check_dependence_changed, commit_state, drop_detected, eval_bad_gates,
     eval_good, initial_states, scan_outputs, sync_check_needed, sync_register,
 )
@@ -195,11 +197,10 @@ class WorkerPool:
 
 class LoadMonitor:
     """Per-task execution time, as ``_execute`` measured it on the host:
-    each task's latest run, by task id.  A barrier cycle clears it first;
-    in ``full``, where two cycles' runs interleave, nothing does.  The
-    pool is charged the value ``execute`` returns, which is this cost
-    unless a caller wraps the callable (the tests' cost record and replay
-    do), or 0 for a cycle window's gate, which is not recorded.
+    each task's latest run, by task id, in any cycle.  The pool is charged
+    the value ``execute`` returns, which is this cost unless a caller
+    wraps the callable (the tests' cost record and replay do), or 0 for a
+    cycle window's gate, which is not recorded.
 
     Nothing in the package or its tests reads ``task_ns``.  Its one reader
     is perfbench's tracer, which wraps ``record`` to count dispatched
@@ -207,9 +208,6 @@ class LoadMonitor:
 
     def __init__(self):
         self.task_ns: dict[int, int] = {}
-
-    def reset(self) -> None:
-        self.task_ns.clear()
 
     def record(self, tid: int, cost: int) -> None:
         self.task_ns[tid] = cost
@@ -253,7 +251,7 @@ def flag_overloaded(graph: RtlGraph, nf: list[NodeFaults], threshold: float) -> 
 
 class SimulationEngine:
     """Drives the cycle loop: stimulus, node evaluation, detection strobe,
-    register commit, and statistics.
+    register commit, and statistics, in that order in every mode.
 
     Setup files only the faults whose site lies in some output's cone
     (``rtl.observable``).  Any other fault can never be detected: no kernel,
@@ -261,23 +259,25 @@ class SimulationEngine:
     report reads it undetected.  Setup sweeps the logic outside the cone
     too: those evaluated nodes and registers are in neither the serial
     order (``order``), the commit list (``regs``) nor the task graph, and
-    the register snapshot, the re-sweep and the drop skip them, since no
-    cycle refreshes their states.  ``totals.swept`` counts them.
+    the re-sweep and the drop skip them, since no cycle refreshes their
+    states.  ``totals.swept`` counts them.
 
     Three executors run the same per-node and register-commit bodies.  Mode
     ``serial`` evaluates the live nodes in topological order, strobes, and
     then commits the live registers; it builds no task graph, pool or load
     monitor, and its cycle times are host time.  ``structural`` and
     ``structural+fault`` drain the task graph on the discrete-event pool
-    once per cycle, commits behind a barrier, then strobe.  ``full`` drains
-    every cycle in one pool phase over the cycle window
-    (``taskgraph.make_window``), where stimulus and strobe are tasks too.
-    Setup builds the task graph once, in its final shape: the expanding
-    modes split the nodes ``flag_overloaded`` picks from the netlist and
-    the filed faults alone, and each straight-line chain of nodes is one
-    task.  Every executor calls ``_detect`` once per cycle, when the
-    cycle's outputs hold their values, and ``_end_cycle`` once per cycle,
-    in cycle order."""
+    once per cycle: the compute drain, the strobe, then the commits behind
+    a barrier.  ``full`` drains every cycle in one pool phase over the
+    cycle window (``taskgraph.make_window``), where stimulus and strobe are
+    tasks too, and a strobe that drops or re-sweeps runs after every task
+    of its cycle but the commits, and before them.  Setup builds the task
+    graph once, in its final shape: the expanding modes split the nodes
+    ``flag_overloaded`` picks from the netlist and the filed faults alone,
+    and each straight-line chain of nodes is one task.  Every executor
+    calls ``_detect`` once per cycle, when the cycle's outputs hold their
+    values (and, when it drops or re-sweeps, before any commit of the
+    cycle), and ``_end_cycle`` once per cycle, in cycle order."""
 
     def __init__(self, graph: RtlGraph, faults: list[FaultDescriptor],
                  stimulus, config: SimConfig):
@@ -375,8 +375,6 @@ class SimulationEngine:
             apply_stimulus_row(self.graph, self.states, self.rows[self._cycle], self._cycle)
         elif kind == STROBE:
             self._detect(self._cycle)
-            if self.config.steady_state_check:
-                self._snapshot_registers()
         else:                           # a cycle window's gate
             self._close_cycle(xid >= self._size)
             return 0
@@ -535,29 +533,17 @@ class SimulationEngine:
 
     def _begin_cycle(self, cycle: int, row) -> None:
         apply_stimulus_row(self.graph, self.states, row, cycle)
-        if self.config.steady_state_check:
-            self._snapshot_registers()
         self._stats = CycleStats(cycle)
-
-    def _snapshot_registers(self) -> None:
-        """Keep the register values the coming cycle reads for its
-        re-sweep: pool modes commit registers before the re-sweep, which
-        must judge settlement against the values the cycle read.  A commit
-        stores a new bad list and never mutates the old one, so the
-        snapshot holds the lists themselves."""
-
-        self._reg_snapshot = {
-            rid: (self.states[rid].good, self.states[rid].bads)
-            for rid in self.regs
-        }
 
     def _detect(self, cycle: int) -> None:
         """Detection strobe, then the steady-state re-sweep, then the drop
-        of the faults detected now.  The strobe reads outputs, which share
-        no state with a register (see ``rtl.split_register_reads``), so it
-        sees the same values before and after the commits.  The re-sweep
-        runs before the drop: a drop removes divergences from every state
-        but the register snapshot the re-sweep reads."""
+        of the faults detected now, all after the cycle's evaluations and
+        before its commits.  The strobe reads outputs, which share no state
+        with a register (see ``rtl.split_register_reads``), so it would see
+        the same values after the commits; the re-sweep reads the register
+        values the cycle read, and after the drop the commits carry none
+        of its faults.  The re-sweep runs before the drop, which removes
+        divergences from the states it reads."""
 
         hits = scan_outputs(self.graph, self.states, self.detections, cycle)
         for fid, at, out in hits:
@@ -592,9 +578,9 @@ class SimulationEngine:
         self._end_cycle(stats)
 
     def _run_pool_cycle(self, cycle: int, row) -> None:
-        """A barrier cycle: stimulus, the compute drain, the commit drain
-        behind it, then the strobe.  Stimulus and strobe are host time
-        between the drains."""
+        """A barrier cycle: stimulus, the compute drain, the strobe, then
+        the commit drain.  Stimulus and strobe are host time outside the
+        drains."""
 
         tg = self.tg
         boundary0 = perf_counter_ns()
@@ -604,16 +590,19 @@ class SimulationEngine:
         # starts below zero and only falls.
         for tid in tg.sync_tasks:
             counts[tid] = -1
-        self.monitor.reset()
         boundary_ns = perf_counter_ns() - boundary0
 
         pool0 = perf_counter_ns()
         compute = self.pool.run_phase(counts, self.entry, tg.tasks, self._execute)
+        b1 = perf_counter_ns()
+        self._detect(cycle)
+        b2 = perf_counter_ns()
         # Sync tasks are sinks: the commit phase starts with all of them.
         commit = self.pool.run_phase(
             counts, tg.sync_tasks, tg.tasks, self._execute, time_base=compute.makespan_ns
         )
-        pool_host_ns = perf_counter_ns() - pool0
+        pool_host_ns = b1 - pool0 + perf_counter_ns() - b2
+        boundary_ns += b2 - b1
         busy = [a + b for a, b in zip(compute.busy_ns, commit.busy_ns)]
         ran = compute.dispatched + commit.dispatched
         if ran != len(tg.tasks):
@@ -622,10 +611,6 @@ class SimulationEngine:
                 f"cycle {cycle}: pool drained with {len(tg.tasks) - ran} "
                 f"unexecuted tasks; (id, kind, pending preds): {stuck[:20]}"
             )
-
-        b1 = perf_counter_ns()
-        self._detect(cycle)
-        boundary_ns += perf_counter_ns() - b1
 
         stats = self._stats
         stats.wall_ns = compute.makespan_ns + commit.makespan_ns + boundary_ns
@@ -655,8 +640,6 @@ class SimulationEngine:
         self._slot_cycle = [0, 1]
         self._open = [CycleStats(0), CycleStats(1)]
         self._closed = (0, [0] * cfg.workers)   # the last closed cycle's end, busy
-        if cfg.steady_state_check:
-            self._snapshot_registers()
 
         ready = [tid for tid in range(size) if not first[tid]]
         pool0 = perf_counter_ns()
@@ -705,18 +688,8 @@ class SimulationEngine:
         nothing.  A swept node's state is never refreshed, so it is left
         out."""
 
-        def fanin_state(fid: int) -> NodeState:
-            snap = self._reg_snapshot.get(fid)
-            if snap is None:
-                return self.states[fid]
-            shim = NodeState(snap[0], snap[1])
-            return shim
-
         for nid in self.order:
-            node = self.graph.nodes[nid]
-            st = self.states[nid]
-            fanin_states = [fanin_state(f) for f in node.fanin]
-            nf = self.nf[nid]
+            node, st, fanin_states, nf = self.bound[nid]
             good = eval_good(node, [fs.good for fs in fanin_states])
             bads, _ = eval_bad_gates(node, fanin_states, nf, good, cycle)
             if good != st.good or bads != st.bads:

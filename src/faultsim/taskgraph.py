@@ -292,8 +292,9 @@ def make_window(graph: RtlGraph, tg: TaskGraph, hold_strobe: bool = False) -> Cy
     write an output's driver.  The gate task waits for every task with no
     same-cycle successor, so it runs once its cycle is done.  With
     ``hold_strobe`` (a run that drops detected faults or re-sweeps, which
-    change or read every state) the strobe also waits for every task of
-    its cycle.
+    change or read every state) a cycle runs in serial's order: the
+    strobe also waits for every task of its cycle but the commits, and
+    every commit waits for the strobe.
 
     These are the per-task next-cycle successor lists the engine's setup
     builds once: a task of cycle c + 1 waits for every task of cycle c
@@ -375,19 +376,23 @@ def make_window(graph: RtlGraph, tg: TaskGraph, hold_strobe: bool = False) -> Cy
          *([] if any(d not in finishers for d in drivers) else [strobe])],
         [gate],
     ]
+    commits: list[int] = []
     if hold_strobe:
+        commits = tg.sync_tasks
         strobed.update(dict.fromkeys(
-            tid for tid in range(n) if not tasks[tid].succs and tid not in strobed))
+            tid for tid in range(n) if tasks[tid].kind != SYNC and tid not in strobed
+            and all(tasks[s].kind == SYNC for s in tasks[tid].succs)))
         if not readers:
             strobed[stim] = None
 
     # Same-cycle successors: the graph's, the stimulus's readers, the
-    # strobe after its writers, and the gate after every task with none.
-    intra = [task.succs for task in tasks] + [readers, [], []]
+    # strobe after its writers and before the held commits, and the gate
+    # after every task with none.
+    intra = [task.succs for task in tasks] + [readers, commits, []]
     for tid in strobed:
         intra[tid] = intra[tid] + [strobe]
     added = [0] * size
-    for tid in readers:
+    for tid in readers + commits:
         added[tid] += 1
     sinks = [tid for tid in range(size) if not intra[tid] and tid != gate]
     added[strobe], added[gate] = len(strobed), len(sinks)

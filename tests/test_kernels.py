@@ -502,8 +502,8 @@ end
         """The copy-and-patch commit gives what one merge walk over the
         incoming divergences and the injected fids gives, ascending and
         with no entry equal to the good value.  It never mutates the
-        incoming list, and with nothing filed and no narrowing it returns
-        that list itself."""
+        incoming list, and without narrowing it returns that list itself
+        exactly when no patch changes it."""
 
         rng = random.Random(data.draw(st.integers(0, 10**6)))
         src_width = rng.randint(1, 12)
@@ -535,10 +535,24 @@ end
         assert [f for f, _ in bads] == sorted({f for f, _ in bads})
         assert all(v != new_good for _, v in bads)
         assert incoming == before
-        if not (faults.fids or narrows):
-            assert bads is incoming
-        elif incoming:
-            assert bads is not incoming
+        if incoming:
+            assert (bads is incoming) == (not narrows and bads == incoming)
+
+    def test_unchanging_patches_share_the_incoming_list(self):
+        """A transient outside its window and absent from the incoming
+        list, and a stuck-at fid already at its forced value, change
+        nothing: the commit returns the incoming list itself.  A patch
+        that changes it copies it."""
+
+        reg = reg_node(4)
+        nxt = NodeState(0b0101, [(3, 0b0100), (6, 0b1101)])
+        before = list(nxt.bads)
+        faults = nf(rule(2, 1, "transient", 4, 5), rule(3, 0, "sa0"), rule(6, 3, "sa1"))
+        assert sync_register(reg, nxt, faults, 1, False) == (0b0101, before)
+        assert sync_register(reg, nxt, faults, 1, False)[1] is nxt.bads
+        good, bads = sync_register(reg, nxt, faults, 4, False)
+        assert (good, bads) == (0b0101, [(2, 0b0111), (3, 0b0100), (6, 0b1101)])
+        assert nxt.bads == before
 
     def test_sync_skip_check_cold_start(self):
         assert sync_check_needed(NodeState(), NodeState(), NO_FAULTS, 1)

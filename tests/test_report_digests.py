@@ -3,7 +3,13 @@
 A change to the engine that keeps every verdict keeps every report CSV
 byte for byte.  These digests were computed before the engine swept the
 logic outside every output's cone, and every mode, with and without
-``drop_on_detect``, must still reproduce them.
+``drop_on_detect``, must still reproduce them; the runs that drop also
+re-sweep (``steady_state_check``).
+
+Every mode runs a cycle in serial's order (evaluate, strobe, commit), so
+with the drop every mode also executes and skips, per cycle, what
+``serial`` does where no node is expanded (an expanded node counts its
+master and slaves as tasks).
 """
 
 import hashlib
@@ -30,10 +36,17 @@ DIGESTS = {
 def test_report_digests_on_fixed_benches(bench_key):
     profile, size, seed, fault_count = bench_key
     bench = gen_bench(profile, size, seed, cycles=10, fault_count=fault_count)
+    counts = {}
     for mode in MODES:
         for drop in (False, True):
             graph, stim, faults = bench.build()
-            config = SimConfig(workers=8, mode=mode, threshold=0.02, drop_on_detect=drop)
-            report = emit_report_csv(run_simulation(graph, faults, stim, config))
-            digest = hashlib.sha256(report.encode()).hexdigest()
+            config = SimConfig(workers=8, mode=mode, threshold=0.02, drop_on_detect=drop,
+                               steady_state_check=drop)
+            report = run_simulation(graph, faults, stim, config)
+            digest = hashlib.sha256(emit_report_csv(report).encode()).hexdigest()
             assert digest == DIGESTS[bench_key], (mode, drop)
+            if drop:
+                counts[mode] = [(c.executed, c.skipped) for c in report.cycles]
+    if profile != "skewed":     # the one bench that expands nodes
+        for mode in MODES:
+            assert counts[mode] == counts["serial"], mode

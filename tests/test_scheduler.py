@@ -1032,8 +1032,8 @@ def test_barrier_modes_commit_every_register_in_a_second_phase(mode):
 
 
 def test_steady_state_check_passes_on_normal_runs():
-    # With drop_on_detect the re-sweep must run before the drop: it reads
-    # registers from a cycle-start snapshot, which the drop does not touch.
+    # With drop_on_detect the re-sweep must run before the drop, which
+    # removes divergences from the states it reads, and before the commits.
     for profile in ("uniform", "pipeline", "skewed"):
         b = small_bench(6, profile=profile, size=50, cycles=6, faults=20)
         for mode in ("serial", "structural", "full"):

@@ -171,8 +171,10 @@ def test_adversarial_costs_overlap_cycles():
 
 @pytest.mark.parametrize("drop", [False, True])
 def test_steady_check_passes_under_adversarial_costs(drop):
-    """The re-sweep reads every state of its cycle: the strobe waits for
-    the whole cycle, and the next cycle for the strobe."""
+    """The re-sweep reads every state of its cycle and the drop writes
+    every state, so a cycle runs in serial's order: the strobe waits for
+    every task of its cycle but the commits, every commit of the cycle
+    waits for the strobe, and the next cycle for the strobe."""
 
     rows = rand_rows(random.Random(3), elaborate_text(HAZARDS), 8)
     faults = faults_for(elaborate_text(HAZARDS))
@@ -191,10 +193,12 @@ def test_steady_check_passes_under_adversarial_costs(drop):
         eng.run()
         per_cycle = cycle_traces(eng, traces)
         strobe = len(eng.tg.tasks) + 1
+        commits = set(eng.tg.sync_tasks)
         for cycle, trace in enumerate(per_cycle):
             times = {tid: (start, fin) for tid, _, start, fin in trace}
             assert times[strobe][0] >= max(fin for tid, (_, fin) in times.items()
-                                           if tid < strobe)
+                                           if tid < strobe and tid not in commits)
+            assert min(times[tid][0] for tid in commits) >= times[strobe][1]
             if cycle + 1 < len(per_cycle):
                 assert min(start for _, _, start, _ in per_cycle[cycle + 1]) >= times[strobe][1]
 
