@@ -502,8 +502,9 @@ end
         """The copy-and-patch commit gives what one merge walk over the
         incoming divergences and the injected fids gives, ascending and
         with no entry equal to the good value.  It never mutates the
-        incoming list, and without narrowing it returns that list itself
-        exactly when no patch changes it."""
+        incoming list.  With nothing filed and no narrowing it returns
+        that list itself, and without narrowing it returns it exactly when
+        no patch changes it."""
 
         rng = random.Random(data.draw(st.integers(0, 10**6)))
         src_width = rng.randint(1, 12)
@@ -535,6 +536,8 @@ end
         assert [f for f, _ in bads] == sorted({f for f, _ in bads})
         assert all(v != new_good for _, v in bads)
         assert incoming == before
+        if not (faults.fids or narrows):
+            assert bads is incoming
         if incoming:
             assert (bads is incoming) == (not narrows and bads == incoming)
 
