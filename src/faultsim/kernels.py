@@ -268,12 +268,12 @@ def eval_bad_gates(
 
 
 def check_dependence_changed(
-    node: RtlNode,
     fanin_states: list[NodeState],
     nf: NodeFaults,
     cycle: int,
 ) -> bool:
-    """Decide whether the node must be re-evaluated this cycle."""
+    """Decide whether a node must be re-evaluated this cycle, from its
+    fanin states and the faults injected at it."""
 
     if cycle == 0:
         return True

@@ -80,7 +80,6 @@ class NetlistDecl:
     init: int = 0
     slice_hi: int = 0
     slice_lo: int = 0
-    line_no: int = 0
 
 
 def _strip_comment(tokens: list[str]) -> list[str]:
@@ -158,7 +157,7 @@ def parse_module(text: str) -> tuple[str, list[NetlistDecl]]:
                 raise NetlistError(line_no, "expected 'input <name> <width>'")
             name = _check_ident(line_no, tokens[1], "input name")
             width = _check_width(line_no, tokens[2])
-            decl = NetlistDecl("input", name, width, line_no=line_no)
+            decl = NetlistDecl("input", name, width)
 
         elif head == "output":
             if len(tokens) != 5 or tokens[3] != "=":
@@ -166,7 +165,7 @@ def parse_module(text: str) -> tuple[str, list[NetlistDecl]]:
             name = _check_ident(line_no, tokens[1], "output name")
             width = _check_width(line_no, tokens[2])
             operand = _parse_operand(line_no, tokens[4])
-            decl = NetlistDecl("output", name, width, operands=[operand], line_no=line_no)
+            decl = NetlistDecl("output", name, width, operands=[operand])
 
         elif head == "reg":
             if len(tokens) != 5 or tokens[3] != "=":
@@ -179,7 +178,7 @@ def parse_module(text: str) -> tuple[str, list[NetlistDecl]]:
                 raise NetlistError(line_no, f"invalid hex initial value '{tokens[4]}'") from None
             if init >= 1 << width:
                 raise NetlistError(line_no, f"initial value {init:#x} exceeds {width} bits")
-            decl = NetlistDecl("reg", name, width, init=init, line_no=line_no)
+            decl = NetlistDecl("reg", name, width, init=init)
 
         elif head == "assign":
             if len(tokens) < 5 or tokens[3] != "=":
@@ -205,17 +204,15 @@ def parse_module(text: str) -> tuple[str, list[NetlistDecl]]:
                     line_no, f"{op} takes {arity} operand(s), got {len(rest)}"
                 )
             operands = [_parse_operand(line_no, tok) for tok in rest]
-            decl = NetlistDecl(
-                "assign", name, width, op=op, operands=operands,
-                slice_hi=slice_hi, slice_lo=slice_lo, line_no=line_no,
-            )
+            decl = NetlistDecl("assign", name, width, op=op, operands=operands,
+                               slice_hi=slice_hi, slice_lo=slice_lo)
 
         elif head == "next":
             if len(tokens) != 4 or tokens[2] != "=":
                 raise NetlistError(line_no, "expected 'next <regname> = <operand>'")
             name = _check_ident(line_no, tokens[1], "reg name")
             operand = _parse_operand(line_no, tokens[3])
-            decl = NetlistDecl("next", name, operands=[operand], line_no=line_no)
+            decl = NetlistDecl("next", name, operands=[operand])
 
         else:
             raise NetlistError(line_no, f"unknown statement '{head}'")

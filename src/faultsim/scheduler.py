@@ -73,7 +73,7 @@ from .rtl import RtlGraph
 from .stimulus import as_rows
 from .taskgraph import (
     DEFAULT, MASTER, SLAVE, STIMULUS, STROBE, SYNC, make_task_graph, make_window,
-    reset_for_cycle,
+    reset_for_cycle, window_countdowns,
 )
 
 MAX_EXPANSIONS = 8  # nodes expanded at setup, heaviest first
@@ -386,11 +386,11 @@ class SimulationEngine:
 
     def _execute_instance(self, xid: int) -> int:
         """``full``'s execute callable: point the bodies at the cycle, and
-        its tallies, that the window id's slot serves, then run it."""
+        its tallies, that the window id's slot serves (the slot's open
+        ``CycleStats`` names its cycle), then run it."""
 
-        slot = xid >= self._size       # 0, or 1 for the window's second slot
-        self._cycle = self._slot_cycle[slot]
-        self._stats = self._open[slot]
+        self._stats = stats = self._open[xid >= self._size]     # slot 0 or 1
+        self._cycle = stats.cycle
         return self._execute(xid)
 
     def _run_default(self, nids) -> None:
@@ -402,7 +402,7 @@ class SimulationEngine:
         stats = self._stats
         for nid in nids:
             node, st, fanin_states, nf = bound[nid]
-            if not check_dependence_changed(node, fanin_states, nf, cycle):
+            if not check_dependence_changed(fanin_states, nf, cycle):
                 stats.skipped += 1
                 continue
             diverged = nf.fids
@@ -431,7 +431,7 @@ class SimulationEngine:
         board = self.tg.boards[task.node]
         board.reset()
         cycle = self._cycle
-        if not check_dependence_changed(node, fanin_states, nf, cycle):
+        if not check_dependence_changed(fanin_states, nf, cycle):
             board.skip = True
             self._stats.skipped += 1
             return
@@ -623,33 +623,36 @@ class SimulationEngine:
     def _run_window(self) -> None:
         """Mode ``full``: every cycle in one pool phase over the cycle
         window (``taskgraph.make_window``).  A window id names a slot, and
-        the slot the cycle it serves; each cycle's gate task closes it
-        (``_close_cycle``)."""
+        the slot's open ``CycleStats`` the cycle it serves; each cycle's
+        gate task closes it (``_close_cycle``).  The countdowns are counted
+        from the window's successor tuples (``taskgraph.window_countdowns``):
+        cycles 0 and 1 start from their own, and each later cycle from the
+        re-arm vector."""
 
         window, self.window = self.window, None     # held for the run only
         cycles = len(self.rows)
         if not cycles:
             return
         cfg = self.config
-        size = window.size
-        first, second, self._rearm = window.countdowns(self.tg.pred_reset)
+        size = len(window) // 2
+        first, second, self._rearm = window_countdowns(window)
         self._never = [-2 * size] * size     # a slot past the last cycle: below zero for good
         self._counts = counts = first + (second if cycles > 1 else self._never)
-        self._tasks = [task.task for task in window.tasks]
+        self._tasks = [task.task for task in window]
         self._size = size
-        self._slot_cycle = [0, 1]
         self._open = [CycleStats(0), CycleStats(1)]
         self._closed = (0, [0] * cfg.workers)   # the last closed cycle's end, busy
 
         ready = [tid for tid in range(size) if not first[tid]]
         pool0 = perf_counter_ns()
-        phase = self.pool.run_phase(counts, ready, window.tasks, self._execute_instance)
+        phase = self.pool.run_phase(counts, ready, window, self._execute_instance)
         pool_host_ns = perf_counter_ns() - pool0
         ran = phase.dispatched
         if ran != cycles * size:
-            stuck = [(iid, window.tasks[iid].kind, k) for iid, k in enumerate(counts) if k > 0]
+            stuck = [(iid, window[iid].kind, k) for iid, k in enumerate(counts) if k > 0]
+            cycle = min(stats.cycle for stats in self._open)
             raise SimulationError(
-                f"cycle {min(self._slot_cycle)}: pool drained with {cycles * size - ran} "
+                f"cycle {cycle}: pool drained with {cycles * size - ran} "
                 f"unexecuted task instances; (window id, kind, pending preds): {stuck[:20]}"
             )
         self._critical_ns = phase.critical_ns
@@ -657,13 +660,16 @@ class SimulationEngine:
         self.totals.dispatch_overhead_ns += max(0, pool_host_ns - sum(phase.busy_ns))
 
     def _close_cycle(self, slot: int) -> None:
-        """The gate task of the cycle ``slot`` serves, which runs once the
+        """The gate task of the cycle ``slot`` serves, whose open
+        ``CycleStats`` (``self._open[slot]``) names it; it runs once the
         cycle is done.  The cycle's wall time runs from the previous
         cycle's last finish to its own, and its busy time is each worker's
         busy time in between.  The slot's countdowns are re-armed for the
-        cycle two on: every instance of the slot has been released, and a
-        countdown has fallen below zero only by releases from the cycle
-        between, into the cycle two on, which the re-arm adds to."""
+        cycle two on, and its open stats now name that cycle: every
+        instance of the slot has been released, and a countdown has fallen
+        below zero only by releases from the cycle between, into the cycle
+        two on, which the re-arm vector (counted from the window's tuples)
+        adds to."""
 
         now, elapsed = self.pool.clock()
         stats = self._open[slot]
@@ -681,7 +687,6 @@ class SimulationEngine:
         else:
             counts[lo:lo + size] = self._never
         self._open[slot] = CycleStats(cycle)
-        self._slot_cycle[slot] = cycle
 
     def _assert_steady(self, cycle: int) -> None:
         """Debug re-sweep: re-evaluating any live node must change

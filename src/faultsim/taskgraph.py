@@ -18,13 +18,16 @@ engine's choice, not the graph's.  ``make_task_graph`` builds it at
 setup, and nothing changes it after that.  ``make_window`` lays two
 cycles of it side by side for a drain that spans the run, with the
 per-cycle stimulus, strobe and gate tasks and the edges from each cycle
-to the next.
+to the next, as one successor tuple per window id.  Those tuples are the
+window's only statement of its dependencies: ``window_countdowns``
+counts every instance's predecessors from them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from operator import add
 
 from . import rtl
 from .rtl import RtlGraph
@@ -253,39 +256,17 @@ class _Inverse:
         return self.lists[iid]
 
 
-@dataclass
-class CycleWindow:
-    """Two consecutive cycles of the task graph, as one pool phase drains
-    them: slot s holds window ids [s * size, (s + 1) * size), and id
-    ``s * size + t`` is task ``t`` of the cycle the slot holds, cycle
-    parity s.  Task ids below ``len(tg.tasks)`` are the graph's; the
-    stimulus, strobe and gate tasks follow, in that order."""
-
-    tasks: list[SlotTask]
-    size: int
-    # Per task id: the same-cycle predecessors the window adds to the
-    # graph's, and the predecessors in the cycle before.
-    added: list[int]
-    crossing: list[int]
-    entry: list[int]        # the tasks with no same-cycle predecessor
-
-    def countdowns(self, pred_reset: list[int]) -> tuple[list[int], list[int], list[int]]:
-        """Predecessor counts per task id, given the graph's: in cycle 0,
-        in cycle 1, and in every later cycle, where ``entry`` also waits
-        for the gate two cycles back."""
-
-        first = [a + b for a, b in zip(pred_reset + [0, 0, 0], self.added)]
-        second = [a + b for a, b in zip(first, self.crossing)]
-        later = list(second)
-        for tid in self.entry:
-            later[tid] += 1
-        return first, second, later
-
-
-def make_window(graph: RtlGraph, tg: TaskGraph, hold_strobe: bool = False) -> CycleWindow:
+def make_window(graph: RtlGraph, tg: TaskGraph, hold_strobe: bool = False) -> list[SlotTask]:
     """The cycle window of ``tg``: its tasks plus three per cycle, joined
     by same-cycle edges and by edges from tasks of cycle c to tasks of
-    cycle c + 1, and nothing wider.
+    cycle c + 1, and nothing wider, as one ``SlotTask`` per window id.
+    Two slots of ``size = len(tg.tasks) + 3`` ids each, graph tasks then
+    stimulus, strobe and gate: id ``s * size + t`` is task ``t`` of the
+    cycle slot s serves, which has parity s.  Slot 1 is slot 0 moved one
+    cycle: its successor tuples are slot 0's with each id moved to the
+    other slot.  The tuples are the window's one statement of its
+    dependencies; the countdowns are counted from them
+    (``window_countdowns``).
 
     The stimulus task drives the inputs, and every task reading an input
     waits for it.  The strobe task detects, and waits for the tasks that
@@ -391,38 +372,49 @@ def make_window(graph: RtlGraph, tg: TaskGraph, hold_strobe: bool = False) -> Cy
     intra = [task.succs for task in tasks] + [readers, commits, []]
     for tid in strobed:
         intra[tid] = intra[tid] + [strobe]
-    added = [0] * size
-    for tid in readers + commits:
-        added[tid] += 1
-    sinks = [tid for tid in range(size) if not intra[tid] and tid != gate]
-    added[strobe], added[gate] = len(strobed), len(sinks)
-    entry = [tid for tid, (a, b) in enumerate(zip(tg.pred_reset + [0, 0, 0], added))
-             if not a + b]
+    # The tasks with no same-cycle predecessor.  The gate is not one: it
+    # waits for the strobe, or for the held commits.
+    waiting = {succ for succs in intra for succ in succs}
+    entry = [tid for tid in range(gate) if tid not in waiting]
     if hold_strobe:
         following[strobe] = list(dict.fromkeys(following[strobe] + entry))
 
-    crossing = [0] * size
-    for succs in following:
-        for succ in succs:
-            crossing[succ] += 1
-
-    # Each window id is one int object, however many tuples hold it.
+    # Every id of slot 1 is one int object of ``ids``, however many tuples
+    # hold it.
     ids = list(range(2 * size))
     shifted = ids[size:].__getitem__
+    succ_ids = [(*intra[tid], *map(shifted, following[tid]), *(() if intra[tid] else (gate,)))
+                for tid in range(gate)]
+    succ_ids.append((*entry, shifted(gate)))
+    moved = (ids[size:] + ids[:size]).__getitem__
+    succ_ids += [tuple(map(moved, succs)) for succs in succ_ids]
     base = [*tasks, Task(stim, STIMULUS), Task(strobe, STROBE), Task(gate, GATE)]
-    succ_ids: list[tuple[int, ...]] = []
-    for slot in (0, 1):
-        for tid in range(size):
-            same, tail = intra[tid], ()
-            if tid == gate:
-                same = entry
-            elif not same:
-                tail = (gate,)
-            if slot:
-                succ_ids.append((*map(shifted, same), *following[tid], *map(shifted, tail)))
-            else:
-                succ_ids.append((*same, *map(shifted, following[tid]), *tail))
     inverse = _Inverse(succ_ids)
-    window = [SlotTask(base[iid % size], succs, iid, inverse)
-              for iid, succs in zip(ids, succ_ids)]
-    return CycleWindow(window, size, added, crossing, entry)
+    return [SlotTask(base[iid % size], succs, iid, inverse)
+            for iid, succs in zip(ids, succ_ids)]
+
+
+def window_countdowns(window: list[SlotTask]) -> tuple[list[int], list[int], list[int]]:
+    """Per task id, how many releases an instance waits for: in cycle 0,
+    in cycle 1, and in every later cycle, which a slot is re-armed with.
+    A window id waits for every id whose successor tuple holds it.  Slot
+    1's tuples are slot 0's moved one slot, so slot 0's count for both: an
+    id of slot 0 in them is a same-cycle successor, or, in the gate's, a
+    task of the cycle two on; an id of slot 1 is a task of the next
+    cycle.  Cycle 0 leaves out the releases of cycle -1, and cycles 0 and
+    1 leave out the gate two back."""
+
+    size = len(window) // 2
+    gate = size - 1
+    first = [0] * size      # from the same cycle
+    behind = [0] * size     # from the cycle before
+    held = [0] * size       # from the gate two cycles back
+    for tid in range(size):
+        counts = held if tid == gate else first
+        for succ in window[tid].succs:
+            if succ < size:
+                counts[succ] += 1
+            else:
+                behind[succ - size] += 1
+    second = list(map(add, first, behind))
+    return first, second, list(map(add, second, held))

@@ -172,7 +172,7 @@ class TestAffectedFids:
         assert (faults.fids, faults.fid_map, faults.stuck,
                 faults.transients) == ([], {}, [], [])
         assert eval_bad_gates(node, fan, faults, 1, 4) == ([], 0)
-        assert not check_dependence_changed(node, fan, faults, 3)
+        assert not check_dependence_changed(fan, faults, 3)
 
     def test_discard_keeps_stuck_list(self):
         faults = nf(rule(2, 0, "sa0"), rule(5, 0, "transient", 1, 2),
@@ -377,28 +377,24 @@ end
 
 class TestDependenceCheck:
     def test_first_cycle_always_true(self):
-        node = comb("AND", 1, 2)
-        assert check_dependence_changed(node, [NodeState(), NodeState()], NO_FAULTS, 0)
+        assert check_dependence_changed([NodeState(), NodeState()], NO_FAULTS, 0)
 
     def test_stable_fanins_skip(self):
-        node = comb("AND", 1, 2)
-        assert not check_dependence_changed(node, [NodeState(), NodeState()], NO_FAULTS, 3)
+        assert not check_dependence_changed([NodeState(), NodeState()], NO_FAULTS, 3)
 
     def test_changed_fanin_triggers(self):
-        node = comb("AND", 1, 2)
         changed = NodeState()
         changed.bads_stamp = 3
-        assert check_dependence_changed(node, [NodeState(), changed], NO_FAULTS, 3)
-        assert not check_dependence_changed(node, [NodeState(), changed], NO_FAULTS, 4)
+        assert check_dependence_changed([NodeState(), changed], NO_FAULTS, 3)
+        assert not check_dependence_changed([NodeState(), changed], NO_FAULTS, 4)
 
     def test_window_toggle_triggers(self):
-        node = comb("AND", 1, 2)
         faults = nf(rule(0, 0, "transient", 3, 5))
         quiet = [NodeState(), NodeState()]
-        assert check_dependence_changed(node, quiet, faults, 3)
-        assert not check_dependence_changed(node, quiet, faults, 4)
-        assert check_dependence_changed(node, quiet, faults, 6)
-        assert not check_dependence_changed(node, quiet, faults, 7)
+        assert check_dependence_changed(quiet, faults, 3)
+        assert not check_dependence_changed(quiet, faults, 4)
+        assert check_dependence_changed(quiet, faults, 6)
+        assert not check_dependence_changed(quiet, faults, 7)
 
 
 def reg_node(width=1, init=0):

@@ -609,7 +609,7 @@ def test_liveness_random_graphs_with_random_expansions():
         assert report.verdicts() == run_serial_concurrent(g2, faults, stim).verdicts()
 
 
-def test_deadlock_detector_reports_stuck_tasks():
+def test_deadlock_detector_reports_stuck_tasks(monkeypatch):
     pool = WorkerPool(2)
     tasks = [Task(0, "default", node=0), Task(1, "default", node=1)]
     tasks[0].succs = []
@@ -619,10 +619,29 @@ def test_deadlock_detector_reports_stuck_tasks():
     result = pool.run_phase(counts, [0], tasks, lambda tid: (calls.append(tid), 10)[1])
     assert calls == [0] and result.dispatched == 1
 
+    # A barrier cycle's countdowns come from the graph's predecessor
+    # counts: a compute task that waits for 99 never runs.
     b = small_bench(2)
     g, stim, faults = b.build()
-    eng = SimulationEngine(g, faults, stim, SimConfig(workers=2))
-    eng.tg.pred_reset[eng.tg.tasks[-1].id] = 99
+    eng = SimulationEngine(g, faults, stim, SimConfig(workers=2, mode="structural"))
+    stuck = next(t.id for t in eng.tg.tasks if t.kind != SYNC and t.preds)
+    eng.tg.pred_reset[stuck] = 99
+    with pytest.raises(SimulationError, match="unexecuted"):
+        eng.run()
+
+    # ``full`` counts its countdowns from the window's successor tuples:
+    # one window id that waits for 99 more releases never runs.
+    g, stim, faults = b.build()
+    eng = SimulationEngine(g, faults, stim, SimConfig(workers=2, mode="full"))
+    count = scheduler.window_countdowns
+
+    def waits_longer(window):
+        vectors = count(window)
+        for vector in vectors:
+            vector[eng.tg.tasks[-1].id] += 99
+        return vectors
+
+    monkeypatch.setattr(scheduler, "window_countdowns", waits_longer)
     with pytest.raises(SimulationError, match="unexecuted"):
         eng.run()
 

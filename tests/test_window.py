@@ -20,7 +20,7 @@ from faultsim.oracles import run_serial_concurrent
 from faultsim.report import emit_report_csv, emit_stats
 from faultsim.rtl import elaborate_text
 from faultsim.scheduler import SimulationEngine, run_simulation
-from faultsim.taskgraph import GATE, STIMULUS, STROBE, make_window
+from faultsim.taskgraph import GATE, STIMULUS, STROBE, make_window, window_countdowns
 
 from conftest import (
     WINDOW_KINDS, check_data_hazards, cost_key, cycle_traces, expanding_first,
@@ -279,29 +279,41 @@ def test_window_gate_holds_each_cycle_behind_the_one_two_back():
             max(fin for *_, fin in per_cycle[cycle - 2])
 
 
-def test_window_ids_map_to_their_slot_and_task():
-    b = gen_bench("skewed", 120, 2, cycles=3, fault_count=30)
-    g, stim, faults = b.build()
-    eng = SimulationEngine(g, faults, stim, SimConfig(workers=3, mode="full"))
-    window = make_window(eng.graph, eng.tg)
+# The fixed benches, 10 cycles each: (profile, size, seed, fault count).
+FIXED_BENCHES = [("skewed", 3000, 42, None), ("pipeline", 1500, 42, 15000),
+                 ("uniform", 600, 11, None)]
+
+
+@pytest.mark.parametrize("hold", [False, True])
+@pytest.mark.parametrize("bench", FIXED_BENCHES, ids=lambda k: f"{k[0]}_{k[1]}_{k[2]}")
+def test_window_ids_map_to_their_slot_and_task(bench, hold):
+    profile, scale, seed, fault_count = bench
+    g, stim, faults = gen_bench(profile, scale, seed, cycles=10,
+                                fault_count=fault_count).build()
+    eng = SimulationEngine(g, faults, stim, SimConfig(workers=8, mode="full"))
+    window = make_window(eng.graph, eng.tg, hold_strobe=hold)
     n = len(eng.tg.tasks)
-    assert window.size == n + 3
-    assert [t.kind for t in window.tasks[n:n + 3]] == [STIMULUS, STROBE, GATE]
-    for iid, task in enumerate(window.tasks):
-        assert task.task is window.tasks[iid % window.size].task
+    size, gate = n + 3, n + 2
+    assert len(window) == 2 * size
+    assert [t.kind for t in window[n:size]] == [STIMULUS, STROBE, GATE]
+    for iid, task in enumerate(window):
+        assert task.task is window[iid % size].task
         for succ in task.succs:
-            assert iid in window.tasks[succ].preds
-    # Cycle 0 counts same-cycle predecessors, cycle 1 adds the previous
-    # cycle's, and later cycles the gate two back for tasks with none.
-    size = window.size
-    first, second, later = window.countdowns(eng.tg.pred_reset)
-    assert window.entry == [t for t in range(size) if not first[t]]
-    for iid, task in enumerate(window.tasks):
-        tid, slot = iid % size, iid // size
-        same = [p for p in task.preds if p // size == slot]
-        assert len(task.preds) == later[tid]
-        assert len(same) == first[tid] + (tid in window.entry)
-        assert len(task.preds) - len(same) == second[tid] - first[tid]
+            assert iid in window[succ].preds
+    # Slot 1 is slot 0 moved one slot, which the countdowns rely on.
+    for tid in range(size):
+        assert window[size + tid].succs == \
+            tuple((succ + size) % (2 * size) for succ in window[tid].succs)
+    # Each id waits for its preds: cycle 0 for those of its own slot but
+    # the gate (cycle -1's releases and the gate two back are left out),
+    # cycle 1 for all but its own slot's gate (the gate two back), and
+    # every later cycle for all of them, in either slot.
+    first, second, later = window_countdowns(window)
+    for tid in range(size):
+        preds, moved = window[tid].preds, window[size + tid].preds
+        assert first[tid] == sum(p < gate for p in preds)
+        assert second[tid] == sum(p != size + gate for p in moved)
+        assert later[tid] == len(preds) == len(moved)
 
 
 def test_one_cycle_and_no_cycle_runs():
