@@ -69,17 +69,16 @@ class FaultDescriptor:
 class NodeFaults:
     """The faults injected at one node, in the forms the evaluation kernels
     index every cycle: ``fid_map`` maps each fid to its descriptor, in fid
-    order, and ``fids`` lists the fids ascending.  ``transients`` holds the
-    descriptors whose window can open or close; ``stuck`` holds the fids of
-    the others, ascending, whose window never closes.  Only ``kernels.drop_detected`` changes a site, through
+    order.  ``transients`` holds the descriptors whose window can open or
+    close; ``stuck`` holds the fids of the others, ascending, whose window
+    never closes.  Only ``kernels.drop_detected`` changes a site, through
     ``discard``, at a cycle's strobe."""
 
-    __slots__ = ("fid_map", "fids", "stuck", "transients")
+    __slots__ = ("fid_map", "stuck", "transients")
 
     def __init__(self, entries: list[FaultDescriptor]):
         entries = sorted(entries, key=attrgetter("fid"))
         self.fid_map = {f.fid: f for f in entries}
-        self.fids = [f.fid for f in entries]
         self.stuck = [f.fid for f in entries if f.kind != TRANSIENT]
         self.transients = [f for f in entries if f.kind == TRANSIENT]
 
@@ -87,8 +86,6 @@ class NodeFaults:
         """Stop injecting fault ``fid`` here; its descriptor is left as is."""
 
         fault = self.fid_map.pop(fid)
-        i = bisect_left(self.fids, fid)
-        del self.fids[i]
         if fault.kind == TRANSIENT:
             self.transients.remove(fault)
         else:
@@ -107,7 +104,7 @@ class FaultTable:
     def __init__(self, by_site: dict[int, list[FaultDescriptor]]):
         self._node_faults = {nid: NodeFaults(entries) for nid, entries in by_site.items()}
         self.site_of = {fid: nid for nid, site in self._node_faults.items()
-                        for fid in site.fids}
+                        for fid in site.fid_map}
 
     def node_faults(self, nid: int) -> NodeFaults:
         return self._node_faults.get(nid, NO_FAULTS)

@@ -149,7 +149,7 @@ def bind_operators(graph: RtlGraph, table: FaultTable) -> None:
             operator_of(node)
             node.pass_through = (node.kind == rtl.VIRTUAL
                                  and node.width >= nodes[node.fanin[0]].width
-                                 and not table.node_faults(node.id).fids)
+                                 and not table.node_faults(node.id).fid_map)
 
 
 def eval_good(node: RtlNode, fanin_goods: list[int]) -> int:

@@ -73,7 +73,7 @@ from .rtl import RtlGraph
 from .stimulus import as_rows
 from .taskgraph import (
     DEFAULT, MASTER, SLAVE, STIMULUS, STROBE, SYNC, make_task_graph, make_window,
-    reset_for_cycle, window_countdowns,
+    window_countdowns,
 )
 
 MAX_EXPANSIONS = 8  # nodes expanded at setup, heaviest first
@@ -228,8 +228,8 @@ def flag_overloaded(graph: RtlGraph, nf: list[NodeFaults], threshold: float) -> 
     order = [nid for nid in graph.topo if nodes[nid].kind in rtl.TASK_KINDS]
     cone, width = [0] * len(nodes), 0
     for nid, site in enumerate(nf):
-        cone[nid] = ((1 << len(site.fids)) - 1) << width
-        width += len(site.fids)
+        cone[nid] = ((1 << len(site.fid_map)) - 1) << width
+        width += len(site.fid_map)
     grew = True
     while grew:
         for nid in order:
@@ -343,8 +343,17 @@ class SimulationEngine:
                 self.window = make_window(
                     graph, tg, hold_strobe=config.drop_on_detect or config.steady_state_check)
             else:
-                # Behind a barrier phase 1's entry list leaves out the sync tasks.
-                self.entry = [tid for tid in tg.entry_tasks if tg.tasks[tid].kind != SYNC]
+                # Each task's predecessor count, from the successor lists;
+                # each cycle starts from a copy.  The compute drain starts
+                # with the tasks that have none, but must not release a
+                # sync task: its countdown starts below zero and only falls.
+                self._rearm = counts = [0] * len(tg.tasks)
+                for task in tg.tasks:
+                    for succ in task.succs:
+                        counts[succ] += 1
+                self.entry = [t.id for t in tg.tasks if not counts[t.id] and t.kind != SYNC]
+                for tid in tg.sync_tasks:
+                    counts[tid] = -1
             self.pool = WorkerPool(config.workers)
             self.monitor = LoadMonitor()
         self.detections: dict[int, tuple[int, str]] = {}
@@ -405,7 +414,7 @@ class SimulationEngine:
             if not check_dependence_changed(fanin_states, nf, cycle):
                 stats.skipped += 1
                 continue
-            diverged = nf.fids
+            diverged = nf.fid_map
             goods = []
             for fs in fanin_states:
                 goods.append(fs.good)
@@ -445,8 +454,8 @@ class SimulationEngine:
         if len(st.bads) > len(longest):
             longest = st.bads
         k = len(board.partials)
-        if len(nf.fids) > len(longest):
-            cuts = nf.fids
+        if len(nf.fid_map) > len(longest):
+            cuts = list(nf.fid_map)
             n = len(cuts)
             board.bounds[1:k] = [cuts[i * n // k] for i in range(1, k)]
         else:
@@ -580,16 +589,13 @@ class SimulationEngine:
     def _run_pool_cycle(self, cycle: int, row) -> None:
         """A barrier cycle: stimulus, the compute drain, the strobe, then
         the commit drain.  Stimulus and strobe are host time outside the
-        drains."""
+        drains.  Both drains share one copy of the countdowns setup counted
+        from the successor lists, with every sync task's below zero."""
 
         tg = self.tg
         boundary0 = perf_counter_ns()
         self._begin_cycle(cycle, row)
-        counts = reset_for_cycle(tg)
-        # The compute drain must not release a sync task: its countdown
-        # starts below zero and only falls.
-        for tid in tg.sync_tasks:
-            counts[tid] = -1
+        counts = self._rearm.copy()
         boundary_ns = perf_counter_ns() - boundary0
 
         pool0 = perf_counter_ns()

@@ -14,7 +14,10 @@ expand, from its fault cone, is a master plus a fixed set of slaves that
 split the node's bad-gate work at fid cut points the master publishes.
 The graph is a plain dependency description with one shape for every
 mode: whether sync tasks run mid-cycle or behind a commit barrier is the
-engine's choice, not the graph's.  ``make_task_graph`` builds it at
+engine's choice, not the graph's.  It states its dependencies once, as
+each task's successor list (``Task.succs``): the engine counts a barrier
+cycle's countdowns from them, and ``make_window`` inverts them for the
+writers of what each task reads.  ``make_task_graph`` builds it at
 setup, and nothing changes it after that.  ``make_window`` lays two
 cycles of it side by side for a drain that spans the run, with the
 per-cycle stimulus, strobe and gate tasks and the edges from each cycle
@@ -51,7 +54,6 @@ class Task:
     nodes: tuple[int, ...] = ()
     slave_index: int = -1
     regs: tuple[int, ...] = ()
-    preds: tuple[int, ...] = ()
     succs: list[int] = field(default_factory=list)
 
 
@@ -79,12 +81,13 @@ class RangeBoard:
 
 @dataclass
 class TaskGraph:
+    """The tasks, by id, whose successor lists are the graph's only
+    statement of its dependencies, and what the engine looks up in them."""
+
     tasks: list[Task]
     node_task: dict[int, int]           # rtl node id -> default/master task id
     sync_tasks: list[int]
     boards: dict[int, RangeBoard]       # expanded node -> its slaves' board
-    pred_reset: list[int]               # task id -> predecessor count
-    entry_tasks: list[int]              # tasks with no predecessor
 
 
 def make_task_graph(graph: RtlGraph, expanded: Sequence[int] = (), k: int = 1,
@@ -111,7 +114,8 @@ def make_task_graph(graph: RtlGraph, expanded: Sequence[int] = (), k: int = 1,
     points; each slave depends on the master alone and evaluates the bad
     gates of the fids between its two cuts; the node's successors wait for
     the master and every slave.  ``expanded`` lists distinct live
-    evaluated nodes.
+    evaluated nodes.  No predecessor list is built: the successor lists
+    are the graph's only statement of its dependencies.
     """
 
     nodes = graph.nodes
@@ -189,22 +193,7 @@ def make_task_graph(graph: RtlGraph, expanded: Sequence[int] = (), k: int = 1,
                 tasks[sid].succs = list(succs)
             succs = slaves[task.node] + succs
         task.succs = succs
-    preds: list[list[int]] = [[] for _ in tasks]
-    for task in tasks:
-        for sid in task.succs:
-            preds[sid].append(task.id)
-    for task, ids in zip(tasks, preds):
-        task.preds = tuple(ids)
-    return TaskGraph(
-        tasks, node_task, sync_tasks, {nid: RangeBoard(k) for nid in expanded},
-        [len(t.preds) for t in tasks], [t.id for t in tasks if not t.preds],
-    )
-
-
-def reset_for_cycle(tg: TaskGraph) -> list[int]:
-    """Fresh predecessor countdowns for one cycle."""
-
-    return tg.pred_reset.copy()
+    return TaskGraph(tasks, node_task, sync_tasks, {nid: RangeBoard(k) for nid in expanded})
 
 
 # The per-cycle tasks a cycle window adds after the graph's own.
@@ -236,13 +225,15 @@ class SlotTask:
 
 
 class _Inverse:
-    """A window's predecessor lists, worked out from its successor tuples
-    on first read.  It holds the tuples, not the slot tasks, so that no
-    reference cycle outlives a run."""
+    """Predecessor lists, worked out from successor lists on first read:
+    a window's, from its tuples, or the task graph's, which ``make_window``
+    reads for the writers of what each task reads.  A window's holds the
+    tuples, not the slot tasks, so that no reference cycle outlives a
+    run."""
 
     __slots__ = ("succs", "lists")
 
-    def __init__(self, succs: list[tuple[int, ...]]):
+    def __init__(self, succs: Sequence[Sequence[int]]):
         self.succs = succs
         self.lists: list[tuple[int, ...]] | None = None
 
@@ -323,6 +314,7 @@ def make_window(graph: RtlGraph, tg: TaskGraph, hold_strobe: bool = False) -> li
     # another task writes in its cycle follows itself in the next cycle
     # through that writer, which it precedes there; every other task
     # follows itself directly.
+    preds = _Inverse([task.succs for task in tasks]).preds
     following: list[list[int]] = []
     for task in tasks:
         tid, kind = task.id, task.kind
@@ -333,13 +325,13 @@ def make_window(graph: RtlGraph, tg: TaskGraph, hold_strobe: bool = False) -> li
                 reads_input[tid] = True
                 producer = stim
             # Its register's readers read this commit in the next cycle.
-            reading = [p for p in task.preds if p != producer and tasks[p].kind != SLAVE]
+            reading = [p for p in preds(tid) if p != producer and tasks[p].kind != SLAVE]
             following.append([producer if producer is not None else tid, *reading])
         elif kind == SLAVE:
             master = node_task[task.node]
             following.append([master, *(w for w in following[master] if w != master)])
         else:
-            writers = [p for p in task.preds if tasks[p].kind != SLAVE]
+            writers = [p for p in preds(tid) if tasks[p].kind != SLAVE]
             if reads_input[tid]:
                 writers.append(stim)
             following.append(writers or [tid])

@@ -135,6 +135,18 @@ def rand_rows(rng: random.Random, graph, cycles: int):
     return [[rng.randrange(1 << w) for w in widths] for _ in range(cycles)]
 
 
+def preds_of(tasks) -> list[list[int]]:
+    """Each task's predecessors, by task id: the inversion of the tasks'
+    successor lists, which are the task graph's only statement of its
+    dependencies.  Each list is in id order."""
+
+    preds: list[list[int]] = [[] for _ in tasks]
+    for tid, task in enumerate(tasks):
+        for succ in task.succs:
+            preds[succ].append(tid)
+    return preds
+
+
 def per_node_graph(graph, expanded=(), k=1) -> list[Task]:
     """Reference tasks for ``make_task_graph``'s output, with no chain
     merged: one default or master task per evaluated node in node-id order,
@@ -151,7 +163,6 @@ def per_node_graph(graph, expanded=(), k=1) -> list[Task]:
     def edge(a, b):
         if b not in tasks[a].succs:
             tasks[a].succs.append(b)
-            tasks[b].preds += (a,)
 
     for node in graph.nodes:
         for src in node.fanin:
@@ -353,9 +364,10 @@ def check_schedule_invariants(eng, traces):
     checked."""
 
     tg = eng.tg
-    reader_map = {tid: set(tg.tasks[tid].preds) for tid in tg.sync_tasks}
-    for tid, preds in reader_map.items():
-        assert all(tg.tasks[p].kind != SYNC for p in preds), \
+    preds = preds_of(tg.tasks)
+    reader_map = {tid: set(preds[tid]) for tid in tg.sync_tasks}
+    for tid, readers in reader_map.items():
+        assert all(tg.tasks[p].kind != SYNC for p in readers), \
             f"sync {tid} waits for another sync task"
     slaves_of = {}
     for t in tg.tasks:

@@ -220,7 +220,7 @@ def test_inject_sorts_entries_by_fid(and2_graph):
     faults = [fd(7, "wire", "y", 0, "sa1"), fd(2, "wire", "y", 0, "transient", 1, 2)]
     table = FaultTable(inject(g, faults))
     site = table.node_faults(g.name_to_id["y"])
-    assert list(site.fid_map) == site.fids == [2, 7]
+    assert list(site.fid_map) == [2, 7]
     assert site.fid_map[7] is faults[0] and site.fid_map[2] is faults[1]
     assert len(site.transients) == 1 and site.transients[0] is faults[1]
     assert [f.fid for f in faults] == [7, 2]
@@ -451,7 +451,7 @@ def test_inject_resolves_each_location_once(monkeypatch):
     table = FaultTable(inject(g, good + on_output))
     assert resolved == ["n", "a", "o"]
     n = g.name_to_id["n"]
-    assert table.node_faults(n).fids == sorted(
+    assert list(table.node_faults(n).fid_map) == sorted(
         [f.fid for f in good if f.location_name == "n"] + [f.fid for f in on_output]
     )
     assert {table.site_of[f.fid] for f in on_output} == {n}

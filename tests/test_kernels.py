@@ -36,7 +36,7 @@ def discard_some(faults, rng, p):
     """Drop each injected fault with probability p, as a detection would;
     returns the dropped fids."""
 
-    dropped = {f for f in faults.fids if rng.random() < p}
+    dropped = {f for f in faults.fid_map if rng.random() < p}
     for f in dropped:
         faults.discard(f)
     return dropped
@@ -169,8 +169,7 @@ class TestAffectedFids:
                             (4, ([(4, 0)], 1)), (5, ([(4, 0)], 1)), (6, ([], 0))]:
             assert eval_bad_gates(node, fan, faults, 1, cycle) == want
         faults.discard(4)
-        assert (faults.fids, faults.fid_map, faults.stuck,
-                faults.transients) == ([], {}, [], [])
+        assert (faults.fid_map, faults.stuck, faults.transients) == ({}, [], [])
         assert eval_bad_gates(node, fan, faults, 1, 4) == ([], 0)
         assert not check_dependence_changed(fan, faults, 3)
 
@@ -180,7 +179,7 @@ class TestAffectedFids:
         assert faults.stuck == [2, 8, 11]
         faults.discard(8)
         faults.discard(5)
-        assert faults.stuck == [2, 11] and faults.fids == [2, 11]
+        assert faults.stuck == [2, 11] and list(faults.fid_map) == [2, 11]
         node = comb("OR", 1, 2)
         fan = [NodeState(1, [(8, 0)]), NodeState(0)]
         # 8 now diverges only upstream; the stuck-at-0 fids 2 and 11 stay.
@@ -410,7 +409,7 @@ def merge_walk_sync(reg, next_state, nf, serve_cycle):
     mask = reg.mask
     incoming = next_state.bads
     new_good = next_state.good & mask
-    inj_fids = nf.fids
+    inj_fids = list(nf.fid_map)
     out = []
     i = j = 0
     while i < len(incoming) or j < len(inj_fids):
@@ -532,7 +531,7 @@ end
         assert [f for f, _ in bads] == sorted({f for f, _ in bads})
         assert all(v != new_good for _, v in bads)
         assert incoming == before
-        if not (faults.fids or narrows):
+        if not (faults.fid_map or narrows):
             assert bads is incoming
         if incoming:
             assert (bads is incoming) == (not narrows and bads == incoming)
@@ -584,4 +583,4 @@ class TestDropDetected:
         assert states[4].bads == [] and states[5].bads == []
         assert hit == [(1, 0), (2, 4), (3, 1)]
         assert table.site_of.keys() == {1, 3, 5}
-        assert table.node_faults(table.site_of[5]).fids == [5]
+        assert list(table.node_faults(table.site_of[5]).fid_map) == [5]

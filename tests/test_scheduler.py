@@ -18,7 +18,7 @@ from faultsim.taskgraph import DEFAULT, SLAVE, SYNC, Task, make_task_graph
 
 from conftest import (
     SYNCED, build, check_schedule_invariants, cost_key, cycle_costs,
-    expanding_first, per_node_graph, rand_rows, record_costs, record_traces,
+    expanding_first, per_node_graph, preds_of, rand_rows, record_costs, record_traces,
     replay_costs, run_with_outputs,
 )
 
@@ -209,8 +209,8 @@ def test_expansion_does_not_depend_on_task_costs():
         assert {c.executed + c.skipped for c in report.cycles} == {bodies}, table
         assert report.totals.dispatches == len(report.cycles) * (n + 3)
         runs.append((report.totals.expanded,
-                     [(t.kind, t.node, t.slave_index, t.regs, sorted(t.preds), t.succs)
-                      for t in eng.tg.tasks]))
+                     [(t.kind, t.node, t.slave_index, t.regs, t.succs) for t in eng.tg.tasks],
+                     preds_of(eng.tg.tasks)))
     assert runs[0][0], "nothing expanded"
     assert runs[0] == runs[1]
 
@@ -276,10 +276,10 @@ def test_drop_on_detect_keeps_verdicts():
             if fault.fid in unfiled:
                 continue
             site = table.node_faults(table.site_of[fault.fid])
-            filed = (fault.fid in site.fid_map, fault.fid in site.fids,
-                     site.fid_map.get(fault.fid) is fault, fault in site.transients)
+            filed = (fault.fid in site.fid_map, site.fid_map.get(fault.fid) is fault,
+                     fault in site.transients)
             live = fault.fid not in detected
-            assert filed == (live, live, live, live and fault.kind == "transient"), \
+            assert filed == (live, live, live and fault.kind == "transient"), \
                 (mode, fault.fid)
         assert keep.verdicts() == drop.verdicts(), mode
         # Dropping detected faults removes their bad gates from later cycles;
@@ -407,9 +407,10 @@ def test_barrier_modes_replay_the_per_cycle_schedule():
         eng.run()
         got = [(a.makespan_ns, c.makespan_ns) for a, c in zip(results[::2], results[1::2])]
         want = []
-        entry = [t for t in tg.entry_tasks if tg.tasks[t].kind != SYNC]
+        preds = preds_of(tg.tasks)
+        entry = [tid for tid, ids in enumerate(preds) if not ids and tg.tasks[tid].kind != SYNC]
         for c in range(cycles):
-            counts = list(tg.pred_reset)
+            counts = list(map(len, preds))
             for tid in tg.sync_tasks:
                 counts[tid] = -1
             charge = [table[c, cost_key(t)] for t in tg.tasks].__getitem__
@@ -612,20 +613,18 @@ def test_liveness_random_graphs_with_random_expansions():
 def test_deadlock_detector_reports_stuck_tasks(monkeypatch):
     pool = WorkerPool(2)
     tasks = [Task(0, "default", node=0), Task(1, "default", node=1)]
-    tasks[0].succs = []
-    tasks[1].preds = (99,)
     counts = [0, 5]  # task 1 never releases
     calls = []
     result = pool.run_phase(counts, [0], tasks, lambda tid: (calls.append(tid), 10)[1])
     assert calls == [0] and result.dispatched == 1
 
-    # A barrier cycle's countdowns come from the graph's predecessor
-    # counts: a compute task that waits for 99 never runs.
+    # Each barrier cycle starts from the countdowns setup counted from the
+    # successor lists: a compute task that waits for 99 never runs.
     b = small_bench(2)
     g, stim, faults = b.build()
     eng = SimulationEngine(g, faults, stim, SimConfig(workers=2, mode="structural"))
-    stuck = next(t.id for t in eng.tg.tasks if t.kind != SYNC and t.preds)
-    eng.tg.pred_reset[stuck] = 99
+    stuck = next(t.id for t in eng.tg.tasks if t.kind != SYNC and eng._rearm[t.id] > 0)
+    eng._rearm[stuck] = 99
     with pytest.raises(SimulationError, match="unexecuted"):
         eng.run()
 
@@ -652,11 +651,9 @@ def test_pool_executes_each_task_exactly_once():
         n = rng.randint(1, 30)
         tasks = [Task(i, "default", node=i) for i in range(n)]
         for i in range(n):
-            for j in rng.sample(range(i + 1, n), min(rng.randint(0, 3), n - i - 1)):
-                tasks[i].succs.append(j)
-                tasks[j].preds += (i,)
-        counts = [len(t.preds) for t in tasks]
-        ready = [t.id for t in tasks if not t.preds]
+            tasks[i].succs += rng.sample(range(i + 1, n), min(rng.randint(0, 3), n - i - 1))
+        counts = list(map(len, preds_of(tasks)))
+        ready = [t.id for t in tasks if not counts[t.id]]
         pool = WorkerPool(rng.randint(1, 8))
         seen = []
         result = pool.run_phase(counts, ready, tasks,
@@ -741,10 +738,8 @@ def test_inlined_pool_loop_keeps_the_reference_schedule():
         n = rng.randint(1, 40)
         tasks = [Task(i, "default", node=i) for i in range(n)]
         for i in range(n):
-            for j in rng.sample(range(i + 1, n), min(rng.randint(0, 4), n - i - 1)):
-                tasks[i].succs.append(j)
-                tasks[j].preds += (i,)
-        counts = [len(t.preds) for t in tasks]
+            tasks[i].succs += rng.sample(range(i + 1, n), min(rng.randint(0, 4), n - i - 1))
+        counts = list(map(len, preds_of(tasks)))
         if case % 10 == 0:
             # A predecessor outside the phase: that task and its
             # descendants are never released.
@@ -787,22 +782,21 @@ def test_pool_reports_the_critical_path_it_ran():
         n = rng.randint(1, 40)
         tasks = [Task(i, "default", node=i) for i in range(n)]
         for i in range(n):
-            for j in rng.sample(range(i + 1, n), min(rng.randint(0, 4), n - i - 1)):
-                tasks[i].succs.append(j)
-                tasks[j].preds += (i,)
+            tasks[i].succs += rng.sample(range(i + 1, n), min(rng.randint(0, 4), n - i - 1))
+        preds = preds_of(tasks)
         cost = [rng.choice((0, 1, 7, 100, rng.randrange(10**6))) for _ in range(n)]
         longest = [0] * n
         for i in range(n):
-            longest[i] = cost[i] + max((longest[p] for p in tasks[i].preds), default=0)
+            longest[i] = cost[i] + max((longest[p] for p in preds[i]), default=0)
         P = rng.randint(1, 8)
         trace = []
-        res = WorkerPool(P).run_phase([len(t.preds) for t in tasks],
-                                      [t.id for t in tasks if not t.preds], tasks,
+        res = WorkerPool(P).run_phase(list(map(len, preds)),
+                                      [i for i in range(n) if not preds[i]], tasks,
                                       cost.__getitem__, trace, rng.choice((0, 999)))
         done = {tid: k for k, (tid, *_) in enumerate(trace)}
         chain = {}
         for tid, *_ in trace:
-            releaser = max(tasks[tid].preds, key=done.__getitem__, default=None)
+            releaser = max(preds[tid], key=done.__getitem__, default=None)
             chain[tid] = cost[tid] + (chain[releaser] if releaser is not None else 0)
         assert res.critical_ns == max(chain.values())
         assert res.critical_ns <= max(longest)
@@ -822,10 +816,11 @@ def test_merging_chains_leaves_the_modeled_schedule_unchanged():
 
     def schedules(tasks, cost):
         charge = [sum(cost[u] for u in units(t)) for t in tasks]
-        entry = [t.id for t in tasks if not t.preds]
+        counts = list(map(len, preds_of(tasks)))
+        entry = [t.id for t in tasks if not counts[t.id]]
         out = []
         for P in (1, 2, 4, 8):
-            phase = WorkerPool(P).run_phase([len(t.preds) for t in tasks], entry,
+            phase = WorkerPool(P).run_phase(list(counts), entry,
                                             tasks, charge.__getitem__)
             assert phase.dispatched == len(tasks)
             out.append((phase.makespan_ns, phase.busy_ns))
@@ -841,7 +836,6 @@ def test_merging_chains_leaves_the_modeled_schedule_unchanged():
         keys = [u for t in per_node for u in units(t)]
         cost = dict(zip(keys, rng.sample(range(1, 10**9), len(keys))))
         tg = make_task_graph(g, expanded, k)
-        assert tg.pred_reset == [len(t.preds) for t in tg.tasks]
         assert len(tg.tasks) < len(per_node) or profile == "pipeline", profile
         assert schedules(tg.tasks, cost) == schedules(per_node, cost), (seed, profile)
 
@@ -859,9 +853,9 @@ def test_names_the_perfbench_tracer_wraps():
     ]
     assert inspect.isfunction(vars(LoadMonitor)["record"])
     assert inspect.isfunction(vars(scheduler)["flag_overloaded"])
-    # taskgraph.build_s, taskgraph.reset_s and the setup spans read the
-    # taskgraph functions the engine calls through these names.
-    for name in ("make_task_graph", "reset_for_cycle"):
+    # taskgraph.build_s and the setup spans read the taskgraph function the
+    # engine calls through this name.
+    for name in ("make_task_graph",):
         assert vars(scheduler)[name] is vars(taskgraph)[name], name
         assert inspect.isfunction(vars(taskgraph)[name]), name
 
@@ -901,10 +895,10 @@ def test_task_graph_is_final_at_setup(mode):
     neither replaces nor changes it."""
 
     def shape(tg):
-        tasks = [(t.id, t.kind, t.node, t.nodes, t.slave_index, t.regs,
-                  sorted(t.preds), list(t.succs)) for t in tg.tasks]
-        return (tasks, dict(tg.node_task), list(tg.sync_tasks), list(tg.entry_tasks),
-                list(tg.pred_reset), list(tg.boards))
+        tasks = [(t.id, t.kind, t.node, t.nodes, t.slave_index, t.regs, list(t.succs))
+                 for t in tg.tasks]
+        return (tasks, preds_of(tg.tasks), dict(tg.node_task), list(tg.sync_tasks),
+                list(tg.boards))
 
     g, stim, faults = gen_bench("skewed", 300, 3, cycles=4, fault_count=40).build()
     eng = SimulationEngine(g, faults, stim, SimConfig(workers=4, mode=mode, threshold=0.02))

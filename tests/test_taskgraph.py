@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 from faultsim.genbench import gen_bench
 from faultsim.rtl import REG, TASK_KINDS, VIRTUAL, observe_outputs, split_register_reads
 from faultsim.taskgraph import (
-    DEFAULT, MASTER, SLAVE, SYNC, Task, TaskGraph, make_task_graph, reset_for_cycle,
+    DEFAULT, MASTER, SLAVE, SYNC, Task, TaskGraph, make_task_graph,
 )
 
-from conftest import SYNCED, build, per_node_graph
+from conftest import SYNCED, build, per_node_graph, preds_of
 
 CHAIN = """
 module m
@@ -81,18 +81,18 @@ def test_chain_is_one_task():
     (task,) = tg.tasks  # inputs carry no task
     b, c = g.name_to_id["b"], g.name_to_id["c"]
     assert task.kind == DEFAULT and task.node == b and task.nodes == (b, c)
-    assert task.preds == () and task.succs == []
-    assert tg.node_task == {b: 0, c: 0} and tg.entry_tasks == [0]
+    assert preds_of(tg.tasks) == [[]] and task.succs == []
+    assert tg.node_task == {b: 0, c: 0}
 
 
 def test_diamond_pred_count():
     g = build(DIAMOND)
     tg = make_task_graph(g)
     d = task_of(tg, g, "d")
-    assert len(d.preds) == 2
-    counts = reset_for_cycle(tg)
-    assert counts[d.id] == 2
-    assert set(tg.entry_tasks) == {task_of(tg, g, "b").id, task_of(tg, g, "c").id}
+    preds = preds_of(tg.tasks)
+    assert len(preds[d.id]) == 2
+    entry = {tid for tid, ids in enumerate(preds) if not ids}
+    assert entry == {task_of(tg, g, "b").id, task_of(tg, g, "c").id}
 
 
 def test_sync_task_waits_for_readers_and_producer():
@@ -102,7 +102,7 @@ def test_sync_task_waits_for_readers_and_producer():
     d = task_of(tg, g, "d")   # reads r
     e = task_of(tg, g, "e")   # produces next r
     assert sync.kind == SYNC
-    assert set(sync.preds) == {d.id, e.id}
+    assert set(preds_of(tg.tasks)[sync.id]) == {d.id, e.id}
     assert sync.succs == []
 
 
@@ -119,7 +119,7 @@ end
     g = build(text)
     tg = make_task_graph(g)
     sync = tg.tasks[tg.sync_tasks[0]]
-    assert set(sync.preds) == {task_of(tg, g, "e").id}
+    assert set(preds_of(tg.tasks)[sync.id]) == {task_of(tg, g, "e").id}
 
 
 def test_reg_to_reg_chain_orders_syncs():
@@ -146,8 +146,9 @@ end
     assert g.nodes[copy.node].fanin == [g.name_to_id["r1"]]
     o_copy = tg.tasks[tg.node_task[g.nodes[g.name_to_id["o"]].fanin[0]]]
     assert g.nodes[o_copy.node].fanin == [g.name_to_id["r2"]]
-    assert set(sync_r1.preds) == {copy.id}
-    assert set(sync_r2.preds) == {o_copy.id, copy.id}
+    preds = preds_of(tg.tasks)
+    assert set(preds[sync_r1.id]) == {copy.id}
+    assert set(preds[sync_r2.id]) == {o_copy.id, copy.id}
     assert copy.succs == [sync_r1.id, sync_r2.id]
 
 
@@ -158,10 +159,11 @@ def test_expansion_topology():
     assert c.kind == MASTER
     slaves = [t for t in tg.tasks if t.kind == SLAVE]
     assert [s.slave_index for s in slaves] == [0, 1]
+    preds = preds_of(tg.tasks)
     for s in slaves:
-        assert set(s.preds) == {c.id}
+        assert set(preds[s.id]) == {c.id}
         assert s.succs == [d.id]
-    assert set(d.preds) == {b.id, c.id} | {s.id for s in slaves}
+    assert set(preds[d.id]) == {b.id, c.id} | {s.id for s in slaves}
     assert c.succs[:2] == [s.id for s in slaves]
 
 
@@ -186,10 +188,10 @@ def test_expansions_commute():
 def test_reset_after_expansion_master_entry_unchanged():
     g = build(CHAIN)
     b = g.name_to_id["b"]
-    ready_before = make_task_graph(g).entry_tasks
+    before = make_task_graph(g)
+    ready_before = [tid for tid, ids in enumerate(preds_of(before.tasks)) if not ids]
     tg = make_task_graph(g, [b], 2)
-    reset_for_cycle(tg)
-    ready_after = tg.entry_tasks
+    ready_after = [tid for tid, ids in enumerate(preds_of(tg.tasks)) if not ids]
     assert tg.node_task[b] in ready_before and tg.node_task[b] in ready_after
     slaves = [t.id for t in tg.tasks if t.kind == SLAVE]
     assert not set(slaves) & set(ready_after)
@@ -245,16 +247,17 @@ def check_ring_syncs(text):
     split_register_reads(g)
     tg = make_task_graph(g)
     assert [tg.tasks[tid].regs for tid in tg.sync_tasks] == [(r,) for r in g.regs]
+    preds = preds_of(tg.tasks)
     for tid in tg.sync_tasks:
         task = tg.tasks[tid]
         assert task.succs == []
-        assert all(tg.tasks[p].kind != SYNC for p in task.preds)
+        assert all(tg.tasks[p].kind != SYNC for p in preds[tid])
         # The register's next value comes from the copy of its source,
         # which reads that source and nothing else.
         (rid,) = task.regs
         copy = g.nodes[g.nodes[rid].next_src]
         assert copy.kind == VIRTUAL and g.nodes[copy.fanin[0]].kind == REG
-        assert tg.node_task[copy.id] in task.preds
+        assert tg.node_task[copy.id] in preds[tid]
 
 
 def test_register_swap_gives_one_sync_per_register():
@@ -336,14 +339,14 @@ def test_merge_chains_on_hand_built_netlist():
             assert t.node == t.nodes[0]
             assert all(tg.node_task[n] == t.id for n in t.nodes)
     assert tg.tasks[by_name["bcd"]].succs == [by_name["e"], by_name["f"]]
-    assert set(tg.tasks[by_name["z"]].preds) == {by_name["st"], by_name["y"]}
+    preds = preds_of(tg.tasks)
+    assert set(preds[by_name["z"]]) == {by_name["st"], by_name["y"]}
     master = tg.tasks[tg.node_task[g.name_to_id["q"]]]
-    assert master.kind == MASTER and set(master.preds) == {by_name["ghp"]}
-    assert len(tg.tasks[by_name["st"]].preds) == 3  # the master and two slaves
+    assert master.kind == MASTER and set(preds[master.id]) == {by_name["ghp"]}
+    assert len(preds[by_name["st"]]) == 3  # the master and two slaves
     (sync,) = tg.sync_tasks
-    assert set(tg.tasks[sync].preds) == {by_name["x"], by_name["z"]}
-    assert tg.entry_tasks == [by_name["bcd"], by_name["x"]]
-    assert tg.pred_reset == [len(t.preds) for t in tg.tasks]
+    assert set(preds[sync]) == {by_name["x"], by_name["z"]}
+    assert [tid for tid, ids in enumerate(preds) if not ids] == [by_name["bcd"], by_name["x"]]
 
 
 @settings(max_examples=60, deadline=None)
@@ -352,8 +355,7 @@ def test_merge_chains_properties(seed, picks, k):
     """On generated graphs with random expansions, against the one task
     per node reference: the built tasks partition the nodes, keep every
     dependency and the reference's task order, leave masters, slaves and
-    sync tasks alone, leave no mergeable link behind, and the reset image
-    matches the edges."""
+    sync tasks alone, and leave no mergeable link behind."""
 
     bench = gen_bench(("uniform", "skewed", "pipeline")[seed % 3], 40, seed,
                       cycles=2, fault_count=6)
@@ -393,17 +395,15 @@ def test_merge_chains_properties(seed, picks, k):
         if tu == tv:
             assert pv == pu + 1, (u, v)
         else:
-            assert tu in tasks[tv].preds and tv in tasks[tu].succs, (u, v)
+            assert tv in tasks[tu].succs, (u, v)
             merged_edges.add((tu, tv))
     # No edge appears that the reference does not imply.
     assert {(t.id, s) for t in tasks for s in t.succs} == merged_edges
-    assert {(p, t.id) for t in tasks for p in t.preds} == merged_edges
 
+    preds = preds_of(tasks)
     for a in tasks:  # maximal: no link is left to merge
         if a.kind == DEFAULT and len(a.succs) == 1:
             b = tasks[a.succs[0]]
-            assert not (b.kind == DEFAULT and len(b.preds) == 1)
+            assert not (b.kind == DEFAULT and len(preds[b.id]) == 1)
 
-    assert tg.pred_reset == [len(t.preds) for t in tasks]
-    assert tg.entry_tasks == [t.id for t in tasks if not t.preds]
     assert sorted(tg.boards) == sorted(expanded)

@@ -24,7 +24,7 @@ from faultsim.taskgraph import GATE, STIMULUS, STROBE, make_window, window_count
 
 from conftest import (
     WINDOW_KINDS, check_data_hazards, cost_key, cycle_traces, expanding_first,
-    output_faults, rand_rows, record_outputs, record_traces,
+    output_faults, preds_of, rand_rows, record_outputs, record_traces,
     replay_costs, run_with_outputs,
 )
 
@@ -87,10 +87,11 @@ def depth_of(tasks):
     """Each task's longest same-cycle path from a task with no predecessor."""
 
     depth = {}
+    preds = preds_of(tasks)
 
     def walk(tid):
         if tid not in depth:
-            depth[tid] = 1 + max((walk(p) for p in tasks[tid].preds), default=-1)
+            depth[tid] = 1 + max((walk(p) for p in preds[tid]), default=-1)
         return depth[tid]
 
     for task in tasks:
