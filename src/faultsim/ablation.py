@@ -18,6 +18,7 @@ from .config import (
     MODE_FULL, MODE_SERIAL, MODE_STRUCTURAL, MODE_STRUCTURAL_FAULT, SimConfig,
 )
 from .oracles import run_serial_concurrent
+from .report import RunTotals
 from .rtl import elaborate_text
 from .scheduler import run_simulation
 
@@ -26,13 +27,18 @@ ABLATION_MODES = (MODE_STRUCTURAL, MODE_STRUCTURAL_FAULT, MODE_FULL)
 
 @dataclass
 class AblationCell:
+    """One (mode, P) cell: the totals of its fastest trial, and its
+    speedup over the serial cell's fastest."""
+
     mode: str
     workers: int
-    wall_ns: int
-    utilization: float
+    totals: RunTotals
     speedup: float
-    dispatches: int
-    mean_dispatch_ns: float
+
+    @property
+    def utilization(self) -> float:
+        t = self.totals
+        return sum(t.busy_ns) / (t.wall_ns * self.workers) if t.wall_ns else 0.0
 
 
 @dataclass
@@ -44,17 +50,11 @@ class AblationTable:
     # task was added and the overhead fraction measures nothing.
     expanded: tuple[int, ...] = ()
 
-    def cell(self, mode: str, workers: int) -> AblationCell:
-        for c in self.cells:
-            if c.mode == mode and c.workers == workers:
-                return c
-        raise KeyError((mode, workers))
-
     def format(self) -> str:
         lines = [f"{'mode':<18} {'P':>3} {'schedule_ms':>11} {'util':>6} {'speedup':>8}"]
         for c in self.cells:
             lines.append(
-                f"{c.mode:<18} {c.workers:>3} {c.wall_ns / 1e6:>11.2f} "
+                f"{c.mode:<18} {c.workers:>3} {c.totals.wall_ns / 1e6:>11.2f} "
                 f"{c.utilization:>6.2f} {c.speedup:>8.2f}"
             )
         lines.append(f"added-task overhead fraction: {self.overhead_text()}")
@@ -84,57 +84,37 @@ def ablation_run(
     def fresh_graph():
         return elaborate_text(netlist_text)
 
-    serial_walls = []
-    serial_report = None
+    def fastest(best: RunTotals | None, totals: RunTotals) -> RunTotals:
+        return totals if best is None or totals.wall_ns < best.wall_ns else best
+
+    serial = None
     for _ in range(trials):
         report = run_serial_concurrent(fresh_graph(), faults, stimulus)
-        serial_walls.append(report.totals.wall_ns)
-        serial_report = report
-    serial_wall = min(serial_walls)
-    baseline = serial_report.verdicts()
+        serial = fastest(serial, report.totals)
+    baseline = report.verdicts()
 
-    cells: list[AblationCell] = []
-    best: dict[tuple[str, int], dict] = {}
+    best: dict[tuple[str, int], RunTotals] = {}
     consistent = True
-    for trial in range(trials):
+    for _ in range(trials):
         for mode in ABLATION_MODES:
             for P in workers:
                 cfg = SimConfig(workers=P, mode=mode, threshold=threshold)
                 report = run_simulation(fresh_graph(), faults, stimulus, cfg)
                 if report.verdicts() != baseline:
                     consistent = False
-                key = (mode, P)
-                wall = report.totals.wall_ns
-                if key not in best or wall < best[key]["wall"]:
-                    best[key] = {"wall": wall, "report": report}
+                best[mode, P] = fastest(best.get((mode, P)), report.totals)
 
-    cells.append(AblationCell(
-        mode=MODE_SERIAL, workers=1, wall_ns=serial_wall,
-        utilization=1.0, speedup=1.0,
-        dispatches=serial_report.totals.executed + serial_report.totals.skipped,
-        mean_dispatch_ns=0.0,
-    ))
+    cells = [AblationCell(MODE_SERIAL, 1, serial, 1.0)]
     for mode in ABLATION_MODES:
         for P in workers:
-            report = best[(mode, P)]["report"]
-            wall = best[(mode, P)]["wall"]
-            t = report.totals
-            util = sum(t.busy_ns) / (wall * P) if wall else 0.0
+            t = best[mode, P]
             cells.append(AblationCell(
-                mode=mode, workers=P, wall_ns=wall,
-                utilization=util,
-                speedup=serial_wall / wall if wall else 0.0,
-                dispatches=t.dispatches,
-                mean_dispatch_ns=t.mean_dispatch_ns,
+                mode, P, t, serial.wall_ns / t.wall_ns if t.wall_ns else 0.0,
             ))
 
     p_max = max(workers)
-    table = AblationTable(cells, 0.0, consistent,
-                          best[(MODE_FULL, p_max)]["report"].totals.expanded)
-    structural = table.cell(MODE_STRUCTURAL, p_max)
-    full = table.cell(MODE_FULL, p_max)
+    structural = best[MODE_STRUCTURAL, p_max]
+    full = best[MODE_FULL, p_max]
     added = max(0, full.dispatches - structural.dispatches)
-    table.overhead_fraction = (
-        added * structural.mean_dispatch_ns / full.wall_ns if full.wall_ns else 0.0
-    )
-    return table
+    overhead = added * structural.mean_dispatch_ns / full.wall_ns if full.wall_ns else 0.0
+    return AblationTable(cells, overhead, consistent, full.expanded)

@@ -88,7 +88,11 @@ def build_parser() -> _Parser:
     )
     run_p.add_argument("--threshold", type=float, default=SimConfig.threshold)
     run_p.add_argument("--report", help="write per-fault verdict CSV here")
-    run_p.add_argument("--stats", help="write per-cycle statistics here")
+    run_p.add_argument(
+        "--stats",
+        help="write the config, run totals and per-cycle statistics here, "
+             "as one JSON document",
+    )
     run_p.add_argument("--drop-on-detect", action="store_true")
     run_p.add_argument("--steady-check", action="store_true")
     run_p.add_argument("--seed", type=int, default=0, help="seed for fault sampling")

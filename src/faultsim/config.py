@@ -48,11 +48,3 @@ class SimConfig:
             raise ValueError(f"unknown mode '{self.mode}'")
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must lie in (0, 1)")
-
-    def echo(self) -> dict:
-        return {
-            "workers": self.workers,
-            "mode": self.mode,
-            "threshold": self.threshold,
-            "drop_on_detect": int(self.drop_on_detect),
-        }

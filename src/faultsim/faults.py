@@ -111,11 +111,10 @@ class FaultTable:
 
 
 def window_toggles(rule: FaultDescriptor, cycle: int) -> bool:
-    """True when the rule's active window opens or closes at this cycle; a
-    stuck-at window is always open."""
+    """True when a transient's active window opens or closes at this
+    cycle.  The callers pass only transients, and only at cycle 1 or
+    later."""
 
-    if rule.kind != TRANSIENT or cycle <= 0:
-        return False
     return (rule.start <= cycle <= rule.end) != (rule.start <= cycle - 1 <= rule.end)
 
 
@@ -269,9 +268,11 @@ def _check_fault(fault: FaultDescriptor, width: int) -> None:
 
 def _resolve_wire_site(graph: RtlGraph, fault: FaultDescriptor, nid: int) -> tuple[int, int]:
     """An output passes a wire fault on to its driver, and so does a
-    carrier or copy spliced in front of that driver.  A bit of the named
-    node that the driver does not reach (an output wider than its driver)
-    carries no value, so a fault there is rejected."""
+    carrier or copy spliced in front of that driver.  The walk ends on a
+    comb node or a register, which holds the fault itself, or on an input
+    or a constant, which gets a carrier.  A bit of the named node that the
+    driver does not reach (an output wider than its driver) carries no
+    value, so a fault there is rejected."""
 
     node = graph.nodes[nid]
     lanes = node.width
@@ -283,12 +284,10 @@ def _resolve_wire_site(graph: RtlGraph, fault: FaultDescriptor, nid: int) -> tup
             f"fault {fault.fid}: bit {fault.bit} of '{fault.location_name}' is "
             f"undriven: only its low {lanes} bits come from '{node.name}'"
         )
-    if node.kind in (rtl.COMB, rtl.REG):
-        return node.id, lanes
     if node.kind in (rtl.INPUT, rtl.CONST):
         # Source nodes are never evaluated; give the fault a carrier.
         return _insert_port_carrier(graph, node.id), lanes
-    raise FaultModelError(f"fault {fault.fid}: cannot inject at '{node.name}'")
+    return node.id, lanes
 
 
 def inject(graph: RtlGraph,

@@ -1,17 +1,19 @@
 """Simulation reports and their file formats.
 
 The report CSV carries one row per fault and is byte-deterministic; timing
-lives in the separate stats text, whose per-cycle lines use the CycleStats
-field names verbatim.
+lives in the separate stats JSON document, whose keys are the field names
+of ``SimConfig``, ``RunTotals`` and ``CycleStats``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+import json
+from dataclasses import asdict, dataclass, field
 from operator import attrgetter
 
+from .config import SimConfig
 from .faults import FaultDescriptor
 
 
@@ -102,7 +104,7 @@ class SimulationReport:
 
     faults: list[FaultDescriptor]
     detections: dict[int, tuple[int, str]]
-    config: dict
+    config: SimConfig
     cycles: list[CycleStats] = field(default_factory=list)
     totals: RunTotals = field(default_factory=RunTotals)
 
@@ -224,29 +226,19 @@ def parse_report_csv(text: str) -> list[FaultResult]:
 
 
 def emit_stats(report: SimulationReport) -> str:
-    lines = []
-    cfg = " ".join(f"{k}={v}" for k, v in sorted(report.config.items()))
-    lines.append(f"config {cfg}")
+    """The run's statistics as one JSON document: the config, the totals
+    with their derived values, and one object per cycle, each keyed by
+    its dataclass's field names."""
+
     t = report.totals
-    lines.append(
-        "totals "
-        f"wall_ns={t.wall_ns} host_ns={t.host_ns} "
-        f"busy_ns={';'.join(str(b) for b in t.busy_ns)} "
-        f"executed={t.executed} skipped={t.skipped} "
-        f"bad_gates_evaluated={t.bad_gates_evaluated} "
-        f"bad_gates_kept={t.bad_gates_kept} "
-        f"expanded={';'.join(str(e) for e in t.expanded)} "
-        f"dispatches={t.dispatches} mean_dispatch_ns={t.mean_dispatch_ns:.1f} "
-        f"bound_ns={t.bound_ns} bound_ratio={t.bound_ratio:.4f} "
-        f"coverage={report.coverage:.6f} faults={len(report.faults)} "
-        f"swept={t.swept} unobservable={t.unobservable}"
-    )
-    for c in report.cycles:
-        lines.append(
-            "cycle "
-            f"cycle={c.cycle} wall_ns={c.wall_ns} "
-            f"busy_ns={';'.join(str(b) for b in c.busy_ns)} "
-            f"executed={c.executed} skipped={c.skipped} "
-            f"sync_ns={c.sync_ns}"
-        )
-    return "\n".join(lines) + "\n"
+    totals = asdict(t) | {
+        "mean_dispatch_ns": t.mean_dispatch_ns,
+        "bound_ratio": t.bound_ratio,
+        "coverage": report.coverage,
+        "faults": len(report.faults),
+    }
+    return json.dumps({
+        "config": asdict(report.config),
+        "totals": totals,
+        "cycles": [asdict(c) for c in report.cycles],
+    }, indent=2) + "\n"

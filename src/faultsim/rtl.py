@@ -1,10 +1,12 @@
 """Elaboration of parsed declarations into a validated RTL graph.
 
 The graph is the simulator's circuit model: one node per declared net plus
-one node per distinct literal constant.  Register nodes hold their current
-value and point at the node producing their next value (``next_src``); the
-combinational view therefore treats registers, inputs and constants as
-sources, which is what makes per-cycle evaluation a DAG traversal.
+one node per use of a literal constant, so that a fault spliced in front of
+one use reaches no other reader of the same literal.  Register nodes hold
+their current value and point at the node producing their next value
+(``next_src``); the combinational view therefore treats registers, inputs
+and constants as sources, which is what makes per-cycle evaluation a DAG
+traversal.
 
 Two passes run after fault injection.  ``split_register_reads`` routes
 every register-to-register ``next`` edge through a virtual copy node, and
@@ -128,7 +130,6 @@ def elaborate(decls: list[NetlistDecl], name: str = "main") -> RtlGraph:
 
     nodes: list[RtlNode] = []
     name_to_id: dict[str, int] = {}
-    const_cache: dict[tuple[int, int], int] = {}
 
     def add(kind: str, nm: str, width: int, **kw) -> RtlNode:
         node = RtlNode(len(nodes), kind, nm, width, **kw)
@@ -149,11 +150,7 @@ def elaborate(decls: list[NetlistDecl], name: str = "main") -> RtlGraph:
 
     def resolve(operand) -> int:
         if isinstance(operand, Literal):
-            key = (operand.value, operand.width)
-            if key not in const_cache:
-                cnode = add(CONST, str(operand), operand.width, init=operand.value)
-                const_cache[key] = cnode.id
-            return const_cache[key]
+            return add(CONST, str(operand), operand.width, init=operand.value).id
         nid = name_to_id.get(operand)
         if nid is None:
             raise ElaborationError(f"undeclared identifier '{operand}'")

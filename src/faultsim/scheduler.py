@@ -535,7 +535,7 @@ class SimulationEngine:
         return SimulationReport(
             faults=self.faults,
             detections=self.detections,
-            config=self.config.echo(),
+            config=self.config,
             cycles=self.cycle_stats,
             totals=self.totals,
         )

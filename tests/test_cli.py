@@ -1,17 +1,22 @@
+import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from faultsim import oracles
+from faultsim import ablation, cli, oracles, scheduler
 from faultsim.ablation import ablation_run
 from faultsim.cli import main
-from faultsim.faults import parse_fault_csv
+from faultsim.faults import FaultDescriptor, parse_fault_csv
+from faultsim.kernels import scan_outputs
+from faultsim.oracles import run_serial_concurrent, run_single_fault
 from faultsim.genbench import gen_bench
 from faultsim.report import parse_report_csv
 from faultsim.rtl import elaborate_text
+from faultsim.scheduler import run_simulation
 from faultsim.stimulus import parse_stimulus
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -97,7 +102,7 @@ def test_fault_csv_flow(tmp_path):
     )
     assert code == 0
     assert len(parse_report_csv(report.read_text())) == 15
-    assert stats.read_text().startswith("config ")
+    assert json.loads(stats.read_text())["config"]["workers"] == 2
 
 
 def test_gen_is_deterministic(tmp_path):
@@ -240,10 +245,9 @@ def test_default_mode_follows_the_worker_count(tmp_path, capsys, args, mode):
     code = run_cli("run", "--netlist", AND2_NL, "--stimulus", AND2_STIM,
                    "--gen-faults", "sa0,sa1", "--stats", stats, *args)
     assert code == 0
-    config = stats.read_text().splitlines()[0]
-    assert f" mode={mode} " in config
-    totals = next(ln for ln in stats.read_text().splitlines() if ln.startswith("totals "))
-    assert " bound_ns=" in totals and " bound_ratio=" in totals
+    doc = json.loads(stats.read_text())
+    assert doc["config"]["mode"] == mode
+    assert "bound_ns" in doc["totals"] and "bound_ratio" in doc["totals"]
     assert "bound_ratio=" in capsys.readouterr().out
 
 
@@ -407,9 +411,116 @@ def test_dead_register_bank_reads_undetected_under_oracle_check(tmp_path, capsys
     assert code == 0
     assert "oracle-check: ok" in out
     assert "faults=28 " in out and " swept=5 unobservable=20 " in out
-    totals = next(ln for ln in stats.read_text().splitlines() if ln.startswith("totals "))
-    assert totals.split()[-2:] == ["swept=5", "unobservable=20"]
+    totals = json.loads(stats.read_text())["totals"]
+    assert (totals["swept"], totals["unobservable"]) == (5, 20)
     rows = parse_report_csv(report.read_text())
     bank = [r for r in rows if r.location_name in ("r0", "r1", "w0", "w1", "b")]
     assert len(bank) == 20 and not any(r.detected for r in bank)
     assert all(r.detected for r in rows if r.location_name in ("a", "y"))
+
+
+def test_wire_fault_on_a_literal_output_stays_on_that_output(tmp_path, capsys):
+    """``o`` and ``z`` both read the literal #3:4, but each use is its own
+    node: the carrier a wire fault on ``o`` splices in front of its literal
+    feeds ``o`` alone, so ``p`` never sees it."""
+
+    nl, stim, flt = tmp_path / "m.nl", tmp_path / "m.stim", tmp_path / "f.csv"
+    nl.write_text("module m\ninput x 4\nassign z 4 = ADD x #3:4\n"
+                  "output p 4 = z\noutput o 4 = #3:4\nend\n")
+    stim.write_text("cycle x\n0 1\n1 6\n")
+    flt.write_text("0,wire,o,0,sa0\n")
+    report = tmp_path / "r.csv"
+    for workers in ("1", "3"):
+        code = run_cli("run", "--netlist", nl, "--stimulus", stim, "--faults", flt,
+                       "--workers", workers, "--report", report, "--oracle-check")
+        assert code == 0
+        assert "oracle-check: ok" in capsys.readouterr().out
+        assert report.read_text().splitlines()[1].endswith(",detected,0,o"), workers
+
+
+def _and2_faults(tmp_path):
+    flt = tmp_path / "f.csv"
+    flt.write_text(AND2_FAULTS)
+    return flt
+
+
+def test_serial_oracle_mismatch_exits_4(monkeypatch, tmp_path, capsys):
+    def serial_misses_all(*args):
+        report = run_serial_concurrent(*args)
+        report.detections.clear()
+        return report
+
+    monkeypatch.setattr(cli, "run_serial_concurrent", serial_misses_all)
+    code = run_cli("run", "--netlist", AND2_NL, "--stimulus", AND2_STIM,
+                   "--faults", _and2_faults(tmp_path), "--oracle-check")
+    assert code == 4
+    assert one_line_error(capsys).startswith(
+        "oracle mismatch: serial (0, False, None, None) vs parallel (0, True, ")
+
+
+def test_single_fault_oracle_mismatch_exits_4(monkeypatch, tmp_path, capsys):
+    def single_flips(*args, **kwargs):
+        result = run_single_fault(*args, **kwargs)
+        return replace(result, detected=not result.detected)
+
+    monkeypatch.setattr(cli, "run_single_fault", single_flips)
+    code = run_cli("run", "--netlist", AND2_NL, "--stimulus", AND2_STIM,
+                   "--faults", _and2_faults(tmp_path), "--oracle-check")
+    assert code == 4
+    assert one_line_error(capsys).startswith("oracle mismatch: fid 0: single-fault (")
+
+
+def test_ablate_cells_that_disagree_exit_3(monkeypatch, tmp_path, capsys):
+    """The table is still written; the disagreement is the one error line."""
+
+    def full_misses_all(graph, faults, stimulus, config):
+        report = run_simulation(graph, faults, stimulus, config)
+        if config.mode == "full":
+            report.detections.clear()
+        return report
+
+    monkeypatch.setattr(ablation, "run_simulation", full_misses_all)
+    code = run_cli("ablate", "--netlist", AND2_NL, "--stimulus", AND2_STIM,
+                   "--faults", _and2_faults(tmp_path), "--workers", "2", "--trials", "1")
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "verdicts consistent across cells: NO" in captured.out
+    assert captured.err == "error: cells disagree on fault verdicts\n"
+
+
+def test_unsteady_node_under_steady_check_exits_3(monkeypatch, capsys):
+    """The steady re-sweep reads the states the strobe saw; a node whose
+    state no longer matches its fanin is a simulation invariant violation."""
+
+    def scan_then_corrupt(graph, states, *args):
+        hits = scan_outputs(graph, states, *args)
+        states[graph.name_to_id["y"]].good ^= 1
+        return hits
+
+    monkeypatch.setattr(scheduler, "scan_outputs", scan_then_corrupt)
+    for args in ((), ("--workers", "3")):
+        code = run_cli("run", "--netlist", AND2_NL, "--stimulus", AND2_STIM,
+                       "--gen-faults", "sa0", "--steady-check", *args)
+        assert code == 3
+        assert one_line_error(capsys) == (
+            "simulation invariant violation: cycle 0: node 'y' not steady after drain\n")
+
+
+def test_port_fault_on_a_comb_node_exits_2(tmp_path, capsys):
+    flt = tmp_path / "f.csv"
+    flt.write_text("0,port,y,0,sa0\n")
+    code = run_cli("run", "--netlist", AND2_NL, "--stimulus", AND2_STIM, "--faults", flt)
+    assert code == 2
+    assert one_line_error(capsys) == "error: fault 0: 'y' is not a port\n"
+
+
+def test_unknown_location_kind_in_code_exits_2(monkeypatch, tmp_path, capsys):
+    """The CSV parser rejects an unknown location kind itself; a descriptor
+    built in code reaches the injector's own check."""
+
+    monkeypatch.setattr(cli, "parse_fault_csv",
+                        lambda text: [FaultDescriptor(0, "pin", "y", 0, "sa0")])
+    code = run_cli("run", "--netlist", AND2_NL, "--stimulus", AND2_STIM,
+                   "--faults", _and2_faults(tmp_path))
+    assert code == 2
+    assert one_line_error(capsys) == "error: fault 0: unknown location kind 'pin'\n"

@@ -1,5 +1,7 @@
 import csv
 import io
+import json
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,7 @@ from faultsim.config import SimConfig
 from faultsim.faults import FaultDescriptor
 from faultsim.genbench import gen_bench
 from faultsim.report import (
-    REPORT_COLUMNS, FaultResult, ReportFormatError,
+    REPORT_COLUMNS, CycleStats, FaultResult, ReportFormatError, RunTotals,
     SimulationReport, emit_report_csv, emit_stats, parse_report_csv,
 )
 from faultsim.scheduler import run_simulation
@@ -77,13 +79,33 @@ class TestReport:
 
     def test_stats_uses_cycle_stats_field_names(self):
         report = self._report()
-        text = emit_stats(report)
-        line = next(ln for ln in text.splitlines() if ln.startswith("cycle "))
-        for field in ("cycle=", "wall_ns=", "busy_ns=", "executed=",
-                      "skipped=", "sync_ns="):
-            assert field in line
-        totals = next(ln for ln in text.splitlines() if ln.startswith("totals "))
-        assert " expanded=" in totals
+        stats = json.loads(emit_stats(report))
+        for field in ("cycle", "wall_ns", "busy_ns", "executed",
+                      "skipped", "sync_ns"):
+            assert field in stats["cycles"][0]
+        assert "expanded" in stats["totals"]
+
+    def test_stats_document_is_the_dataclass_fields(self):
+        """The stats file holds exactly the config, the totals and the
+        cycles, each keyed by its dataclass's field names; the totals add
+        four derived values."""
+
+        report = self._report()
+        stats = json.loads(emit_stats(report))
+        names = lambda cls: {f.name for f in fields(cls)}
+        assert set(stats) == {"config", "totals", "cycles"}
+        assert set(stats["config"]) == names(SimConfig)
+        assert set(stats["totals"]) == names(RunTotals) | {
+            "mean_dispatch_ns", "bound_ratio", "coverage", "faults"}
+        assert len(stats["cycles"]) == len(report.cycles) == 5
+        assert all(set(c) == names(CycleStats) for c in stats["cycles"])
+        totals = report.totals
+        assert stats["config"]["workers"] == 2
+        assert stats["totals"]["busy_ns"] == list(totals.busy_ns)
+        assert stats["totals"]["bound_ratio"] == totals.bound_ratio
+        assert stats["totals"]["faults"] == 12
+        assert stats["totals"]["coverage"] == report.coverage
+        assert [c["cycle"] for c in stats["cycles"]] == list(range(5))
 
     @pytest.mark.parametrize("row, problem", [
         ("0,wire,n,0,sa0,detected,,o", "must name"),
@@ -106,10 +128,11 @@ class TestReport:
     def test_coverage_bounds(self):
         report = self._report()
         assert 0.0 <= report.coverage <= 1.0
-        empty = SimulationReport(faults=[], detections={}, config={})
+        empty = SimulationReport(faults=[], detections={}, config=SimConfig())
         assert empty.coverage == 0.0 and empty.results == []
         faults = [FaultDescriptor(fid, "wire", "n", 0, "sa0") for fid in (7, 2, 5, 0)]
-        quarter = SimulationReport(faults=faults, detections={5: (1, "o")}, config={})
+        quarter = SimulationReport(faults=faults, detections={5: (1, "o")},
+                                   config=SimConfig())
         assert quarter.coverage == 0.25 and quarter.detected == 1
         assert quarter.verdicts() == [
             (0, False, None, None), (2, False, None, None),
@@ -175,7 +198,7 @@ def test_report_csv_matches_csv_writer(drawn):
 
     faults = [f for f, _ in drawn]
     detections = {f.fid: hit for f, hit in drawn if hit}
-    report = SimulationReport(faults=faults, detections=detections, config={})
+    report = SimulationReport(faults=faults, detections=detections, config=SimConfig())
     results = expected_results(faults, detections)
     text = emit_report_csv(report)
     assert text == reference_report_csv(results)
@@ -190,7 +213,7 @@ def test_report_csv_across_chunk_boundaries():
     faults = [FaultDescriptor(fid, "reg", f"r,{fid % 5}", fid % 8, "sa1")
               for fid in range(count)]
     detections = {fid: (fid % 10, "o") for fid in range(0, count, 3)}
-    report = SimulationReport(faults=faults, detections=detections, config={})
+    report = SimulationReport(faults=faults, detections=detections, config=SimConfig())
     text = emit_report_csv(report)
     assert text == reference_report_csv(expected_results(faults, detections))
     assert text.count("\n") == count + 1

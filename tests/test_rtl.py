@@ -146,11 +146,16 @@ end
     assert positions_respect_edges(g)
 
 
-def test_const_literals_deduplicated():
+def test_each_literal_use_is_its_own_const_node():
+    """Equal literals are not shared: a fault spliced in front of one use
+    must reach no other reader."""
+
     text = "module m\ninput a 4\nassign x 4 = ADD a #3:4\nassign y 4 = SUB a #3:4\nend"
     g = build(text)
     consts = [n for n in g.nodes if n.kind == "const"]
-    assert len(consts) == 1
+    assert len(consts) == 2
+    assert sorted(len(n.fanout) for n in consts) == [1, 1]
+    assert {n.init for n in consts} == {3}
 
 
 def _isomorphic(g1, g2):

@@ -1,4 +1,5 @@
 import inspect
+import json
 import random
 
 import pytest
@@ -153,9 +154,8 @@ def test_expanding_modes_split_the_flagged_nodes_at_setup():
         assert tuple(eng.graph.nodes[n].name for n in eng.totals.expanded) == flagged
         assert sorted(eng.tg.boards) == sorted(eng.totals.expanded), mode
         assert all(len(board.partials) == 3 for board in eng.tg.boards.values())
-        totals = next(line for line in emit_stats(eng.run()).splitlines()
-                      if line.startswith("totals "))
-        assert f" expanded={';'.join(map(str, eng.totals.expanded))} " in totals
+        totals = json.loads(emit_stats(eng.run()))["totals"]
+        assert totals["expanded"] == list(eng.totals.expanded)
 
 
 def test_heavy_hub_flagged_first_on_skewed_profile():

@@ -4,6 +4,7 @@ registers from ``rtl.observable`` once, at setup; the serial order, the
 task graph and its sync tasks hold exactly those, expansion picks drop
 any swept node, and every verdict stays the single-fault resimulator's."""
 
+import json
 import random
 
 import pytest
@@ -179,6 +180,5 @@ def test_swept_heavy_node_is_not_expanded():
         live_picks = tuple(n for n in picks if seen[n])[:MAX_EXPANSIONS]
         assert live_picks and eng.totals.expanded == live_picks, mode
         assert sorted(eng.tg.boards) == sorted(live_picks)
-        totals = next(line for line in emit_stats(eng.run()).splitlines()
-                      if line.startswith("totals "))
-        assert f" swept={eng.totals.swept} unobservable=" in totals
+        totals = json.loads(emit_stats(eng.run()))["totals"]
+        assert totals["swept"] == eng.totals.swept and "unobservable" in totals
