@@ -10,7 +10,7 @@ from .faults import (
     inject, parse_fault_csv, emit_fault_csv, resolve_injection_site,
 )
 from .kernels import NodeState, SimulationError
-from .netlist import NetlistError, parse_netlist
+from .netlist import NetlistError
 from .oracles import run_serial_concurrent, run_single_fault
 from .report import SimulationReport, emit_report_csv, parse_report_csv
 from .rtl import ElaborationError, RtlGraph, elaborate, elaborate_text
@@ -24,7 +24,7 @@ __all__ = [
     "generate_fault_list", "inject", "parse_fault_csv", "emit_fault_csv",
     "resolve_injection_site",
     "NodeState", "SimulationError",
-    "NetlistError", "parse_netlist",
+    "NetlistError",
     "run_serial_concurrent", "run_single_fault",
     "SimulationReport", "emit_report_csv", "parse_report_csv",
     "ElaborationError", "RtlGraph", "elaborate", "elaborate_text",

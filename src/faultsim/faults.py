@@ -68,30 +68,36 @@ class FaultDescriptor:
 
 class NodeFaults:
     """The faults injected at one node, in the forms the evaluation kernels
-    index every cycle: ``fid_map`` maps each fid to its descriptor, in fid
-    order.  ``transients`` holds the descriptors whose window can open or
-    close; ``stuck`` holds the fids of the others, ascending, whose window
-    never closes.  Only ``kernels.drop_detected`` changes a site, through
-    ``discard``, at a cycle's strobe."""
+    index every cycle: ``fid_map`` maps each fid to its descriptor and
+    ``fids`` lists the fids, both ascending.  ``toggles`` holds the cycles
+    at which some transient's window opens (its ``start``) or closes (its
+    ``end + 1``), the only cycles at which a fault here can change the
+    node's value without a fanin changing; a site with no transient holds
+    the shared empty set.  Only ``kernels.drop_detected`` changes a site,
+    through ``discard``, at a cycle's strobe."""
 
-    __slots__ = ("fid_map", "stuck", "transients")
+    __slots__ = ("fid_map", "fids", "toggles")
 
     def __init__(self, entries: list[FaultDescriptor]):
-        entries = sorted(entries, key=attrgetter("fid"))
-        self.fid_map = {f.fid: f for f in entries}
-        self.stuck = [f.fid for f in entries if f.kind != TRANSIENT]
-        self.transients = [f for f in entries if f.kind == TRANSIENT]
+        self.fid_map = {f.fid: f for f in sorted(entries, key=attrgetter("fid"))}
+        self.fids = list(self.fid_map)
+        self._find_toggles()
+
+    def _find_toggles(self) -> None:
+        self.toggles = frozenset(
+            c for f in self.fid_map.values() if f.kind == TRANSIENT
+            for c in (f.start, f.end + 1)) or _NO_TOGGLES
 
     def discard(self, fid: int) -> None:
         """Stop injecting fault ``fid`` here; its descriptor is left as is."""
 
         fault = self.fid_map.pop(fid)
+        del self.fids[bisect_left(self.fids, fid)]
         if fault.kind == TRANSIENT:
-            self.transients.remove(fault)
-        else:
-            del self.stuck[bisect_left(self.stuck, fid)]
+            self._find_toggles()
 
 
+_NO_TOGGLES: frozenset[int] = frozenset()
 NO_FAULTS = NodeFaults([])
 
 
@@ -108,14 +114,6 @@ class FaultTable:
 
     def node_faults(self, nid: int) -> NodeFaults:
         return self._node_faults.get(nid, NO_FAULTS)
-
-
-def window_toggles(rule: FaultDescriptor, cycle: int) -> bool:
-    """True when a transient's active window opens or closes at this
-    cycle.  The callers pass only transients, and only at cycle 1 or
-    later."""
-
-    return (rule.start <= cycle <= rule.end) != (rule.start <= cycle - 1 <= rule.end)
 
 
 def faulty_val(rule: FaultDescriptor, computed: int, cycle: int) -> int:

@@ -13,16 +13,20 @@ evaluate any node from nothing but its fanin states.
 ``eval_bad_gates`` handles a node's bad gates in one call: it collects
 the candidates and evaluates them.  It builds one dict per fanin from that
 fanin's divergences, which serves both as the candidate source (its keys)
-and as the per-fid lookup, adds the stuck-at fids injected here from a
-sorted list and the transients whose window is open, and evaluates the
-union in fid order.  A slave passes its [lo, hi) fid range and reads only
-the slices of the lists inside it.  The candidates never include the
-node's own list: a fid divergent here and nowhere upstream evaluates to
-the good value, so it would only be dropped, and ``commit_state`` drops it
-by replacing the whole list (the prune of concurrent fault simulation,
-Ulrich & Baker 1974).  The engine does not call the kernel for a node with
-no divergent fanin and no injected fault, since every bad gate there
-converges.
+and as the per-fid lookup, adds every fid injected here from the site's
+sorted list, and evaluates the union in fid order.  A fault injected here
+is one more bad gate whose forcing rule (``faulty_val``) decides its
+value: outside a transient's window the rule returns the computed value,
+which is the good value unless a fanin diverges.  So the kernels read a
+fault's window only through that rule and through the site's
+``toggles``, which tell the skip checks when a window opens or closes.
+A slave passes its [lo, hi) fid range and reads only the slices of the
+lists inside it.  The candidates never include the node's own list: a fid
+divergent here and nowhere upstream evaluates to the good value, so it
+would only be dropped, and ``commit_state`` drops it by replacing the
+whole list (the prune of concurrent fault simulation, Ulrich & Baker
+1974).  The engine does not call the kernel for a node with no divergent
+fanin and no injected fault, since every bad gate there converges.
 
 A stored bad list is never mutated: every kernel that changes a state
 stores a new list, so several states may hold one list object.  A list that
@@ -51,7 +55,7 @@ import operator
 from bisect import bisect_left
 
 from . import rtl
-from .faults import FaultTable, NodeFaults, faulty_val, window_toggles
+from .faults import FaultTable, NodeFaults, faulty_val
 from .rtl import RtlGraph, RtlNode
 
 
@@ -176,12 +180,14 @@ def eval_bad_gates(
     ascending by fid, and the number of bad gates evaluated.
 
     The candidates are the fids divergent at a fanin plus the fids injected
-    here with an open window.  For each, a fanin reads its bad value when
-    the fault diverges there and its good value otherwise, and a fault
-    injected here has its forcing rule applied on top of the computed
-    value.  Only values that differ from ``new_good`` are kept, so the
-    result over any partition of the fid range concatenates to the result
-    over the whole range, which is what makes split evaluation exact.
+    here.  For each, a fanin reads its bad value when the fault diverges
+    there and its good value otherwise, and a fault injected here has its
+    forcing rule applied on top of the computed value; a transient outside
+    its window leaves that value alone, so unless a fanin diverges it is
+    the good value.  Only values that differ from ``new_good`` are kept,
+    so the result over any partition of the fid range concatenates to the
+    result over the whole range, which is what makes split evaluation
+    exact.
 
     A pass-through copy (see ``bind_operators``) evaluates nothing: it
     returns its fanin's list itself, or its slice in [lo, hi).
@@ -203,31 +209,24 @@ def eval_bad_gates(
             gets.append(d.get)
         else:
             gets.append(_NO_BADS.get)
-    # Stuck-at fids are always live; a transient only inside its window.
-    stuck = nf.stuck
-    if stuck and bounded:
-        a = bisect_left(stuck, lo) if lo else 0
-        stuck = stuck[a:len(stuck) if hi is None else bisect_left(stuck, hi, a)]
-    live = nf.transients
-    if live:
-        live = [f.fid for f in live if f.start <= cycle <= f.end
-                and lo <= f.fid and (hi is None or f.fid < hi)]
-    if not (stuck or live) and len(found) == 1:
+    own = nf.fids
+    if own and bounded:
+        a = bisect_left(own, lo) if lo else 0
+        own = own[a:len(own) if hi is None else bisect_left(own, hi, a)]
+    if not own and len(found) == 1:
         if node.pass_through:
             return bads, 0  # the one fanin's list, in range
         fids = found[0]  # a dict iterates in insertion order: ascending fids
-    elif not (found or live):
-        fids = stuck
+    elif not found:
+        fids = own
     else:
         # Updating an empty dict from a dict clones it, and sorting the
         # keys merges the ascending runs the updates appended.
         union = {}
         for d in found:
             union.update(d)
-        if stuck:
-            union.update(dict.fromkeys(stuck))
-        if live:
-            union.update(dict.fromkeys(live))
+        if own:
+            union.update(dict.fromkeys(own))
         fids = sorted(union)
     if not fids:
         return [], 0
@@ -272,18 +271,16 @@ def check_dependence_changed(
     nf: NodeFaults,
     cycle: int,
 ) -> bool:
-    """Decide whether a node must be re-evaluated this cycle, from its
-    fanin states and the faults injected at it."""
+    """Decide whether a node must be re-evaluated this cycle: at cycle 0,
+    when a fanin state changed, or when a transient's window injected here
+    opens or closes."""
 
     if cycle == 0:
         return True
     for st in fanin_states:
         if st.good_stamp == cycle or st.bads_stamp == cycle:
             return True
-    for fault in nf.transients:
-        if window_toggles(fault, cycle):
-            return True
-    return False
+    return cycle in nf.toggles
 
 
 def sync_register(
@@ -362,10 +359,7 @@ def sync_check_needed(
         return True
     if reg_state.good_stamp == cycle or reg_state.bads_stamp == cycle:
         return True
-    for fault in nf.transients:
-        if window_toggles(fault, serve_cycle):
-            return True
-    return False
+    return serve_cycle in nf.toggles
 
 
 def commit_state(st: NodeState, good: int, bads: list[tuple[int, int]],

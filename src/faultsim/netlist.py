@@ -231,9 +231,3 @@ def parse_module(text: str) -> tuple[str, list[NetlistDecl]]:
     if not ended:
         raise NetlistError(last_line, "missing 'end'")
     return module_name, decls
-
-
-def parse_netlist(text: str) -> list[NetlistDecl]:
-    """Parse netlist text into declarations (module wrapper discarded)."""
-
-    return parse_module(text)[1]

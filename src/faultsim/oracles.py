@@ -12,7 +12,7 @@ bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import rtl
 from .config import MODE_SERIAL, SimConfig
@@ -150,10 +150,8 @@ def run_serial_concurrent(
     graph: RtlGraph,
     faults: list[FaultDescriptor],
     stimulus,
-    config: SimConfig | None = None,
 ) -> SimulationReport:
     """The concurrent engine in serial mode: nodes in topological order,
     registers committed one by one after the strobe."""
 
-    config = replace(config, mode=MODE_SERIAL) if config else SimConfig(mode=MODE_SERIAL)
-    return SimulationEngine(graph, faults, stimulus, config).run()
+    return SimulationEngine(graph, faults, stimulus, SimConfig(mode=MODE_SERIAL)).run()

@@ -347,7 +347,7 @@ class SimulationEngine:
                 # each cycle starts from a copy.  The compute drain starts
                 # with the tasks that have none, but must not release a
                 # sync task: its countdown starts below zero and only falls.
-                self._rearm = counts = [0] * len(tg.tasks)
+                self._countdowns = counts = [0] * len(tg.tasks)
                 for task in tg.tasks:
                     for succ in task.succs:
                         counts[succ] += 1
@@ -445,7 +445,6 @@ class SimulationEngine:
             self._stats.skipped += 1
             return
         new_good = eval_good(node, [fs.good for fs in fanin_states])
-        board.new_good = new_good
         # Cut at the quantiles of the longest of the node's own bad list, its
         # fanins' lists and the fids injected here.  The slaves do not read
         # the own list, but as last cycle's result it tracks the union they
@@ -454,8 +453,8 @@ class SimulationEngine:
         if len(st.bads) > len(longest):
             longest = st.bads
         k = len(board.partials)
-        if len(nf.fid_map) > len(longest):
-            cuts = list(nf.fid_map)
+        if len(nf.fids) > len(longest):
+            cuts = nf.fids
             n = len(cuts)
             board.bounds[1:k] = [cuts[i * n // k] for i in range(1, k)]
         else:
@@ -474,8 +473,10 @@ class SimulationEngine:
         lo, hi = board.bounds[i], board.bounds[i + 1]
         partial = []
         if hi is None or lo < hi:
+            # The master has committed the good value, and nothing else
+            # writes this state before the last slave commits.
             partial, evaluated = eval_bad_gates(
-                node, fanin_states, nf, board.new_good, self._cycle, lo, hi
+                node, fanin_states, nf, st.good, self._cycle, lo, hi
             )
             totals = self.totals
             totals.bad_gates_evaluated += evaluated
@@ -595,7 +596,7 @@ class SimulationEngine:
         tg = self.tg
         boundary0 = perf_counter_ns()
         self._begin_cycle(cycle, row)
-        counts = self._rearm.copy()
+        counts = self._countdowns.copy()
         boundary_ns = perf_counter_ns() - boundary0
 
         pool0 = perf_counter_ns()

@@ -62,10 +62,9 @@ class RangeBoard:
     slave i covers the fids in [bounds[i], bounds[i + 1]); the last bound
     is None, no upper end."""
 
-    __slots__ = ("new_good", "bounds", "skip", "remaining", "partials")
+    __slots__ = ("bounds", "skip", "remaining", "partials")
 
     def __init__(self, k: int):
-        self.new_good = 0
         self.bounds: list[int | None] = [0] * k + [None]
         self.skip = False
         self.remaining = k

@@ -222,7 +222,7 @@ def test_inject_sorts_entries_by_fid(and2_graph):
     site = table.node_faults(g.name_to_id["y"])
     assert list(site.fid_map) == [2, 7]
     assert site.fid_map[7] is faults[0] and site.fid_map[2] is faults[1]
-    assert len(site.transients) == 1 and site.transients[0] is faults[1]
+    assert site.fids == [2, 7] and site.toggles == {1, 3}
     assert [f.fid for f in faults] == [7, 2]
 
 

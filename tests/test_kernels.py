@@ -135,13 +135,12 @@ def reference_bad_gates(node, fan, injected, new_good, cycle, fids):
     return out
 
 
-def candidates(fan, faults, cycle):
+def candidates(fan, faults):
     """The fids a node's bad gates are evaluated for: divergent at a fanin,
-    or injected here with an open window."""
+    or injected here."""
 
     fids = {f for fs in fan for f, _ in fs.bads}
-    fids.update(f.fid for f in faults.fid_map.values()
-                if f.kind != "transient" or f.start <= cycle <= f.end)
+    fids.update(faults.fid_map)
     return sorted(fids)
 
 
@@ -161,37 +160,72 @@ class TestAffectedFids:
         # the good value back; 9 is injected only.
         assert eval_bad_gates(node, fan, faults, 1, 0) == ([(3, 0), (9, 0)], 3)
 
-    def test_inactive_window_excluded(self):
+    def test_closed_window_evaluates_and_keeps_nothing(self):
+        """A transient is a candidate in every cycle; outside its window
+        its forcing rule leaves the good value, so nothing is kept.  The
+        node is re-evaluated when the window opens (3) and closes (6)."""
+
         node = comb("AND", 1, 2)
         faults = nf(rule(4, 0, "transient", 3, 5))
         fan = [NodeState(1), NodeState(1)]
-        for cycle, want in [(0, ([], 0)), (2, ([], 0)), (3, ([(4, 0)], 1)),
-                            (4, ([(4, 0)], 1)), (5, ([(4, 0)], 1)), (6, ([], 0))]:
+        for cycle, want in [(0, ([], 1)), (2, ([], 1)), (3, ([(4, 0)], 1)),
+                            (4, ([(4, 0)], 1)), (5, ([(4, 0)], 1)), (6, ([], 1))]:
             assert eval_bad_gates(node, fan, faults, 1, cycle) == want
+        assert faults.toggles == {3, 6}
+        assert [check_dependence_changed(fan, faults, c) for c in range(1, 8)] == \
+            [False, False, True, False, False, True, False]
         faults.discard(4)
-        assert (faults.fid_map, faults.stuck, faults.transients) == ({}, [], [])
+        assert (faults.fid_map, faults.fids, faults.toggles) == ({}, [], set())
         assert eval_bad_gates(node, fan, faults, 1, 4) == ([], 0)
         assert not check_dependence_changed(fan, faults, 3)
 
     def test_discard_keeps_stuck_list(self):
         faults = nf(rule(2, 0, "sa0"), rule(5, 0, "transient", 1, 2),
                     rule(8, 0, "sa1"), rule(11, 0, "sa0"))
-        assert faults.stuck == [2, 8, 11]
+        assert faults.fids == [2, 5, 8, 11] and faults.toggles == {1, 3}
         faults.discard(8)
+        assert faults.toggles == {1, 3}
         faults.discard(5)
-        assert faults.stuck == [2, 11] and list(faults.fid_map) == [2, 11]
+        assert faults.fids == [2, 11] and list(faults.fid_map) == [2, 11]
+        # A site left with no transient holds the shared empty set.
+        assert faults.toggles is NO_FAULTS.toggles
         node = comb("OR", 1, 2)
         fan = [NodeState(1, [(8, 0)]), NodeState(0)]
         # 8 now diverges only upstream; the stuck-at-0 fids 2 and 11 stay.
         assert eval_bad_gates(node, fan, faults, 1, 1) == ([(2, 0), (8, 0), (11, 0)], 3)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_toggles_are_the_cycles_a_window_opens_or_closes(self, data):
+        """Through any discards, a cycle c >= 1 is in ``toggles`` exactly
+        when some filed transient is active in one of cycles c - 1 and c
+        but not the other, and ``fids`` lists the filed fids ascending."""
+
+        rng = random.Random(data.draw(st.integers(0, 10**6)))
+        faults = NodeFaults([
+            rule(f, 0, rng.choice(["sa0", "sa1", "transient"]),
+                 *sorted(rng.choices(range(8), k=2)))
+            for f in rng.sample(range(30), rng.randint(0, 8))
+        ])
+        while True:
+            filed = list(faults.fid_map.values())
+            assert faults.fids == sorted(f.fid for f in filed)
+            for c in range(1, 11):
+                toggles = any(
+                    (f.start <= c <= f.end) != (f.start <= c - 1 <= f.end)
+                    for f in filed if f.kind == "transient")
+                assert (c in faults.toggles) == toggles, c
+            if not filed:
+                break
+            faults.discard(rng.choice(filed).fid)
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_own_only_fids_converge(self, data):
         """The candidates leave out fids divergent only at the node itself.
-        Such a fid reads the good value at every fanin and is not live-
-        injected here, so it evaluates to the good value: adding it back
-        would change no result."""
+        Such a fid reads the good value at every fanin and is not injected
+        here, so it evaluates to the good value: adding it back would change
+        no result."""
 
         rng = random.Random(data.draw(st.integers(0, 10**6)))
         op = rng.choice(sorted(OPERATOR_ARITY))
@@ -222,7 +256,7 @@ class TestAffectedFids:
         ])
         discard_some(faults, rng, 0.3)
         new_good = eval_good(node, [fs.good for fs in fan])
-        affected = candidates(fan, faults, cycle)
+        affected = candidates(fan, faults)
         kept, evaluated = eval_bad_gates(node, fan, faults, new_good, cycle)
         assert evaluated == len(affected)
         assert kept == reference_bad_gates(node, fan, faults.fid_map, new_good,
@@ -301,7 +335,7 @@ end
         cycle = rng.randint(0, 5)
         new_good = eval_good(node, [fan[0].good, fan[1].good])
         whole, evaluated = eval_bad_gates(node, fan, faults, new_good, cycle)
-        affected = candidates(fan, faults, cycle)
+        affected = candidates(fan, faults)
         assert evaluated == len(affected)
         assert whole == reference_bad_gates(node, fan, faults.fid_map, new_good,
                                             cycle, affected)
@@ -341,7 +375,7 @@ end
         faults = random_site(rng, width, 40, 4)
         new_good = eval_good(node, [fs.good for fs in fan])
         whole, evaluated = eval_bad_gates(node, fan, faults, new_good, cycle)
-        affected = candidates(fan, faults, cycle)
+        affected = candidates(fan, faults)
         assert evaluated == len(affected)
         assert whole == reference_bad_gates(node, fan, faults.fid_map, new_good,
                                             cycle, affected)

@@ -4,7 +4,7 @@ import pytest
 
 from faultsim.faults import FaultDescriptor, inject
 from faultsim.genbench import gen_bench
-from faultsim.netlist import parse_netlist
+from faultsim.netlist import parse_module
 from faultsim.rtl import (
     ElaborationError, REG, elaborate, elaborate_text, observable,
     observe_outputs, split_register_reads,
@@ -216,7 +216,7 @@ def _comb_closure(decls):
 def test_random_dags_elaborate_and_back_edges_always_rejected():
     for seed in range(20):
         bench = gen_bench("uniform", 40 + seed, 1000 + seed)
-        decls = parse_netlist(bench.netlist)
+        _, decls = parse_module(bench.netlist)
         elaborate(decls)  # must succeed
 
         assign_of, closure = _comb_closure(decls)

@@ -277,9 +277,9 @@ def test_drop_on_detect_keeps_verdicts():
                 continue
             site = table.node_faults(table.site_of[fault.fid])
             filed = (fault.fid in site.fid_map, site.fid_map.get(fault.fid) is fault,
-                     fault in site.transients)
+                     fault.fid in site.fids)
             live = fault.fid not in detected
-            assert filed == (live, live, live and fault.kind == "transient"), \
+            assert filed == (live, live, live), \
                 (mode, fault.fid)
         assert keep.verdicts() == drop.verdicts(), mode
         # Dropping detected faults removes their bad gates from later cycles;
@@ -623,8 +623,8 @@ def test_deadlock_detector_reports_stuck_tasks(monkeypatch):
     b = small_bench(2)
     g, stim, faults = b.build()
     eng = SimulationEngine(g, faults, stim, SimConfig(workers=2, mode="structural"))
-    stuck = next(t.id for t in eng.tg.tasks if t.kind != SYNC and eng._rearm[t.id] > 0)
-    eng._rearm[stuck] = 99
+    stuck = next(t.id for t in eng.tg.tasks if t.kind != SYNC and eng._countdowns[t.id] > 0)
+    eng._countdowns[stuck] = 99
     with pytest.raises(SimulationError, match="unexecuted"):
         eng.run()
 
