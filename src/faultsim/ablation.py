@@ -64,6 +64,8 @@ class AblationTable:
         )
         lines.append("serial row: host time; other rows: modeled schedule makespan")
         lines.append("speedup: serial host time / modeled makespan")
+        lines.append("overhead: added dispatches x structural's host ns per dispatch"
+                     " / full's modeled makespan")
         return "\n".join(lines) + "\n"
 
     def overhead_text(self) -> str:

@@ -16,11 +16,12 @@ on every invocation.
 
 from __future__ import annotations
 
+import pathlib
 import random
 from dataclasses import dataclass
 
 from .faults import (
-    FaultDescriptor, TRANSIENT, emit_fault_csv, generate_fault_list,
+    FaultDescriptor, TRANSIENT, emit_fault_csv, generate_fault_list, parse_fault_csv,
 )
 from .rtl import elaborate_text
 from .stimulus import StimulusFile, emit_stimulus, parse_stimulus
@@ -48,16 +49,12 @@ class GeneratedBench:
         """Fresh (graph, stimulus, faults) triple; the graph is new every
         call because injection splices carrier nodes into it."""
 
-        from .faults import parse_fault_csv
-
         graph = elaborate_text(self.netlist)
         stim = parse_stimulus(self.stimulus)
         faults = parse_fault_csv(self.faults_csv)
         return graph, stim, faults
 
     def write(self, directory, basename=None):
-        import pathlib
-
         base = basename or self.name
         root = pathlib.Path(directory)
         root.mkdir(parents=True, exist_ok=True)

@@ -72,7 +72,8 @@ class NodeState:
     (evaluation during cycle c stamps c; the register commit at the end of
     cycle c stamps c+1, the cycle its readers run in), and inputs by
     ``apply_stimulus_row``, so a stale stamp reads as unchanged without any
-    boundary sweep.
+    boundary sweep.  Every state starts stamped 0, so cycle 0 evaluates
+    every live node and commits every live register.
     """
 
     __slots__ = ("good", "bads", "good_stamp", "bads_stamp")
@@ -80,8 +81,8 @@ class NodeState:
     def __init__(self, good: int = 0, bads: list | None = None):
         self.good = good
         self.bads: list[tuple[int, int]] = bads if bads is not None else []
-        self.good_stamp = -1
-        self.bads_stamp = -1
+        self.good_stamp = 0
+        self.bads_stamp = 0
 
     def __repr__(self):
         return f"NodeState(good={self.good:#x}, bads={self.bads})"
@@ -271,12 +272,10 @@ def check_dependence_changed(
     nf: NodeFaults,
     cycle: int,
 ) -> bool:
-    """Decide whether a node must be re-evaluated this cycle: at cycle 0,
-    when a fanin state changed, or when a transient's window injected here
-    opens or closes."""
+    """Decide whether a node must be re-evaluated this cycle: when a fanin
+    state changed (each starts stamped 0), or when a transient's window
+    injected here opens or closes."""
 
-    if cycle == 0:
-        return True
     for st in fanin_states:
         if st.good_stamp == cycle or st.bads_stamp == cycle:
             return True
@@ -344,20 +343,16 @@ def sync_register(
 
 
 def sync_check_needed(
-    reg_state: NodeState,
     next_state: NodeState,
     nf: NodeFaults,
     serve_cycle: int,
 ) -> bool:
-    """A register commit may be skipped when its next source did not change,
-    its own state did not change last commit, and no injected window moves."""
+    """A register commit is needed when its next source changed in the
+    cycle that ends or an injected window opens or closes at the cycle it
+    serves: ``sync_register`` reads nothing else."""
 
-    if serve_cycle <= 1:
-        return True
     cycle = serve_cycle - 1
     if next_state.good_stamp == cycle or next_state.bads_stamp == cycle:
-        return True
-    if reg_state.good_stamp == cycle or reg_state.bads_stamp == cycle:
         return True
     return serve_cycle in nf.toggles
 
@@ -449,25 +444,24 @@ def apply_stimulus_row(
 def scan_outputs(
     graph: RtlGraph,
     states: list[NodeState],
-    already_detected,
+    detections: dict[int, tuple[int, str]],
     cycle: int,
-) -> list[tuple[int, int, str]]:
-    """Detection strobe: report (fid, cycle, output name) for every fault
-    newly observable at an output, lowest output id first.  Only outputs
-    whose bad list changed this cycle can hold a new fid."""
+) -> list[int]:
+    """Detection strobe: file ``detections[fid] = (cycle, output name)``
+    for every fault newly observable at an output, lowest output id first,
+    and return the new fids.  Only an output whose bad list changed this
+    cycle can hold one."""
 
-    found: list[tuple[int, int, str]] = []
-    seen: set[int] = set()
+    found: list[int] = []
     for out_id in graph.outputs:
         st = states[out_id]
         if st.bads_stamp != cycle:
-            # Unchanged since a strobe that already reported all its fids
+            # Unchanged since a strobe that already filed all its fids
             # (a drop only removes fids and leaves the stamp alone).
             continue
         name = graph.nodes[out_id].name
         for fid, _ in st.bads:
-            if fid in already_detected or fid in seen:
-                continue
-            seen.add(fid)
-            found.append((fid, cycle, name))
+            if fid not in detections:
+                detections[fid] = (cycle, name)
+                found.append(fid)
     return found

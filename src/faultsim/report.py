@@ -60,6 +60,9 @@ class CycleStats:
 
 @dataclass
 class RunTotals:
+    """``wall_ns`` is the pool schedule's modeled makespan, and host time in
+    mode ``serial``; ``host_ns`` is the real time of the cycle loop."""
+
     wall_ns: int = 0
     host_ns: int = 0
     busy_ns: tuple[int, ...] = ()

@@ -499,7 +499,7 @@ class SimulationEngine:
         serve = self._cycle + 1
         for rid in regs:
             reg, st, next_st, nf, narrows = bound[rid]
-            if sync_check_needed(st, next_st, nf, serve):
+            if sync_check_needed(next_st, nf, serve):
                 new_good, new_bads = sync_register(reg, next_st, nf, serve, narrows)
                 commit_state(st, new_good, new_bads, serve)
                 stats.executed += 1
@@ -546,22 +546,21 @@ class SimulationEngine:
         self._stats = CycleStats(cycle)
 
     def _detect(self, cycle: int) -> None:
-        """Detection strobe, then the steady-state re-sweep, then the drop
-        of the faults detected now, all after the cycle's evaluations and
-        before its commits.  The strobe reads outputs, which share no state
+        """Detection strobe, which files the cycle's new detections in
+        ``self.detections``, then the steady-state re-sweep, then the drop
+        of the fids it filed, all after the cycle's evaluations and before
+        its commits.  The strobe reads outputs, which share no state
         with a register (see ``rtl.split_register_reads``), so it would see
         the same values after the commits; the re-sweep reads the register
         values the cycle read, and after the drop the commits carry none
         of its faults.  The re-sweep runs before the drop, which removes
         divergences from the states it reads."""
 
-        hits = scan_outputs(self.graph, self.states, self.detections, cycle)
-        for fid, at, out in hits:
-            self.detections[fid] = (at, out)
+        new_fids = scan_outputs(self.graph, self.states, self.detections, cycle)
         if self.config.steady_state_check:
             self._assert_steady(cycle)
         if self.config.drop_on_detect:
-            drop_detected(self.table, self.distinct_states, [hit[0] for hit in hits])
+            drop_detected(self.table, self.distinct_states, new_fids)
 
     def _end_cycle(self, stats: CycleStats) -> None:
         self.cycle_stats.append(stats)
@@ -634,7 +633,8 @@ class SimulationEngine:
         gate task closes it (``_close_cycle``).  The countdowns are counted
         from the window's successor tuples (``taskgraph.window_countdowns``):
         cycles 0 and 1 start from their own, and each later cycle from the
-        re-arm vector."""
+        re-arm vector; a one-cycle run's slot 1 starts at zero and is never
+        released."""
 
         window, self.window = self.window, None     # held for the run only
         cycles = len(self.rows)
@@ -643,8 +643,7 @@ class SimulationEngine:
         cfg = self.config
         size = len(window) // 2
         first, second, self._rearm = window_countdowns(window)
-        self._never = [-2 * size] * size     # a slot past the last cycle: below zero for good
-        self._counts = counts = first + (second if cycles > 1 else self._never)
+        self._counts = counts = first + (second if cycles > 1 else [0] * size)
         self._tasks = [task.task for task in window]
         self._size = size
         self._open = [CycleStats(0), CycleStats(1)]
@@ -672,11 +671,12 @@ class SimulationEngine:
         cycle is done.  The cycle's wall time runs from the previous
         cycle's last finish to its own, and its busy time is each worker's
         busy time in between.  The slot's countdowns are re-armed for the
-        cycle two on, and its open stats now name that cycle: every
-        instance of the slot has been released, and a countdown has fallen
-        below zero only by releases from the cycle between, into the cycle
-        two on, which the re-arm vector (counted from the window's tuples)
-        adds to."""
+        cycle two on, if the run has one, and its open stats now name that
+        cycle: every instance of the slot has been released, and a
+        countdown has fallen below zero only by releases from the cycle
+        between, into the cycle two on, which the re-arm vector (counted
+        from the window's tuples) adds to.  Unarmed, they only fall, so no
+        task of the slot runs again."""
 
         now, elapsed = self.pool.clock()
         stats = self._open[slot]
@@ -691,8 +691,6 @@ class SimulationEngine:
         counts = self._counts
         if cycle < len(self.rows):
             counts[lo:lo + size] = map(add, counts[lo:lo + size], self._rearm)
-        else:
-            counts[lo:lo + size] = self._never
         self._open[slot] = CycleStats(cycle)
 
     def _assert_steady(self, cycle: int) -> None:

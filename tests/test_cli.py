@@ -163,6 +163,8 @@ def test_ablate_says_when_nothing_is_expanded():
         assert ("overhead fraction: none expanded" in text) != expanded, args
         assert "serial row: host time; other rows: modeled schedule makespan" in text
         assert "speedup: serial host time / modeled makespan" in text
+        assert ("overhead: added dispatches x structural's host ns per dispatch"
+                " / full's modeled makespan") in text
 
 
 def test_ablate_bad_workers(capsys, tmp_path):

@@ -587,8 +587,8 @@ end
         assert nxt.bads == before
 
     def test_sync_skip_check_cold_start(self):
-        assert sync_check_needed(NodeState(), NodeState(), NO_FAULTS, 1)
-        assert not sync_check_needed(NodeState(), NodeState(), NO_FAULTS, 3)
+        assert sync_check_needed(NodeState(), NO_FAULTS, 1)
+        assert not sync_check_needed(NodeState(), NO_FAULTS, 3)
 
 
 def test_initial_states_apply_reg_rules():

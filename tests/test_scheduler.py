@@ -232,22 +232,51 @@ def test_mode_lattice_reports_identical():
 
 def test_always_eval_equivalence(monkeypatch):
     # The dependence and sync checks only skip work: forcing both to say
-    # "evaluate" must leave the verdicts unchanged.
+    # "evaluate" must leave the verdicts and every live state unchanged, at
+    # the end of the run in every mode and, in serial, at every strobe, so a
+    # wrong skip fails here even when it flips no verdict.  The inputs hold
+    # still after cycle 3, so later transient windows open and close at
+    # nodes and registers whose fanin is quiet.
     import faultsim.scheduler as scheduler
 
-    b = small_bench(23, profile="pipeline", size=80, cycles=8, faults=40)
+    b = small_bench(23, size=60, cycles=16, faults=60)
     _, stim, faults = b.build()
-    for mode in ("full", "serial"):
+    rows = stim.rows[:4] + stim.rows[3:4] * 12
+
+    def run(mode, drop):
         g, _, _ = b.build()
-        base = run_simulation(g, faults, stim, SimConfig(workers=4, mode=mode))
-        with monkeypatch.context() as m:
-            m.setattr(scheduler, "check_dependence_changed", lambda *a: True)
-            m.setattr(scheduler, "sync_check_needed", lambda *a: True)
-            g2, _, _ = b.build()
-            forced = run_simulation(g2, faults, stim, SimConfig(workers=4, mode=mode))
-        assert base.verdicts() == forced.verdicts(), mode
-        assert sum(c.skipped for c in base.cycles) > 0, mode
-        assert sum(c.skipped for c in forced.cycles) == 0, mode
+        eng = SimulationEngine(g, faults, rows,
+                               SimConfig(workers=4, mode=mode, drop_on_detect=drop))
+        live = eng.order + eng.regs
+
+        def snapshot():
+            return [(eng.states[nid].good, list(eng.states[nid].bads)) for nid in live]
+
+        strobes = []
+        if mode == "serial":
+            detect = eng._detect
+
+            def snap_then_detect(cycle):
+                strobes.append(snapshot())
+                detect(cycle)
+
+            eng._detect = snap_then_detect
+        return eng.run(), snapshot(), strobes
+
+    for mode in ("serial", "structural", "structural+fault", "full"):
+        for drop in (False, True):
+            base, final, strobes = run(mode, drop)
+            with monkeypatch.context() as m:
+                m.setattr(scheduler, "check_dependence_changed", lambda *a: True)
+                m.setattr(scheduler, "sync_check_needed", lambda *a: True)
+                forced, forced_final, forced_strobes = run(mode, drop)
+            key = mode, drop
+            assert base.verdicts() == forced.verdicts(), key
+            assert final == forced_final, key
+            assert strobes == forced_strobes, key
+            assert len(strobes) == (len(rows) if mode == "serial" else 0), key
+            assert sum(c.skipped for c in base.cycles) > 0, key
+            assert sum(c.skipped for c in forced.cycles) == 0, key
 
 
 def test_drop_on_detect_keeps_verdicts():
@@ -1095,6 +1124,21 @@ def test_stimulus_width_mismatch_raises():
 
     with pytest.raises(StimulusError, match="expected 1 values"):
         run_simulation(g, [], [[1, 2]], SimConfig())
+
+
+def test_register_commit_skips_on_its_source_alone():
+    """A commit reads only its source, so it runs when the source changed
+    in the cycle that ends, and not because the register's own value
+    changed at the last commit: in cycle 2 the register still holds the 5
+    it stored at the end of cycle 1, and only the copy that reads it runs.
+    Cycle 0 runs both bodies, since every state starts stamped 0."""
+
+    text = "module m\ninput a 4\nreg r 4 = 0\nnext r = a\noutput o 4 = r\nend"
+    for mode in ("serial", "structural", "full"):
+        report = run_simulation(build(text), [], [[0], [5], [5], [5]],
+                                SimConfig(workers=2, mode=mode))
+        assert [(c.executed, c.skipped) for c in report.cycles] == \
+            [(2, 0), (1, 1), (1, 1), (0, 2)], mode
 
 
 def test_register_swap_simulates_correctly():
